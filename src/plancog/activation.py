@@ -27,10 +27,10 @@ OPEN = "open"
 VERIFIED = "verified"
 VIOLATED = "violated"
 
-LOOP_FAMILY = ("Running_Total_Loop",
-               "Total_Controlled_Running_Total_Loop",
-               "Counter_Controlled_Running_Total_Loop",
-               "New_Value_Controlled_Running_Total_Loop")
+# slots bound to statements defining the plan variable
+_CODE_SLOTS = {"initialization", "update", "read", "result", "output"}
+# slots bound to a loop statement or its exit test
+_LOOP_SLOTS = ("body", "loop", "header", "test")
 
 
 @dataclass
@@ -411,49 +411,47 @@ def _slot_candidates(index: _Index, instance: PlanInstance, slot_name: str):
                 if loop is not None and loop not in loops:
                     loops.append(loop)
         return [(l, l.line, index.loop_keyword(l), "loop") for l in loops]
-    if slot_name in ("body", "loop"):
-        out = []
-        for l in index.loops:
-            text, _ = index.loop_cond_text(l)
-            out.append((l, l.line, text if slot_name == "loop" else index.loop_keyword(l),
-                        "loop"))
-        return out
-    if slot_name == "test":
-        out = []
-        for l in index.loops:
-            if isinstance(l, (fe.Repeat, fe.While)):
-                _, cond_line = index.loop_cond_text(l)
-                out.append((l, cond_line, fe.expr_text(l.cond), "cond"))
-        return out
-    if slot_name == "header":
-        return [(l, l.line, "for", "loop") for l in index.loops if isinstance(l, fe.For)]
+    if slot_name in _LOOP_SLOTS:
+        return _loop_slot_candidates(index, slot_name)
     return []
+
+
+def _loop_slot_candidates(index: _Index, slot_name: str):
+    if slot_name == "body":
+        return [(l, l.line, index.loop_keyword(l), "loop") for l in index.loops]
+    if slot_name == "loop":
+        return [(l, l.line, index.loop_cond_text(l)[0], "loop") for l in index.loops]
+    if slot_name == "test":
+        return [(l, index.loop_cond_text(l)[1], fe.expr_text(l.cond), "cond")
+                for l in index.loops if isinstance(l, (fe.Repeat, fe.While))]
+    return [(l, l.line, "for", "loop") for l in index.loops if isinstance(l, fe.For)]
 
 
 # --- instantiation ------------------------------------------------------------
 
 def instantiate(kb: KnowledgeBase, program: fe.Program, activations,
                 defuse: rel.DefUse):
-    """Bind activated schemas to AST nodes; return (instances, expectations)."""
+    """Bind activated schemas to AST nodes; return (instances, expectations).
+    Variable plans are bound per declared variable; every other active
+    schema without a kind-of parent is bound per loop."""
     index = _Index(program)
     active = {a.schema: a for a in activations}
     instances: list[PlanInstance] = []
-
-    var_code_slots = {"initialization", "update", "read", "result", "output"}
+    specialized = {l.source for l in kb.links if l.relation == "kind-of"}
+    roots = []
     for schema in kb.schemas:
-        if schema.name not in active or schema.kind not in (VARIABLE, CONTROL):
+        if schema.name not in active:
             continue
-        if not var_code_slots & {s.name for s in schema.slots}:
-            continue  # loop-shaped plans are instantiated per loop below
-        for var in sorted(index.decls):
-            inst = _bind_variable_plan(kb, schema, var, index, defuse)
-            if inst is not None:
-                instances.append(inst)
+        if schema.kind in (VARIABLE, CONTROL) and _CODE_SLOTS & {s.name for s in schema.slots}:
+            for var in sorted(index.decls):
+                inst = _bind_variable_plan(kb, schema, var, index, defuse)
+                if inst is not None:
+                    instances.append(inst)
+        elif schema.kind != VARIABLE and schema.name not in specialized:
+            roots.append(schema)
 
     instances = _drop_shadowed(instances)
-    instances.extend(_loop_instances(kb, index, active, instances))
-    instances.extend(_search_instances(kb, index, active, instances))
-    instances.extend(_for_instances(kb, index, active))
+    instances.extend(_loop_plans(kb, index, roots, instances))
     instances.sort(key=lambda i: (i.anchor_line, i.schema, i.variable or ""))
 
     expectations = _expectations(kb, active, instances)
@@ -469,25 +467,27 @@ def _bind_variable_plan(kb, schema, var, index, defuse):
                    if s.name in order else len(order))
     for slot in slots:
         candidates = _slot_candidates(index, inst, slot.name)
-        bound = None
-        for node, line, text, category in sorted(candidates, key=lambda c: c[1]):
-            if not any(pattern_matches(f.pattern, text, var=var) for f in slot.fillers):
-                continue
-            if slot.name == "initialization" and "update" in inst.bindings:
-                update = inst.bindings["update"]
-                # when the update reads the variable, the initializing def
-                # must reach it along some def-clear path
-                if (isinstance(update.node, fe.Assign) and _self_referential(update.node)
-                        and update.line not in defuse.chains.get((var, line), set())):
-                    continue
-            bound = Binding(node, line, text, category)
-            break
+        update = inst.bindings.get("update")
+        if (slot.name == "initialization" and update is not None
+                and isinstance(update.node, fe.Assign) and _self_referential(update.node)):
+            # when the update reads the variable, the initializing def must
+            # reach it along some def-clear path
+            candidates = [c for c in candidates
+                          if update.line in defuse.chains.get((var, c[1]), set())]
+        bound = _first_filling(slot, candidates, var)
         if bound is not None:
             inst.bindings[slot.name] = bound
-    code_slots = {"initialization", "update", "read", "result", "output"}
-    if not (code_slots & set(inst.bindings)):
+    if not (_CODE_SLOTS & set(inst.bindings)):
         return None
     return inst
+
+
+def _first_filling(slot, candidates, var):
+    """Binding for the first candidate, by line, that matches a filler."""
+    for node, line, text, category in sorted(candidates, key=lambda c: c[1]):
+        if any(pattern_matches(f.pattern, text, var=var) for f in slot.fillers):
+            return Binding(node, line, text, category)
+    return None
 
 
 def _drop_shadowed(instances):
@@ -506,96 +506,72 @@ def _drop_shadowed(instances):
     return keep
 
 
-def _inside(index, stmt, loop):
-    return loop in index.enclosing.get(id(stmt), [])
-
-
-def _child_in_loop(index, instances, schema_name, slot, loop):
-    for inst in instances:
-        if inst.schema == schema_name and slot in inst.bindings:
-            if _inside(index, inst.bindings[slot].node, loop):
-                return inst
-    return None
-
-
-def _loop_instances(kb, index, active, var_instances):
-    if not any(name in active for name in LOOP_FAMILY):
+def _loop_plans(kb, index, roots, var_instances):
+    """One instance per loop and root schema. Loop slots bind to the loop;
+    a uses slot targeting a variable plan takes the first instance of the
+    target, or of one of its kind-of children, with a statement binding
+    other than its initialization inside the loop. Mandatory uses slots
+    fill first, a child fills at most one slot, and a plan whose fillers
+    mention <v> takes its first child's variable. The kind-of child whose
+    controlled-by slot holds a variable the exit test reads replaces the
+    root, ties broken by the root's slot order."""
+    if not roots:
         return []
+    schemas = {s.name: s for s in kb.schemas}
+    kind_of_children = {}
+    for link in kb.links:
+        if link.relation == "kind-of":
+            kind_of_children.setdefault(link.target, []).append(link.source)
+    working = {}                       # id(loop) -> {id(instance): instance}
+    for inst in var_instances:
+        for slot, b in inst.bindings.items():
+            if b.category == "stmt" and slot != "initialization":
+                for loop in index.enclosing.get(id(b.node), ()):
+                    working.setdefault(id(loop), {})[id(inst)] = inst
+    loop_candidates = {name: {id(c[0]): [c] for c in _loop_slot_candidates(index, name)}
+                       for name in _LOOP_SLOTS}
     out = []
-    for loop in index.loops:
-        total = _child_in_loop(index, var_instances, "Running_Total_Variable",
-                               "update", loop)
-        if total is None:
-            continue
-        counter = _child_in_loop(index, var_instances, "Counter_Variable",
-                                 "update", loop)
-        reader = _child_in_loop(index, var_instances, "Read_Variable", "read", loop)
-        new_value = reader or counter
-        if new_value is None:
-            continue
-        test_vars = index.exit_condition_vars(loop)
-        variant = "Running_Total_Loop"
-        if new_value.variable in test_vars:
-            variant = "New_Value_Controlled_Running_Total_Loop"
-        elif counter is not None and counter.variable in test_vars:
-            variant = "Counter_Controlled_Running_Total_Loop"
-        elif total.variable in test_vars:
-            variant = "Total_Controlled_Running_Total_Loop"
-        if variant not in active:
-            variant = "Running_Total_Loop"
-        schema = kb.schema(variant)
-        inst = PlanInstance(variant, schema.kind,
-                            mandatory=tuple(s.name for s in schema.slots if s.mandatory))
-        inst.bindings["body"] = Binding(loop, loop.line, index.loop_keyword(loop), "loop")
-        if isinstance(loop, (fe.Repeat, fe.While)):
-            text, cond_line = index.loop_cond_text(loop)
-            cond_text = fe.expr_text(loop.cond)
-            test_slot = schema.slot("test")
-            if test_slot and any(pattern_matches(f.pattern, cond_text)
-                                 for f in test_slot.fillers):
-                inst.bindings["test"] = Binding(loop, cond_line, cond_text, "cond")
-        inst.children.append(("Running_total", total))
-        inst.children.append(("New_Value", new_value))
-        if counter is not None and counter is not new_value:
-            inst.children.append(("Counter", counter))
-        out.append(inst)
+    for root in roots:
+        mandatory = tuple(s.name for s in root.slots if s.mandatory)
+        # (slot, acceptable child schemas) per uses link to a variable plan
+        uses = [(l.as_slot, [l.target] + kind_of_children.get(l.target, []))
+                for l in kb.links if l.relation == "uses" and l.source == root.name
+                and schemas[l.target].kind == VARIABLE]
+        uses.sort(key=lambda u: u[0] not in mandatory)
+        takes_variable = any("<v>" in f.pattern for s in root.slots for f in s.fillers)
+        controllers = {}               # slot -> first kind-of child controlled by it
+        for name in kind_of_children.get(root.name, []):
+            controllers.setdefault(schemas[name].controlled_by, schemas[name])
+        for loop in index.loops:
+            inst = PlanInstance(root.name, root.kind, mandatory=mandatory)
+            group = working.get(id(loop), {}).values()
+            for slot_name, names in uses:
+                child = next((i for name in names for i in group if i.schema == name), None)
+                if child is not None and all(child is not c for _, c in inst.children):
+                    inst.children.append((slot_name, child))
+            if takes_variable and inst.children:
+                inst.variable = inst.children[0][1].variable
+            for slot in root.slots:
+                candidates = (loop_candidates[slot.name].get(id(loop), [])
+                              if slot.name in _LOOP_SLOTS
+                              else _slot_candidates(index, inst, slot.name))
+                bound = _first_filling(slot, candidates, inst.variable)
+                if bound is not None:
+                    inst.bindings[slot.name] = bound
+            if not (inst.bindings or inst.children) or not inst.complete:
+                continue
+            test_vars = index.exit_condition_vars(loop)
+            children = dict(inst.children)
+            for slot in root.slots:
+                child = children.get(slot.name)
+                if (slot.name in controllers and child is not None
+                        and child.variable in test_vars):
+                    chosen = controllers[slot.name]
+                    inst.schema, inst.kind = chosen.name, chosen.kind
+                    inst.mandatory = tuple(s.name for s in chosen.slots if s.mandatory)
+                    break
+            out.append(inst)
     return out
-
-
-def _search_instances(kb, index, active, var_instances):
-    if "Linear_Search" not in active:
-        return []
-    schema = kb.schema("Linear_Search")
-    out = []
-    for loop in index.loops:
-        if not isinstance(loop, fe.While):
-            continue
-        counter = _child_in_loop(index, var_instances, "Counter_Variable",
-                                 "update", loop)
-        if counter is None:
-            continue
-        text = f"while {fe.expr_text(loop.cond)}"
-        loop_slot = schema.slot("loop")
-        if not any(pattern_matches(f.pattern, text) for f in loop_slot.fillers):
-            continue
-        inst = PlanInstance("Linear_Search", schema.kind, counter.variable,
-                            mandatory=tuple(s.name for s in schema.slots if s.mandatory))
-        inst.bindings["loop"] = Binding(loop, loop.line, text, "loop")
-        update = counter.bindings.get("update")
-        if update is not None:
-            inst.bindings["counter-update"] = update
-        inst.children.append(("counter", counter))
-        out.append(inst)
-    return out
-
-
-def _for_instances(kb, index, active):
-    if "For_Loop" not in active:
-        return []
-    schema = kb.schema("For_Loop")
-    return [PlanInstance("For_Loop", schema.kind,
-                         bindings={"header": Binding(l, l.line, "for", "loop")})
-            for l in index.loops if isinstance(l, fe.For)]
 
 
 def _expectations(kb, active, instances):

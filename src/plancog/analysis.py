@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 from . import frontend as fe
 from . import interpreter as run
 from . import relations as rel
-from .activation import (DEFAULT_SIMULATION_INPUTS, LOOP_FAMILY, PlanInstance,
-                         _Index, activate_with_trace, evaluate_coherence,
-                         extract_beacons, instantiate, verify_expectations)
+from .activation import (DEFAULT_SIMULATION_INPUTS, PlanInstance, _Index,
+                         activate_with_trace, evaluate_coherence, extract_beacons,
+                         instantiate, verify_expectations)
 from .errors import AnalysisError
 from .kb import VARIABLE, KnowledgeBase, builtin_kb, instantiate_pattern, pattern_matches
 
@@ -65,25 +65,16 @@ class GoalNode:
             yield from c.leaves()
 
 
-_GOAL_NAMES = {
-    "Read_Variable": "enter-data",
-    "Counter_Variable": "count-occurrences",
-    "Running_Total_Variable": "accumulate-total",
-    "Flag_Variable": "track-condition",
-    "Quotient_Variable": "compute-ratio",
-    "Output_Value": "output-result",
-    "Linear_Search": "search-items",
-    "For_Loop": "counted-loop",
-    **{name: "process-values-in-loop" for name in LOOP_FAMILY},
-}
-
-
 def goal_tree(instances, kb: KnowledgeBase, coherence=None) -> GoalNode:
     """Hierarchical goals with plan instances at the leaves. Average-shaped
     programs (a quotient of a running total by a counter feeding a write)
     get the report/enter/compute/output decomposition; anything else gets
     one subgoal per top-level instance."""
     flagged = coherence.incoherent_instances() if coherence is not None else set()
+
+    def goal(inst):
+        schema = kb.schema(inst.schema)
+        return (schema and schema.goal) or inst.schema.lower().replace("_", "-")
 
     def leaf(inst, nested=()):
         flags = []
@@ -106,8 +97,7 @@ def goal_tree(instances, kb: KnowledgeBase, coherence=None) -> GoalNode:
         ])
         for inst in instances:
             if id(inst) not in placed:
-                name = _GOAL_NAMES.get(inst.schema, inst.schema.lower().replace("_", "-"))
-                root.children.append(GoalNode(goal=name, children=[leaf(inst)]))
+                root.children.append(GoalNode(goal=goal(inst), children=[leaf(inst)]))
         return root
 
     child_ids = set()
@@ -120,7 +110,7 @@ def goal_tree(instances, kb: KnowledgeBase, coherence=None) -> GoalNode:
     groups: dict[str, list] = {}
     order = []
     for inst in top:
-        name = _GOAL_NAMES.get(inst.schema, inst.schema.lower().replace("_", "-"))
+        name = goal(inst)
         if name not in groups:
             groups[name] = []
             order.append(name)
@@ -134,7 +124,8 @@ def goal_tree(instances, kb: KnowledgeBase, coherence=None) -> GoalNode:
 def _average_shape(instances):
     quotients = [i for i in instances if i.schema == "Quotient_Variable"
                  and "result" in i.bindings]
-    loops = [i for i in instances if i.schema in LOOP_FAMILY]
+    loops = [(i, child) for i in instances for slot, child in i.children
+             if slot == "New_Value"]
     outputs = {i.variable: i for i in instances if i.schema == "Output_Value"}
     by_var = {}
     for i in instances:
@@ -150,11 +141,7 @@ def _average_shape(instances):
         output = outputs.get(q.variable)
         if total is None or counter is None or output is None or not loops:
             continue
-        loop = loops[0]
-        reader = next((child for slot, child in loop.children
-                       if slot == "New_Value"), None)
-        if reader is None:
-            continue
+        loop, reader = loops[0]
         return loop, reader, total, counter, q, output
     return None
 
@@ -173,19 +160,6 @@ class PlanlinessReport:
     score: float
     coverage: float
     violations: list[Violation]
-
-
-# acceptable name vocabularies per built-in schema; one- and two-letter
-# stems must match exactly, longer stems match as substrings
-_NAME_STEMS = {
-    "Counter_Variable": ("counter", "count", "cnt", "ctr", "index", "idx",
-                         "i", "j", "k", "n"),
-    "Running_Total_Variable": ("sum", "total", "tot", "acc", "accum", "result"),
-    "Read_Variable": ("num", "number", "value", "val", "item", "data",
-                      "input", "entry", "ch", "a", "b", "x"),
-    "Flag_Variable": ("flag", "done", "found", "stop", "finished", "ok", "seen"),
-    "Quotient_Variable": ("average", "avg", "mean", "ratio", "quotient", "rate"),
-}
 
 
 def planliness(program: fe.Program, kb: KnowledgeBase | None = None,
@@ -213,10 +187,12 @@ def planliness(program: fe.Program, kb: KnowledgeBase | None = None,
 def _check_name_reflects_function(rec: Recognition):
     out = []
     for inst in rec.instances:
-        stems = _NAME_STEMS.get(inst.schema)
-        if stems is None or not inst.variable:
+        stems = rec.kb.schema(inst.schema).names
+        if not stems or not inst.variable:
             continue
         name = inst.variable
+        # one- and two-letter stems must match exactly, longer stems match
+        # as substrings
         if any(name == s if len(s) <= 2 else s in name for s in stems):
             continue
         decl_line = rec.program and next(

@@ -16,7 +16,6 @@ from importlib import resources
 from . import analysis, frontend, interpreter, kb as kblib, relations
 from .errors import KbValidationError, PlancogError
 
-DEFAULT_SEED = 0
 CORPUS_FILES = ("grey.mp", "orange.mp", "search.mp", "flag.mp")
 
 
@@ -25,7 +24,6 @@ class Config:
     kb_path: str | None = None
     output_mode: str = "text"          # text | json
     step_budget: int = interpreter.DEFAULT_STEP_BUDGET
-    seed: int = DEFAULT_SEED
 
     def load_kb(self):
         if self.kb_path is None:
@@ -58,8 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="knowledge base file (default: built-in library)")
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="machine-readable output")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for randomized property runs (reserved)")
     common.add_argument("--step-budget", type=int, default=argparse.SUPPRESS,
                         help="interpreter step budget")
 
@@ -119,8 +115,7 @@ def main(argv=None) -> int:
         return ex.code if isinstance(ex.code, int) else 2
     config = Config(getattr(args, "kb_path", None),
                     "json" if getattr(args, "json", False) else "text",
-                    getattr(args, "step_budget", interpreter.DEFAULT_STEP_BUDGET),
-                    getattr(args, "seed", DEFAULT_SEED))
+                    getattr(args, "step_budget", interpreter.DEFAULT_STEP_BUDGET))
     handler = _HANDLERS[args.command]
     try:
         return handler(args, config)
@@ -161,7 +156,11 @@ def _cmd_relations(args, config):
 
 def _cmd_kb(args, config):
     if args.kb_command == "dump-builtin":
-        sys.stdout.write(kblib.dump_kb(kblib.builtin_kb()))
+        text = kblib.dump_kb(kblib.builtin_kb())
+        if config.output_mode == "json":
+            print(json.dumps({"kb": text}))
+        else:
+            sys.stdout.write(text)
         return 0
     try:
         loaded = kblib.load_kb(_read(args.file))

@@ -126,6 +126,9 @@ class Schema:
     kind: str
     description: str = ""
     slots: list[Slot] = field(default_factory=list)
+    goal: str | None = None            # goal-tree node name; default derived from name
+    names: tuple[str, ...] = ()        # name stems that reflect the plan's function
+    controlled_by: str | None = None   # slot whose child variable the exit test reads
 
     def slot(self, name) -> Slot | None:
         for s in self.slots:
@@ -203,21 +206,23 @@ class Diagnostic:
 
 # --- built-in library -----------------------------------------------------
 
-def _schema(name, kind, desc, slots):
+def _schema(name, kind, desc, slots, goal=None, names="", controlled_by=None):
     return Schema(name, kind, desc, [
         Slot(sname, mand, [Filler(p, proto) for p, proto in fills])
         for sname, mand, fills in slots
-    ])
+    ], goal, tuple(names.split()), controlled_by)
 
 
+# slot order breaks ties when the exit test reads several children's variables
 _LOOP_SLOTS = [
+    ("New_Value", True, []),
     ("Counter", False, []),
     ("Running_total", True, []),
-    ("New_Value", True, []),
     ("setup", False, []),
     ("body", True, [("iteration", False)]),
 ]
 _LOOP_TEST = ("test", True, [("<w>=<int>", False), ("<w><><int>", False)])
+_LOOP_GOAL = "process-values-in-loop"
 _LOOP_USES = [("Counter_Variable", "Counter"),
               ("Running_Total_Variable", "Running_total"),
               ("New_Value_Variable", "New_Value")]
@@ -237,56 +242,65 @@ def builtin_kb() -> KnowledgeBase:
                 "receives and holds each value read from the input",
                 [("name", False, [("<v>", False)]),
                  ("read", True, [("readln(<v>)", True)]),
-                 ("context", False, [("iteration", False)])]),
+                 ("context", False, [("iteration", False)])],
+                goal="enter-data",
+                names="num number value val item data input entry ch a b x"),
         _schema("Counter_Variable", VARIABLE,
                 "counts the occurrences of an action",
                 [("name", False, [("<v>", False)]),
                  ("type", False, [("integer", False)]),
                  ("initialization", True, [("<v>:=0", True), ("<v>:=<int>", False)]),
                  ("update", True, [("<v>:=<v>+1", True)]),
-                 ("context", False, [("iteration", False)])]),
+                 ("context", False, [("iteration", False)])],
+                goal="count-occurrences",
+                names="counter count cnt ctr index idx i j k n"),
         _schema("Running_Total_Variable", VARIABLE,
                 "accumulates a running total one contribution at a time",
                 [("name", False, [("<v>", False)]),
                  ("type", False, [("integer", False), ("real", False)]),
                  ("initialization", True, [("<v>:=0", True), ("<v>:=<int>", False)]),
                  ("update", True, [("<v>:=<v>+<w>", True)]),
-                 ("context", False, [("iteration", False)])]),
+                 ("context", False, [("iteration", False)])],
+                goal="accumulate-total", names="sum total tot acc accum result"),
         _schema("Flag_Variable", VARIABLE,
                 "records that a condition of interest has occurred",
                 [("name", False, [("<v>", False)]),
                  ("type", False, [("boolean", False)]),
                  ("initialization", True, [("<v>:=false", True), ("<v>:=true", False)]),
                  ("update", True, [("<v>:=true", True), ("<v>:=false", False)]),
-                 ("context", False, [("repeat", False), ("while", True)])]),
+                 ("context", False, [("repeat", False), ("while", True)])],
+                goal="track-condition", names="flag done found stop finished ok seen"),
         _schema("Quotient_Variable", VARIABLE,
                 "holds the ratio of two accumulated results",
                 [("name", False, [("<v>", False)]),
-                 ("result", True, [("<v>:=<w>/<w>", True)])]),
+                 ("result", True, [("<v>:=<w>/<w>", True)])],
+                goal="compute-ratio", names="average avg mean ratio quotient rate"),
         _schema("Output_Value", CONTROL,
                 "reports a computed value on the output stream",
                 [("name", False, [("<v>", False)]),
-                 ("output", True, [("writeln(<v>)", True)])]),
+                 ("output", True, [("writeln(<v>)", True)])],
+                goal="output-result"),
         _schema("Running_Total_Loop", CONTROL,
                 "accumulates values into a running total inside a loop, optionally counting iterations",
-                _LOOP_SLOTS + [("test", False, [("<w>=<int>", False), ("<w><><int>", False)])]),
+                _LOOP_SLOTS + [("test", False, _LOOP_TEST[2])], goal=_LOOP_GOAL),
         _schema("Total_Controlled_Running_Total_Loop", CONTROL,
                 "running-total loop whose exit test examines the running total",
-                _LOOP_SLOTS + [_LOOP_TEST]),
+                _LOOP_SLOTS + [_LOOP_TEST], goal=_LOOP_GOAL, controlled_by="Running_total"),
         _schema("Counter_Controlled_Running_Total_Loop", CONTROL,
                 "running-total loop whose exit test examines the counter",
-                _LOOP_SLOTS + [_LOOP_TEST, ("implementation", False, [("for", False)])]),
+                _LOOP_SLOTS + [_LOOP_TEST, ("implementation", False, [("for", False)])],
+                goal=_LOOP_GOAL, controlled_by="Counter"),
         _schema("New_Value_Controlled_Running_Total_Loop", CONTROL,
                 "running-total loop whose exit test examines the newly read value",
-                _LOOP_SLOTS + [_LOOP_TEST]),
+                _LOOP_SLOTS + [_LOOP_TEST], goal=_LOOP_GOAL, controlled_by="New_Value"),
         _schema("For_Loop", IMPLEMENTATION,
                 "counted loop construct that initializes, tests and increments its control variable",
-                [("header", False, [("for", False)])]),
+                [("header", False, [("for", False)])], goal="counted-loop"),
         _schema("Linear_Search", ALGORITHM,
                 "scans candidates one at a time, counting the position, until the target is met",
                 [("loop", True, [("while <w> <> <w>", True)]),
-                 ("counter", False, []),
-                 ("counter-update", False, [("<v>:=<v>+1", True)])]),
+                 ("counter", True, []),
+                 ("counter-update", False, [("<v>:=<v>+1", True)])], goal="search-items"),
         _schema("Stock_Management", PROBLEM,
                 "inventory bookkeeping task domain",
                 [("data-structure", False, [("record", False)]),
@@ -392,6 +406,9 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
                 if not pattern_ok(f.pattern):
                     out.append(Diagnostic("bad-pattern", f"{s.name}.{slot.name}",
                                           f"unparseable pattern {f.pattern!r}"))
+        if s.controlled_by is not None and s.slot(s.controlled_by) is None:
+            out.append(Diagnostic("unknown-slot", f"{s.name}.{s.controlled_by}",
+                                  "controlled-by names a slot the schema lacks"))
         if s.kind in (VARIABLE, CONTROL, ALGORITHM) and not any(x.mandatory for x in s.slots):
             out.append(Diagnostic("no-mandatory-slot", s.name,
                                   "variable/control/algorithm plans need a mandatory slot"))
@@ -507,6 +524,10 @@ def dump_kb(kb: KnowledgeBase) -> str:
     for s in kb.schemas:
         lines.append(f"schema {s.name} kind {s.kind}")
         lines.append(f'  desc "{s.description}"')
+        if s.goal is not None:
+            lines.append(f"  goal {s.goal}")
+        if s.names:
+            lines.append(f"  names {' '.join(s.names)}")
         for slot in s.slots:
             lines.append(f"  slot {slot.name} mandatory" if slot.mandatory
                          else f"  slot {slot.name}")
@@ -516,6 +537,8 @@ def dump_kb(kb: KnowledgeBase) -> str:
         for link in kb.links:
             if link.source == s.name and link.relation == "kind-of":
                 lines.append(f"  kindof {link.target}")
+        if s.controlled_by is not None:
+            lines.append(f"  controlled-by {s.controlled_by}")
         for link in kb.links:
             if link.source == s.name and link.relation == "uses":
                 lines.append(f"  uses {link.target} as {link.as_slot}")
@@ -588,6 +611,18 @@ def load_kb(text: str) -> KnowledgeBase:
             if not m or schema is None:
                 raise KbFormatError("desc outside a schema or malformed", lineno)
             schema.description = m.group("d")
+        elif head in ("goal", "controlled-by"):
+            if len(words) != 2 or schema is None:
+                raise KbFormatError(f"expected: {head} <name> inside a schema", lineno)
+            if head == "goal":
+                schema.goal = words[1]
+            else:
+                schema.controlled_by = words[1]
+        elif head == "names":
+            if len(words) < 2 or schema is None:
+                raise KbFormatError("expected: names <stem>... inside a schema", lineno)
+            # stems are matched against lowercased variable names
+            schema.names = tuple(w.lower() for w in words[1:])
         elif head == "slot":
             if schema is None:
                 raise KbFormatError("slot outside a schema", lineno)

@@ -3,7 +3,7 @@ import random
 from plancog import activation as act
 from plancog import frontend as fe
 from plancog import relations as rel
-from plancog.kb import Cue, pattern_matches
+from plancog.kb import Cue, dump_kb, load_kb, pattern_matches
 
 
 def _recognize(program, kb):
@@ -277,3 +277,25 @@ def test_simulated_entries_name_their_inputs(corpus_sources, builtin):
         for entry in report.external:
             if entry.evidence == "simulated":
                 assert entry.inputs
+
+
+# --- plans from a user library ---------------------------------------------------
+
+COUNTING_LOOP = """schema Counting_Loop kind control
+  desc "counts the passes through a loop"
+  slot body mandatory
+    filler "while"
+  slot tally mandatory
+  uses Counter_Variable as tally
+rule U1 data: if schema=Counter_Variable, loop=while then activate Counting_Loop
+"""
+
+
+def test_user_loop_plan_binds_its_uses_slot(search, builtin):
+    kb = load_kb(dump_kb(builtin) + COUNTING_LOOP)
+    instances, _ = _recognize(search, kb)
+    loop = _instance(instances, "Counting_Loop")
+    assert loop.complete
+    assert loop.bindings["body"].line == 7
+    assert [(slot, child.schema, child.variable) for slot, child in loop.children] == \
+        [("tally", "Counter_Variable", "i")]

@@ -94,6 +94,32 @@ def test_name_reflects_function_violation(builtin):
     assert "x" in named[0].explanation.lower()
 
 
+TALLY_VARIABLE = """schema Tally_Variable kind variable
+  desc "counts in steps of two"
+  goal tally-up
+  names TALLY
+  slot update mandatory
+    filler "<v>:=<v>+2" proto
+rule T1 data: if update~"<v>:=<v>+2" then activate Tally_Variable
+"""
+
+
+@pytest.mark.parametrize("name, violations", [("Steps", 1), ("Tally", 0)])
+def test_user_schema_names_and_goal(builtin, name, violations):
+    from plancog import kb as kblib
+    kb = kblib.load_kb(kblib.dump_kb(builtin) + TALLY_VARIABLE)
+    program = fe.parse(
+        f"PROGRAM P(input,output);\nVAR {name}: INTEGER;\nBEGIN\n"
+        f"    REPEAT\n        {name} := {name} + 2;\n    UNTIL {name} > 10;\nEND.")
+    rec = an.recognize(program, kb)
+    named = [v for v in an.planliness(program, kb, recognition=rec).violations
+             if v.rule_id == "D1"]
+    assert [v.lines for v in named] == [[2, 5]] * violations
+    tree = an.goal_tree(rec.instances, kb, rec.coherence)
+    assert [leaf.plan.schema for leaf in tree.children[0].leaves()] == ["Tally_Variable"]
+    assert _goal_names(tree) == ["tally-up"]
+
+
 def test_no_unused_plan_part_predicate():
     from plancog import kb as kblib
     kb = kblib.builtin_kb()

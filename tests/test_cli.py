@@ -54,10 +54,17 @@ def test_kb_dump_builtin(capsys):
     assert out == kblib.dump_kb(kblib.builtin_kb())
 
 
+def test_kb_dump_builtin_json_is_one_document(capsys):
+    code, out, _ = run_cli(capsys, "kb", "dump-builtin", "--json")
+    assert code == 0
+    assert json.loads(out) == {"kb": kblib.dump_kb(kblib.builtin_kb())}
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["bogus"]) == 2
     assert main(["relations", corpus_path("grey.mp")]) == 2   # missing flags
     assert main(["--nonsense"]) == 2
+    assert main(["--seed", "1", "parse", corpus_path("grey.mp")]) == 2
 
 
 def test_analysis_error_exits_1(tmp_path, capsys):

@@ -96,16 +96,46 @@ def test_dump_load_round_trip_builtin(builtin):
     assert kblib.dump_kb(loaded) == text
 
 
+def test_builtin_dump_carries_plan_shapes(builtin):
+    lines = kblib.dump_kb(builtin).splitlines()
+    assert "  uses Counter_Variable as counter" in lines
+    assert "  goal process-values-in-loop" in lines
+    assert "  names counter count cnt ctr index idx i j k n" in lines
+    assert [line for line in lines if line.startswith("  controlled-by ")] == [
+        "  controlled-by Running_total", "  controlled-by Counter",
+        "  controlled-by New_Value"]
+
+
 def test_load_dump_identity_custom():
     text = (
         'schema Swap_Pair kind variable\n'
         '  desc "exchanges two values"\n'
+        '  goal exchange-values\n'
+        '  names tmp temp swap\n'
         '  slot temp mandatory\n'
         '    filler "<v>:=<w>" proto\n'
         'rule S1 data: if init~"<v>:=<w>" then activate Swap_Pair, bind temp="<v>:=<w>"\n'
     )
     loaded = kblib.load_kb(text)
+    assert loaded.schema("Swap_Pair").goal == "exchange-values"
+    assert loaded.schema("Swap_Pair").names == ("tmp", "temp", "swap")
     assert kblib.load_kb(kblib.dump_kb(loaded)) == loaded
+    assert kblib.dump_kb(loaded) == text
+
+
+def test_controlled_by_unknown_slot_diagnostic():
+    text = ('schema A kind problem\n  desc "a"\n'
+            'schema B kind problem\n  desc "b"\n  kindof A\n  controlled-by nope\n')
+    with pytest.raises(KbValidationError) as err:
+        kblib.load_kb(text)
+    assert [(d.code, d.subject) for d in err.value.diagnostics] == [("unknown-slot", "B.nope")]
+
+
+@pytest.mark.parametrize("line", ["goal", "goal a b", "names", "controlled-by"])
+def test_malformed_schema_line(line):
+    with pytest.raises(KbFormatError) as err:
+        kblib.load_kb(f'schema A kind problem\n  desc "a"\n  {line}\n')
+    assert err.value.line == 3
 
 
 def test_dangling_link_diagnostic():
