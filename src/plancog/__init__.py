@@ -5,14 +5,14 @@ from .analysis import (Candidate, Chunk, GoalNode, PlanlinessReport, Recognition
                        chunk, delocalization, fill_blank, goal_tree, planliness,
                        recognize)
 from .activation import (Activation, CoherenceReport, Expectation, PlanInstance,
-                         activate, evaluate_coherence, extract_beacons,
+                         ProgramIndex, activate, evaluate_coherence, extract_beacons,
                          instantiate, verify_expectations)
 from .errors import (AnalysisError, KbFormatError, KbValidationError, LexError,
                      ParseError, PlancogError)
 from .frontend import (BlankedProgram, Program, Token, blank_line, parse,
                        pretty_print, structurally_equal, tokenize)
 from .interpreter import (ExecutionResult, TraceEvent, compare_behavior, execute,
-                          trace_variable)
+                          trace_variable, variable_events)
 from .kb import (Cue, KnowledgeBase, ProductionRule, Schema, builtin_kb, dump_kb,
                  implementations, load_kb, specializations, validate_kb)
 from .relations import (Cfg, DefUse, PrimeNode, build_cfg, decompose_primes,

@@ -276,13 +276,6 @@ def activate_with_trace(kb: KnowledgeBase, cues):
 
     # downward expansion across kind-of children and uses targets, joint
     # fixpoint with conceptually-driven rules
-    children = {}
-    uses = {}
-    for link in kb.links:
-        if link.relation == "kind-of":
-            children.setdefault(link.target, []).append(link.source)
-        else:
-            uses.setdefault(link.source, []).append(link.target)
     expanded = set()
     while True:
         frontier = sorted(set(active) - expanded)
@@ -294,7 +287,7 @@ def activate_with_trace(kb: KnowledgeBase, cues):
             continue
         for name in frontier:
             expanded.add(name)
-            for nxt in children.get(name, []) + uses.get(name, []):
+            for nxt in kb.children(name) + [target for target, _ in kb.uses(name)]:
                 if nxt not in active:
                     record(nxt, None, CONCEPTUALLY_DRIVEN, [])
                     firings.append(Firing("-", nxt, []))
@@ -308,8 +301,9 @@ def activate_with_trace(kb: KnowledgeBase, cues):
 
 # --- program index -----------------------------------------------------------
 
-class _Index:
-    """Per-program lookup tables shared by instantiation and verification."""
+class ProgramIndex:
+    """Per-program lookup tables, built once per recognition and read by
+    instantiation, verification, coherence and the discourse checks."""
 
     def __init__(self, program: fe.Program):
         self.program = program
@@ -378,7 +372,7 @@ class _Index:
         return {loop.var.lower()}
 
 
-def _slot_candidates(index: _Index, instance: PlanInstance, slot_name: str):
+def _slot_candidates(index: ProgramIndex, instance: PlanInstance, slot_name: str):
     """Candidate (node, line, text, category) tuples a slot may bind to."""
     var = instance.variable
     if slot_name == "name" and var:
@@ -416,7 +410,7 @@ def _slot_candidates(index: _Index, instance: PlanInstance, slot_name: str):
     return []
 
 
-def _loop_slot_candidates(index: _Index, slot_name: str):
+def _loop_slot_candidates(index: ProgramIndex, slot_name: str):
     if slot_name == "body":
         return [(l, l.line, index.loop_keyword(l), "loop") for l in index.loops]
     if slot_name == "loop":
@@ -429,15 +423,13 @@ def _loop_slot_candidates(index: _Index, slot_name: str):
 
 # --- instantiation ------------------------------------------------------------
 
-def instantiate(kb: KnowledgeBase, program: fe.Program, activations,
+def instantiate(kb: KnowledgeBase, index: ProgramIndex, activations,
                 defuse: rel.DefUse):
     """Bind activated schemas to AST nodes; return (instances, expectations).
     Variable plans are bound per declared variable; every other active
     schema without a kind-of parent is bound per loop."""
-    index = _Index(program)
     active = {a.schema: a for a in activations}
     instances: list[PlanInstance] = []
-    specialized = {l.source for l in kb.links if l.relation == "kind-of"}
     roots = []
     for schema in kb.schemas:
         if schema.name not in active:
@@ -447,7 +439,7 @@ def instantiate(kb: KnowledgeBase, program: fe.Program, activations,
                 inst = _bind_variable_plan(kb, schema, var, index, defuse)
                 if inst is not None:
                     instances.append(inst)
-        elif schema.kind != VARIABLE and schema.name not in specialized:
+        elif schema.kind != VARIABLE and not kb.parents(schema.name):
             roots.append(schema)
 
     instances = _drop_shadowed(instances)
@@ -485,7 +477,7 @@ def _bind_variable_plan(kb, schema, var, index, defuse):
 def _first_filling(slot, candidates, var):
     """Binding for the first candidate, by line, that matches a filler."""
     for node, line, text, category in sorted(candidates, key=lambda c: c[1]):
-        if any(pattern_matches(f.pattern, text, var=var) for f in slot.fillers):
+        if slot.accepts(text, var):
             return Binding(node, line, text, category)
     return None
 
@@ -517,11 +509,6 @@ def _loop_plans(kb, index, roots, var_instances):
     root, ties broken by the root's slot order."""
     if not roots:
         return []
-    schemas = {s.name: s for s in kb.schemas}
-    kind_of_children = {}
-    for link in kb.links:
-        if link.relation == "kind-of":
-            kind_of_children.setdefault(link.target, []).append(link.source)
     working = {}                       # id(loop) -> {id(instance): instance}
     for inst in var_instances:
         for slot, b in inst.bindings.items():
@@ -534,14 +521,15 @@ def _loop_plans(kb, index, roots, var_instances):
     for root in roots:
         mandatory = tuple(s.name for s in root.slots if s.mandatory)
         # (slot, acceptable child schemas) per uses link to a variable plan
-        uses = [(l.as_slot, [l.target] + kind_of_children.get(l.target, []))
-                for l in kb.links if l.relation == "uses" and l.source == root.name
-                and schemas[l.target].kind == VARIABLE]
+        uses = [(slot, [target] + kb.children(target))
+                for target, slot in kb.uses(root.name)
+                if kb.schema(target).kind == VARIABLE]
         uses.sort(key=lambda u: u[0] not in mandatory)
         takes_variable = any("<v>" in f.pattern for s in root.slots for f in s.fillers)
         controllers = {}               # slot -> first kind-of child controlled by it
-        for name in kind_of_children.get(root.name, []):
-            controllers.setdefault(schemas[name].controlled_by, schemas[name])
+        for name in kb.children(root.name):
+            child = kb.schema(name)
+            controllers.setdefault(child.controlled_by, child)
         for loop in index.loops:
             inst = PlanInstance(root.name, root.kind, mandatory=mandatory)
             group = working.get(id(loop), {}).values()
@@ -606,11 +594,10 @@ def _expectations(kb, active, instances):
 
 # --- expectation verification --------------------------------------------------
 
-def verify_expectations(expectations, program: fe.Program):
+def verify_expectations(expectations, index: ProgramIndex):
     """Resolve each open expectation against the code: verified on a matching
     line, violated on the nearest same-slot non-matching line, otherwise left
     open."""
-    index = _Index(program)
     for exp in expectations:
         if exp.state != OPEN:
             continue
@@ -632,14 +619,10 @@ def verify_expectations(expectations, program: fe.Program):
 
 # --- coherence ------------------------------------------------------------------
 
-def evaluate_coherence(instances, defuse: rel.DefUse, program: fe.Program,
-                       kb: KnowledgeBase | None = None,
-                       inputs=DEFAULT_SIMULATION_INPUTS,
+def evaluate_coherence(instances, defuse: rel.DefUse, index: ProgramIndex,
+                       kb: KnowledgeBase, inputs=DEFAULT_SIMULATION_INPUTS,
                        step_budget: int = run.DEFAULT_STEP_BUDGET) -> CoherenceReport:
     """Internal checks per binding plus cross-plan interaction entries."""
-    from .kb import builtin_kb
-    kb = kb or builtin_kb()
-    index = _Index(program)
     report = CoherenceReport()
 
     for inst in instances:
@@ -648,9 +631,7 @@ def evaluate_coherence(instances, defuse: rel.DefUse, program: fe.Program,
             continue
         for slot_name, binding in sorted(inst.bindings.items()):
             slot = schema.slot(slot_name)
-            ok = slot is not None and any(
-                pattern_matches(f.pattern, binding.text, var=inst.variable)
-                for f in slot.fillers)
+            ok = slot is not None and slot.accepts(binding.text, inst.variable)
             report.internal.append(InternalEntry(inst.label, slot_name,
                                                  "filler-match", ok, binding.line))
         if "initialization" in inst.bindings and "update" in inst.bindings:
@@ -668,22 +649,20 @@ def evaluate_coherence(instances, defuse: rel.DefUse, program: fe.Program,
                 and "initialization" not in inst.bindings and inst.variable):
             slot = schema.slot("initialization")
             for cand in index.init_candidates(inst.variable):
-                text = fe.node_text(cand)
-                if not any(pattern_matches(f.pattern, text, var=inst.variable)
-                           for f in slot.fillers):
+                if not slot.accepts(fe.node_text(cand), inst.variable):
                     report.internal.append(InternalEntry(
                         inst.label, "initialization", "initialization-filler",
                         False, cand.line))
 
     simulation = None
-    pairs = _interaction_pairs(instances, defuse, index)
-    for left, right, how in pairs:
+    loops = {id(inst): _instance_loops(inst, index) for inst in instances}
+    for left, right, how in _interaction_pairs(instances, defuse, loops):
         counter_in_loop = any(
-            inst.schema == "Counter_Variable" and _instance_loops(inst, index)
+            inst.schema == "Counter_Variable" and loops[id(inst)]
             for inst in (left, right))
         if counter_in_loop:
             if simulation is None:
-                simulation = run.execute(program, list(inputs), step_budget)
+                simulation = run.execute(index.program, list(inputs), step_budget)
             detail = _simulated_detail(left, right, simulation)
             report.external.append(ExternalEntry((left.label, right.label),
                                                  f"{how}; {detail}", "simulated",
@@ -706,7 +685,9 @@ def _instance_loops(inst, index):
     return loops
 
 
-def _interaction_pairs(instances, defuse, index):
+def _interaction_pairs(instances, defuse, loops):
+    """(left, right, how) for instance pairs, neither a descendant of the
+    other, whose parts share a loop or are linked by a def-use chain."""
     related = []
     descendants = {}
 
@@ -720,30 +701,24 @@ def _interaction_pairs(instances, defuse, index):
         descendants[id(inst)] = out
         return out
 
+    uses_of_def = {}                   # def line -> every line it reaches
+    for (_, def_line), use_lines in defuse.chains.items():
+        uses_of_def.setdefault(def_line, set()).update(use_lines)
+    lines = {}
+    reached = {}
     for inst in instances:
         collect(inst)
+        lines[id(inst)] = set(inst.part_lines())
+        reached[id(inst)] = set().union(*(uses_of_def.get(l, ()) for l in lines[id(inst)]))
     for i, left in enumerate(instances):
         for right in instances[i + 1:]:
             if id(right) in descendants[id(left)] or id(left) in descendants[id(right)]:
                 continue
-            shared_loop = _instance_loops(left, index) & _instance_loops(right, index)
-            if shared_loop:
+            if loops[id(left)] & loops[id(right)]:
                 related.append((left, right, "parts run in the same loop"))
-                continue
-            if _share_chain(left, right, defuse):
+            elif reached[id(left)] & lines[id(right)] or reached[id(right)] & lines[id(left)]:
                 related.append((left, right, "linked by a def-use chain"))
     return related
-
-
-def _share_chain(left, right, defuse):
-    left_lines = set(left.part_lines())
-    right_lines = set(right.part_lines())
-    for (_, def_line), use_lines in defuse.chains.items():
-        if def_line in left_lines and use_lines & right_lines:
-            return True
-        if def_line in right_lines and use_lines & left_lines:
-            return True
-    return False
 
 
 def _simulated_detail(left, right, result):

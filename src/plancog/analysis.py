@@ -10,11 +10,11 @@ from dataclasses import dataclass, field
 from . import frontend as fe
 from . import interpreter as run
 from . import relations as rel
-from .activation import (DEFAULT_SIMULATION_INPUTS, PlanInstance, _Index,
+from .activation import (DEFAULT_SIMULATION_INPUTS, PlanInstance, ProgramIndex,
                          activate_with_trace, evaluate_coherence, extract_beacons,
                          instantiate, verify_expectations)
 from .errors import AnalysisError
-from .kb import VARIABLE, KnowledgeBase, builtin_kb, instantiate_pattern, pattern_matches
+from .kb import VARIABLE, KnowledgeBase, builtin_kb, instantiate_pattern
 
 
 @dataclass
@@ -29,6 +29,7 @@ class Recognition:
     coherence: object
     defuse: rel.DefUse
     cfg: rel.Cfg
+    index: ProgramIndex
 
 
 def recognize(program: fe.Program, kb: KnowledgeBase | None = None, *,
@@ -41,12 +42,13 @@ def recognize(program: fe.Program, kb: KnowledgeBase | None = None, *,
     activations, firings = activate_with_trace(kb, cues)
     cfg = rel.build_cfg(program)
     defuse = rel.def_use(program, cfg)
-    instances, expectations = instantiate(kb, program, activations, defuse)
-    expectations = verify_expectations(expectations, program)
-    coherence = evaluate_coherence(instances, defuse, program, kb,
+    index = ProgramIndex(program)
+    instances, expectations = instantiate(kb, index, activations, defuse)
+    expectations = verify_expectations(expectations, index)
+    coherence = evaluate_coherence(instances, defuse, index, kb,
                                    inputs=inputs, step_budget=step_budget)
     return Recognition(program, kb, cues, activations, firings, instances,
-                       expectations, coherence, defuse, cfg)
+                       expectations, coherence, defuse, cfg, index)
 
 
 # --- goal tree ----------------------------------------------------------------
@@ -195,37 +197,28 @@ def _check_name_reflects_function(rec: Recognition):
         # as substrings
         if any(name == s if len(s) <= 2 else s in name for s in stems):
             continue
-        decl_line = rec.program and next(
-            (d.line for d in rec.program.declarations if d.name.lower() == name), None)
-        lines = set(inst.part_lines()) | ({decl_line} if decl_line else set())
+        decl = rec.index.decls.get(name)
+        lines = set(inst.part_lines()) | ({decl.line} if decl else set())
         out.append((lines, f"name {inst.variable!r} does not suggest "
                            f"{inst.schema.replace('_', ' ').lower()}"))
     return out
 
 
 def _check_no_double_duty(rec: Recognition):
-    index = _Index(rec.program)
+    """Coherence's initialization-filler failures of plans whose update runs
+    in a loop."""
+    looped = {inst.label: inst.variable for inst in rec.instances
+              if "update" in inst.bindings
+              and rec.index.loop_of(inst.bindings["update"].node) is not None}
     lines = set()
-    culprits = []
-    for inst in rec.instances:
-        if inst.kind != VARIABLE or not inst.variable:
-            continue
-        if "initialization" not in inst.mandatory or "initialization" in inst.bindings:
-            continue
-        update = inst.bindings.get("update")
-        if update is None or index.loop_of(update.node) is None:
-            continue
-        schema = rec.kb.schema(inst.schema)
-        slot = schema.slot("initialization")
-        for cand in index.init_candidates(inst.variable):
-            text = fe.node_text(cand)
-            if not any(pattern_matches(f.pattern, text, var=inst.variable)
-                       for f in slot.fillers):
-                lines.add(cand.line)
-                culprits.append(inst.variable)
+    culprits = set()
+    for entry in rec.coherence.internal:
+        if entry.constraint == "initialization-filler" and entry.instance in looped:
+            lines.add(entry.line)
+            culprits.add(looped[entry.instance])
     if not lines:
         return []
-    return [(lines, "initialization of " + ", ".join(sorted(set(culprits)))
+    return [(lines, "initialization of " + ", ".join(sorted(culprits))
              + " carries a non-obvious second purpose (value departs from every"
                " initialization filler while the loop updates unconditionally)")]
 
@@ -268,7 +261,7 @@ def fill_blank(blanked: fe.BlankedProgram, kb: KnowledgeBase | None = None,
     context = blanked.context
     cfg = rel.build_cfg(context)
     defuse = rel.def_use(context, cfg)
-    index = _Index(context)
+    index = ProgramIndex(context)
     hole = blanked.blank_line
 
     if strategy == "control":
@@ -290,7 +283,7 @@ def fill_blank(blanked: fe.BlankedProgram, kb: KnowledgeBase | None = None,
 
     cues = extract_beacons(context, kb)
     activations, _ = activate_with_trace(kb, cues)
-    instances, _ = instantiate(kb, context, activations, defuse)
+    instances, _ = instantiate(kb, index, activations, defuse)
     undefined = {var for var, _ in defuse.possibly_uninitialized}
     scored = []
     for inst in instances:

@@ -28,8 +28,7 @@ class Config:
     def load_kb(self):
         if self.kb_path is None:
             return kblib.builtin_kb()
-        with open(self.kb_path, encoding="utf-8") as handle:
-            return kblib.load_kb(handle.read())
+        return kblib.load_kb(_read(self.kb_path))
 
 
 def corpus() -> list[tuple[str, str]]:
@@ -44,8 +43,14 @@ def corpus_path(name: str) -> str:
 
 
 def _read(path):
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    """The text of a UTF-8 file; a file that cannot be read is a PlancogError."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as err:
+        raise PlancogError(f"cannot read {path}: {err.strerror or err}") from None
+    except UnicodeDecodeError:
+        raise PlancogError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,8 +289,8 @@ def _cmd_simulate(args, config):
             doc["error"] = {"kind": result.error_kind, "line": result.error_line}
         if args.trace:
             doc["trace"] = [{"step": s, "line": l, "value": interpreter.render_value(v)}
-                            for s, l, v in interpreter.trace_variable(
-                                program, inputs, args.trace, config.step_budget)]
+                            for s, l, v in interpreter.variable_events(
+                                program, result, args.trace)]
         print(json.dumps(doc))
         return 0
     for value in result.outputs:
@@ -293,8 +298,7 @@ def _cmd_simulate(args, config):
     if result.status != interpreter.OK:
         print(f"runtime error: {result.error_kind} at line {result.error_line}")
     if args.trace:
-        for step, line, value in interpreter.trace_variable(
-                program, inputs, args.trace, config.step_budget):
+        for step, line, value in interpreter.variable_events(program, result, args.trace):
             print(f"step {step} line {line}: {args.trace} = "
                   f"{interpreter.render_value(value)}")
     return 0

@@ -234,9 +234,14 @@ def execute(program: fe.Program, inputs, step_budget: int = DEFAULT_STEP_BUDGET)
 def trace_variable(program: fe.Program, inputs, var: str,
                    step_budget: int = DEFAULT_STEP_BUDGET) -> list[tuple[int, int, object]]:
     """(step, line, value) events for one declared variable."""
+    return variable_events(program, execute(program, inputs, step_budget), var)
+
+
+def variable_events(program: fe.Program, result: ExecutionResult,
+                    var: str) -> list[tuple[int, int, object]]:
+    """(step, line, value) events of one declared variable in a finished run."""
     if var.lower() not in {d.name.lower() for d in program.declarations}:
         raise AnalysisError(f"unknown variable {var}")
-    result = execute(program, inputs, step_budget)
     return [(e.step, e.line, e.value) for e in result.trace if e.variable == var.lower()]
 
 

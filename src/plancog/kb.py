@@ -119,6 +119,10 @@ class Slot:
                 return f
         return None
 
+    def accepts(self, text: str, var: str | None = None) -> bool:
+        """True when some filler pattern matches the text."""
+        return any(pattern_matches(f.pattern, text, var=var) for f in self.fillers)
+
 
 @dataclass
 class Schema:
@@ -192,6 +196,24 @@ class KnowledgeBase:
             if r.id == rule_id:
                 return r
         return None
+
+    # Link queries scan the ~30 links on each call: callers extend a KB after
+    # construction, so a cached map would need invalidation.
+
+    def children(self, name) -> list[str]:
+        """Direct kind-of specializations of a schema, in link order."""
+        return [l.source for l in self.links
+                if l.relation == "kind-of" and l.target == name]
+
+    def parents(self, name) -> list[str]:
+        """Schemas a schema is a kind of, in link order."""
+        return [l.target for l in self.links
+                if l.relation == "kind-of" and l.source == name]
+
+    def uses(self, name) -> list[tuple[str, str]]:
+        """Direct uses links of a schema as (target, slot) pairs, in link order."""
+        return [(l.target, l.as_slot) for l in self.links
+                if l.relation == "uses" and l.source == name]
 
 
 @dataclass
@@ -493,15 +515,11 @@ def specializations(kb: KnowledgeBase, schema: str) -> list[str]:
     """Transitive kind-of descendants, alphabetical."""
     if kb.schema(schema) is None:
         raise KbValidationError([Diagnostic("unknown-schema", schema, "no such schema")])
-    children = {}
-    for link in kb.links:
-        if link.relation == "kind-of":
-            children.setdefault(link.target, []).append(link.source)
     out = set()
     frontier = [schema]
     while frontier:
         node = frontier.pop()
-        for c in children.get(node, []):
+        for c in kb.children(node):
             if c not in out:
                 out.add(c)
                 frontier.append(c)
@@ -512,8 +530,7 @@ def implementations(kb: KnowledgeBase, schema: str) -> list[tuple[str, str]]:
     """Direct uses links as (target schema, slot) pairs."""
     if kb.schema(schema) is None:
         raise KbValidationError([Diagnostic("unknown-schema", schema, "no such schema")])
-    return [(l.target, l.as_slot) for l in kb.links
-            if l.relation == "uses" and l.source == schema]
+    return kb.uses(schema)
 
 
 # --- file format ------------------------------------------------------------
@@ -534,14 +551,12 @@ def dump_kb(kb: KnowledgeBase) -> str:
             for f in slot.fillers:
                 lines.append(f'    filler "{f.pattern}" proto' if f.prototypical
                              else f'    filler "{f.pattern}"')
-        for link in kb.links:
-            if link.source == s.name and link.relation == "kind-of":
-                lines.append(f"  kindof {link.target}")
+        for parent in kb.parents(s.name):
+            lines.append(f"  kindof {parent}")
         if s.controlled_by is not None:
             lines.append(f"  controlled-by {s.controlled_by}")
-        for link in kb.links:
-            if link.source == s.name and link.relation == "uses":
-                lines.append(f"  uses {link.target} as {link.as_slot}")
+        for target, as_slot in kb.uses(s.name):
+            lines.append(f"  uses {target} as {as_slot}")
     for d in kb.discourse_rules:
         lines.append(f'discourse {d.id} check {d.check} "{d.statement}"')
     for r in kb.rules:

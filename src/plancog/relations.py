@@ -36,46 +36,59 @@ class CfgNode:
 
 @dataclass
 class Cfg:
+    """Nodes are indexed by id; `edges` lists (src, dst, label) in creation
+    order, mirrored in per-node successor and predecessor lists."""
     nodes: list[CfgNode] = field(default_factory=list)
     edges: list[tuple[int, int, str]] = field(default_factory=list)
     entry: int = 0
     exit: int = 0
     program: fe.Program | None = None
+    _succs: list[list] = field(default_factory=list, init=False, repr=False)
+    _preds: list[list] = field(default_factory=list, init=False, repr=False)
+    _at_line: dict = field(default_factory=dict, init=False, repr=False)
+
+    def add_node(self, kind, line, label, stmt=None) -> CfgNode:
+        node = CfgNode(len(self.nodes), kind, line, label, stmt)
+        self.nodes.append(node)
+        self._succs.append([])
+        self._preds.append([])
+        self._at_line.setdefault(line, []).append(node)
+        return node
+
+    def add_edge(self, src, dst, lbl):
+        self.edges.append((src, dst, lbl))
+        self._succs[src].append((dst, lbl))
+        self._preds[dst].append((src, lbl))
 
     def succs(self, nid):
-        return [(dst, lbl) for src, dst, lbl in self.edges if src == nid]
+        return list(self._succs[nid])
 
     def preds(self, nid):
-        return [(src, lbl) for src, dst, lbl in self.edges if dst == nid]
+        return list(self._preds[nid])
+
+    def nodes_at(self, line) -> list[CfgNode]:
+        """Every node on a line, in creation order."""
+        return list(self._at_line.get(line, ()))
 
     def node_at(self, line):
-        for n in self.nodes:
-            if n.line == line:
-                return n
-        return None
+        nodes = self._at_line.get(line)
+        return nodes[0] if nodes else None
 
 
 def build_cfg(program: fe.Program) -> Cfg:
     cfg = Cfg(program=program)
-    entry = _add(cfg, ENTRY, None, "entry")
+    entry = cfg.add_node(ENTRY, None, "entry")
     cfg.entry = entry.id
     tails = _chain(cfg, program.body, [(entry.id, SEQ)])
-    exit_node = _add(cfg, EXIT, None, "exit")
+    exit_node = cfg.add_node(EXIT, None, "exit")
     cfg.exit = exit_node.id
-    for src, lbl in tails:
-        cfg.edges.append((src, exit_node.id, lbl))
+    _connect(cfg, tails, exit_node.id)
     return cfg
-
-
-def _add(cfg, kind, line, label, stmt=None):
-    node = CfgNode(len(cfg.nodes), kind, line, label, stmt)
-    cfg.nodes.append(node)
-    return node
 
 
 def _connect(cfg, pending, nid):
     for src, lbl in pending:
-        cfg.edges.append((src, nid, lbl))
+        cfg.add_edge(src, nid, lbl)
 
 
 def _chain(cfg, stmts, pending):
@@ -86,13 +99,13 @@ def _chain(cfg, stmts, pending):
 
 def _statement(cfg, s, pending):
     if isinstance(s, fe.SIMPLE_KINDS):
-        node = _add(cfg, STMT, s.line, fe.node_text(s), s)
+        node = cfg.add_node(STMT, s.line, fe.node_text(s), s)
         _connect(cfg, pending, node.id)
         return [(node.id, SEQ)]
     if isinstance(s, fe.Compound):
         return _chain(cfg, s.body, pending)
     if isinstance(s, fe.If):
-        cond = _add(cfg, COND, s.line, f"if {fe.expr_text(s.cond)}", s)
+        cond = cfg.add_node(COND, s.line, f"if {fe.expr_text(s.cond)}", s)
         _connect(cfg, pending, cond.id)
         out = _statement(cfg, s.then, [(cond.id, TRUE)])
         if s.otherwise is None:
@@ -101,42 +114,27 @@ def _statement(cfg, s, pending):
             out = out + _statement(cfg, s.otherwise, [(cond.id, FALSE)])
         return out
     if isinstance(s, fe.While):
-        cond = _add(cfg, COND, s.line, f"while {fe.expr_text(s.cond)}", s)
+        cond = cfg.add_node(COND, s.line, f"while {fe.expr_text(s.cond)}", s)
         _connect(cfg, pending, cond.id)
         body_out = _statement(cfg, s.body, [(cond.id, TRUE)])
-        for src, _ in body_out:
-            cfg.edges.append((src, cond.id, LOOP_BACK))
+        _connect(cfg, [(src, LOOP_BACK) for src, _ in body_out], cond.id)
         return [(cond.id, FALSE)]
     if isinstance(s, fe.For):
-        head = _add(cfg, COND, s.line, f"for {s.var}", s)
+        head = cfg.add_node(COND, s.line, f"for {s.var}", s)
         _connect(cfg, pending, head.id)
         body_out = _statement(cfg, s.body, [(head.id, TRUE)])
-        for src, _ in body_out:
-            cfg.edges.append((src, head.id, LOOP_BACK))
+        _connect(cfg, [(src, LOOP_BACK) for src, _ in body_out], head.id)
         return [(head.id, FALSE)]
     if isinstance(s, fe.Repeat):
-        cond = _add(cfg, COND, s.until_line, f"until {fe.expr_text(s.cond)}", s)
-        body_in = list(pending)
-        body_out = _chain(cfg, s.body, body_in)
-        if s.body:
-            first = _first_node_of(cfg, s.body)
-            _connect(cfg, body_out, cond.id)
-            cfg.edges.append((cond.id, first, LOOP_BACK))
-        else:
-            _connect(cfg, pending, cond.id)
-            cfg.edges.append((cond.id, cond.id, LOOP_BACK))
+        # the loop-back edge enters the first node the body creates, or the
+        # condition itself when the body creates none
+        first = len(cfg.nodes)
+        body_out = _chain(cfg, s.body, pending)
+        cond = cfg.add_node(COND, s.until_line, f"until {fe.expr_text(s.cond)}", s)
+        _connect(cfg, body_out, cond.id)
+        cfg.add_edge(cond.id, first, LOOP_BACK)
         return [(cond.id, TRUE)]
     raise TypeError(f"unexpected statement {s!r}")
-
-
-def _first_node_of(cfg, stmts):
-    first_stmt = next(iter(fe.walk_statements(stmts)))
-    while isinstance(first_stmt, fe.Compound):
-        first_stmt = first_stmt.body[0]
-    for n in cfg.nodes:
-        if n.stmt is first_stmt:
-            return n.id
-    raise AnalysisError("loop body produced no node")
 
 
 # --- prime structures ----------------------------------------------------
@@ -271,10 +269,6 @@ def def_use(program: fe.Program, cfg: Cfg) -> DefUse:
         for v in node_uses(n):
             uses.append((v, n.line))
 
-    preds = {n.id: [] for n in cfg.nodes}
-    for src, dst, _ in cfg.edges:
-        preds[dst].append(src)
-
     # IN[n] = union of OUT[p]; OUT[n] = gen(n) | (IN[n] - kill(n)).
     # A synthetic entry definition (id None) per variable makes "possibly
     # uninitialized" mean: some path carries no real definition to the use.
@@ -286,7 +280,7 @@ def def_use(program: fe.Program, cfg: Cfg) -> DefUse:
         changed = False
         for n in cfg.nodes:
             new_in = set()
-            for p in preds[n.id]:
+            for p, _ in cfg.preds(n.id):
                 new_in |= reach_out[p]
             gen = {(v, n.id) for v in node_defs(n)}
             killed = set(node_defs(n))
@@ -298,7 +292,6 @@ def def_use(program: fe.Program, cfg: Cfg) -> DefUse:
                 reach_out[n.id] = new_out
                 changed = True
 
-    by_id = {n.id: n for n in cfg.nodes}
     chains = {}
     uninit = set()
     for n in cfg.nodes:
@@ -309,7 +302,7 @@ def def_use(program: fe.Program, cfg: Cfg) -> DefUse:
             for d in reaching:
                 if d is None:
                     continue
-                key = (v, by_id[d].line)
+                key = (v, cfg.nodes[d].line)
                 chains.setdefault(key, set()).add(n.line)
     for key in defs:
         chains.setdefault(key, set())
@@ -323,14 +316,15 @@ def query_relation(kind: str, program: fe.Program, line: int) -> set[int]:
     """Lines control- or data-related to the statement at `line`."""
     cfg = build_cfg(program)
     if kind == "control":
-        node = cfg.node_at(line)
-        if node is None:
+        nodes = cfg.nodes_at(line)
+        if not nodes:
             raise AnalysisError(f"no statement at line {line}")
         related = set()
-        for nid, _ in cfg.succs(node.id) + cfg.preds(node.id):
-            other = cfg.nodes[nid]
-            if other.line is not None:
-                related.add(other.line)
+        for node in nodes:
+            for nid, _ in cfg.succs(node.id) + cfg.preds(node.id):
+                other = cfg.nodes[nid]
+                if other.line is not None:
+                    related.add(other.line)
         related.discard(line)
         return related
     if kind == "data":

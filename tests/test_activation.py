@@ -10,7 +10,7 @@ def _recognize(program, kb):
     cues = act.extract_beacons(program, kb)
     activations = act.activate(kb, cues)
     defuse = rel.def_use(program, rel.build_cfg(program))
-    return act.instantiate(kb, program, activations, defuse)
+    return act.instantiate(kb, act.ProgramIndex(program), activations, defuse)
 
 
 def _instance(instances, schema, variable=None):
@@ -173,13 +173,13 @@ def test_partial_counter_with_open_update_expectation(builtin):
     exp = next(e for e in expectations
                if e.instance is counter and e.slot == "update")
     assert exp.pattern == "I:=I+1"     # inferred by R2
-    verified = act.verify_expectations(expectations, program)
+    verified = act.verify_expectations(expectations, act.ProgramIndex(program))
     assert next(e for e in verified if e.slot == "update").state == act.OPEN
 
 
 def test_update_expectation_verified(search, builtin):
     instances, expectations = _recognize(search, builtin)
-    expectations = act.verify_expectations(expectations, search)
+    expectations = act.verify_expectations(expectations, act.ProgramIndex(search))
     exp = next(e for e in expectations
                if e.instance.schema == "Counter_Variable" and e.slot == "update")
     assert exp.state == act.VERIFIED
@@ -188,7 +188,7 @@ def test_update_expectation_verified(search, builtin):
 
 def test_flag_while_expectation_violated(flag, builtin):
     instances, expectations = _recognize(flag, builtin)
-    expectations = act.verify_expectations(expectations, flag)
+    expectations = act.verify_expectations(expectations, act.ProgramIndex(flag))
     exp = next(e for e in expectations
                if e.instance.schema == "Flag_Variable" and e.slot == "context")
     assert exp.pattern == "while"
@@ -214,9 +214,9 @@ def test_expectation_resolution_is_conservative(corpus_sources, builtin):
     for src in corpus_sources.values():
         program = fe.parse(src)
         instances, expectations = _recognize(program, builtin)
-        for exp in act.verify_expectations(expectations, program):
+        for exp in act.verify_expectations(expectations, act.ProgramIndex(program)):
             if exp.state == act.VERIFIED:
-                index = act._Index(program)
+                index = act.ProgramIndex(program)
                 texts = [t for _, line, t, _ in
                          act._slot_candidates(index, exp.instance, exp.slot)
                          if line == exp.resolved_line]
@@ -230,7 +230,7 @@ def test_expectation_resolution_is_conservative(corpus_sources, builtin):
 def test_grey_counter_total_interaction_is_simulated(grey, builtin):
     instances, _ = _recognize(grey, builtin)
     defuse = rel.def_use(grey, rel.build_cfg(grey))
-    report = act.evaluate_coherence(instances, defuse, grey, builtin)
+    report = act.evaluate_coherence(instances, defuse, act.ProgramIndex(grey), builtin)
     entry = next(e for e in report.external
                  if set(e.instances) == {"Counter_Variable[count]",
                                          "Running_Total_Variable[sum]"})
@@ -242,7 +242,7 @@ def test_grey_counter_total_interaction_is_simulated(grey, builtin):
 def test_orange_init_mismatch_is_internal_incoherence(orange, builtin):
     instances, _ = _recognize(orange, builtin)
     defuse = rel.def_use(orange, rel.build_cfg(orange))
-    report = act.evaluate_coherence(instances, defuse, orange, builtin)
+    report = act.evaluate_coherence(instances, defuse, act.ProgramIndex(orange), builtin)
     failures = [e for e in report.internal if not e.ok]
     assert {(e.instance, e.slot, e.line) for e in failures} == {
         ("Counter_Variable[count]", "initialization", 6),
@@ -255,7 +255,7 @@ def test_flag_instance_is_internally_coherent(flag, builtin):
     # def-use chain into it
     instances, _ = _recognize(flag, builtin)
     defuse = rel.def_use(flag, rel.build_cfg(flag))
-    report = act.evaluate_coherence(instances, defuse, flag, builtin)
+    report = act.evaluate_coherence(instances, defuse, act.ProgramIndex(flag), builtin)
     assert report.incoherent_instances() == set()
 
 
@@ -264,7 +264,7 @@ def test_isolated_plan_has_no_external_entries(builtin):
                        " BEGIN I := 0; I := I + 1; END.")
     instances, _ = _recognize(program, builtin)
     defuse = rel.def_use(program, rel.build_cfg(program))
-    report = act.evaluate_coherence(instances, defuse, program, builtin)
+    report = act.evaluate_coherence(instances, defuse, act.ProgramIndex(program), builtin)
     assert report.external == []
 
 
@@ -273,7 +273,7 @@ def test_simulated_entries_name_their_inputs(corpus_sources, builtin):
         program = fe.parse(src)
         instances, _ = _recognize(program, builtin)
         defuse = rel.def_use(program, rel.build_cfg(program))
-        report = act.evaluate_coherence(instances, defuse, program, builtin)
+        report = act.evaluate_coherence(instances, defuse, act.ProgramIndex(program), builtin)
         for entry in report.external:
             if entry.evidence == "simulated":
                 assert entry.inputs

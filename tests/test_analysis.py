@@ -268,3 +268,43 @@ def test_delocalization_single_line_errors(builtin):
     quotient = next(i for i in rec.instances if i.schema == "Quotient_Variable")
     with pytest.raises(AnalysisError):
         an.delocalization(quotient)
+
+
+def test_no_double_duty_needs_the_update_in_a_loop(builtin):
+    # coherence flags both initialization candidates, but without a loop
+    # the initialization serves no second purpose
+    program = fe.parse("PROGRAM P(input,output);\nVAR N, Count: INTEGER;\nBEGIN\n"
+                       "    READLN(N);\n    Count := N;\n    Count := Count + 1;\n"
+                       "    WRITELN(Count)\nEND.")
+    rec = an.recognize(program, builtin)
+    assert sorted(e.line for e in rec.coherence.internal
+                  if e.constraint == "initialization-filler") == [5, 6]
+    report = an.planliness(program, builtin, recognition=rec)
+    assert [v for v in report.violations if v.rule_id == "D2"] == []
+
+
+def _count_indexes(monkeypatch):
+    from plancog import activation as act
+    built = []
+
+    class Counted(act.ProgramIndex):
+        def __init__(self, program):
+            built.append(program)
+            super().__init__(program)
+
+    monkeypatch.setattr(an, "ProgramIndex", Counted)
+    monkeypatch.setattr(act, "ProgramIndex", Counted)
+    return built
+
+
+def test_recognition_builds_one_program_index(grey, builtin, monkeypatch):
+    built = _count_indexes(monkeypatch)
+    rec = an.recognize(grey, builtin)
+    an.planliness(grey, builtin, recognition=rec)
+    assert built == [grey]
+
+
+def test_fill_blank_builds_one_program_index(grey_src, builtin, monkeypatch):
+    built = _count_indexes(monkeypatch)
+    assert an.fill_blank(fe.blank_line(grey_src, 6), builtin, "plan")
+    assert len(built) == 1

@@ -178,3 +178,62 @@ def test_step_budget_flag(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["status"] == "runtime-error"
     assert doc["error"]["kind"] == "step-budget-exceeded"
+
+
+def _unreadable_inputs(tmp_path):
+    latin = tmp_path / "latin.mp"
+    latin.write_bytes("PROGRAM P; { café } BEGIN END.".encode("latin-1"))
+    return [str(tmp_path / "missing.mp"), str(tmp_path), str(latin)]
+
+
+def test_unreadable_program_file_is_an_error(tmp_path, capsys):
+    for path in _unreadable_inputs(tmp_path):
+        code, out, err = run_cli(capsys, "recognize", path)
+        assert code == 1
+        assert out == "" and err.startswith(f"error: cannot read {path}: ")
+        code, out, _ = run_cli(capsys, "recognize", path, "--json")
+        assert code == 1
+        assert list(json.loads(out)) == ["error"]
+
+
+def test_unreadable_kb_file_is_an_error(tmp_path, capsys):
+    for path in _unreadable_inputs(tmp_path):
+        code, out, _ = run_cli(capsys, "recognize", corpus_path("grey.mp"),
+                               "--kb", path, "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert list(doc) == ["error"]
+        assert doc["error"].startswith(f"cannot read {path}: ")
+        code, out, _ = run_cli(capsys, "kb", "validate", path, "--json")
+        assert code == 1
+        assert list(json.loads(out)) == ["error"]
+
+
+def test_simulate_trace_executes_once(capsys, monkeypatch):
+    from plancog import interpreter
+    runs = []
+    execute = interpreter.execute
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return execute(*args, **kwargs)
+
+    monkeypatch.setattr(interpreter, "execute", counted)
+    for mode in ([], ["--json"]):
+        runs.clear()
+        code, _, _ = run_cli(capsys, "simulate", corpus_path("grey.mp"),
+                             "--input", "5,99999", "--trace", "Count", *mode)
+        assert code == 0
+        assert len(runs) == 1
+
+
+def test_simulate_trace_unknown_variable(capsys):
+    code, out, err = run_cli(capsys, "simulate", corpus_path("orange.mp"),
+                             "--input", "1,2,3,99999", "--trace", "Ghost")
+    assert code == 1
+    assert out == "2.0\n"
+    assert err == "error: unknown variable Ghost\n"
+    code, out, _ = run_cli(capsys, "simulate", corpus_path("orange.mp"),
+                           "--input", "1,2,3,99999", "--trace", "Ghost", "--json")
+    assert code == 1
+    assert json.loads(out) == {"error": "unknown variable Ghost"}

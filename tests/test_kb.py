@@ -207,3 +207,21 @@ def test_specializations_unknown_schema(builtin):
 def test_comments_and_blank_lines_ignored(builtin):
     text = "# header\n\n" + kblib.dump_kb(builtin)
     assert kblib.load_kb(text) == builtin
+
+
+def test_link_queries_follow_link_order(builtin):
+    assert builtin.children("New_Value_Variable") == ["Read_Variable", "Counter_Variable"]
+    assert builtin.children("Running_Total_Loop") == [
+        "Total_Controlled_Running_Total_Loop",
+        "Counter_Controlled_Running_Total_Loop",
+        "New_Value_Controlled_Running_Total_Loop",
+    ]
+    assert builtin.parents("Counter_Variable") == ["New_Value_Variable"]
+    assert builtin.parents("Running_Total_Loop") == []
+    assert builtin.uses("Counter_Controlled_Running_Total_Loop") == [
+        ("Counter_Variable", "Counter"),
+        ("Running_Total_Variable", "Running_total"),
+        ("New_Value_Variable", "New_Value"),
+        ("For_Loop", "implementation"),
+    ]
+    assert builtin.uses("Counter_Variable") == []

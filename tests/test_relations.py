@@ -199,3 +199,54 @@ def test_determinism(corpus_sources):
         two = rel.decompose_primes(rel.build_cfg(fe.parse(src)))
         assert [(n.kind, n.lines) for n in one.walk()] == \
                [(n.kind, n.lines) for n in two.walk()]
+
+
+# --- repeat loops (hand-written: the path oracle shares the CFG) ---------------
+
+NESTED_REPEAT = """PROGRAM P(input, output);
+VAR x: INTEGER;
+BEGIN
+    REPEAT
+        REPEAT
+            x := 5
+        UNTIL TRUE;
+        WRITELN(x);
+        x := 7
+    UNTIL x > 5
+END.
+"""
+
+
+def test_outer_repeat_loops_back_into_inner_body():
+    # the outer loop-back enters x := 5, so x := 7 never reaches WRITELN(x)
+    program = fe.parse(NESTED_REPEAT)
+    du = rel.def_use(program, rel.build_cfg(program))
+    assert du.chains == {("x", 6): {8}, ("x", 9): {10}}
+
+
+@pytest.mark.parametrize("body", ["", "BEGIN END"])
+def test_empty_repeat_body_loops_on_its_condition(body):
+    program = fe.parse("PROGRAM P(input, output);\nVAR x: INTEGER;\nBEGIN\n"
+                       f"    x := 9;\n    REPEAT {body}\n    UNTIL x > 5\nEND.\n")
+    cfg = rel.build_cfg(program)
+    until = cfg.node_at(6)
+    assert (until.id, until.id, rel.LOOP_BACK) in cfg.edges
+    assert rel.def_use(program, cfg).chains == {("x", 4): {6}}
+
+
+ONE_LINE_REPEAT = """PROGRAM P(input, output);
+VAR x: INTEGER;
+BEGIN
+    x := 0;
+    REPEAT x := x + 1 UNTIL x > 3;
+    WRITELN(x)
+END.
+"""
+
+
+def test_line_with_several_nodes_relates_through_all_of_them():
+    # line 5 holds the assignment and the UNTIL condition
+    program = fe.parse(ONE_LINE_REPEAT)
+    assert len(rel.build_cfg(program).nodes_at(5)) == 2
+    assert rel.query_relation("control", program, 5) == {4, 6}
+    assert rel.query_relation("data", program, 5) == {4, 6}
