@@ -146,46 +146,31 @@ def extract_beacons(program: fe.Program, kb: KnowledgeBase) -> list[Cue]:
         if isinstance(s, fe.Assign):
             kind = "update" if _self_referential(s) else "init"
             cues.append(Cue(kind, fe.node_text(s), s.line, s))
-        elif isinstance(s, fe.Readln):
+        elif isinstance(s, (fe.Readln, fe.Writeln)):
             cues.append(Cue("update", fe.node_text(s), s.line, s))
-        elif isinstance(s, fe.Writeln):
-            cues.append(Cue("update", fe.node_text(s), s.line, s))
-        elif isinstance(s, fe.Repeat):
-            cues.append(Cue("loop", "repeat", s.line, s))
-            cues.append(Cue("loopform", f"repeat {fe.expr_text(s.cond)}", s.line, s))
-        elif isinstance(s, fe.While):
-            cues.append(Cue("loop", "while", s.line, s))
-            cues.append(Cue("loopform", f"while {fe.expr_text(s.cond)}", s.line, s))
-        elif isinstance(s, fe.For):
-            cues.append(Cue("loop", "for", s.line, s))
-            cues.append(Cue("loopform",
-                            f"for {s.var}:={fe.expr_text(s.start)} to {fe.expr_text(s.stop)}",
-                            s.line, s))
+        elif isinstance(s, fe.LOOP_KINDS):
+            cues.append(Cue("loop", fe.loop_keyword(s), s.line, s))
+            cues.append(Cue("loopform", fe.loop_form(s), s.line, s))
     for line, text in program.comments:
         cues.append(Cue("comment", text, line))
     cues.sort(key=lambda c: (c.line, c.kind, c.payload))
     return cues
 
 
-def _self_referential(assign: fe.Assign) -> bool:
-    rhs = {name.lower() for name, _ in fe._expr_identifiers(assign.expr)}
-    return assign.target.lower() in rhs
+def _self_referential(stmt) -> bool:
+    """Whether the statement reads a variable it defines (`x := x + 1`)."""
+    defined = {name.lower() for name, _ in fe.defined_names(stmt)}
+    return any(name.lower() in defined for name, _ in fe.used_names(stmt))
 
 
 def _cue_subject(cue: Cue) -> str | None:
-    if cue.kind == "name":
-        return cue.payload.lower()
+    """The variable a variable-attribute cue is about: a declaration's name,
+    the variable a statement defines, or else the one variable it reads."""
     node = cue.node
     if isinstance(node, fe.Decl):
         return node.name.lower()
-    if isinstance(node, fe.Assign):
-        return node.target.lower()
-    if isinstance(node, fe.Readln):
-        return node.var.lower()
-    if isinstance(node, fe.Writeln):
-        names = {n.lower() for n, _ in fe._expr_identifiers(node.expr)}
-        return names.pop() if len(names) == 1 else None
-    return None
+    names = {name.lower() for name, _ in fe.defined_names(node) or fe.used_names(node)}
+    return names.pop() if len(names) == 1 else None
 
 
 def _cue_satisfies(condition: Cue, cue: Cue) -> bool:
@@ -311,18 +296,13 @@ class ProgramIndex:
         self.loops = [s for s in fe.walk_statements(program.body)
                       if isinstance(s, fe.LOOP_KINDS)]
         self.enclosing = fe.enclosing_loops(program)
-        self.defs = {}        # var -> [(stmt, first?, in_loop)]
+        self.defs = {}        # var -> defining simple statements (no FOR headers)
         self.writelns = []
-        for s in fe.walk_statements(program.body):
-            if isinstance(s, fe.Assign):
-                self._add_def(s.target, s)
-            elif isinstance(s, fe.Readln):
-                self._add_def(s.var, s)
-            elif isinstance(s, fe.Writeln):
+        for s in fe.simple_statements(program):
+            for name, _ in fe.defined_names(s):
+                self.defs.setdefault(name.lower(), []).append(s)
+            if isinstance(s, fe.Writeln):
                 self.writelns.append(s)
-
-    def _add_def(self, name, stmt):
-        self.defs.setdefault(name.lower(), []).append(stmt)
 
     def loop_of(self, stmt):
         stack = self.enclosing.get(id(stmt), [])
@@ -348,28 +328,8 @@ class ProgramIndex:
         return [s for s in self.defs.get(var, []) if isinstance(s, fe.Readln)]
 
     def output_candidates(self, var):
-        out = []
-        for s in self.writelns:
-            names = {n.lower() for n, _ in fe._expr_identifiers(s.expr)}
-            if names == {var}:
-                out.append(s)
-        return out
-
-    def loop_cond_text(self, loop):
-        if isinstance(loop, fe.Repeat):
-            return f"repeat {fe.expr_text(loop.cond)}", loop.until_line
-        if isinstance(loop, fe.While):
-            return f"while {fe.expr_text(loop.cond)}", loop.line
-        return (f"for {loop.var}:={fe.expr_text(loop.start)} to {fe.expr_text(loop.stop)}",
-                loop.line)
-
-    def loop_keyword(self, loop):
-        return {fe.Repeat: "repeat", fe.While: "while", fe.For: "for"}[type(loop)]
-
-    def exit_condition_vars(self, loop):
-        if isinstance(loop, (fe.Repeat, fe.While)):
-            return {n.lower() for n, _ in fe._expr_identifiers(loop.cond)}
-        return {loop.var.lower()}
+        return [s for s in self.writelns
+                if {name.lower() for name, _ in fe.used_names(s)} == {var}]
 
 
 def _slot_candidates(index: ProgramIndex, instance: PlanInstance, slot_name: str):
@@ -404,7 +364,7 @@ def _slot_candidates(index: ProgramIndex, instance: PlanInstance, slot_name: str
                 loop = index.loop_of(s)
                 if loop is not None and loop not in loops:
                     loops.append(loop)
-        return [(l, l.line, index.loop_keyword(l), "loop") for l in loops]
+        return [(l, l.line, fe.loop_keyword(l), "loop") for l in loops]
     if slot_name in _LOOP_SLOTS:
         return _loop_slot_candidates(index, slot_name)
     return []
@@ -412,11 +372,11 @@ def _slot_candidates(index: ProgramIndex, instance: PlanInstance, slot_name: str
 
 def _loop_slot_candidates(index: ProgramIndex, slot_name: str):
     if slot_name == "body":
-        return [(l, l.line, index.loop_keyword(l), "loop") for l in index.loops]
+        return [(l, l.line, fe.loop_keyword(l), "loop") for l in index.loops]
     if slot_name == "loop":
-        return [(l, l.line, index.loop_cond_text(l)[0], "loop") for l in index.loops]
+        return [(l, l.line, fe.loop_form(l), "loop") for l in index.loops]
     if slot_name == "test":
-        return [(l, index.loop_cond_text(l)[1], fe.expr_text(l.cond), "cond")
+        return [(l, fe.test_line(l), fe.expr_text(l.cond), "cond")
                 for l in index.loops if isinstance(l, (fe.Repeat, fe.While))]
     return [(l, l.line, "for", "loop") for l in index.loops if isinstance(l, fe.For)]
 
@@ -461,7 +421,7 @@ def _bind_variable_plan(kb, schema, var, index, defuse):
         candidates = _slot_candidates(index, inst, slot.name)
         update = inst.bindings.get("update")
         if (slot.name == "initialization" and update is not None
-                and isinstance(update.node, fe.Assign) and _self_referential(update.node)):
+                and _self_referential(update.node)):
             # when the update reads the variable, the initializing def must
             # reach it along some def-clear path
             candidates = [c for c in candidates
@@ -548,7 +508,9 @@ def _loop_plans(kb, index, roots, var_instances):
                     inst.bindings[slot.name] = bound
             if not (inst.bindings or inst.children) or not inst.complete:
                 continue
-            test_vars = index.exit_condition_vars(loop)
+            # a FOR loop tests its control variable, the others their condition
+            test_vars = ({loop.var.lower()} if isinstance(loop, fe.For)
+                         else {name.lower() for name, _ in fe.used_names(loop)})
             children = dict(inst.children)
             for slot in root.slots:
                 child = children.get(slot.name)
@@ -637,7 +599,7 @@ def evaluate_coherence(instances, defuse: rel.DefUse, index: ProgramIndex,
         if "initialization" in inst.bindings and "update" in inst.bindings:
             update = inst.bindings["update"]
             # only meaningful when the update reads the variable
-            if isinstance(update.node, fe.Assign) and _self_referential(update.node):
+            if _self_referential(update.node):
                 chain = defuse.chains.get((inst.variable,
                                            inst.bindings["initialization"].line),
                                           set())

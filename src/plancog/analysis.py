@@ -346,11 +346,10 @@ def chunk_universe(program: fe.Program) -> set[int]:
     """Simple-statement lines plus loop/if header and loop-condition lines."""
     lines = set()
     for s in fe.walk_statements(program.body):
-        if isinstance(s, fe.SIMPLE_KINDS) or isinstance(s, (fe.While, fe.For, fe.If)):
+        if not isinstance(s, fe.Compound):
             lines.add(s.line)
-        elif isinstance(s, fe.Repeat):
-            lines.add(s.line)
-            lines.add(s.until_line)
+        if isinstance(s, fe.LOOP_KINDS):
+            lines.add(fe.test_line(s))
     return lines
 
 

@@ -479,30 +479,49 @@ def parse(source: str) -> Program:
             raise ParseError(f"duplicate declaration of {d.name}", d.line)
         seen[key] = d
     for stmt in walk_statements(program.body):
-        for name, line in _stmt_identifiers(stmt):
+        for name, line in defined_names(stmt) + used_names(stmt):
             if name.lower() not in seen:
                 raise ParseError(f"undeclared identifier {name}", line)
     return program
 
 
-def _stmt_identifiers(stmt):
+# --- statement facts ---------------------------------------------------------
+# What a statement nests, defines and reads, and what a loop's header says.
+# Every other module asks these functions instead of taking statements apart.
+
+def substatements(stmt) -> list:
+    """The statements nested directly in `stmt`, in source order."""
+    if isinstance(stmt, (Repeat, Compound)):
+        return list(stmt.body)
+    if isinstance(stmt, (While, For)):
+        return [stmt.body]
+    if isinstance(stmt, If):
+        return [stmt.then] if stmt.otherwise is None else [stmt.then, stmt.otherwise]
+    return []
+
+
+def defined_names(stmt) -> list[tuple[str, int]]:
+    """(name, line) of the variable `stmt` itself assigns: the target of an
+    assignment or READLN, or a FOR loop's control variable."""
     if isinstance(stmt, Assign):
-        yield stmt.target, stmt.line
-        yield from _expr_identifiers(stmt.expr)
-    elif isinstance(stmt, Readln):
-        yield stmt.var, stmt.line
-    elif isinstance(stmt, Writeln):
-        yield from _expr_identifiers(stmt.expr)
-    elif isinstance(stmt, Repeat):
-        yield from _expr_identifiers(stmt.cond)
-    elif isinstance(stmt, While):
-        yield from _expr_identifiers(stmt.cond)
+        return [(stmt.target, stmt.line)]
+    if isinstance(stmt, (Readln, For)):
+        return [(stmt.var, stmt.line)]
+    return []
+
+
+def used_names(stmt) -> list[tuple[str, int]]:
+    """(name, line) of every variable `stmt`'s own expressions read, in source
+    order; nested statements are not included. A FOR header reads its bounds."""
+    if isinstance(stmt, (Assign, Writeln)):
+        exprs = [stmt.expr]
+    elif isinstance(stmt, (Repeat, While, If)):
+        exprs = [stmt.cond]
     elif isinstance(stmt, For):
-        yield stmt.var, stmt.line
-        yield from _expr_identifiers(stmt.start)
-        yield from _expr_identifiers(stmt.stop)
-    elif isinstance(stmt, If):
-        yield from _expr_identifiers(stmt.cond)
+        exprs = [stmt.start, stmt.stop]
+    else:
+        return []
+    return [ref for expr in exprs for ref in _expr_identifiers(expr)]
 
 
 def _expr_identifiers(expr):
@@ -515,22 +534,33 @@ def _expr_identifiers(expr):
         yield from _expr_identifiers(expr.right)
 
 
+_LOOP_KEYWORDS = {Repeat: "repeat", While: "while", For: "for"}
+
+
+def loop_keyword(loop) -> str:
+    """`repeat`, `while` or `for`."""
+    return _LOOP_KEYWORDS[type(loop)]
+
+
+def loop_form(loop) -> str:
+    """The loop's header as cue text: `repeat <cond>`, `while <cond>` or
+    `for <var>:=<start> to <stop>`."""
+    if isinstance(loop, For):
+        return f"for {loop.var}:={expr_text(loop.start)} to {expr_text(loop.stop)}"
+    return f"{loop_keyword(loop)} {expr_text(loop.cond)}"
+
+
+def test_line(loop) -> int:
+    """The line of the loop's exit test: a REPEAT's UNTIL line, otherwise the
+    header line."""
+    return loop.until_line if isinstance(loop, Repeat) else loop.line
+
+
 def walk_statements(stmts):
     """Yield every statement, depth first, including structured ones."""
     for s in stmts:
         yield s
-        if isinstance(s, Repeat):
-            yield from walk_statements(s.body)
-        elif isinstance(s, While):
-            yield from walk_statements([s.body])
-        elif isinstance(s, For):
-            yield from walk_statements([s.body])
-        elif isinstance(s, If):
-            yield from walk_statements([s.then])
-            if s.otherwise is not None:
-                yield from walk_statements([s.otherwise])
-        elif isinstance(s, Compound):
-            yield from walk_statements(s.body)
+        yield from walk_statements(substatements(s))
 
 
 def simple_statements(program: Program):
@@ -551,16 +581,7 @@ def enclosing_loops(program: Program) -> dict[int, list]:
     def visit(stmts, stack):
         for s in stmts:
             out[id(s)] = list(stack)
-            if isinstance(s, Repeat):
-                visit(s.body, stack + [s])
-            elif isinstance(s, (While, For)):
-                visit([s.body], stack + [s])
-            elif isinstance(s, If):
-                visit([s.then], stack)
-                if s.otherwise is not None:
-                    visit([s.otherwise], stack)
-            elif isinstance(s, Compound):
-                visit(s.body, stack)
+            visit(substatements(s), stack + [s] if isinstance(s, LOOP_KINDS) else stack)
 
     visit(program.body, [])
     return out

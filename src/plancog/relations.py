@@ -193,16 +193,11 @@ def _sequence(stmts):
 
 
 def _structure(s):
-    if isinstance(s, fe.Repeat):
-        return PrimeNode("iteration", [s.line, s.until_line], [_sequence(s.body)])
-    if isinstance(s, (fe.While, fe.For)):
-        return PrimeNode("iteration", [s.line], [_sequence([s.body])])
     if isinstance(s, fe.If):
-        children = [_sequence([s.then])]
-        if s.otherwise is not None:
-            children.append(_sequence([s.otherwise]))
-        return PrimeNode("conditional", [s.line], children)
-    raise TypeError(f"unexpected statement {s!r}")
+        return PrimeNode("conditional", [s.line],
+                         [_sequence([branch]) for branch in fe.substatements(s)])
+    lines = [s.line, s.until_line] if isinstance(s, fe.Repeat) else [s.line]
+    return PrimeNode("iteration", lines, [_sequence(fe.substatements(s))])
 
 
 # --- def-use -------------------------------------------------------------
@@ -224,50 +219,22 @@ class DefUse:
 
 
 def node_defs(node: CfgNode) -> list[str]:
-    s = node.stmt
-    if node.kind == STMT:
-        if isinstance(s, fe.Assign):
-            return [s.target.lower()]
-        if isinstance(s, fe.Readln):
-            return [s.var.lower()]
-    if node.kind == COND and isinstance(s, fe.For):
-        return [s.var.lower()]
-    return []
+    """Variables the node defines; a FOR header defines its control variable."""
+    return [name.lower() for name, _ in fe.defined_names(node.stmt)]
 
 
 def node_uses(node: CfgNode) -> list[str]:
-    s = node.stmt
-    if node.kind == STMT:
-        if isinstance(s, fe.Assign):
-            return sorted({n.lower() for n, _ in fe._expr_identifiers(s.expr)})
-        if isinstance(s, fe.Writeln):
-            return sorted({n.lower() for n, _ in fe._expr_identifiers(s.expr)})
-        return []
-    if node.kind == COND:
-        if isinstance(s, fe.If):
-            cond = s.cond
-        elif isinstance(s, (fe.While, fe.Repeat)):
-            cond = s.cond
-        elif isinstance(s, fe.For):
-            names = {n.lower() for n, _ in fe._expr_identifiers(s.start)}
-            names |= {n.lower() for n, _ in fe._expr_identifiers(s.stop)}
-            return sorted(names)
-        else:
-            return []
-        return sorted({n.lower() for n, _ in fe._expr_identifiers(cond)})
-    return []
+    """Variables the node reads, sorted; a FOR header reads its bounds."""
+    return sorted({name.lower() for name, _ in fe.used_names(node.stmt)})
 
 
 def def_use(program: fe.Program, cfg: Cfg) -> DefUse:
     """Reaching-definitions over the CFG; a chain maps a definition to every
     use a def-clear path can reach."""
-    defs = []
-    uses = []
-    for n in cfg.nodes:
-        for v in node_defs(n):
-            defs.append((v, n.line))
-        for v in node_uses(n):
-            uses.append((v, n.line))
+    node_def = [node_defs(n) for n in cfg.nodes]
+    node_use = [node_uses(n) for n in cfg.nodes]
+    defs = [(v, n.line) for n in cfg.nodes for v in node_def[n.id]]
+    uses = [(v, n.line) for n in cfg.nodes for v in node_use[n.id]]
 
     # IN[n] = union of OUT[p]; OUT[n] = gen(n) | (IN[n] - kill(n)).
     # A synthetic entry definition (id None) per variable makes "possibly
@@ -282,8 +249,8 @@ def def_use(program: fe.Program, cfg: Cfg) -> DefUse:
             new_in = set()
             for p, _ in cfg.preds(n.id):
                 new_in |= reach_out[p]
-            gen = {(v, n.id) for v in node_defs(n)}
-            killed = set(node_defs(n))
+            gen = {(v, n.id) for v in node_def[n.id]}
+            killed = set(node_def[n.id])
             new_out = gen | {(v, d) for v, d in new_in if v not in killed}
             if n.id == cfg.entry:
                 new_out |= reach_out[cfg.entry]
@@ -295,7 +262,7 @@ def def_use(program: fe.Program, cfg: Cfg) -> DefUse:
     chains = {}
     uninit = set()
     for n in cfg.nodes:
-        for v in node_uses(n):
+        for v in node_use[n.id]:
             reaching = [d for dv, d in reach_in[n.id] if dv == v]
             if None in reaching:
                 uninit.add((v, n.line))

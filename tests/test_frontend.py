@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import brute_force_def_use
 from plancog import frontend as fe
+from plancog import relations as rel
 from plancog.errors import AnalysisError, LexError, ParseError
 
 SPEC_KEYWORDS = {
@@ -244,18 +246,85 @@ def _stmt(depth):
             lambda t: f"IF Alpha <> {t[0]} THEN BEGIN {t[1]}; END"),
         st.tuples(_expr(0), inner).map(
             lambda t: f"WHILE Alpha < {t[0]} DO BEGIN {t[1]}; END"),
+        st.tuples(_names, _expr(0), _expr(0), inner).map(
+            lambda t: f"FOR {t[0]} := {t[1]} TO {t[2]} DO BEGIN {t[3]}; END"),
+        st.tuples(_expr(0), inner, inner).map(
+            lambda t: f"IF Beta > {t[0]} THEN BEGIN {t[1]}; END ELSE {t[2]}"),
     )
+
+
+def _program(stmts):
+    body = ";\n    ".join(stmts)
+    return ("PROGRAM Rand(input, output);\n"
+            "VAR Alpha, Beta, Gamma, Delta: INTEGER;\n"
+            "BEGIN\n    " + body + ";\nEND.")
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_stmt(2), min_size=1, max_size=6))
 def test_generated_programs_round_trip(stmts):
-    body = ";\n    ".join(stmts)
-    src = ("PROGRAM Rand(input, output);\n"
-           "VAR Alpha, Beta, Gamma, Delta: INTEGER;\n"
-           "BEGIN\n    " + body + ";\nEND.")
-    program = fe.parse(src)
+    program = fe.parse(_program(stmts))
     printed = fe.pretty_print(program)
     assert fe.structurally_equal(fe.parse(printed), program)
     # canonical form is a fixpoint of the printer
     assert fe.pretty_print(fe.parse(printed)) == printed
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_stmt(2), min_size=1, max_size=4))
+def test_generated_def_use_matches_path_oracle(stmts):
+    # the def-use analysis reads every statement kind's defined and used
+    # names; the path oracle replays the same facts along every path
+    program = fe.parse(_program(stmts))
+    cfg = rel.build_cfg(program)
+    du = rel.def_use(program, cfg)
+    chains, uninit = brute_force_def_use(cfg)
+    assert du.chains == chains
+    assert set(du.possibly_uninitialized) == uninit
+
+
+# --- statement facts ----------------------------------------------------------
+
+_FACTS_SOURCE = """PROGRAM P(input, output);
+VAR a, b, i: INTEGER;
+BEGIN
+    a := a + b * a;
+    READLN(b);
+    WRITELN(a - b);
+    REPEAT
+        b := 1
+    UNTIL b > a;
+    WHILE a < b DO
+        a := 2;
+    FOR i := a TO b + 1 DO
+        b := i;
+    IF a = 0 THEN
+        a := 3
+    ELSE
+        b := 4;
+    BEGIN
+        a := 5
+    END
+END.
+"""
+
+
+@pytest.mark.parametrize("line, kind, defined, used, nested, loop", [
+    (4, fe.Assign, [("a", 4)], [("a", 4), ("b", 4), ("a", 4)], [], None),
+    (5, fe.Readln, [("b", 5)], [], [], None),
+    (6, fe.Writeln, [], [("a", 6), ("b", 6)], [], None),
+    (7, fe.Repeat, [], [("b", 9), ("a", 9)], [8], ("repeat", "repeat b>a", 9)),
+    (10, fe.While, [], [("a", 10), ("b", 10)], [11], ("while", "while a<b", 10)),
+    (12, fe.For, [("i", 12)], [("a", 12), ("b", 12)], [13],
+     ("for", "for i:=a to b+1", 12)),
+    (14, fe.If, [], [("a", 14)], [15, 17], None),
+    (18, fe.Compound, [], [], [19], None),
+])
+def test_statement_facts(line, kind, defined, used, nested, loop):
+    stmt = fe.statement_at(fe.parse(_FACTS_SOURCE), line)
+    assert isinstance(stmt, kind)
+    assert fe.defined_names(stmt) == defined
+    assert fe.used_names(stmt) == used
+    assert [s.line for s in fe.substatements(stmt)] == nested
+    if loop is not None:
+        assert (fe.loop_keyword(stmt), fe.loop_form(stmt), fe.test_line(stmt)) == loop
