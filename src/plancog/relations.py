@@ -52,7 +52,10 @@ class Cfg:
         self.nodes.append(node)
         self._succs.append([])
         self._preds.append([])
-        self._at_line.setdefault(line, []).append(node)
+        # a repeat's condition node sits on the UNTIL line and also stands
+        # for the REPEAT keyword's line, which has no node of its own
+        for at in {line, getattr(stmt, "line", line)}:
+            self._at_line.setdefault(at, []).append(node)
         return node
 
     def add_edge(self, src, dst, lbl):
@@ -67,7 +70,7 @@ class Cfg:
         return list(self._preds[nid])
 
     def nodes_at(self, line) -> list[CfgNode]:
-        """Every node on a line, in creation order."""
+        """Every node on a line or standing for it, in creation order."""
         return list(self._at_line.get(line, ()))
 
     def node_at(self, line):
@@ -280,30 +283,25 @@ def def_use(program: fe.Program, cfg: Cfg) -> DefUse:
 
 
 def query_relation(kind: str, program: fe.Program, line: int) -> set[int]:
-    """Lines control- or data-related to the statement at `line`."""
+    """Lines control- or data-related to the statement at `line`. The line of
+    a REPEAT keyword answers for the loop's condition node."""
+    if kind not in ("control", "data"):
+        raise AnalysisError(f"unknown relation kind {kind!r}")
     cfg = build_cfg(program)
+    nodes = cfg.nodes_at(line)
+    if not nodes:
+        raise AnalysisError(f"no statement at line {line}")
+    own = {line} | {n.line for n in nodes}
+    related = set()
     if kind == "control":
-        nodes = cfg.nodes_at(line)
-        if not nodes:
-            raise AnalysisError(f"no statement at line {line}")
-        related = set()
         for node in nodes:
             for nid, _ in cfg.succs(node.id) + cfg.preds(node.id):
-                other = cfg.nodes[nid]
-                if other.line is not None:
-                    related.add(other.line)
-        related.discard(line)
-        return related
-    if kind == "data":
-        du = def_use(program, cfg)
-        if cfg.node_at(line) is None:
-            raise AnalysisError(f"no statement at line {line}")
-        related = set()
-        for (v, def_line), use_lines in du.chains.items():
-            if def_line == line:
+                related.add(cfg.nodes[nid].line)
+        related.discard(None)
+    else:
+        for (_, def_line), use_lines in def_use(program, cfg).chains.items():
+            if def_line in own:
                 related |= use_lines
-            if line in use_lines:
+            if own & use_lines:
                 related.add(def_line)
-        related.discard(line)
-        return related
-    raise AnalysisError(f"unknown relation kind {kind!r}")
+    return related - own

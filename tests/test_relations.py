@@ -250,3 +250,13 @@ def test_line_with_several_nodes_relates_through_all_of_them():
     assert len(rel.build_cfg(program).nodes_at(5)) == 2
     assert rel.query_relation("control", program, 5) == {4, 6}
     assert rel.query_relation("data", program, 5) == {4, 6}
+
+
+@pytest.mark.parametrize("kind, expected", [("data", {8}), ("control", {8, 9, 12, 15})])
+def test_repeat_keyword_line_answers_for_its_condition(grey, kind, expected):
+    # grey's REPEAT is on line 7 and its condition node on the UNTIL line 14
+    assert rel.query_relation(kind, grey, 7) == expected
+    assert rel.query_relation(kind, grey, 14) == expected
+    program = fe.parse("PROGRAM P(input, output);\nVAR x: INTEGER;\nBEGIN\n"
+                       "    x := 9;\n    REPEAT BEGIN END\n    UNTIL x > 5\nEND.\n")
+    assert rel.query_relation(kind, program, 5) == rel.query_relation(kind, program, 6) == {4}
