@@ -214,7 +214,10 @@ class _Machine:
                 raise _Halt("type-error", line)
             if right == 0:
                 raise _Halt("division-by-zero", line)
-            quotient = int(left / right)  # Pascal DIV truncates toward zero
+            # Pascal DIV truncates toward zero; exact for every 64-bit operand
+            quotient = abs(left) // abs(right)
+            if (left < 0) != (right < 0):
+                quotient = -quotient
             if op == "div":
                 return self.check_int(quotient, line)
             return self.check_int(left - quotient * right, line)

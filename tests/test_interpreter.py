@@ -142,6 +142,20 @@ def test_integer_division_semantics():
     assert isinstance(result.outputs[2], float)
 
 
+@pytest.mark.parametrize("left, right, quotient, remainder", [
+    (4611686018427387905, 3, 1537228672809129301, 2),  # beyond a double's precision
+    (-7, 2, -3, -1),
+    (7, -2, -3, 1),
+    (-7, -2, 3, -1),
+])
+def test_div_mod_are_exact_and_truncate_toward_zero(left, right, quotient, remainder):
+    program = fe.parse(
+        "PROGRAM P(input,output);\nVAR A, B: INTEGER;\nBEGIN\n"
+        "    READLN(A);\n    READLN(B);\n"
+        "    WRITELN(A DIV B);\n    WRITELN(A MOD B);\nEND.")
+    assert run.execute(program, [left, right]).outputs == [quotient, remainder]
+
+
 def test_slash_on_integers_yields_real(grey):
     result = run.execute(grey, [5, 99999])
     assert isinstance(result.outputs[0], float)
