@@ -30,6 +30,11 @@ OP = "operator"
 PUNCT = "punctuation"
 COMMENT = "comment"
 
+# identifiers and numbers are ASCII only: str.isdigit also accepts "²",
+# which int() rejects, and the KB's name patterns match no other letters
+_DIGITS = frozenset("0123456789")
+_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_IDENT_CHARS = _IDENT_START | _DIGITS
 _TWO_CHAR_OPS = (":=", "<>", "<=", ">=")
 _ONE_CHAR_OPS = "+-*/=<>"
 _PUNCT = "(),;:."
@@ -70,22 +75,22 @@ def tokenize(source: str) -> list[Token]:
             i = j + len(closer)
             tokens.append(Token(COMMENT, body.strip(), start_line, start, i))
             continue
-        if c.isalpha() or c == "_":
+        if c in _IDENT_START:
             j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
+            while j < n and source[j] in _IDENT_CHARS:
                 j += 1
             text = source[i:j]
             kind = KW if text.upper() in KEYWORDS else IDENT
             tokens.append(Token(kind, text, line, i, j))
             i = j
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
-            if j < n - 1 and source[j] == "." and source[j + 1].isdigit():
+            if j < n - 1 and source[j] == "." and source[j + 1] in _DIGITS:
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j] in _DIGITS:
                     j += 1
                 tokens.append(Token(REALLIT, source[i:j], line, i, j))
             else:
@@ -239,6 +244,13 @@ class BlankedProgram:
 SIMPLE_KINDS = (Assign, Readln, Writeln, Hole)
 LOOP_KINDS = (Repeat, While, For)
 
+# The deepest nesting a program may have. The parser counts statements,
+# parentheses and unary operators it enters; the tree it returns counts
+# statements and expression nodes, every operator of a chain `1+1+...+1` one
+# level. Later stages recurse over the tree, and at this depth every
+# subcommand stays within Python's default recursion limit.
+MAX_DEPTH = 100
+
 
 # --- parser ------------------------------------------------------------
 
@@ -246,6 +258,12 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = [t for t in tokens if t.kind != COMMENT]
         self.pos = 0
+        self.depth = 0    # statements, parentheses and unary operators entered
+
+    def enter(self):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.fail(f"nesting deeper than {MAX_DEPTH} levels")
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -342,6 +360,12 @@ class _Parser:
             self.expect(PUNCT, ";")
 
     def statement(self):
+        self.enter()
+        stmt = self._statement()
+        self.depth -= 1
+        return stmt
+
+    def _statement(self):
         tok = self.peek()
         if tok is None:
             self.fail("expected a statement")
@@ -440,12 +464,12 @@ class _Parser:
         tok = self.peek()
         if tok is None:
             self.fail("expected an expression")
-        if tok.kind == OP and tok.text == "-":
+        if (tok.kind == OP and tok.text == "-") or self.at_keyword("NOT"):
             self.advance()
-            return Unary("-", self.factor(), tok.line)
-        if self.at_keyword("NOT"):
-            self.advance()
-            return Unary("not", self.factor(), tok.line)
+            self.enter()
+            operand = self.factor()
+            self.depth -= 1
+            return Unary("-" if tok.text == "-" else "not", operand, tok.line)
         if tok.kind == INT:
             self.advance()
             return IntLit(int(tok.text), tok.line)
@@ -460,7 +484,9 @@ class _Parser:
             return VarRef(tok.text, tok.line)
         if tok.kind == PUNCT and tok.text == "(":
             self.advance()
+            self.enter()
             expr = self.expression()
+            self.depth -= 1
             self.expect(PUNCT, ")")
             return expr
         self.fail(f"unexpected {tok.text!r}", {"expression"})
@@ -471,6 +497,7 @@ def parse(source: str) -> Program:
     body must be declared exactly once."""
     tokens = tokenize(source)
     program = _Parser(tokens).program()
+    _check_depth(program)
     program.comments = [(t.line, t.text) for t in tokens if t.kind == COMMENT]
     seen = {}
     for d in program.declarations:
@@ -483,6 +510,22 @@ def parse(source: str) -> Program:
             if name.lower() not in seen:
                 raise ParseError(f"undeclared identifier {name}", line)
     return program
+
+
+def _check_depth(program: Program):
+    """Reject a tree deeper than MAX_DEPTH, walking it without recursion."""
+    stack = [(s, 1) for s in program.body]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", node.line)
+        if isinstance(node, Binary):
+            children = [node.left, node.right]
+        elif isinstance(node, Unary):
+            children = [node.operand]
+        else:
+            children = _expressions(node) + substatements(node)
+        stack.extend((child, depth + 1) for child in children)
 
 
 # --- statement facts ---------------------------------------------------------
@@ -513,15 +556,18 @@ def defined_names(stmt) -> list[tuple[str, int]]:
 def used_names(stmt) -> list[tuple[str, int]]:
     """(name, line) of every variable `stmt`'s own expressions read, in source
     order; nested statements are not included. A FOR header reads its bounds."""
+    return [ref for expr in _expressions(stmt) for ref in _expr_identifiers(expr)]
+
+
+def _expressions(stmt) -> list:
+    """The expressions `stmt` itself evaluates, in source order."""
     if isinstance(stmt, (Assign, Writeln)):
-        exprs = [stmt.expr]
-    elif isinstance(stmt, (Repeat, While, If)):
-        exprs = [stmt.cond]
-    elif isinstance(stmt, For):
-        exprs = [stmt.start, stmt.stop]
-    else:
-        return []
-    return [ref for expr in exprs for ref in _expr_identifiers(expr)]
+        return [stmt.expr]
+    if isinstance(stmt, (Repeat, While, If)):
+        return [stmt.cond]
+    if isinstance(stmt, For):
+        return [stmt.start, stmt.stop]
+    return []
 
 
 def _expr_identifiers(expr):

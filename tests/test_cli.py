@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from plancog import kb as kblib
+from plancog.frontend import MAX_DEPTH
 from plancog.cli import corpus, corpus_path, main
 
 
@@ -237,3 +240,61 @@ def test_simulate_trace_unknown_variable(capsys):
                            "--input", "1,2,3,99999", "--trace", "Ghost", "--json")
     assert code == 1
     assert json.loads(out) == {"error": "unknown variable Ghost"}
+
+
+# --- programs the front end must reject, not crash on ---------------------------
+
+_HEAD = "PROGRAM P(input, output);\nVAR x: INTEGER;\nBEGIN\n"
+
+
+def _nested(depth):
+    """Programs whose deepest nesting is exactly `depth` levels, with the
+    innermost assignment's line."""
+    inner = depth - 2                  # levels around the assignment and its literal
+    return {
+        "parentheses": (_HEAD + "x := " + "(" * (depth - 1) + "1" + ")" * (depth - 1)
+                        + "\nEND.\n", 4),
+        "blocks": (_HEAD + "BEGIN\n" * inner + "x := 1\n" + "END\n" * inner + "END.\n",
+                   4 + inner),
+        "loops": (_HEAD + "WHILE x < 1 DO\n" * inner + "x := 1\nEND.\n", 4 + inner),
+        "chain": (_HEAD + "x := " + "+".join(["1"] * (depth - 1)) + "\nEND.\n", 4),
+    }
+
+
+def _every_subcommand(path, line):
+    return [["parse", path], ["recognize", path, "--trace"], ["planliness", path],
+            ["relations", path, "--line", line, "--kind", "data"],
+            ["relations", path, "--line", line, "--kind", "control"],
+            ["fill-blank", path, "--line", line, "--strategy", "plan"],
+            ["fill-blank", path, "--line", line, "--strategy", "control"],
+            ["chunk", path, "--mode", "plan"], ["chunk", path, "--mode", "control"],
+            ["simulate", path, "--input", "1"]]
+
+
+def test_every_subcommand_runs_at_the_nesting_bound(tmp_path, capsys):
+    for shape, (source, line) in _nested(MAX_DEPTH).items():
+        path = tmp_path / f"{shape}.mp"
+        path.write_text(source)
+        for argv in _every_subcommand(str(path), str(line)):
+            code, out, _ = run_cli(capsys, *argv, "--json")
+            assert code == 0, (shape, argv, out)
+            json.loads(out)
+
+
+@pytest.mark.parametrize("source", [
+    _HEAD + "x := ²\nEND.\n",
+    "PROGRAM P(input, output);\nVAR é: INTEGER;\nBEGIN\n    é := 1\nEND.\n",
+    *(source for source, _ in _nested(MAX_DEPTH + 1).values()),
+    _HEAD + "x := " + "(" * 250 + "1" + ")" * 250 + "\nEND.\n",
+    _HEAD + "BEGIN " * 500 + "x := 1" + " END" * 500 + "\nEND.\n",
+    _HEAD + "WHILE x < 1 DO " * 500 + "x := 1\nEND.\n",
+    _HEAD + "x := " + "+".join(["1"] * 600) + "\nEND.\n",
+], ids=["superscript", "accent", "parentheses", "blocks", "loops", "chain",
+        "250-parentheses", "500-blocks", "500-loops", "600-terms"])
+def test_unparsable_programs_exit_1_with_one_json_document(tmp_path, capsys, source):
+    path = tmp_path / "p.mp"
+    path.write_text(source, encoding="utf-8")
+    for argv in _every_subcommand(str(path), "4"):
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 1, argv
+        assert list(json.loads(out)) == ["error"]
