@@ -297,12 +297,14 @@ class ProgramIndex:
                       if isinstance(s, fe.LOOP_KINDS)]
         self.enclosing = fe.enclosing_loops(program)
         self.defs = {}        # var -> defining simple statements (no FOR headers)
-        self.writelns = []
+        self.outputs = {}     # var -> WRITELNs that read that variable alone
         for s in fe.simple_statements(program):
             for name, _ in fe.defined_names(s):
                 self.defs.setdefault(name.lower(), []).append(s)
             if isinstance(s, fe.Writeln):
-                self.writelns.append(s)
+                read = {name.lower() for name, _ in fe.used_names(s)}
+                if len(read) == 1:
+                    self.outputs.setdefault(read.pop(), []).append(s)
 
     def loop_of(self, stmt):
         stack = self.enclosing.get(id(stmt), [])
@@ -327,10 +329,6 @@ class ProgramIndex:
     def read_candidates(self, var):
         return [s for s in self.defs.get(var, []) if isinstance(s, fe.Readln)]
 
-    def output_candidates(self, var):
-        return [s for s in self.writelns
-                if {name.lower() for name, _ in fe.used_names(s)} == {var}]
-
 
 def _slot_candidates(index: ProgramIndex, instance: PlanInstance, slot_name: str):
     """Candidate (node, line, text, category) tuples a slot may bind to."""
@@ -351,7 +349,7 @@ def _slot_candidates(index: ProgramIndex, instance: PlanInstance, slot_name: str
         return [(s, s.line, fe.node_text(s), "stmt")
                 for s in index.defs.get(var, []) if isinstance(s, fe.Assign)]
     if slot_name == "output" and var:
-        return [(s, s.line, fe.node_text(s), "stmt") for s in index.output_candidates(var)]
+        return [(s, s.line, fe.node_text(s), "stmt") for s in index.outputs.get(var, [])]
     if slot_name == "context":
         loops = []
         for b in instance.bindings.values():

@@ -606,7 +606,9 @@ def walk_statements(stmts):
     """Yield every statement, depth first, including structured ones."""
     for s in stmts:
         yield s
-        yield from walk_statements(substatements(s))
+        nested = substatements(s)
+        if nested:
+            yield from walk_statements(nested)
 
 
 def simple_statements(program: Program):
