@@ -443,15 +443,15 @@ def _first_filling(slot, candidates, var):
 def _drop_shadowed(instances):
     """A partial instance adds nothing when a complete one on the same
     variable already covers its code lines."""
+    complete_lines = {}                # variable -> part lines of each complete instance
+    for inst in instances:
+        if inst.complete:
+            complete_lines.setdefault(inst.variable, []).append(set(inst.part_lines()))
     keep = []
     for inst in instances:
         lines = set(inst.part_lines())
-        shadowed = any(
-            other is not inst and other.variable == inst.variable
-            and other.complete and not inst.complete
-            and lines <= set(other.part_lines())
-            for other in instances)
-        if not shadowed:
+        if inst.complete or not any(lines <= other
+                                    for other in complete_lines.get(inst.variable, ())):
             keep.append(inst)
     return keep
 
@@ -647,8 +647,9 @@ def _instance_loops(inst, index):
 
 def _interaction_pairs(instances, defuse, loops):
     """(left, right, how) for instance pairs, neither a descendant of the
-    other, whose parts share a loop or are linked by a def-use chain."""
-    related = []
+    other, whose parts share a loop or are linked by a def-use chain, in
+    instance order. Candidates come from indexes by loop and by part line,
+    so unrelated pairs are never visited."""
     descendants = {}
 
     def collect(inst):
@@ -664,20 +665,32 @@ def _interaction_pairs(instances, defuse, loops):
     uses_of_def = {}                   # def line -> every line it reaches
     for (_, def_line), use_lines in defuse.chains.items():
         uses_of_def.setdefault(def_line, set()).update(use_lines)
-    lines = {}
-    reached = {}
-    for inst in instances:
+    lines, reached = [], []
+    by_loop, by_line = {}, {}          # loop id / part line -> instance positions
+    for i, inst in enumerate(instances):
         collect(inst)
-        lines[id(inst)] = set(inst.part_lines())
-        reached[id(inst)] = set().union(*(uses_of_def.get(l, ()) for l in lines[id(inst)]))
-    for i, left in enumerate(instances):
-        for right in instances[i + 1:]:
-            if id(right) in descendants[id(left)] or id(left) in descendants[id(right)]:
-                continue
-            if loops[id(left)] & loops[id(right)]:
-                related.append((left, right, "parts run in the same loop"))
-            elif reached[id(left)] & lines[id(right)] or reached[id(right)] & lines[id(left)]:
-                related.append((left, right, "linked by a def-use chain"))
+        lines.append(set(inst.part_lines()))
+        reached.append(set().union(*(uses_of_def.get(l, ()) for l in lines[i])))
+        for loop in loops[id(inst)]:
+            by_loop.setdefault(loop, []).append(i)
+        for line in lines[i]:
+            by_line.setdefault(line, []).append(i)
+
+    candidates = set()
+    for i, inst in enumerate(instances):
+        for loop in loops[id(inst)]:
+            candidates.update((i, j) for j in by_loop[loop] if j > i)
+        for line in reached[i]:
+            candidates.update((min(i, j), max(i, j)) for j in by_line.get(line, ()) if j != i)
+    related = []
+    for i, j in sorted(candidates):
+        left, right = instances[i], instances[j]
+        if id(right) in descendants[id(left)] or id(left) in descendants[id(right)]:
+            continue
+        if loops[id(left)] & loops[id(right)]:
+            related.append((left, right, "parts run in the same loop"))
+        else:
+            related.append((left, right, "linked by a def-use chain"))
     return related
 
 

@@ -358,9 +358,18 @@ def chunk(program: fe.Program, kb: KnowledgeBase | None = None,
     """Control chunks partition the chunk universe along the prime tree; plan
     chunks are complete instances' part lines, with residue reported last."""
     if mode == "control":
-        tree = rel.decompose_primes(rel.build_cfg(program))
-        chunks = [Chunk("control", sorted(node.lines), node.kind)
-                  for node in tree.walk() if node.lines]
+        # a line shared by several prime nodes (a one-line loop or two
+        # statements on a line) goes to the outermost; emptied chunks drop
+        chunks = []
+        owned = set()
+        level = [rel.decompose_primes(rel.build_cfg(program))]
+        while level:
+            for node in level:
+                lines = sorted(set(node.lines) - owned)
+                owned.update(lines)
+                if lines:
+                    chunks.append(Chunk("control", lines, node.kind))
+            level = [c for node in level for c in node.children]
         chunks.sort(key=lambda c: c.lines[0])
         return chunks
     if mode != "plan":

@@ -9,6 +9,7 @@ and conditional nodes whose leaves partition the simple statements.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from . import frontend as fe
@@ -232,48 +233,75 @@ def node_uses(node: CfgNode) -> list[str]:
 
 
 def def_use(program: fe.Program, cfg: Cfg) -> DefUse:
-    """Reaching-definitions over the CFG; a chain maps a definition to every
-    use a def-clear path can reach."""
+    """Reaching definitions over the CFG, solved by a worklist over bit
+    vectors (Kildall 1973); a chain maps a definition to every use a
+    def-clear path can reach."""
     node_def = [node_defs(n) for n in cfg.nodes]
     node_use = [node_uses(n) for n in cfg.nodes]
     defs = [(v, n.line) for n in cfg.nodes for v in node_def[n.id]]
     uses = [(v, n.line) for n in cfg.nodes for v in node_use[n.id]]
 
-    # IN[n] = union of OUT[p]; OUT[n] = gen(n) | (IN[n] - kill(n)).
-    # A synthetic entry definition (id None) per variable makes "possibly
-    # uninitialized" mean: some path carries no real definition to the use.
-    reach_in = {n.id: set() for n in cfg.nodes}
-    reach_out = {n.id: set() for n in cfg.nodes}
-    reach_out[cfg.entry] = {(d.name.lower(), None) for d in program.declarations}
-    changed = True
-    while changed:
-        changed = False
-        for n in cfg.nodes:
-            new_in = set()
-            for p, _ in cfg.preds(n.id):
-                new_in |= reach_out[p]
-            gen = {(v, n.id) for v in node_def[n.id]}
-            killed = set(node_def[n.id])
-            new_out = gen | {(v, d) for v, d in new_in if v not in killed}
-            if n.id == cfg.entry:
-                new_out |= reach_out[cfg.entry]
-            if new_in != reach_in[n.id] or new_out != reach_out[n.id]:
-                reach_in[n.id] = new_in
-                reach_out[n.id] = new_out
-                changed = True
+    # One bit per definition site: first a synthetic entry definition per
+    # declared variable, so "possibly uninitialized" means some path carries
+    # no real definition to the use, then one per (node, variable defined).
+    site_line = []                        # bit -> definition line (None: entry)
+    kill = {}                             # variable -> bits of all its sites
+
+    def site(var, line):
+        bit = 1 << len(site_line)
+        site_line.append(line)
+        kill[var] = kill.get(var, 0) | bit
+        return bit
+
+    gen = [0] * len(cfg.nodes)
+    for d in program.declarations:
+        gen[cfg.entry] |= site(d.name.lower(), None)
+    for n in cfg.nodes:
+        for v in node_def[n.id]:
+            gen[n.id] |= site(v, n.line)
+    keep = [-1] * len(cfg.nodes)          # all ones: kills nothing
+    for n in cfg.nodes:
+        for v in node_def[n.id]:
+            keep[n.id] &= ~kill[v]
+
+    # IN[n] = OR of OUT[p]; OUT[n] = gen(n) | (IN[n] & keep(n)). Every edge
+    # but a loop-back edge runs from a lower node id to a higher one, so
+    # taking the lowest queued id first settles a loop before the code after
+    # it: each node is visited about once per enclosing loop, plus once.
+    preds = [[p for p, _ in cfg.preds(n.id)] for n in cfg.nodes]
+    succs = [[s for s, _ in cfg.succs(n.id)] for n in cfg.nodes]
+    reach_in = [0] * len(cfg.nodes)
+    reach_out = gen[:]
+    queued = [True] * len(cfg.nodes)
+    work = list(range(len(cfg.nodes)))   # a heap of node ids
+    while work:
+        nid = heapq.heappop(work)
+        queued[nid] = False
+        new_in = 0
+        for p in preds[nid]:
+            new_in |= reach_out[p]
+        reach_in[nid] = new_in
+        new_out = gen[nid] | (new_in & keep[nid])
+        if new_out != reach_out[nid]:
+            reach_out[nid] = new_out
+            for s in succs[nid]:
+                if not queued[s]:
+                    queued[s] = True
+                    heapq.heappush(work, s)
 
     chains = {}
     uninit = set()
     for n in cfg.nodes:
         for v in node_use[n.id]:
-            reaching = [d for dv, d in reach_in[n.id] if dv == v]
-            if None in reaching:
-                uninit.add((v, n.line))
-            for d in reaching:
-                if d is None:
-                    continue
-                key = (v, cfg.nodes[d].line)
-                chains.setdefault(key, set()).add(n.line)
+            reaching = reach_in[n.id] & kill.get(v, 0)
+            while reaching:
+                low = reaching & -reaching
+                reaching ^= low
+                line = site_line[low.bit_length() - 1]
+                if line is None:
+                    uninit.add((v, n.line))
+                else:
+                    chains.setdefault((v, line), set()).add(n.line)
     for key in defs:
         chains.setdefault(key, set())
     return DefUse(sorted(defs, key=lambda t: (t[1], t[0])),

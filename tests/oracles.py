@@ -1,12 +1,17 @@
 """Independent oracles used by the tests.
 
-The def-use oracle enumerates every CFG path from entry to exit, taking
-each loop-back edge at most twice, and collects def-clear definition-to-use
+The path oracle enumerates every CFG path from entry to exit, taking each
+loop-back edge at most twice, and collects def-clear definition-to-use
 pairs by replaying the path. It shares no code with the fixpoint analysis
 it checks.
+
+The reference oracles are the straightforward versions of two optimised
+steps, kept to compare against on every program: reaching definitions by
+round-robin passes over sets, and coherence pairing over all instance
+pairs.
 """
 
-from plancog.relations import LOOP_BACK, node_defs, node_uses
+from plancog.relations import LOOP_BACK, DefUse, node_defs, node_uses
 
 
 def brute_force_def_use(cfg, max_unrollings=2):
@@ -52,3 +57,91 @@ def brute_force_def_use(cfg, max_unrollings=2):
         for var in node_defs(node):
             chains.setdefault((var, node.line), set())
     return chains, uninit
+
+
+def round_robin_def_use(program, cfg):
+    """Reaching definitions by round-robin passes over sets of (variable,
+    node id) pairs until nothing changes; the reference for `def_use`."""
+    node_def = [node_defs(n) for n in cfg.nodes]
+    node_use = [node_uses(n) for n in cfg.nodes]
+    defs = [(v, n.line) for n in cfg.nodes for v in node_def[n.id]]
+    uses = [(v, n.line) for n in cfg.nodes for v in node_use[n.id]]
+
+    # IN[n] = union of OUT[p]; OUT[n] = gen(n) | (IN[n] - kill(n)).
+    # A synthetic entry definition (id None) per variable makes "possibly
+    # uninitialized" mean: some path carries no real definition to the use.
+    reach_in = {n.id: set() for n in cfg.nodes}
+    reach_out = {n.id: set() for n in cfg.nodes}
+    reach_out[cfg.entry] = {(d.name.lower(), None) for d in program.declarations}
+    changed = True
+    while changed:
+        changed = False
+        for n in cfg.nodes:
+            new_in = set()
+            for p, _ in cfg.preds(n.id):
+                new_in |= reach_out[p]
+            gen = {(v, n.id) for v in node_def[n.id]}
+            killed = set(node_def[n.id])
+            new_out = gen | {(v, d) for v, d in new_in if v not in killed}
+            if n.id == cfg.entry:
+                new_out |= reach_out[cfg.entry]
+            if new_in != reach_in[n.id] or new_out != reach_out[n.id]:
+                reach_in[n.id] = new_in
+                reach_out[n.id] = new_out
+                changed = True
+
+    chains = {}
+    uninit = set()
+    for n in cfg.nodes:
+        for v in node_use[n.id]:
+            reaching = [d for dv, d in reach_in[n.id] if dv == v]
+            if None in reaching:
+                uninit.add((v, n.line))
+            for d in reaching:
+                if d is None:
+                    continue
+                key = (v, cfg.nodes[d].line)
+                chains.setdefault(key, set()).add(n.line)
+    for key in defs:
+        chains.setdefault(key, set())
+    return DefUse(sorted(defs, key=lambda t: (t[1], t[0])),
+                  sorted(uses, key=lambda t: (t[1], t[0])),
+                  chains,
+                  sorted(uninit, key=lambda t: (t[1], t[0])))
+
+
+def all_pairs_interactions(instances, defuse, loops):
+    """(left, right, how) for instance pairs, neither a descendant of the
+    other, whose parts share a loop or are linked by a def-use chain, found
+    by testing every pair; the reference for coherence pairing."""
+    related = []
+    descendants = {}
+
+    def collect(inst):
+        if id(inst) in descendants:
+            return descendants[id(inst)]
+        out = set()
+        for _, child in inst.children:
+            out.add(id(child))
+            out |= collect(child)
+        descendants[id(inst)] = out
+        return out
+
+    uses_of_def = {}                   # def line -> every line it reaches
+    for (_, def_line), use_lines in defuse.chains.items():
+        uses_of_def.setdefault(def_line, set()).update(use_lines)
+    lines = {}
+    reached = {}
+    for inst in instances:
+        collect(inst)
+        lines[id(inst)] = set(inst.part_lines())
+        reached[id(inst)] = set().union(*(uses_of_def.get(l, ()) for l in lines[id(inst)]))
+    for i, left in enumerate(instances):
+        for right in instances[i + 1:]:
+            if id(right) in descendants[id(left)] or id(left) in descendants[id(right)]:
+                continue
+            if loops[id(left)] & loops[id(right)]:
+                related.append((left, right, "parts run in the same loop"))
+            elif reached[id(left)] & lines[id(right)] or reached[id(right)] & lines[id(left)]:
+                related.append((left, right, "linked by a def-use chain"))
+    return related

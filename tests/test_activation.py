@@ -1,8 +1,14 @@
 import random
+import re
 
+from hypothesis import given, settings, strategies as st
+
+from oracles import all_pairs_interactions
 from plancog import activation as act
+from plancog import analysis as an
 from plancog import frontend as fe
 from plancog import relations as rel
+from plancog.cli import corpus
 from plancog.kb import Cue, dump_kb, load_kb, pattern_matches
 
 
@@ -299,3 +305,73 @@ def test_user_loop_plan_binds_its_uses_slot(search, builtin):
     assert loop.bindings["body"].line == 7
     assert [(slot, child.schema, child.variable) for slot, child in loop.children] == \
         [("tally", "Counter_Variable", "i")]
+
+
+# --- indexed coherence pairing against the all-pairs reference -------------------
+
+def _pairs_and_reference(program, kb):
+    rec = an.recognize(program, kb)
+    loops = {id(inst): act._instance_loops(inst, rec.index) for inst in rec.instances}
+    return (act._interaction_pairs(rec.instances, rec.defuse, loops),
+            all_pairs_interactions(rec.instances, rec.defuse, loops))
+
+
+# Num is read before the loop whose total it feeds, so the later instance
+# (Read_Variable, line 5) reaches a part of the earlier one (line 7)
+READ_BEFORE_LOOP = """PROGRAM P(input, output);
+VAR Sum, Num, I: INTEGER;
+BEGIN
+    Sum := 0;
+    READLN(Num);
+    FOR I := 1 TO 3 DO
+        Sum := Sum + Num;
+    WRITELN(Sum)
+END.
+"""
+
+
+def test_interaction_pairs_match_all_pairs_on_corpus(corpus_sources, builtin):
+    for src in corpus_sources.values():
+        pairs, reference = _pairs_and_reference(fe.parse(src), builtin)
+        assert pairs == reference
+
+
+def test_interaction_pairs_find_a_later_instance_reaching_an_earlier_one(builtin):
+    pairs, reference = _pairs_and_reference(fe.parse(READ_BEFORE_LOOP), builtin)
+    assert pairs == reference
+    assert [(l.label, r.label) for l, r, how in pairs if how == "linked by a def-use chain"] == [
+        ("Running_Total_Variable[sum]", "Read_Variable[num]"),
+        ("Running_Total_Variable[sum]", "Output_Value[sum]")]
+
+
+def _blocks_program(parts):
+    """One program running corpus bodies in turn. A part is (file, suffix,
+    wrapped): the suffix renames the file's variables, so parts with the
+    same suffix share them, and a wrapped part runs inside a FOR loop."""
+    sources = dict(corpus())
+    decls = {"Outer": "integer"}
+    body = []
+    for file, suffix, wrapped in parts:
+        src = sources[file]
+        declarations = fe.parse(src).declarations
+        names = [d.name for d in declarations]
+        decls.update({d.name + suffix: d.type for d in declarations})
+        text = src[src.index("BEGIN") + len("BEGIN"):src.rindex("END.")]
+        text = re.sub(r"\b(%s)\b" % "|".join(names), lambda m: m.group(0) + suffix, text)
+        text = text.strip().rstrip(";")
+        body.append(f"FOR Outer := 1 TO 2 DO BEGIN\n{text}\nEND" if wrapped else text)
+    return ("PROGRAM Blocks(input, output);\nVAR "
+            + "; ".join(f"{name}: {type_}" for name, type_ in decls.items())
+            + ";\nBEGIN\n" + ";\n".join(body) + "\nEND.\n")
+
+
+_PARTS = st.lists(st.tuples(st.sampled_from(["grey.mp", "orange.mp", "search.mp", "flag.mp"]),
+                            st.sampled_from(["", "1", "2"]), st.booleans()),
+                  min_size=2, max_size=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_PARTS)
+def test_interaction_pairs_match_all_pairs_on_multi_loop_programs(builtin, parts):
+    pairs, reference = _pairs_and_reference(fe.parse(_blocks_program(parts)), builtin)
+    assert pairs == reference

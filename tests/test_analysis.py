@@ -214,6 +214,17 @@ def test_chunk_control_partitions_universe(corpus_sources, builtin):
         assert len(lines) == len(set(lines))
 
 
+def test_chunk_control_one_line_repeat_lists_its_line_once():
+    # line 5 holds the REPEAT, its body and its UNTIL: the iteration owns it
+    # and the body's sequence, left empty, is dropped
+    program = fe.parse("PROGRAM P(input, output);\nVAR x: INTEGER;\nBEGIN\n"
+                       "    x := 0;\n    REPEAT x := x + 1 UNTIL x > 3;\n"
+                       "    WRITELN(x)\nEND.\n")
+    chunks = an.chunk(program, mode="control")
+    assert [(c.label, c.lines) for c in chunks] == [
+        ("sequence", [4]), ("iteration", [5]), ("sequence", [6])]
+
+
 def test_chunk_plan_counter_is_noncontiguous(grey, builtin):
     chunks = an.chunk(grey, builtin, "plan")
     counter = next(c for c in chunks if c.label == "Counter_Variable")

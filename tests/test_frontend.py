@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_force_def_use
+from oracles import brute_force_def_use, round_robin_def_use
+from plancog import analysis as an
 from plancog import frontend as fe
 from plancog import relations as rel
 from plancog.errors import AnalysisError, LexError, ParseError
@@ -214,14 +215,15 @@ def test_blank_line_rejects_non_statements(grey_src):
 
 # --- generated round-trip property ------------------------------------------
 
-_names = st.sampled_from(["Alpha", "Beta", "Gamma", "Delta"])
+_NAMES = ["Alpha", "Beta", "Gamma", "Delta"]
+_WIDE_NAMES = _NAMES + ["Eps", "Zeta", "Eta", "Theta", "Iota", "Kappa"]
 
 
-def _expr(depth):
-    leaf = st.one_of(st.integers(0, 999).map(str), _names)
+def _expr(depth, names=_NAMES):
+    leaf = st.one_of(st.integers(0, 999).map(str), st.sampled_from(names))
     if depth <= 0:
         return leaf
-    sub = _expr(depth - 1)
+    sub = _expr(depth - 1, names)
     return st.one_of(
         leaf,
         st.tuples(sub, st.sampled_from(["+", "-", "*", "DIV"]), sub)
@@ -229,34 +231,38 @@ def _expr(depth):
     )
 
 
-def _stmt(depth):
+def _stmt(depth, names=_NAMES):
+    """A statement of any kind nested up to `depth` deep, over `names`
+    (which include Alpha and Beta); nested statements share a line."""
+    name = st.sampled_from(names)
     simple = st.one_of(
-        st.tuples(_names, _expr(1)).map(lambda t: f"{t[0]} := {t[1]}"),
-        _names.map(lambda n: f"READLN({n})"),
-        st.tuples(_names).map(lambda t: f"WRITELN({t[0]})"),
+        st.tuples(name, _expr(1, names)).map(lambda t: f"{t[0]} := {t[1]}"),
+        name.map(lambda n: f"READLN({n})"),
+        st.tuples(name).map(lambda t: f"WRITELN({t[0]})"),
     )
     if depth <= 0:
         return simple
-    inner = _stmt(depth - 1)
+    inner = _stmt(depth - 1, names)
+    cond = _expr(0, names)
     return st.one_of(
         simple,
-        st.tuples(inner, _expr(0)).map(
+        st.tuples(inner, cond).map(
             lambda t: f"REPEAT {t[0]}; UNTIL Alpha = {t[1]}"),
-        st.tuples(_expr(0), inner).map(
+        st.tuples(cond, inner).map(
             lambda t: f"IF Alpha <> {t[0]} THEN BEGIN {t[1]}; END"),
-        st.tuples(_expr(0), inner).map(
+        st.tuples(cond, inner).map(
             lambda t: f"WHILE Alpha < {t[0]} DO BEGIN {t[1]}; END"),
-        st.tuples(_names, _expr(0), _expr(0), inner).map(
+        st.tuples(name, cond, cond, inner).map(
             lambda t: f"FOR {t[0]} := {t[1]} TO {t[2]} DO BEGIN {t[3]}; END"),
-        st.tuples(_expr(0), inner, inner).map(
+        st.tuples(cond, inner, inner).map(
             lambda t: f"IF Beta > {t[0]} THEN BEGIN {t[1]}; END ELSE {t[2]}"),
     )
 
 
-def _program(stmts):
+def _program(stmts, names=_NAMES):
     body = ";\n    ".join(stmts)
     return ("PROGRAM Rand(input, output);\n"
-            "VAR Alpha, Beta, Gamma, Delta: INTEGER;\n"
+            f"VAR {', '.join(names)}: INTEGER;\n"
             "BEGIN\n    " + body + ";\nEND.")
 
 
@@ -281,6 +287,25 @@ def test_generated_def_use_matches_path_oracle(stmts):
     chains, uninit = brute_force_def_use(cfg)
     assert du.chains == chains
     assert set(du.possibly_uninitialized) == uninit
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_stmt(3, _WIDE_NAMES), min_size=1, max_size=12))
+def test_generated_def_use_matches_round_robin(stmts):
+    # larger programs than the path oracle can enumerate
+    program = fe.parse(_program(stmts, _WIDE_NAMES))
+    cfg = rel.build_cfg(program)
+    assert rel.def_use(program, cfg) == round_robin_def_use(program, cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_stmt(2), min_size=1, max_size=6))
+def test_generated_control_chunks_partition_universe(stmts):
+    # nested statements share their line with the enclosing statement
+    program = fe.parse(_program(stmts))
+    lines = [line for c in an.chunk(program, mode="control") for line in c.lines]
+    assert len(lines) == len(set(lines))
+    assert set(lines) == an.chunk_universe(program)
 
 
 # --- statement facts ----------------------------------------------------------

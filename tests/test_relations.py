@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import brute_force_def_use
+from oracles import brute_force_def_use, round_robin_def_use
 from plancog import frontend as fe
 from plancog import relations as rel
 from plancog.errors import AnalysisError
@@ -224,10 +224,13 @@ def test_outer_repeat_loops_back_into_inner_body():
     assert du.chains == {("x", 6): {8}, ("x", 9): {10}}
 
 
+EMPTY_REPEAT = ("PROGRAM P(input, output);\nVAR x: INTEGER;\nBEGIN\n"
+                "    x := 9;\n    REPEAT {body}\n    UNTIL x > 5\nEND.\n")
+
+
 @pytest.mark.parametrize("body", ["", "BEGIN END"])
 def test_empty_repeat_body_loops_on_its_condition(body):
-    program = fe.parse("PROGRAM P(input, output);\nVAR x: INTEGER;\nBEGIN\n"
-                       f"    x := 9;\n    REPEAT {body}\n    UNTIL x > 5\nEND.\n")
+    program = fe.parse(EMPTY_REPEAT.format(body=body))
     cfg = rel.build_cfg(program)
     until = cfg.node_at(6)
     assert (until.id, until.id, rel.LOOP_BACK) in cfg.edges
@@ -260,3 +263,25 @@ def test_repeat_keyword_line_answers_for_its_condition(grey, kind, expected):
     program = fe.parse("PROGRAM P(input, output);\nVAR x: INTEGER;\nBEGIN\n"
                        "    x := 9;\n    REPEAT BEGIN END\n    UNTIL x > 5\nEND.\n")
     assert rel.query_relation(kind, program, 5) == rel.query_relation(kind, program, 6) == {4}
+
+
+# --- the worklist solver against the round-robin reference --------------------
+
+REPEAT_CASES = [NESTED_REPEAT, ONE_LINE_REPEAT,
+                EMPTY_REPEAT.format(body=""), EMPTY_REPEAT.format(body="BEGIN END")]
+
+
+def _assert_same_def_use(src):
+    program = fe.parse(src)
+    cfg = rel.build_cfg(program)
+    assert rel.def_use(program, cfg) == round_robin_def_use(program, cfg)
+
+
+def test_def_use_matches_round_robin_on_corpus(corpus_sources):
+    for src in corpus_sources.values():
+        _assert_same_def_use(src)
+
+
+@pytest.mark.parametrize("src", REPEAT_CASES)
+def test_def_use_matches_round_robin_on_repeat_cases(src):
+    _assert_same_def_use(src)
