@@ -19,7 +19,7 @@ from . import frontend as fe
 from . import interpreter as run
 from . import relations as rel
 from .kb import (CONCEPTUALLY_DRIVEN, CONTROL, DATA_DRIVEN, VARIABLE, Cue,
-                 KnowledgeBase, pattern_matches)
+                 KnowledgeBase, matches_normalized, normalize)
 
 DEFAULT_SIMULATION_INPUTS = (1, 2, 3, 99999)
 
@@ -173,22 +173,37 @@ def _cue_subject(cue: Cue) -> str | None:
     return names.pop() if len(names) == 1 else None
 
 
-def _cue_satisfies(condition: Cue, cue: Cue) -> bool:
-    if condition.kind != cue.kind:
-        return False
+# cue kinds compared by substring or equality of the lowercased payload; the
+# other kinds match a pattern against the normalized payload
+_LITERAL_CUES = ("name", "comment", "type", "loop")
+# cue kinds about one variable, which conditions of a rule must share
+_VAR_ATTR = ("name", "type", "init", "update")
+
+
+def _cue_table(cues):
+    """Cues by kind, in order, as (cue, compared payload, subject) triples:
+    each payload is lowercased or normalized once per activation."""
+    table = {}
+    for c in cues:
+        text = c.payload.lower() if c.kind in _LITERAL_CUES else normalize(c.payload)
+        subject = _cue_subject(c) if c.kind in _VAR_ATTR else None
+        table.setdefault(c.kind, []).append((c, text, subject))
+    return table
+
+
+def _cue_satisfies(condition: Cue, text: str) -> bool:
+    """Whether a cue of the condition's kind, with payload compared as
+    `text`, meets the condition."""
     if condition.kind in ("name", "comment"):
-        return condition.payload.lower() in cue.payload.lower()
+        return condition.payload.lower() in text
     if condition.kind in ("type", "loop"):
-        return condition.payload.lower() == cue.payload.lower()
-    return pattern_matches(condition.payload, cue.payload)
+        return condition.payload.lower() == text
+    return matches_normalized(condition.payload, text)
 
 
 # --- activation -------------------------------------------------------------
 
-_VAR_ATTR = ("name", "type", "init", "update")
-
-
-def _rule_fires(rule, cues, active):
+def _rule_fires(rule, table, active):
     """Return the supporting cues when every condition is met, else None.
     Variable-attribute conditions must be satisfied by one common variable."""
     support = []
@@ -198,22 +213,23 @@ def _rule_fires(rule, cues, active):
             if cond.payload not in active:
                 return None
             continue
-        matches = [c for c in cues if _cue_satisfies(cond, c)]
+        matches = [entry for entry in table.get(cond.kind, ())
+                   if _cue_satisfies(cond, entry[1])]
         if not matches:
             return None
         if cond.kind in _VAR_ATTR:
             var_conditions.append(matches)
         else:
-            support.extend(matches)
+            support.extend(c for c, _, _ in matches)
     if var_conditions:
         subjects = None
         for matches in var_conditions:
-            here = {_cue_subject(c) for c in matches} - {None}
+            here = {subject for _, _, subject in matches} - {None}
             subjects = here if subjects is None else subjects & here
         if not subjects:
             return None
         for matches in var_conditions:
-            support.extend(c for c in matches if _cue_subject(c) in subjects)
+            support.extend(c for c, _, subject in matches if subject in subjects)
     return support
 
 
@@ -224,7 +240,7 @@ def activate(kb: KnowledgeBase, cues) -> list[Activation]:
 
 
 def activate_with_trace(kb: KnowledgeBase, cues):
-    cues = list(cues)
+    table = _cue_table(cues)
     active: dict[str, Activation] = {}
     firings: list[Firing] = []
 
@@ -249,7 +265,7 @@ def activate_with_trace(kb: KnowledgeBase, cues):
             for rule in kb.rules:
                 if rule.direction != direction or rule.id in fired:
                     continue
-                support = _rule_fires(rule, cues, active)
+                support = _rule_fires(rule, table, active)
                 if support is None:
                     continue
                 fired.add(rule.id)
@@ -288,7 +304,13 @@ def activate_with_trace(kb: KnowledgeBase, cues):
 
 class ProgramIndex:
     """Per-program lookup tables, built once per recognition and read by
-    instantiation, verification, coherence and the discourse checks."""
+    instantiation, verification, coherence and the discourse checks.
+
+    Slot candidates are built in one pass over the statements, each with its
+    text rendered once; callers share the lists and do not change them.
+    Filler matches are memoized per (pattern, normalized text, variable) for
+    the life of the index, so a pattern is matched against a statement once
+    however many plans ask."""
 
     def __init__(self, program: fe.Program):
         self.program = program
@@ -297,59 +319,92 @@ class ProgramIndex:
                       if isinstance(s, fe.LOOP_KINDS)]
         self.enclosing = fe.enclosing_loops(program)
         self.defs = {}        # var -> defining simple statements (no FOR headers)
-        self.outputs = {}     # var -> WRITELNs that read that variable alone
+        writes = []
         for s in fe.simple_statements(program):
             for name, _ in fe.defined_names(s):
                 self.defs.setdefault(name.lower(), []).append(s)
             if isinstance(s, fe.Writeln):
-                read = {name.lower() for name, _ in fe.used_names(s)}
-                if len(read) == 1:
-                    self.outputs.setdefault(read.pop(), []).append(s)
+                writes.append(s)
+        self.candidates = self._variable_candidates(writes)
+        self.loop_candidates = self._loop_candidates()
+        self._normal = {}     # text -> normalized text
+        self._matched = {}    # (pattern, normalized text, var) -> bool
 
     def loop_of(self, stmt):
         stack = self.enclosing.get(id(stmt), [])
         return stack[-1] if stack else None
 
-    def init_candidates(self, var):
-        defs = self.defs.get(var, [])
-        out = []
-        for i, s in enumerate(defs):
-            if isinstance(s, fe.Assign) and (i == 0 or self.loop_of(s) is None):
-                out.append(s)
+    def _variable_candidates(self, writes):
+        """{slot category: {var: [(node, line, text, category)] by line}}.
+        A variable's first assignment, and any outside a loop, may
+        initialize it; a later one, and any inside a loop, may update it; a
+        WRITELN outputs the variable when it reads that one alone."""
+        out = {name: {} for name in ("name", "type", "initialization", "update",
+                                     "read", "result", "output")}
+        for var, d in self.decls.items():
+            out["name"][var] = [(d, d.line, d.name, "decl")]
+            out["type"][var] = [(d, d.line, d.type, "decl")]
+        for var, defs in self.defs.items():
+            for i, s in enumerate(defs):
+                cand = (s, s.line, fe.node_text(s), "stmt")
+                if isinstance(s, fe.Readln):
+                    out["read"].setdefault(var, []).append(cand)
+                    continue
+                in_loop = self.loop_of(s) is not None
+                if i == 0 or not in_loop:
+                    out["initialization"].setdefault(var, []).append(cand)
+                if i > 0 or in_loop:
+                    out["update"].setdefault(var, []).append(cand)
+                out["result"].setdefault(var, []).append(cand)
+        for s in writes:
+            read = {name.lower() for name, _ in fe.used_names(s)}
+            if len(read) == 1:
+                out["output"].setdefault(read.pop(), []).append(
+                    (s, s.line, fe.node_text(s), "stmt"))
+        for by_var in out.values():
+            for cands in by_var.values():
+                cands.sort(key=_line)
         return out
 
-    def update_candidates(self, var):
-        defs = self.defs.get(var, [])
-        out = []
-        for i, s in enumerate(defs):
-            if isinstance(s, fe.Assign) and (i > 0 or self.loop_of(s) is not None):
-                out.append(s)
+    def _loop_candidates(self):
+        """{loop slot: [(loop, line, text, category)] by line}."""
+        loops = self.loops
+        out = {
+            "body": [(l, l.line, fe.loop_keyword(l), "loop") for l in loops],
+            "loop": [(l, l.line, fe.loop_form(l), "loop") for l in loops],
+            "test": [(l, fe.test_line(l), fe.expr_text(l.cond), "cond")
+                     for l in loops if isinstance(l, (fe.Repeat, fe.While))],
+            "header": [(l, l.line, "for", "loop") for l in loops if isinstance(l, fe.For)],
+        }
+        for cands in out.values():
+            cands.sort(key=_line)
         return out
 
-    def read_candidates(self, var):
-        return [s for s in self.defs.get(var, []) if isinstance(s, fe.Readln)]
+    def matches(self, pattern, text, var=None) -> bool:
+        """`kb.pattern_matches`, memoized for the life of the index."""
+        norm = self._normal.get(text)
+        if norm is None:
+            norm = self._normal[text] = normalize(text)
+        key = (pattern, norm, var)
+        hit = self._matched.get(key)
+        if hit is None:
+            hit = self._matched[key] = matches_normalized(pattern, norm,
+                                                          var.lower() if var else None)
+        return hit
+
+    def accepts(self, slot, text, var=None) -> bool:
+        """True when some filler pattern of the slot matches the text."""
+        return any(self.matches(f.pattern, text, var) for f in slot.fillers)
+
+
+def _line(candidate):
+    return candidate[1]
 
 
 def _slot_candidates(index: ProgramIndex, instance: PlanInstance, slot_name: str):
-    """Candidate (node, line, text, category) tuples a slot may bind to."""
+    """Candidate (node, line, text, category) tuples a slot may bind to, by
+    line."""
     var = instance.variable
-    if slot_name == "name" and var:
-        d = index.decls.get(var)
-        return [(d, d.line, d.name, "decl")] if d else []
-    if slot_name == "type" and var:
-        d = index.decls.get(var)
-        return [(d, d.line, d.type, "decl")] if d else []
-    if slot_name == "initialization" and var:
-        return [(s, s.line, fe.node_text(s), "stmt") for s in index.init_candidates(var)]
-    if slot_name in ("update", "counter-update") and var:
-        return [(s, s.line, fe.node_text(s), "stmt") for s in index.update_candidates(var)]
-    if slot_name == "read" and var:
-        return [(s, s.line, fe.node_text(s), "stmt") for s in index.read_candidates(var)]
-    if slot_name == "result" and var:
-        return [(s, s.line, fe.node_text(s), "stmt")
-                for s in index.defs.get(var, []) if isinstance(s, fe.Assign)]
-    if slot_name == "output" and var:
-        return [(s, s.line, fe.node_text(s), "stmt") for s in index.outputs.get(var, [])]
     if slot_name == "context":
         loops = []
         for b in instance.bindings.values():
@@ -362,21 +417,14 @@ def _slot_candidates(index: ProgramIndex, instance: PlanInstance, slot_name: str
                 loop = index.loop_of(s)
                 if loop is not None and loop not in loops:
                     loops.append(loop)
-        return [(l, l.line, fe.loop_keyword(l), "loop") for l in loops]
+        return sorted(((l, l.line, fe.loop_keyword(l), "loop") for l in loops), key=_line)
     if slot_name in _LOOP_SLOTS:
-        return _loop_slot_candidates(index, slot_name)
+        return index.loop_candidates[slot_name]
+    if slot_name == "counter-update":
+        slot_name = "update"
+    if var and slot_name in index.candidates:
+        return index.candidates[slot_name].get(var, [])
     return []
-
-
-def _loop_slot_candidates(index: ProgramIndex, slot_name: str):
-    if slot_name == "body":
-        return [(l, l.line, fe.loop_keyword(l), "loop") for l in index.loops]
-    if slot_name == "loop":
-        return [(l, l.line, fe.loop_form(l), "loop") for l in index.loops]
-    if slot_name == "test":
-        return [(l, fe.test_line(l), fe.expr_text(l.cond), "cond")
-                for l in index.loops if isinstance(l, (fe.Repeat, fe.While))]
-    return [(l, l.line, "for", "loop") for l in index.loops if isinstance(l, fe.For)]
 
 
 # --- instantiation ------------------------------------------------------------
@@ -384,16 +432,18 @@ def _loop_slot_candidates(index: ProgramIndex, slot_name: str):
 def instantiate(kb: KnowledgeBase, index: ProgramIndex, activations,
                 defuse: rel.DefUse):
     """Bind activated schemas to AST nodes; return (instances, expectations).
-    Variable plans are bound per declared variable; every other active
-    schema without a kind-of parent is bound per loop."""
+    Variable plans are bound per declared variable that one of their code
+    slots can fill; every other active schema without a kind-of parent is
+    bound per loop."""
     active = {a.schema: a for a in activations}
     instances: list[PlanInstance] = []
     roots = []
     for schema in kb.schemas:
         if schema.name not in active:
             continue
-        if schema.kind in (VARIABLE, CONTROL) and _CODE_SLOTS & {s.name for s in schema.slots}:
-            for var in sorted(index.decls):
+        code_slots = [s for s in schema.slots if s.name in _CODE_SLOTS]
+        if schema.kind in (VARIABLE, CONTROL) and code_slots:
+            for var in sorted(_fillable(index, code_slots)):
                 inst = _bind_variable_plan(kb, schema, var, index, defuse)
                 if inst is not None:
                     instances.append(inst)
@@ -408,14 +458,34 @@ def instantiate(kb: KnowledgeBase, index: ProgramIndex, activations,
     return instances, expectations
 
 
+def _fillable(index, code_slots):
+    """Declared variables some candidate statement of a code slot can fill:
+    the statements are walked once per slot, not once per variable."""
+    out = set()
+    for slot in code_slots:
+        for var, candidates in index.candidates[slot.name].items():
+            if var not in out and var in index.decls and any(
+                    index.accepts(slot, text, var) for _, _, text, _ in candidates):
+                out.add(var)
+    return out
+
+
+# code slots first: a plan none of them fills is not bound at all, so the
+# other slots only ever join a code binding
+_BIND_ORDER = ("update", "read", "result", "initialization", "output",
+               "context", "name", "type")
+
+
+def _bind_order(slot):
+    return _BIND_ORDER.index(slot.name) if slot.name in _BIND_ORDER else len(_BIND_ORDER)
+
+
 def _bind_variable_plan(kb, schema, var, index, defuse):
     inst = PlanInstance(schema.name, schema.kind, var,
                         mandatory=tuple(s.name for s in schema.slots if s.mandatory))
-    order = ("update", "read", "result", "initialization", "output",
-             "context", "name", "type")
-    slots = sorted(schema.slots, key=lambda s: order.index(s.name)
-                   if s.name in order else len(order))
-    for slot in slots:
+    for slot in sorted(schema.slots, key=_bind_order):
+        if not inst.bindings and slot.name not in _CODE_SLOTS:
+            return None
         candidates = _slot_candidates(index, inst, slot.name)
         update = inst.bindings.get("update")
         if (slot.name == "initialization" and update is not None
@@ -424,18 +494,16 @@ def _bind_variable_plan(kb, schema, var, index, defuse):
             # reach it along some def-clear path
             candidates = [c for c in candidates
                           if update.line in defuse.chains.get((var, c[1]), set())]
-        bound = _first_filling(slot, candidates, var)
+        bound = _first_filling(index, slot, candidates, var)
         if bound is not None:
             inst.bindings[slot.name] = bound
-    if not (_CODE_SLOTS & set(inst.bindings)):
-        return None
-    return inst
+    return inst if inst.bindings else None
 
 
-def _first_filling(slot, candidates, var):
+def _first_filling(index, slot, candidates, var):
     """Binding for the first candidate, by line, that matches a filler."""
-    for node, line, text, category in sorted(candidates, key=lambda c: c[1]):
-        if slot.accepts(text, var):
+    for node, line, text, category in candidates:
+        if index.accepts(slot, text, var):
             return Binding(node, line, text, category)
     return None
 
@@ -473,7 +541,7 @@ def _loop_plans(kb, index, roots, var_instances):
             if b.category == "stmt" and slot != "initialization":
                 for loop in index.enclosing.get(id(b.node), ()):
                     working.setdefault(id(loop), {})[id(inst)] = inst
-    loop_candidates = {name: {id(c[0]): [c] for c in _loop_slot_candidates(index, name)}
+    loop_candidates = {name: {id(c[0]): [c] for c in index.loop_candidates[name]}
                        for name in _LOOP_SLOTS}
     out = []
     for root in roots:
@@ -501,7 +569,7 @@ def _loop_plans(kb, index, roots, var_instances):
                 candidates = (loop_candidates[slot.name].get(id(loop), [])
                               if slot.name in _LOOP_SLOTS
                               else _slot_candidates(index, inst, slot.name))
-                bound = _first_filling(slot, candidates, inst.variable)
+                bound = _first_filling(index, slot, candidates, inst.variable)
                 if bound is not None:
                     inst.bindings[slot.name] = bound
             if not (inst.bindings or inst.children) or not inst.complete:
@@ -565,7 +633,7 @@ def verify_expectations(expectations, index: ProgramIndex):
         if not candidates:
             continue
         matching = [line for _, line, text, _ in candidates
-                    if pattern_matches(exp.pattern, text, var=exp.instance.variable)]
+                    if index.matches(exp.pattern, text, exp.instance.variable)]
         if matching:
             exp.state = VERIFIED
             exp.resolved_line = min(matching)
@@ -591,7 +659,7 @@ def evaluate_coherence(instances, defuse: rel.DefUse, index: ProgramIndex,
             continue
         for slot_name, binding in sorted(inst.bindings.items()):
             slot = schema.slot(slot_name)
-            ok = slot is not None and slot.accepts(binding.text, inst.variable)
+            ok = slot is not None and index.accepts(slot, binding.text, inst.variable)
             report.internal.append(InternalEntry(inst.label, slot_name,
                                                  "filler-match", ok, binding.line))
         if "initialization" in inst.bindings and "update" in inst.bindings:
@@ -608,11 +676,12 @@ def evaluate_coherence(instances, defuse: rel.DefUse, index: ProgramIndex,
         if (inst.kind == VARIABLE and "initialization" in inst.mandatory
                 and "initialization" not in inst.bindings and inst.variable):
             slot = schema.slot("initialization")
-            for cand in index.init_candidates(inst.variable):
-                if not slot.accepts(fe.node_text(cand), inst.variable):
+            for _, line, text, _ in index.candidates["initialization"].get(
+                    inst.variable, ()):
+                if not index.accepts(slot, text, inst.variable):
                     report.internal.append(InternalEntry(
                         inst.label, "initialization", "initialization-filler",
-                        False, cand.line))
+                        False, line))
 
     simulation = None
     loops = {id(inst): _instance_loops(inst, index) for inst in instances}

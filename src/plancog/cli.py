@@ -8,6 +8,7 @@ including the error document on analysis failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -53,7 +54,10 @@ def _read(path):
         raise PlancogError(f"cannot read {path}: not UTF-8 text") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state
+    on it."""
     # global flags are accepted both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--kb", dest="kb_path", metavar="FILE",

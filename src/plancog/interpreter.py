@@ -1,13 +1,14 @@
 """Concrete simulation of mini-Pascal programs.
 
 Execution is deterministic: inputs are supplied up front, every assignment
-and READLN appends a trace event, arithmetic is 64-bit-checked, and a step
-budget turns non-termination into an explicit error status instead of a
-hang.
+and READLN appends a trace event, integer arithmetic is 64-bit-checked and
+real arithmetic must stay finite, and a step budget turns non-termination
+into an explicit error status instead of a hang.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import frontend as fe
@@ -171,7 +172,7 @@ class _Machine:
             if expr.op == "-":
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise _Halt("type-error", line)
-                return self.check_int(-value, line)
+                return self.check_number(-value, line)
             if not isinstance(value, bool):
                 raise _Halt("type-error", line)
             return not value
@@ -200,15 +201,15 @@ class _Machine:
             if isinstance(operand, bool) or not isinstance(operand, (int, float)):
                 raise _Halt("type-error", line)
         if op == "+":
-            return self.check_int(left + right, line)
+            return self.check_number(left + right, line)
         if op == "-":
-            return self.check_int(left - right, line)
+            return self.check_number(left - right, line)
         if op == "*":
-            return self.check_int(left * right, line)
+            return self.check_number(left * right, line)
         if op == "/":
             if right == 0:
                 raise _Halt("division-by-zero", line)
-            return left / right
+            return self.check_number(left / right, line)
         if op in ("div", "mod"):
             if not isinstance(left, int) or not isinstance(right, int):
                 raise _Halt("type-error", line)
@@ -219,13 +220,18 @@ class _Machine:
             if (left < 0) != (right < 0):
                 quotient = -quotient
             if op == "div":
-                return self.check_int(quotient, line)
-            return self.check_int(left - quotient * right, line)
+                return self.check_number(quotient, line)
+            return self.check_number(left - quotient * right, line)
         raise TypeError(f"unknown operator {op!r}")
 
-    def check_int(self, value, line):
-        if isinstance(value, int) and not INT_MIN <= value <= INT_MAX:
-            raise _Halt("integer-overflow", line)
+    def check_number(self, value, line):
+        """An arithmetic result: integers must fit 64 bits, reals must be
+        finite (an infinite or NaN REAL is an overflow, not a value)."""
+        if isinstance(value, int):
+            if not INT_MIN <= value <= INT_MAX:
+                raise _Halt("integer-overflow", line)
+        elif not math.isfinite(value):
+            raise _Halt("real-overflow", line)
         return value
 
 

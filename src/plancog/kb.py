@@ -12,6 +12,14 @@ statement text (lowercased, whitespace removed):
 * the bare words ``iteration``, ``repeat``, ``while`` and ``for`` match loop
   statements by their loop keyword (``iteration`` matches all three).
 
+Each pattern is compiled once per process, whatever the variable: the first
+``<v>`` is a captured group, later ones repeat it, and a match with a plan
+variable succeeds when the captured identifier is that variable. When the
+capture is another identifier (``<v>1<int>`` captures ``x1`` in ``x111``
+where the variable is ``x``), the pattern is matched once more with the
+variable's own text in place of ``<v>``; that regular expression is not
+kept here, so nothing held grows with the variables seen.
+
 ``~`` cues use substring matching for names and comments and whole-text
 pattern matching for initialization/update/loop forms.
 """
@@ -56,9 +64,10 @@ def pattern_ok(pattern: str) -> bool:
                for m in re.finditer(r"<([a-z]+)>", normalize(pattern)))
 
 
-@lru_cache(maxsize=None)
-def _compile(pattern: str, var: str | None) -> re.Pattern:
-    pattern = normalize(pattern)
+def _regex(pattern: str, var: str | None) -> str:
+    """Regular expression for a normalized pattern. With a variable, `<v>`
+    is that variable's text; without one, the first `<v>` captures an
+    identifier as group `v` and later ones must repeat it."""
     out = []
     pos = 0
     seen_v = False
@@ -67,7 +76,7 @@ def _compile(pattern: str, var: str | None) -> re.Pattern:
         tok = m.group()
         if tok == "<v>":
             if var is not None:
-                out.append(re.escape(var.lower()))
+                out.append(re.escape(var))
             elif not seen_v:
                 out.append(f"(?P<v>{_IDENT_RX})")
                 seen_v = True
@@ -79,17 +88,41 @@ def _compile(pattern: str, var: str | None) -> re.Pattern:
             out.append(r"\d+")
         pos = m.end()
     out.append(re.escape(pattern[pos:]))
-    return re.compile("".join(out) + r"\Z")
+    return "".join(out) + r"\Z"
 
 
-def pattern_matches(pattern: str, text: str, var: str | None = None) -> bool:
-    """Whole-text match of a filler/cue pattern against normalized text."""
+# keyed by pattern alone, so it holds one entry per library pattern whatever
+# the programs matched against them
+@lru_cache(maxsize=1024)
+def _compile(pattern: str) -> re.Pattern:
+    return re.compile(_regex(normalize(pattern), None))
+
+
+_IDENT = re.compile(_IDENT_RX + r"\Z")
+
+
+def matches_normalized(pattern: str, text: str, var: str | None = None) -> bool:
+    """`pattern_matches` for text already normalized and a variable already
+    lowercased (or None)."""
     if pattern in LOOP_WORDS:
-        word = re.match(r"[a-z]*", normalize(text)).group()
+        word = re.match(r"[a-z]*", text).group()
         if pattern == "iteration":
             return word in ("repeat", "while", "for")
         return word == pattern
-    return _compile(pattern, var.lower() if var else None).match(normalize(text)) is not None
+    m = _compile(pattern).match(text)
+    if var is None or (m is None and _IDENT.match(var)):
+        return m is not None
+    if m is not None and ("v" not in m.re.groupindex or m.group("v") == var):
+        return True
+    # the capture is another identifier (`<v>1<int>` on `x111` captures
+    # `x1`, yet var `x` fits too), or var is no identifier: write var in
+    return re.match(_regex(normalize(pattern), var), text) is not None
+
+
+def pattern_matches(pattern: str, text: str, var: str | None = None) -> bool:
+    """Whole-text match of a filler/cue pattern against statement text,
+    normalized here. `<v>` must be `var` when one is given."""
+    return matches_normalized(pattern, normalize(text), var.lower() if var else None)
 
 
 def instantiate_pattern(pattern: str, var: str) -> str | None:
@@ -118,10 +151,6 @@ class Slot:
             if f.prototypical:
                 return f
         return None
-
-    def accepts(self, text: str, var: str | None = None) -> bool:
-        """True when some filler pattern matches the text."""
-        return any(pattern_matches(f.pattern, text, var=var) for f in self.fillers)
 
 
 @dataclass

@@ -5,12 +5,16 @@ loop-back edge at most twice, and collects def-clear definition-to-use
 pairs by replaying the path. It shares no code with the fixpoint analysis
 it checks.
 
-The reference oracles are the straightforward versions of two optimised
+The reference oracles are the straightforward versions of three optimised
 steps, kept to compare against on every program: reaching definitions by
-round-robin passes over sets, and coherence pairing over all instance
-pairs.
+round-robin passes over sets, coherence pairing over all instance pairs,
+and filler matching with one regular expression per (pattern, variable).
 """
 
+import re
+from functools import lru_cache
+
+from plancog.kb import LOOP_WORDS, normalize
 from plancog.relations import LOOP_BACK, DefUse, node_defs, node_uses
 
 
@@ -145,3 +149,46 @@ def all_pairs_interactions(instances, defuse, loops):
             elif reached[id(left)] & lines[id(right)] or reached[id(right)] & lines[id(left)]:
                 related.append((left, right, "linked by a def-use chain"))
     return related
+
+
+_PATTERN_TOKEN = re.compile(r"<v>|<w>|<int>")
+_IDENT_RX = r"[a-z_][a-z0-9_]*"
+
+
+@lru_cache(maxsize=None)
+def _per_variable_compile(pattern, var):
+    pattern = normalize(pattern)
+    out = []
+    pos = 0
+    seen_v = False
+    for m in _PATTERN_TOKEN.finditer(pattern):
+        out.append(re.escape(pattern[pos:m.start()]))
+        tok = m.group()
+        if tok == "<v>":
+            if var is not None:
+                out.append(re.escape(var.lower()))
+            elif not seen_v:
+                out.append(f"(?P<v>{_IDENT_RX})")
+                seen_v = True
+            else:
+                out.append(r"(?P=v)")
+        elif tok == "<w>":
+            out.append(_IDENT_RX)
+        else:
+            out.append(r"\d+")
+        pos = m.end()
+    out.append(re.escape(pattern[pos:]))
+    return re.compile("".join(out) + r"\Z")
+
+
+def per_variable_pattern_matches(pattern, text, var=None):
+    """Whole-text match of a filler/cue pattern against normalized text, with
+    `<v>` compiled as the variable's own text: one regular expression per
+    (pattern, variable); the reference for `kb.pattern_matches`."""
+    if pattern in LOOP_WORDS:
+        word = re.match(r"[a-z]*", normalize(text)).group()
+        if pattern == "iteration":
+            return word in ("repeat", "while", "for")
+        return word == pattern
+    return _per_variable_compile(pattern, var.lower() if var else None).match(
+        normalize(text)) is not None

@@ -3,10 +3,11 @@ import re
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import all_pairs_interactions
+from oracles import all_pairs_interactions, per_variable_pattern_matches
 from plancog import activation as act
 from plancog import analysis as an
 from plancog import frontend as fe
+from plancog import kb as kblib
 from plancog import relations as rel
 from plancog.cli import corpus
 from plancog.kb import Cue, dump_kb, load_kb, pattern_matches
@@ -375,3 +376,63 @@ _PARTS = st.lists(st.tuples(st.sampled_from(["grey.mp", "orange.mp", "search.mp"
 def test_interaction_pairs_match_all_pairs_on_multi_loop_programs(builtin, parts):
     pairs, reference = _pairs_and_reference(fe.parse(_blocks_program(parts)), builtin)
     assert pairs == reference
+
+
+# --- work and memory of instantiation ----------------------------------------------
+
+def test_variable_plans_are_bound_only_where_a_code_slot_can_fill(grey, builtin,
+                                                                 monkeypatch):
+    calls = []
+    bind = act._bind_variable_plan
+
+    def counted(kb, schema, var, index, defuse):
+        calls.append((schema.name, var))
+        return bind(kb, schema, var, index, defuse)
+
+    monkeypatch.setattr(act, "_bind_variable_plan", counted)
+    rec = an.recognize(grey, builtin)
+    index = act.ProgramIndex(grey)
+    active = {a.schema for a in rec.activations}
+    expected, pairs = [], 0
+    for schema in builtin.schemas:
+        code_slots = [s for s in schema.slots if s.name in act._CODE_SLOTS]
+        if schema.name not in active or schema.kind not in ("variable", "control") \
+                or not code_slots:
+            continue
+        for var in sorted(index.decls):
+            pairs += 1
+            probe = act.PlanInstance(schema.name, schema.kind, var)
+            if any(per_variable_pattern_matches(f.pattern, text, var)
+                   for slot in code_slots
+                   for _, _, text, _ in act._slot_candidates(index, probe, slot.name)
+                   for f in slot.fillers):
+                expected.append((schema.name, var))
+    assert calls == expected
+    assert len(calls) < pairs
+
+
+def _module_cache_sizes():
+    """Entries held by each module-level cache or container of kb and
+    activation."""
+    sizes = {}
+    for module in (kblib, act):
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                sizes[module.__name__, name] = value.cache_info().currsize
+            elif isinstance(value, (dict, list, set)):
+                sizes[module.__name__, name] = len(value)
+    return sizes
+
+
+def test_no_module_level_cache_grows_with_program_content(builtin):
+    # every program declares variables no earlier one had
+    programs = [fe.parse(_blocks_program([("grey.mp", f"a{k}", False),
+                                          ("search.mp", f"b{k}", True),
+                                          ("flag.mp", f"c{k}", False)]))
+                for k in range(21)]
+    an.recognize(programs[0], builtin)
+    sizes = _module_cache_sizes()
+    assert any(name == "_compile" for _, name in sizes)
+    for program in programs[1:]:
+        assert an.recognize(program, builtin).instances
+    assert _module_cache_sizes() == sizes

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from plancog import kb as kblib
+from plancog import cli, kb as kblib
 from plancog.frontend import MAX_DEPTH
 from plancog.cli import corpus, corpus_path, main
 
@@ -34,6 +34,28 @@ def test_simulate_trace(capsys):
                            "--input", "5,99999", "--trace", "Count")
     assert code == 0
     assert "line 6" in out and "line 12" in out
+
+
+@pytest.mark.parametrize("step, line", [
+    ("X := X * 10.0", 6),
+    ("X := X + X", 6),
+    ("BEGIN Y := 0.0 - X;\n        X := X - Y END", 7),
+    ("X := X / 0.01", 6),
+], ids=["times", "plus", "minus", "divide"])
+def test_real_overflow_is_a_runtime_error(tmp_path, capsys, step, line):
+    # unchecked, this program printed [inf, nan] with status ok
+    path = tmp_path / "overflow.mp"
+    path.write_text("PROGRAM P(input, output);\nVAR X, Y: REAL; I: INTEGER;\nBEGIN\n"
+                    "    X := 10.0;\n    FOR I := 1 TO 1100 DO\n"
+                    f"        {step};\n    WRITELN(X);\n    WRITELN(X - X)\nEND.\n")
+    code, out, _ = run_cli(capsys, "simulate", str(path), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "runtime-error"
+    assert doc["error"] == {"kind": "real-overflow", "line": line}
+    assert doc["outputs"] == []
+    code, out, _ = run_cli(capsys, "simulate", str(path))
+    assert out == f"runtime error: real-overflow at line {line}\n"
 
 
 def test_kb_validate_bad_file(tmp_path, capsys):
@@ -68,6 +90,20 @@ def test_usage_errors_exit_2(capsys):
     assert main(["relations", corpus_path("grey.mp")]) == 2   # missing flags
     assert main(["--nonsense"]) == 2
     assert main(["--seed", "1", "parse", corpus_path("grey.mp")]) == 2
+
+
+def test_one_parser_serves_every_call(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    missing = run_cli(capsys, "relations", corpus_path("grey.mp"))
+    assert missing[0] == 2 and "required" in missing[2]
+    # flags of one call do not carry over to the next
+    code, out, _ = run_cli(capsys, "--json", "relations", corpus_path("grey.mp"),
+                           "--line", "12", "--kind", "data", "--step-budget", "5")
+    assert code == 0 and json.loads(out)["related"] == [6, 15]
+    code, out, _ = run_cli(capsys, "relations", corpus_path("grey.mp"),
+                           "--line", "12", "--kind", "data")
+    assert (code, out) == (0, "data relations of line 12: 6, 15\n")
+    assert run_cli(capsys, "relations", corpus_path("grey.mp")) == missing
 
 
 def test_analysis_error_exits_1(tmp_path, capsys):

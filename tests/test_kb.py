@@ -1,5 +1,9 @@
-import pytest
+import re
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import per_variable_pattern_matches
 from plancog import kb as kblib
 from plancog.errors import KbFormatError, KbValidationError
 
@@ -225,3 +229,108 @@ def test_link_queries_follow_link_order(builtin):
         ("For_Loop", "implementation"),
     ]
     assert builtin.uses("Counter_Variable") == []
+
+
+# --- pattern matching -------------------------------------------------------------
+
+def _library_patterns(kb):
+    """Every filler, pattern cue and rule binding pattern of a library."""
+    patterns = {f.pattern for s in kb.schemas for slot in s.slots for f in slot.fillers}
+    patterns |= {c.payload for r in kb.rules for c in r.conditions
+                 if c.kind in ("init", "update", "loopform")}
+    patterns |= {pattern for r in kb.rules for _, pattern in r.bindings}
+    return sorted(patterns)
+
+
+_NAMES = st.one_of(st.sampled_from(["x", "x1", "x11", "x111", "i", "I", "Sum", "a_b", "_t",
+                                    "count", "while", "for1"]),
+                   st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True))
+_INTS = st.from_regex(r"[0-9]{1,3}", fullmatch=True)
+
+
+@st.composite
+def _text_for(draw, pattern):
+    """Text made from a pattern: wildcards replaced by names and numbers, the
+    `<v>` occurrences mostly by one name; sometimes one character dropped or
+    added."""
+    v = draw(_NAMES)
+    out = []
+    for piece in re.split(r"(<v>|<w>|<int>)", pattern):
+        if piece == "<v>":
+            out.append(v if draw(st.integers(0, 5)) else draw(_NAMES))
+        elif piece == "<w>":
+            out.append(draw(_NAMES))
+        elif piece == "<int>":
+            out.append(draw(_INTS))
+        else:
+            out.append(piece)
+    text = "".join(out)
+    edit = draw(st.integers(0, 4))
+    if text and edit == 0:
+        at = draw(st.integers(0, len(text) - 1))
+        text = text[:at] + text[at + 1:]
+    elif edit == 1:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from("x1_ :=+")) + text[at:]
+    return text
+
+
+_PATTERNS = st.lists(st.sampled_from(["<v>", "<w>", "<int>", "x", "1", "_", "a", "9",
+                                      ":=", "+", "-", "*", "/", "(", ")", "<>", "<",
+                                      "=", " ", "readln", "while"]),
+                     min_size=1, max_size=6).map("".join)
+
+
+@st.composite
+def _matching_case(draw, patterns):
+    pattern = draw(patterns)
+    text = draw(st.one_of(_text_for(pattern),
+                          st.text("ax1_:=+<>() ", max_size=8)))
+    var = draw(st.one_of(st.none(), _NAMES))
+    # the variable is often a prefix of an identifier in the text
+    if var is not None and draw(st.booleans()):
+        names = re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text)
+        if names:
+            name = draw(st.sampled_from(names))
+            var = name[:draw(st.integers(1, len(name)))]
+    return pattern, text, var
+
+
+@settings(max_examples=400, deadline=None)
+@given(_matching_case(st.sampled_from(_library_patterns(kblib.builtin_kb()))))
+def test_library_patterns_match_as_per_variable_compilation(case):
+    pattern, text, var = case
+    assert kblib.pattern_matches(pattern, text, var) == \
+        per_variable_pattern_matches(pattern, text, var)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_matching_case(_PATTERNS))
+def test_generated_patterns_match_as_per_variable_compilation(case):
+    pattern, text, var = case
+    assert kblib.pattern_matches(pattern, text, var) == \
+        per_variable_pattern_matches(pattern, text, var)
+
+
+@pytest.mark.parametrize("pattern, text, var, expected", [
+    ("<v>1", "x11", "x1", True),
+    ("<v>1", "x11", "x", False),
+    ("<v>1<int>", "x111", "x", True),      # the first `<v>` tried is x1
+    ("<v>1<int>", "x111", "x1", True),
+    ("<v><w>", "ab", "ab", False),
+    ("<v>:=<v>+1", "X1:=x1+1", "X1", True),
+    ("<v>:=<v>+1", "x1:=x11+1", "x1", False),
+    ("<v>:=0", "1x:=0", "1x", True),      # a variable that is no identifier
+    ("<w>:=<int>", "count:=10", "anything", True),
+])
+def test_ambiguous_variable_splits(pattern, text, var, expected):
+    assert kblib.pattern_matches(pattern, text, var) is expected
+    assert per_variable_pattern_matches(pattern, text, var) is expected
+
+
+def test_patterns_compile_once_whatever_the_variable():
+    kblib.pattern_matches("<v>:=<v>+<w>", "n:=n+k")
+    before = kblib._compile.cache_info().currsize
+    for i in range(50):
+        assert kblib.pattern_matches("<v>:=<v>+<w>", f"v{i}:=v{i}+k", f"v{i}")
+    assert kblib._compile.cache_info().currsize == before
