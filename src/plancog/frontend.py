@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 from .errors import AnalysisError, LexError, ParseError
 
@@ -642,7 +643,9 @@ def expr_text(expr) -> str:
     if isinstance(expr, IntLit):
         return str(expr.value)
     if isinstance(expr, RealLit):
-        return repr(expr.value)
+        # shortest round-trip digits, positional: the lexer reads no exponent
+        text = format(Decimal(repr(expr.value)), "f")
+        return text if "." in text else text + ".0"
     if isinstance(expr, BoolLit):
         return "true" if expr.value else "false"
     if isinstance(expr, VarRef):

@@ -24,19 +24,22 @@ def brute_force_def_use(cfg, max_unrollings=2):
     for src, dst, label in cfg.edges:
         succs[src].append((dst, label, (src, dst)))
     by_id = {n.id: n for n in cfg.nodes}
+    # each node's facts once: a program has thousands of paths through it
+    uses = {n.id: node_uses(n) for n in cfg.nodes}
+    defs = {n.id: node_defs(n) for n in cfg.nodes}
     chains = {}
     uninit = set()
 
     def replay(path):
         live = {}
         for nid in path:
-            node = by_id[nid]
-            for var in node_uses(node):
+            line = by_id[nid].line
+            for var in uses[nid]:
                 if var in live:
-                    chains.setdefault((var, by_id[live[var]].line), set()).add(node.line)
+                    chains.setdefault((var, by_id[live[var]].line), set()).add(line)
                 else:
-                    uninit.add((var, node.line))
-            for var in node_defs(node):
+                    uninit.add((var, line))
+            for var in defs[nid]:
                 live[var] = nid
 
     def walk(node, path, back_counts):

@@ -173,6 +173,21 @@ def test_pretty_print_empty_body_two_lines():
     assert len(text.strip().splitlines()) == 2
 
 
+@pytest.mark.parametrize("literal, text", [
+    ("10000000000000000.0", "10000000000000000.0"),
+    ("0.00001", "0.00001"),
+    ("123456789012345678901.5", "123456789012345680000.0"),
+    ("2.50", "2.5"),
+])
+def test_real_literals_print_positionally(literal, text):
+    # shortest round-trip digits, never an exponent, which the lexer rejects
+    program = fe.parse(f"PROGRAM P;\nVAR r: REAL;\nBEGIN\n    r := {literal}\nEND.\n")
+    assert fe.expr_text(program.body[0].expr) == text
+    printed = fe.pretty_print(program)
+    assert f"    r := {text};\n" in printed
+    assert fe.parse(printed).body[0].expr.value == program.body[0].expr.value
+
+
 def test_pretty_print_orange_preserves_structure(orange, orange_src):
     # structural-equality oracle comparing ASTs node by node
     printed = fe.pretty_print(orange)
@@ -217,17 +232,35 @@ def test_blank_line_rejects_non_statements(grey_src):
 
 _NAMES = ["Alpha", "Beta", "Gamma", "Delta"]
 _WIDE_NAMES = _NAMES + ["Eps", "Zeta", "Eta", "Theta", "Iota", "Kappa"]
+_TYPED_NAMES = _NAMES + ["Ratio", "Done"]    # _program declares Ratio REAL, Done BOOLEAN
+
+_BINARY_OPS = ["+", "-", "*", "/", "DIV", "MOD", "AND", "OR",
+               "=", "<>", "<", "<=", ">", ">="]
+
+# REAL literals as written in source, including values of at least 1e16 and at
+# most 1e-5, whose shortest repr uses an exponent
+_REAL = st.tuples(
+    st.one_of(st.integers(0, 999), st.integers(10 ** 16, 10 ** 24)),
+    st.one_of(st.text("0123456789", min_size=1, max_size=6),
+              st.tuples(st.integers(5, 12), st.integers(1, 999))
+                .map(lambda t: "0" * t[0] + str(t[1]))),
+).map(lambda t: f"{t[0]}.{t[1]}")
 
 
 def _expr(depth, names=_NAMES):
-    leaf = st.one_of(st.integers(0, 999).map(str), st.sampled_from(names))
+    """Source text of an expression of any form, nested up to `depth`;
+    operands are parenthesized or not, so precedence decides the tree."""
+    leaf = st.one_of(st.integers(0, 999).map(str), st.sampled_from(names),
+                     st.sampled_from(["TRUE", "FALSE"]), _REAL)
     if depth <= 0:
         return leaf
     sub = _expr(depth - 1, names)
     return st.one_of(
         leaf,
-        st.tuples(sub, st.sampled_from(["+", "-", "*", "DIV"]), sub)
-          .map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(["-", "NOT "]), sub, st.booleans()).map(
+            lambda t: f"{t[0]}({t[1]})" if t[2] else f"{t[0]}{t[1]}"),
+        st.tuples(sub, st.sampled_from(_BINARY_OPS), sub, st.booleans()).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})" if t[3] else f"{t[0]} {t[1]} {t[2]}"),
     )
 
 
@@ -263,17 +296,20 @@ def _program(stmts, names=_NAMES):
     body = ";\n    ".join(stmts)
     return ("PROGRAM Rand(input, output);\n"
             f"VAR {', '.join(names)}: INTEGER;\n"
+            "    Ratio: REAL;\n"
+            "    Done: BOOLEAN;\n"
             "BEGIN\n    " + body + ";\nEND.")
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_stmt(2), min_size=1, max_size=6))
+@given(st.lists(_stmt(2, _TYPED_NAMES), min_size=1, max_size=6))
 def test_generated_programs_round_trip(stmts):
     program = fe.parse(_program(stmts))
     printed = fe.pretty_print(program)
-    assert fe.structurally_equal(fe.parse(printed), program)
+    again = fe.parse(printed)
+    assert fe.structurally_equal(again, program)
     # canonical form is a fixpoint of the printer
-    assert fe.pretty_print(fe.parse(printed)) == printed
+    assert fe.pretty_print(again) == printed
 
 
 @settings(max_examples=100, deadline=None)
