@@ -11,7 +11,7 @@ tokens and collected per program.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from decimal import Decimal
 
 from .errors import AnalysisError, LexError, ParseError
@@ -640,30 +640,38 @@ def enclosing_loops(program: Program) -> dict[int, list]:
 
 def expr_text(expr) -> str:
     """Compact, case-preserving rendering used for cue payloads and display."""
+    return _render(expr, False)
+
+
+def _render(expr, canonical):
+    """An expression as compact cue text (`a+b div 2`, `not done`) or, when
+    `canonical`, in the pretty printer's layout (`a + b DIV 2`, `NOT done`);
+    operands are parenthesized only where precedence requires it."""
     if isinstance(expr, IntLit):
         return str(expr.value)
     if isinstance(expr, RealLit):
         # shortest round-trip digits, positional: the lexer reads no exponent
         text = format(Decimal(repr(expr.value)), "f")
         return text if "." in text else text + ".0"
+    case = str.upper if canonical else str
     if isinstance(expr, BoolLit):
-        return "true" if expr.value else "false"
+        return case("true" if expr.value else "false")
     if isinstance(expr, VarRef):
         return expr.name
     if isinstance(expr, Unary):
-        inner = expr_text(expr.operand)
+        inner = _render(expr.operand, canonical)
         if isinstance(expr.operand, Binary):
             inner = f"({inner})"
-        return f"{expr.op}{inner}" if expr.op == "-" else f"not {inner}"
+        return f"-{inner}" if expr.op == "-" else f"{case('not')} {inner}"
     if isinstance(expr, Binary):
-        left = expr_text(expr.left)
-        right = expr_text(expr.right)
+        left = _render(expr.left, canonical)
+        right = _render(expr.right, canonical)
         if isinstance(expr.left, Binary) and _prec(expr.left.op) < _prec(expr.op):
             left = f"({left})"
         if isinstance(expr.right, Binary) and _prec(expr.right.op) <= _prec(expr.op):
             right = f"({right})"
-        pad = " " if expr.op in ("div", "mod", "and", "or") else ""
-        return f"{left}{pad}{expr.op}{pad}{right}"
+        pad = " " if canonical or expr.op.isalpha() else ""
+        return f"{left}{pad}{case(expr.op)}{pad}{right}"
     raise TypeError(f"not an expression: {expr!r}")
 
 
@@ -689,26 +697,6 @@ def node_text(stmt) -> str:
 
 
 # --- pretty printer ----------------------------------------------------
-
-def _expr_pretty(expr) -> str:
-    if isinstance(expr, Binary):
-        left = _expr_pretty(expr.left)
-        right = _expr_pretty(expr.right)
-        if isinstance(expr.left, Binary) and _prec(expr.left.op) < _prec(expr.op):
-            left = f"({left})"
-        if isinstance(expr.right, Binary) and _prec(expr.right.op) <= _prec(expr.op):
-            right = f"({right})"
-        op = expr.op.upper() if expr.op in ("div", "mod", "and", "or") else expr.op
-        return f"{left} {op} {right}"
-    if isinstance(expr, Unary):
-        inner = _expr_pretty(expr.operand)
-        if isinstance(expr.operand, Binary):
-            inner = f"({inner})"
-        return f"-{inner}" if expr.op == "-" else f"NOT {inner}"
-    if isinstance(expr, BoolLit):
-        return "TRUE" if expr.value else "FALSE"
-    return expr_text(expr)
-
 
 def pretty_print(program: Program) -> str:
     """Render a program in the canonical layout; reparsing the result yields a
@@ -740,29 +728,29 @@ def pretty_print(program: Program) -> str:
 def _stmt_lines(stmt, indent, terminator):
     pad = " " * indent
     if isinstance(stmt, Assign):
-        return [f"{pad}{stmt.target} := {_expr_pretty(stmt.expr)}{terminator}"]
+        return [f"{pad}{stmt.target} := {_render(stmt.expr, True)}{terminator}"]
     if isinstance(stmt, Readln):
         return [f"{pad}READLN({stmt.var}){terminator}"]
     if isinstance(stmt, Writeln):
-        return [f"{pad}WRITELN({_expr_pretty(stmt.expr)}){terminator}"]
+        return [f"{pad}WRITELN({_render(stmt.expr, True)}){terminator}"]
     if isinstance(stmt, Hole):
         return [f"{pad}{{ blank }}"]
     if isinstance(stmt, Repeat):
         out = [f"{pad}REPEAT"]
         for s in stmt.body:
             out.extend(_stmt_lines(s, indent + 4, ";"))
-        out.append(f"{pad}UNTIL {_expr_pretty(stmt.cond)}{terminator}")
+        out.append(f"{pad}UNTIL {_render(stmt.cond, True)}{terminator}")
         return out
     if isinstance(stmt, While):
-        out = [f"{pad}WHILE {_expr_pretty(stmt.cond)} DO"]
+        out = [f"{pad}WHILE {_render(stmt.cond, True)} DO"]
         out.extend(_stmt_lines(stmt.body, indent + 4, terminator))
         return out
     if isinstance(stmt, For):
-        out = [f"{pad}FOR {stmt.var} := {_expr_pretty(stmt.start)} TO {_expr_pretty(stmt.stop)} DO"]
+        out = [f"{pad}FOR {stmt.var} := {_render(stmt.start, True)} TO {_render(stmt.stop, True)} DO"]
         out.extend(_stmt_lines(stmt.body, indent + 4, terminator))
         return out
     if isinstance(stmt, If):
-        out = [f"{pad}IF {_expr_pretty(stmt.cond)} THEN"]
+        out = [f"{pad}IF {_render(stmt.cond, True)} THEN"]
         if stmt.otherwise is None:
             out.extend(_stmt_lines(stmt.then, indent + 4, terminator))
         else:
@@ -781,44 +769,23 @@ def _stmt_lines(stmt, indent, terminator):
 
 # --- structural equality ------------------------------------------------
 
+_POSITIONS = frozenset({"line", "until_line", "comments"})
+
+
 def structurally_equal(a, b) -> bool:
-    """Node-for-node equality ignoring line numbers and identifier case."""
-    return _shape(a) == _shape(b)
-
-
-def _shape(node):
-    if isinstance(node, Program):
-        return ("program", node.name.lower(), tuple(p.lower() for p in node.params),
-                tuple((d.name.lower(), d.type) for d in node.declarations),
-                tuple(_shape(s) for s in node.body))
-    if isinstance(node, Assign):
-        return ("assign", node.target.lower(), _shape(node.expr))
-    if isinstance(node, Readln):
-        return ("readln", node.var.lower())
-    if isinstance(node, Writeln):
-        return ("writeln", _shape(node.expr))
-    if isinstance(node, Repeat):
-        return ("repeat", tuple(_shape(s) for s in node.body), _shape(node.cond))
-    if isinstance(node, While):
-        return ("while", _shape(node.cond), _shape(node.body))
-    if isinstance(node, For):
-        return ("for", node.var.lower(), _shape(node.start), _shape(node.stop), _shape(node.body))
-    if isinstance(node, If):
-        return ("if", _shape(node.cond), _shape(node.then),
-                None if node.otherwise is None else _shape(node.otherwise))
-    if isinstance(node, Compound):
-        return ("compound", tuple(_shape(s) for s in node.body))
-    if isinstance(node, Hole):
-        return ("hole",)
-    if isinstance(node, VarRef):
-        return ("var", node.name.lower())
-    if isinstance(node, (IntLit, RealLit, BoolLit)):
-        return ("lit", node.value)
-    if isinstance(node, Unary):
-        return ("unary", node.op, _shape(node.operand))
-    if isinstance(node, Binary):
-        return ("binary", node.op, _shape(node.left), _shape(node.right))
-    raise TypeError(f"unexpected node {node!r}")
+    """Node-for-node equality of node types and dataclass fields, ignoring
+    line numbers, comments and the case of names; a literal equals only a
+    literal of the same kind and value."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(structurally_equal, a, b))
+    if is_dataclass(a):
+        return all(structurally_equal(getattr(a, f.name), getattr(b, f.name))
+                   for f in fields(a) if f.name not in _POSITIONS)
+    if isinstance(a, str):
+        return a.lower() == b.lower()
+    return a == b
 
 
 # --- blanking -----------------------------------------------------------
@@ -831,35 +798,8 @@ def blank_line(source: str, line: int) -> BlankedProgram:
     if line < 1 or line > last_line:
         raise AnalysisError(f"line {line} out of range")
     target = statement_at(program, line)
-    if target is None or not isinstance(target, (Assign, Readln, Writeln)):
+    if not isinstance(target, (Assign, Readln, Writeln)):
         raise AnalysisError(f"line {line} is not a blankable statement")
-    context = copy.deepcopy(program)
-    _replace(context.body, line)
+    # the copy takes the hole in place of the statement
+    context = copy.deepcopy(program, {id(target): Hole(line)})
     return BlankedProgram(source, line, context)
-
-
-def _replace(stmts, line):
-    for i, s in enumerate(stmts):
-        if s.line == line and isinstance(s, (Assign, Readln, Writeln)):
-            stmts[i] = Hole(line)
-            return True
-        if isinstance(s, Repeat) and _replace(s.body, line):
-            return True
-        if isinstance(s, Compound) and _replace(s.body, line):
-            return True
-        if isinstance(s, (While, For)):
-            wrapper = [s.body]
-            if _replace(wrapper, line):
-                s.body = wrapper[0]
-                return True
-        if isinstance(s, If):
-            wrapper = [s.then]
-            if _replace(wrapper, line):
-                s.then = wrapper[0]
-                return True
-            if s.otherwise is not None:
-                wrapper = [s.otherwise]
-                if _replace(wrapper, line):
-                    s.otherwise = wrapper[0]
-                    return True
-    return False

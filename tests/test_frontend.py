@@ -202,6 +202,28 @@ def test_structural_equality_ignores_case_and_lines():
     assert not fe.structurally_equal(a, c)
 
 
+_EQ_HEAD = "PROGRAM P;\nVAR x: INTEGER; r: REAL; b: BOOLEAN;\nBEGIN\n"
+
+
+@pytest.mark.parametrize("left, right, equal", [
+    ("b := TRUE", "b := 1", False),
+    ("x := 2", "x := 2.0", False),
+    ("x := 1 + 2", "x := 2 + 1", False),
+    ("WRITELN(x)", "WRITELN(r)", False),
+    ("r := 2.0", "r := 2.00", True),
+    ("b := NOT TRUE", "B := not true", True),
+    ("x := x DIV 2", "X := x div 2", True),
+    ("x := 2", "\n\n    x := 2 { two }", True),
+    ("REPEAT x := 1 UNTIL b", "REPEAT\n    x := 1\nUNTIL\n    b", True),
+])
+def test_structural_equality_cases(left, right, equal):
+    # literals differ by kind as well as value; case, lines and comments do
+    # not count
+    a = fe.parse(f"{_EQ_HEAD}{left}\nEND.")
+    b = fe.parse(f"{_EQ_HEAD}{right}\nEND.")
+    assert fe.structurally_equal(a, b) is equal
+
+
 def test_blank_line_grey(grey_src):
     blanked = fe.blank_line(grey_src, 6)
     assert blanked.blank_line == 6
@@ -368,6 +390,21 @@ BEGIN
     END
 END.
 """
+
+
+@pytest.mark.parametrize("line", [4, 5, 6, 8, 11, 13, 15, 17, 19])
+def test_blank_line_replaces_nested_statements(line):
+    # a loop, IF or block body is blanked in place, and nothing else changes
+    before = list(fe.walk_statements(fe.parse(_FACTS_SOURCE).body))
+    after = list(fe.walk_statements(fe.blank_line(_FACTS_SOURCE, line).context.body))
+    assert [s.line for s in after] == [s.line for s in before]
+    for old, new in zip(before, after):
+        if old.line == line:
+            assert isinstance(new, fe.Hole)
+        else:
+            assert type(new) is type(old)
+            if isinstance(old, fe.SIMPLE_KINDS):
+                assert fe.node_text(new) == fe.node_text(old)
 
 
 @pytest.mark.parametrize("line, kind, defined, used, nested, loop", [
