@@ -11,6 +11,7 @@ tokens and collected per program.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from decimal import Decimal
 
@@ -245,6 +246,12 @@ class BlankedProgram:
 SIMPLE_KINDS = (Assign, Readln, Writeln, Hole)
 LOOP_KINDS = (Repeat, While, For)
 
+# The INTEGER range. A literal outside it is a syntax error (so the smallest
+# value can only be computed), and the interpreter ends a run whose values
+# leave it.
+INT_MIN = -(2 ** 63)
+INT_MAX = 2 ** 63 - 1
+
 # The deepest nesting a program may have. The parser counts statements,
 # parentheses and unary operators it enters; the tree it returns counts
 # statements and expression nodes, every operator of a chain `1+1+...+1` one
@@ -472,11 +479,18 @@ class _Parser:
             self.depth -= 1
             return Unary("-" if tok.text == "-" else "not", operand, tok.line)
         if tok.kind == INT:
+            # 20 digits exceed INT_MAX, and int() refuses far longer ones
+            value = int(tok.text) if len(tok.text.lstrip("0")) < 20 else INT_MAX + 1
+            if value > INT_MAX:
+                self.fail("integer literal outside 64 bits")
             self.advance()
-            return IntLit(int(tok.text), tok.line)
+            return IntLit(value, tok.line)
         if tok.kind == REALLIT:
+            value = float(tok.text)
+            if math.isinf(value):
+                self.fail("real literal too large")
             self.advance()
-            return RealLit(float(tok.text), tok.line)
+            return RealLit(value, tok.line)
         if self.at_keyword("TRUE", "FALSE"):
             self.advance()
             return BoolLit(tok.text.upper() == "TRUE", tok.line)

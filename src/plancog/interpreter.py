@@ -1,9 +1,10 @@
 """Concrete simulation of mini-Pascal programs.
 
 Execution is deterministic: inputs are supplied up front, every assignment
-and READLN appends a trace event, integer arithmetic is 64-bit-checked and
-real arithmetic must stay finite, and a step budget turns non-termination
-into an explicit error status instead of a hang.
+and READLN appends a trace event, integer results and inputs are
+64-bit-checked and real results and inputs must stay finite, and a step
+budget turns non-termination into an explicit error status instead of a
+hang.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from dataclasses import dataclass, field
 
 from . import frontend as fe
 from .errors import AnalysisError
+from .frontend import INT_MAX, INT_MIN
 
 DEFAULT_STEP_BUDGET = 100_000
-INT_MIN = -(2 ** 63)
-INT_MAX = 2 ** 63 - 1
 
 OK = "ok"
 RUNTIME_ERROR = "runtime-error"
@@ -108,10 +108,13 @@ class _Machine:
                 raise _Halt("input-exhausted", s.line)
             value = self.inputs[self.cursor]
             self.cursor += 1
+            if isinstance(value, (int, float)):
+                # an input keeps the bounds of an arithmetic result
+                value = self.check_number(value, s.line)
             if self.types[s.var.lower()] == "integer" and isinstance(value, float):
                 if not value.is_integer():
                     raise _Halt("type-error", s.line)
-                value = int(value)
+                value = self.check_number(int(value), s.line)
             self.assign(s.var, value, s.line)
         elif isinstance(s, fe.Writeln):
             self.tick(s.line)

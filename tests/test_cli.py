@@ -334,3 +334,58 @@ def test_unparsable_programs_exit_1_with_one_json_document(tmp_path, capsys, sou
         code, out, _ = run_cli(capsys, *argv, "--json")
         assert code == 1, argv
         assert list(json.loads(out)) == ["error"]
+
+
+@pytest.mark.parametrize("literal", [
+    "9223372036854775808", "99999999999999999999999", "1" * 5000, "9" * 400 + ".0",
+], ids=["int-max-plus-1", "23-digits", "5000-digits", "400-digit-real"])
+def test_out_of_range_literals_are_syntax_errors(tmp_path, capsys, literal):
+    # unchecked, 23 digits and a 400-digit REAL simulated to
+    # ["99999999999999999999999", "inf"] with status ok; 5000 digits crashed
+    path = tmp_path / "p.mp"
+    path.write_text(_HEAD + f"    x := 1;\n    x := {literal}\nEND.\n")
+    for command in ("parse", "simulate"):
+        code, out, _ = run_cli(capsys, command, str(path), "--json")
+        assert code == 1
+        assert list(json.loads(out)) == ["error"]
+        assert json.loads(out)["error"].startswith("line 5: ")
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 5: ")
+
+
+def test_largest_integer_literal_parses(tmp_path, capsys):
+    path = tmp_path / "p.mp"
+    path.write_text(_HEAD + "    x := -9223372036854775807 - 1;\n    WRITELN(x);\n"
+                    "    x := 9223372036854775807;\n    WRITELN(x)\nEND.\n")
+    code, out, _ = run_cli(capsys, "simulate", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["outputs"] == ["-9223372036854775808", "9223372036854775807"]
+
+
+_READS = ("PROGRAM P(input, output);\nVAR x: INTEGER; r: REAL;\nBEGIN\n"
+          "    READLN(r);\n    READLN(x);\n    WRITELN(x)\nEND.\n")
+
+
+@pytest.mark.parametrize("inputs, error", [
+    ("1.5,9223372036854775807", None),
+    ("1.5,-9223372036854775808", None),
+    ("1.5,9223372036854775808", ("integer-overflow", 5)),
+    ("1.5,-9223372036854775809", ("integer-overflow", 5)),
+    ("1.5,10000000000000000000.0", ("integer-overflow", 5)),
+    ("99999999999999999999,1", ("integer-overflow", 4)),
+    ("1.5e400,1", ("real-overflow", 4)),
+], ids=["int-max", "int-min", "int-max-plus-1", "int-min-minus-1", "integral-real",
+        "long-int-into-real", "infinite-real"])
+def test_simulate_inputs_keep_arithmetic_bounds(tmp_path, capsys, inputs, error):
+    # unchecked, READLN stored each of these values and the run ended ok
+    path = tmp_path / "reads.mp"
+    path.write_text(_READS)
+    code, out, _ = run_cli(capsys, "simulate", str(path), "--input", inputs, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    if error is None:
+        assert (doc["status"], doc["outputs"]) == ("ok", [inputs.split(",")[1]])
+    else:
+        assert doc["status"] == "runtime-error"
+        assert doc["error"] == {"kind": error[0], "line": error[1]}

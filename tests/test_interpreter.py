@@ -132,6 +132,23 @@ def test_integer_overflow():
     assert result.error_kind == "integer-overflow"
 
 
+@pytest.mark.parametrize("target, value, kind", [
+    ("X", 2 ** 63, "integer-overflow"),
+    ("X", -(2 ** 63) - 1, "integer-overflow"),
+    ("X", 1e19, "integer-overflow"),
+    ("R", 2 ** 63, "integer-overflow"),
+    ("X", float("inf"), "real-overflow"),
+    ("R", float("-inf"), "real-overflow"),
+    ("R", float("nan"), "real-overflow"),
+])
+def test_readln_keeps_arithmetic_bounds(target, value, kind):
+    # an input outside 64 bits or not finite ends the run where it is read
+    program = fe.parse("PROGRAM P(input,output);\nVAR X: INTEGER; R: REAL;\nBEGIN\n"
+                       f"    X := 0;\n    READLN({target})\nEND.")
+    result = run.execute(program, [value])
+    assert (result.error_kind, result.error_line) == (kind, 5)
+
+
 def test_integer_division_semantics():
     program = fe.parse(
         "PROGRAM P(input,output);\nVAR A, B: INTEGER;\nVAR R: REAL;\nBEGIN\n"
