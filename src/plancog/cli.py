@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common], help="execute with concrete inputs")
     p.add_argument("file")
-    p.add_argument("--input", default="", metavar="N,N,...",
+    p.add_argument("--input", type=_parse_inputs, default="", metavar="N,N,...",
                    help="comma-separated input numbers")
     p.add_argument("--trace", metavar="VAR", default=None,
                    help="print the value trace of one variable")
@@ -284,8 +284,7 @@ def _cmd_chunk(args, config):
 
 def _cmd_simulate(args, config):
     program = frontend.parse(_read(args.file))
-    inputs = _parse_inputs(args.input)
-    result = interpreter.execute(program, inputs, config.step_budget)
+    result = interpreter.execute(program, args.input, config.step_budget)
     if config.output_mode == "json":
         doc = {"outputs": [interpreter.render_value(v) for v in result.outputs],
                "status": result.status, "steps": result.steps}
@@ -309,12 +308,17 @@ def _cmd_simulate(args, config):
 
 
 def _parse_inputs(text):
+    """The numbers of a comma-separated `--input` list; an item that is not a
+    number is a usage error."""
     values = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        values.append(float(part) if "." in part else int(part))
+        try:
+            values.append(float(part) if "." in part else int(part))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {part!r}") from None
     return values
 
 

@@ -36,6 +36,25 @@ def test_simulate_trace(capsys):
     assert "line 6" in out and "line 12" in out
 
 
+@pytest.mark.parametrize("item", ["abc", "1e400", "1.5.5"])
+def test_simulate_input_that_is_not_a_number_is_a_usage_error(capsys, item):
+    # each of these ended in a ValueError traceback
+    for mode in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "simulate", corpus_path("grey.mp"),
+                                 "--input", f"1, {item},2", *mode)
+        assert (code, out) == (2, "")
+        assert f"argument --input: not a number: '{item}'" in err
+
+
+def test_simulate_input_forms(capsys):
+    code, out, _ = run_cli(capsys, "simulate", corpus_path("grey.mp"), "--input=1,2,3,99999")
+    assert (code, out) == (0, "2.0\n")
+    code, out, _ = run_cli(capsys, "simulate", corpus_path("grey.mp"), "--input", "", "--json")
+    assert json.loads(out)["error"] == {"kind": "input-exhausted", "line": 8}
+    code, out, _ = run_cli(capsys, "simulate", corpus_path("grey.mp"), "--json")
+    assert json.loads(out)["error"] == {"kind": "input-exhausted", "line": 8}
+
+
 @pytest.mark.parametrize("step, line", [
     ("X := X * 10.0", 6),
     ("X := X + X", 6),
