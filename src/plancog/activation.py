@@ -648,7 +648,7 @@ def verify_expectations(expectations, index: ProgramIndex):
 # --- coherence ------------------------------------------------------------------
 
 def evaluate_coherence(instances, defuse: rel.DefUse, index: ProgramIndex,
-                       kb: KnowledgeBase, inputs=DEFAULT_SIMULATION_INPUTS,
+                       kb: KnowledgeBase,
                        step_budget: int = run.DEFAULT_STEP_BUDGET) -> CoherenceReport:
     """Internal checks per binding plus cross-plan interaction entries."""
     report = CoherenceReport()
@@ -691,11 +691,12 @@ def evaluate_coherence(instances, defuse: rel.DefUse, index: ProgramIndex,
             for inst in (left, right))
         if counter_in_loop:
             if simulation is None:
-                simulation = run.execute(index.program, list(inputs), step_budget)
+                simulation = run.execute(index.program, DEFAULT_SIMULATION_INPUTS,
+                                         step_budget)
             detail = _simulated_detail(left, right, simulation)
             report.external.append(ExternalEntry((left.label, right.label),
                                                  f"{how}; {detail}", "simulated",
-                                                 list(inputs)))
+                                                 list(DEFAULT_SIMULATION_INPUTS)))
         else:
             report.external.append(ExternalEntry((left.label, right.label),
                                                  how, "static"))

@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 from . import frontend as fe
 from . import interpreter as run
 from . import relations as rel
-from .activation import (DEFAULT_SIMULATION_INPUTS, PlanInstance, ProgramIndex,
-                         activate_with_trace, evaluate_coherence, extract_beacons,
-                         instantiate, verify_expectations)
+from .activation import (PlanInstance, ProgramIndex, activate_with_trace,
+                         evaluate_coherence, extract_beacons, instantiate,
+                         verify_expectations)
 from .errors import AnalysisError
 from .kb import VARIABLE, KnowledgeBase, builtin_kb, instantiate_pattern
 
@@ -33,7 +33,6 @@ class Recognition:
 
 
 def recognize(program: fe.Program, kb: KnowledgeBase | None = None, *,
-              inputs=DEFAULT_SIMULATION_INPUTS,
               step_budget: int = run.DEFAULT_STEP_BUDGET) -> Recognition:
     """Full pipeline: beacons, activation, instantiation, verification and
     coherence evaluation."""
@@ -45,8 +44,7 @@ def recognize(program: fe.Program, kb: KnowledgeBase | None = None, *,
     index = ProgramIndex(program)
     instances, expectations = instantiate(kb, index, activations, defuse)
     expectations = verify_expectations(expectations, index)
-    coherence = evaluate_coherence(instances, defuse, index, kb,
-                                   inputs=inputs, step_budget=step_budget)
+    coherence = evaluate_coherence(instances, defuse, index, kb, step_budget=step_budget)
     return Recognition(program, kb, cues, activations, firings, instances,
                        expectations, coherence, defuse, cfg, index)
 

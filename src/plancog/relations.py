@@ -213,10 +213,6 @@ class DefUse:
     chains: dict[tuple[str, int], set[int]]
     possibly_uninitialized: list[tuple[str, int]]
 
-    def defs_of(self, var):
-        var = var.lower()
-        return sorted(line for v, line in self.definitions if v == var)
-
     def uses_of(self, var):
         var = var.lower()
         return sorted(line for v, line in self.uses if v == var)
