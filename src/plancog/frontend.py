@@ -661,22 +661,10 @@ def _render(expr, canonical):
     """An expression as compact cue text (`a+b div 2`, `not done`) or, when
     `canonical`, in the pretty printer's layout (`a + b DIV 2`, `NOT done`);
     operands are parenthesized only where precedence requires it."""
-    if isinstance(expr, IntLit):
-        return str(expr.value)
-    if isinstance(expr, RealLit):
-        # shortest round-trip digits, positional: the lexer reads no exponent
-        text = format(Decimal(repr(expr.value)), "f")
-        return text if "." in text else text + ".0"
-    case = str.upper if canonical else str
-    if isinstance(expr, BoolLit):
-        return case("true" if expr.value else "false")
     if isinstance(expr, VarRef):
         return expr.name
-    if isinstance(expr, Unary):
-        inner = _render(expr.operand, canonical)
-        if isinstance(expr.operand, Binary):
-            inner = f"({inner})"
-        return f"-{inner}" if expr.op == "-" else f"{case('not')} {inner}"
+    if isinstance(expr, IntLit):
+        return str(expr.value)
     if isinstance(expr, Binary):
         left = _render(expr.left, canonical)
         right = _render(expr.right, canonical)
@@ -684,8 +672,23 @@ def _render(expr, canonical):
             left = f"({left})"
         if isinstance(expr.right, Binary) and _prec(expr.right.op) <= _prec(expr.op):
             right = f"({right})"
-        pad = " " if canonical or expr.op.isalpha() else ""
-        return f"{left}{pad}{case(expr.op)}{pad}{right}"
+        if canonical:
+            return f"{left} {expr.op.upper()} {right}"
+        return f"{left} {expr.op} {right}" if expr.op.isalpha() else f"{left}{expr.op}{right}"
+    if isinstance(expr, Unary):
+        inner = _render(expr.operand, canonical)
+        if isinstance(expr.operand, Binary):
+            inner = f"({inner})"
+        if expr.op == "-":
+            return f"-{inner}"
+        return f"NOT {inner}" if canonical else f"not {inner}"
+    if isinstance(expr, BoolLit):
+        text = "true" if expr.value else "false"
+        return text.upper() if canonical else text
+    if isinstance(expr, RealLit):
+        # shortest round-trip digits, positional: the lexer reads no exponent
+        text = format(Decimal(repr(expr.value)), "f")
+        return text if "." in text else text + ".0"
     raise TypeError(f"not an expression: {expr!r}")
 
 
