@@ -1,5 +1,6 @@
-"""Golden outputs: the --json output of every subcommand on the fixture
-corpus, compared byte for byte with tests/golden/<program>.json.
+"""Golden outputs: the output of every subcommand on the fixture corpus,
+compared byte for byte with tests/golden/<program>.json (--json mode) and
+tests/golden/<program>.text.json (text mode).
 
 The files pin behaviour that refactorings must keep. After an intended
 change of output, regenerate them from the repository root with
@@ -37,39 +38,54 @@ def requests(name, source):
     return out
 
 
-def capture(name, source):
-    """{argv text: {"exit", "stdout"}} for every request on one program; run
-    from the corpus directory so that outputs naming the file are portable."""
+def capture(name, source, mode="json"):
+    """{argv text: outcome} for every request on one program in output mode
+    `mode`: the exit code and stdout, plus stderr in "text" mode. Run from the
+    corpus directory so that outputs naming the file are portable."""
+    flags = ["--json"] if mode == "json" else []
     results = {}
     cwd = os.getcwd()
     os.chdir(Path(cli.corpus_path(name)).parent)
     try:
         for argv in requests(name, source):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main([*argv, "--json"])
-            results[" ".join(argv)] = {"exit": code, "stdout": out.getvalue()}
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([*argv, *flags])
+            outcome = {"exit": code, "stdout": out.getvalue()}
+            if mode == "text":
+                outcome["stderr"] = err.getvalue()
+            results[" ".join(argv)] = outcome
     finally:
         os.chdir(cwd)
     return results
 
 
-def golden_path(name):
-    return GOLDEN / (Path(name).stem + ".json")
+def golden_path(name, mode="json"):
+    return GOLDEN / (Path(name).stem + (".json" if mode == "json" else ".text.json"))
 
 
-@pytest.mark.parametrize("name", cli.CORPUS_FILES)
-def test_outputs_match_golden(name, corpus_sources):
-    expected = json.loads(golden_path(name).read_text(encoding="utf-8"))
-    actual = capture(name, corpus_sources[name])
+def check_golden(name, source, mode):
+    expected = json.loads(golden_path(name, mode).read_text(encoding="utf-8"))
+    actual = capture(name, source, mode)
     assert list(actual) == list(expected)
     differing = [request for request in expected if actual[request] != expected[request]]
     assert differing == []
 
 
+@pytest.mark.parametrize("name", cli.CORPUS_FILES)
+def test_outputs_match_golden(name, corpus_sources):
+    check_golden(name, corpus_sources[name], "json")
+
+
+@pytest.mark.parametrize("name", cli.CORPUS_FILES)
+def test_text_outputs_match_golden(name, corpus_sources):
+    check_golden(name, corpus_sources[name], "text")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for file, text in cli.corpus():
-        golden_path(file).write_text(json.dumps(capture(file, text), indent=1) + "\n",
-                                     encoding="utf-8")
+        for mode in ("json", "text"):
+            golden_path(file, mode).write_text(
+                json.dumps(capture(file, text, mode), indent=1) + "\n", encoding="utf-8")
     sys.exit(0)
