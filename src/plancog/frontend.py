@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import math
+import re
 from dataclasses import dataclass, field, fields, is_dataclass
 from decimal import Decimal
 
@@ -32,14 +33,22 @@ OP = "operator"
 PUNCT = "punctuation"
 COMMENT = "comment"
 
-# identifiers and numbers are ASCII only: str.isdigit also accepts "²",
-# which int() rejects, and the KB's name patterns match no other letters
-_DIGITS = frozenset("0123456789")
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CHARS = _IDENT_START | _DIGITS
-_TWO_CHAR_OPS = (":=", "<>", "<=", ">=")
-_ONE_CHAR_OPS = "+-*/=<>"
-_PUNCT = "(),;:."
+# One alternative per token class, tried in this order at each position.
+# Identifiers and numbers are ASCII only: str.isdigit also accepts "²", which
+# int() rejects, and the KB's name patterns match no other letters. `\s`
+# accepts exactly the characters str.isspace accepts.
+_TOKEN = re.compile(r"""
+    (?P<space>\s+)
+  | \{(?P<brace>[^}]*)\}
+  | \(\*(?P<star>.*?)\*\)
+  | (?P<opener>\{|\(\*)
+  | (?P<identifier>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<real>[0-9]+\.[0-9]+)
+  | (?P<integer>[0-9]+)
+  | (?P<operator>:=|<>|<=|>=|[-+*/=<>])
+  | (?P<punctuation>[(),;:.])
+""", re.VERBOSE | re.DOTALL)
+_TOKEN_KINDS = {"real": REALLIT, "integer": INT, "operator": OP, "punctuation": PUNCT}
 
 
 @dataclass(frozen=True)
@@ -55,64 +64,24 @@ def tokenize(source: str) -> list[Token]:
     """Turn source text into tokens; comments become COMMENT tokens with the
     interior text stripped of surrounding whitespace."""
     tokens = []
-    i, line = 0, 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            line += 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            continue
-        if c == "{" or source.startswith("(*", i):
-            closer = "}" if c == "{" else "*)"
-            start, start_line = i, line
-            j = source.find(closer, i + (1 if c == "{" else 2))
-            if j < 0:
-                raise LexError("unterminated comment", start_line)
-            body = source[i + (1 if c == "{" else 2):j]
-            line += body.count("\n")
-            i = j + len(closer)
-            tokens.append(Token(COMMENT, body.strip(), start_line, start, i))
-            continue
-        if c in _IDENT_START:
-            j = i
-            while j < n and source[j] in _IDENT_CHARS:
-                j += 1
-            text = source[i:j]
+    pos, line = 0, 1
+    while pos < len(source):
+        match = _TOKEN.match(source, pos)
+        if match is None:
+            raise LexError(f"illegal character {source[pos]!r}", line)
+        group, text, end = match.lastgroup, match.group(), match.end()
+        if group == "identifier":
             kind = KW if text.upper() in KEYWORDS else IDENT
-            tokens.append(Token(kind, text, line, i, j))
-            i = j
-            continue
-        if c in _DIGITS:
-            j = i
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            if j < n - 1 and source[j] == "." and source[j + 1] in _DIGITS:
-                j += 1
-                while j < n and source[j] in _DIGITS:
-                    j += 1
-                tokens.append(Token(REALLIT, source[i:j], line, i, j))
-            else:
-                tokens.append(Token(INT, source[i:j], line, i, j))
-            i = j
-            continue
-        two = source[i:i + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(Token(OP, two, line, i, i + 2))
-            i += 2
-            continue
-        if c in _ONE_CHAR_OPS:
-            tokens.append(Token(OP, c, line, i, i + 1))
-            i += 1
-            continue
-        if c in _PUNCT:
-            tokens.append(Token(PUNCT, c, line, i, i + 1))
-            i += 1
-            continue
-        raise LexError(f"illegal character {c!r}", line)
+            tokens.append(Token(kind, text, line, pos, end))
+        elif group in _TOKEN_KINDS:
+            tokens.append(Token(_TOKEN_KINDS[group], text, line, pos, end))
+        elif group == "opener":
+            raise LexError("unterminated comment", line)
+        else:
+            if group != "space":
+                tokens.append(Token(COMMENT, match[group].strip(), line, pos, end))
+            line += text.count("\n")
+        pos = end
     return tokens
 
 
@@ -251,6 +220,16 @@ LOOP_KINDS = (Repeat, While, For)
 # leave it.
 INT_MIN = -(2 ** 63)
 INT_MAX = 2 ** 63 - 1
+
+# Binary operators by precedence, loosest level first; every level is
+# left-associative. The parser and the renderer both read it. Unary `-` and
+# NOT bind tighter than any of them.
+_BINARY_LEVELS = (
+    frozenset({"=", "<>", "<", "<=", ">", ">="}),
+    frozenset({"+", "-", "or"}),
+    frozenset({"*", "/", "div", "mod", "and"}),
+)
+_PRECEDENCE = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
 
 # The deepest nesting a program may have. The parser counts statements,
 # parentheses and unary operators it enters; the tree it returns counts
@@ -433,40 +412,20 @@ class _Parser:
             return Compound(body, tok.line)
         self.fail(f"unexpected keyword {tok.text}", {"statement"})
 
-    # expressions: relational < additive < multiplicative < unary
-    def expression(self):
-        left = self.simple_expression()
-        tok = self.peek()
-        while tok is not None and tok.kind == OP and tok.text in ("=", "<>", "<", "<=", ">", ">="):
+    def expression(self, level=0):
+        """Binary operators of precedence `level` and tighter; their operands
+        are the next level's expressions, and factors below the last level."""
+        ops = _BINARY_LEVELS[level]
+        tighter = level + 1 < len(_BINARY_LEVELS)
+        left = self.expression(level + 1) if tighter else self.factor()
+        while True:
+            tok = self.peek()
+            # no identifier, literal or punctuation spells an operator
+            if tok is None or tok.text.lower() not in ops:
+                return left
             self.advance()
-            right = self.simple_expression()
-            left = Binary(tok.text, left, right, left.line)
-            tok = self.peek()
-        return left
-
-    def simple_expression(self):
-        left = self.term()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == OP and tok.text in ("+", "-"):
-                op = self.advance().text
-            elif self.at_keyword("OR"):
-                op = self.advance().text.lower()
-            else:
-                return left
-            left = Binary(op, left, self.term(), left.line)
-
-    def term(self):
-        left = self.factor()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == OP and tok.text in ("*", "/"):
-                op = self.advance().text
-            elif self.at_keyword("DIV", "MOD", "AND"):
-                op = self.advance().text.lower()
-            else:
-                return left
-            left = Binary(op, left, self.factor(), left.line)
+            right = self.expression(level + 1) if tighter else self.factor()
+            left = Binary(tok.text.lower(), left, right, left.line)
 
     def factor(self):
         tok = self.peek()
@@ -668,9 +627,10 @@ def _render(expr, canonical):
     if isinstance(expr, Binary):
         left = _render(expr.left, canonical)
         right = _render(expr.right, canonical)
-        if isinstance(expr.left, Binary) and _prec(expr.left.op) < _prec(expr.op):
+        level = _PRECEDENCE[expr.op]
+        if isinstance(expr.left, Binary) and _PRECEDENCE[expr.left.op] < level:
             left = f"({left})"
-        if isinstance(expr.right, Binary) and _prec(expr.right.op) <= _prec(expr.op):
+        if isinstance(expr.right, Binary) and _PRECEDENCE[expr.right.op] <= level:
             right = f"({right})"
         if canonical:
             return f"{left} {expr.op.upper()} {right}"
@@ -690,14 +650,6 @@ def _render(expr, canonical):
         text = format(Decimal(repr(expr.value)), "f")
         return text if "." in text else text + ".0"
     raise TypeError(f"not an expression: {expr!r}")
-
-
-def _prec(op):
-    if op in ("=", "<>", "<", "<=", ">", ">="):
-        return 1
-    if op in ("+", "-", "or"):
-        return 2
-    return 3
 
 
 def node_text(stmt) -> str:

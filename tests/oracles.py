@@ -5,15 +5,19 @@ loop-back edge at most twice, and collects def-clear definition-to-use
 pairs by replaying the path. It shares no code with the fixpoint analysis
 it checks.
 
-The reference oracles are the straightforward versions of three optimised
+The reference oracles are the straightforward versions of four optimised
 steps, kept to compare against on every program: reaching definitions by
 round-robin passes over sets, coherence pairing over all instance pairs,
-and filler matching with one regular expression per (pattern, variable).
+filler matching with one regular expression per (pattern, variable), and a
+character-by-character lexer.
 """
 
 import re
 from functools import lru_cache
 
+from plancog.errors import LexError
+from plancog.frontend import (COMMENT, IDENT, INT, KEYWORDS, KW, OP, PUNCT, REALLIT,
+                              Token)
 from plancog.kb import LOOP_WORDS, normalize
 from plancog.relations import LOOP_BACK, DefUse, node_defs, node_uses
 
@@ -195,3 +199,80 @@ def per_variable_pattern_matches(pattern, text, var=None):
         return word == pattern
     return _per_variable_compile(pattern, var.lower() if var else None).match(
         normalize(text)) is not None
+
+
+# --- lexing one character at a time ------------------------------------------
+
+# identifiers and numbers are ASCII only: str.isdigit also accepts "²",
+# which int() rejects, and the KB's name patterns match no other letters
+_DIGITS = frozenset("0123456789")
+_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_IDENT_CHARS = _IDENT_START | _DIGITS
+_TWO_CHAR_OPS = (":=", "<>", "<=", ">=")
+_ONE_CHAR_OPS = "+-*/=<>"
+_PUNCT = "(),;:."
+
+
+def char_loop_tokenize(source: str) -> list[Token]:
+    """Turn source text into tokens; comments become COMMENT tokens with the
+    interior text stripped of surrounding whitespace."""
+    tokens = []
+    i, line = 0, 1
+    n = len(source)
+    while i < n:
+        c = source[i]
+        if c == "\n":
+            line += 1
+            i += 1
+            continue
+        if c.isspace():
+            i += 1
+            continue
+        if c == "{" or source.startswith("(*", i):
+            closer = "}" if c == "{" else "*)"
+            start, start_line = i, line
+            j = source.find(closer, i + (1 if c == "{" else 2))
+            if j < 0:
+                raise LexError("unterminated comment", start_line)
+            body = source[i + (1 if c == "{" else 2):j]
+            line += body.count("\n")
+            i = j + len(closer)
+            tokens.append(Token(COMMENT, body.strip(), start_line, start, i))
+            continue
+        if c in _IDENT_START:
+            j = i
+            while j < n and source[j] in _IDENT_CHARS:
+                j += 1
+            text = source[i:j]
+            kind = KW if text.upper() in KEYWORDS else IDENT
+            tokens.append(Token(kind, text, line, i, j))
+            i = j
+            continue
+        if c in _DIGITS:
+            j = i
+            while j < n and source[j] in _DIGITS:
+                j += 1
+            if j < n - 1 and source[j] == "." and source[j + 1] in _DIGITS:
+                j += 1
+                while j < n and source[j] in _DIGITS:
+                    j += 1
+                tokens.append(Token(REALLIT, source[i:j], line, i, j))
+            else:
+                tokens.append(Token(INT, source[i:j], line, i, j))
+            i = j
+            continue
+        two = source[i:i + 2]
+        if two in _TWO_CHAR_OPS:
+            tokens.append(Token(OP, two, line, i, i + 2))
+            i += 2
+            continue
+        if c in _ONE_CHAR_OPS:
+            tokens.append(Token(OP, c, line, i, i + 1))
+            i += 1
+            continue
+        if c in _PUNCT:
+            tokens.append(Token(PUNCT, c, line, i, i + 1))
+            i += 1
+            continue
+        raise LexError(f"illegal character {c!r}", line)
+    return tokens

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_force_def_use, round_robin_def_use
+from oracles import brute_force_def_use, char_loop_tokenize, round_robin_def_use
 from plancog import analysis as an
 from plancog import frontend as fe
 from plancog import relations as rel
@@ -70,6 +70,85 @@ def test_tokenize_illegal_character():
     with pytest.raises(LexError) as err:
         fe.tokenize("x\n@")
     assert err.value.line == 2
+
+
+# fragments that sit on the lexer's boundaries: comment delimiters, a REAL
+# point without digits after it, non-ASCII digits, letters and spaces, and
+# line breaks of both conventions
+_LEX_FRAGMENTS = ["{", "}", "(*", "*)", "(", ")", "*", "1..2", "1.5", "3.", ".7",
+                  "²", "١", "é", "\u00a0", "\r\n", "\n", " ", "\t", ":=", ":",
+                  "<>", "<=", ">=", "<", ">", "=", "+", "-", "/", ";", ",", ".",
+                  "x", "_a1", "Div", "BEGIN", "0", "42", "@", "'"]
+
+
+def _lex_outcome(tokenize, source):
+    try:
+        return tokenize(source)
+    except LexError as err:
+        return ("LexError", str(err), err.line)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(_LEX_FRAGMENTS), max_size=30).map("".join),
+                 st.text(alphabet="".join(_LEX_FRAGMENTS), max_size=40)))
+def test_tokenize_matches_character_loop(source):
+    assert _lex_outcome(fe.tokenize, source) == _lex_outcome(char_loop_tokenize, source)
+
+
+def test_tokenize_matches_character_loop_on_corpus(corpus_sources):
+    for src in corpus_sources.values():
+        assert fe.tokenize(src) == char_loop_tokenize(src)
+
+
+# binary operators by precedence level, loosest first, as the language defines them
+_LEVEL = {"=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
+          "+": 2, "-": 2, "OR": 2,
+          "*": 3, "/": 3, "DIV": 3, "MOD": 3, "AND": 3}
+
+
+def _assigned(expr_source):
+    source = f"PROGRAM P;\nVAR a, b, c, x: INTEGER;\nBEGIN\n    x := {expr_source}\nEND.\n"
+    return fe.parse(source).body[0].expr
+
+
+def _shape(expr):
+    """The grouping of an expression as nested tuples of operators and names."""
+    if isinstance(expr, fe.Binary):
+        return (_shape(expr.left), expr.op, _shape(expr.right))
+    if isinstance(expr, fe.Unary):
+        return (expr.op, _shape(expr.operand))
+    return expr.name
+
+
+def test_binary_operator_precedence_and_associativity():
+    for op1 in _LEVEL:
+        for op2 in _LEVEL:
+            first, second = op1.lower(), op2.lower()
+            if _LEVEL[op2] > _LEVEL[op1]:
+                expected = ("a", first, ("b", second, "c"))
+            else:
+                expected = (("a", first, "b"), second, "c")
+            assert _shape(_assigned(f"a {op1} b {op2} c")) == expected, (op1, op2)
+            # the printers parenthesize exactly where the grouping needs it
+            left = _assigned(f"(a {op1} b) {op2} c")
+            right = _assigned(f"a {op1} (b {op2} c)")
+            left_parens = _LEVEL[op1] < _LEVEL[op2]
+            right_parens = _LEVEL[op2] <= _LEVEL[op1]
+            assert ("(" in fe.expr_text(left)) == left_parens, (op1, op2)
+            assert ("(" in fe.expr_text(right)) == right_parens, (op1, op2)
+            assert _shape(_assigned(fe.expr_text(left))) == _shape(left)
+            assert _shape(_assigned(fe.expr_text(right))) == _shape(right)
+
+
+@pytest.mark.parametrize("op", list(_LEVEL))
+def test_unary_operators_bind_tighter_than_binary(op):
+    low = op.lower()
+    assert _shape(_assigned(f"-a {op} b")) == (("-", "a"), low, "b")
+    assert _shape(_assigned(f"NOT a {op} b")) == (("not", "a"), low, "b")
+    assert _shape(_assigned(f"a {op} -b")) == ("a", low, ("-", "b"))
+    assert _shape(_assigned(f"a {op} NOT NOT b")) == ("a", low, ("not", ("not", "b")))
+    assert _shape(_assigned(f"-(a {op} b)")) == ("-", ("a", low, "b"))
+    assert fe.expr_text(_assigned(f"-(a {op} b)")).startswith("-(")
 
 
 def test_parse_grey(grey):
