@@ -477,34 +477,28 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
                 out.append(Diagnostic("unknown-slot", f"{link.source}.{link.as_slot}",
                                       "uses link names a slot the schema lacks"))
 
-    # nodes left after repeatedly trimming parentless ones lie on kind-of cycles;
-    # one diagnostic per cycle component
+    # a schema lies on a kind-of cycle when it is its own ancestor; one
+    # diagnostic per cycle, naming the schemas that are each other's ancestors
     parents = {}
     for link in kb.links:
         if link.relation == "kind-of" and link.source in names and link.target in names:
             parents.setdefault(link.source, set()).add(link.target)
-    remaining = {n: set(ps) for n, ps in parents.items()}
-    trimmed = True
-    while trimmed:
-        trimmed = False
-        for node in list(remaining):
-            if not (remaining[node] & remaining.keys()):
-                del remaining[node]
-                trimmed = True
-    reported = set()
-    for node in sorted(remaining):
-        if node in reported:
-            continue
-        component = {node}
-        frontier = [node]
+    ancestors = {}
+    for node in parents:
+        seen, frontier = set(), [node]
         while frontier:
-            for nxt in remaining.get(frontier.pop(), ()):
-                if nxt in remaining and nxt not in component:
-                    component.add(nxt)
-                    frontier.append(nxt)
-        reported |= component
-        out.append(Diagnostic("cycle", " -> ".join(sorted(component)),
-                              "kind-of relation is cyclic"))
+            for parent in parents.get(frontier.pop(), ()):
+                if parent not in seen:
+                    seen.add(parent)
+                    frontier.append(parent)
+        ancestors[node] = seen
+    reported = set()
+    for node in sorted(n for n, seen in ancestors.items() if n in seen):
+        if node not in reported:
+            cycle = {a for a in ancestors[node] if node in ancestors.get(a, ())}
+            reported |= cycle
+            out.append(Diagnostic("cycle", " -> ".join(sorted(cycle)),
+                                  "kind-of relation is cyclic"))
 
     for d in kb.discourse_rules:
         if d.check not in DISCOURSE_CHECKS:

@@ -156,6 +156,22 @@ def test_cycle_diagnostic_is_single():
     assert [d.code for d in err.value.diagnostics] == ["cycle"]
 
 
+@pytest.mark.parametrize("links, cycles", [
+    ({"A": "B", "B": "A", "C": "A"}, ["A -> B"]),
+    ({"A": "B", "B": "A", "C": "A", "D": "C"}, ["A -> B"]),
+    ({"A": "B", "B": "C", "C": "A", "D": "B"}, ["A -> B -> C"]),
+    ({"A": "B", "B": "A", "C": "D", "D": "C"}, ["A -> B", "C -> D"]),
+    ({"A": "A", "B": "A"}, ["A"]),
+    ({"A": "B", "C": "B"}, []),
+])
+def test_cycle_diagnostic_names_only_schemas_on_the_cycle(links, cycles):
+    kb = kblib.KnowledgeBase(
+        schemas=[kblib.Schema(name, "problem") for name in "ABCD"],
+        links=[kblib.Link("kind-of", child, parent) for child, parent in links.items()])
+    assert [(d.code, d.subject) for d in kblib.validate_kb(kb)] == [
+        ("cycle", cycle) for cycle in cycles]
+
+
 def test_double_prototypical_diagnostic():
     text = ('schema A kind variable\n  desc "a"\n  slot s mandatory\n'
             '    filler "<v>:=0" proto\n    filler "<v>:=1" proto\n')
