@@ -359,6 +359,8 @@ def _stmt_json(s):
         base["body"] = [_stmt_json(s.body)]
     elif isinstance(s, frontend.For):
         base["var"] = s.var
+        base["start"] = frontend.expr_text(s.start)
+        base["stop"] = frontend.expr_text(s.stop)
         base["body"] = [_stmt_json(s.body)]
     elif isinstance(s, frontend.If):
         base["cond"] = frontend.expr_text(s.cond)

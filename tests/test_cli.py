@@ -209,6 +209,17 @@ def test_parse_pretty_prints(capsys, grey_src):
     assert out == grey_src
 
 
+def test_parse_json_writes_for_bounds(tmp_path, capsys):
+    path = tmp_path / "p.mp"
+    path.write_text("PROGRAM P;\nVAR i, n: INTEGER;\nBEGIN\n"
+                    "    FOR i := n DIV 2 TO n + 1 DO\n        WRITELN(i)\nEND.\n")
+    code, out, _ = run_cli(capsys, "parse", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["statements"] == [
+        {"line": 4, "kind": "for", "var": "i", "start": "n div 2", "stop": "n+1",
+         "body": [{"line": 5, "kind": "writeln", "text": "writeln(i)"}]}]
+
+
 def test_corpus_contents():
     fixtures = corpus()
     names = [name for name, _ in fixtures]
