@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -307,6 +308,11 @@ def _cmd_simulate(args, config):
     return 0
 
 
+# an optional sign and ASCII digits with at most one point; a REAL item may
+# carry an exponent
+_INPUT_ITEM = re.compile(r"[+-]?(?:[0-9]+|(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)")
+
+
 def _parse_inputs(text):
     """The numbers of a comma-separated `--input` list; an item that is not a
     number is a usage error."""
@@ -315,10 +321,16 @@ def _parse_inputs(text):
         part = part.strip()
         if not part:
             continue
-        try:
-            values.append(float(part) if "." in part else int(part))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {part!r}") from None
+        if not _INPUT_ITEM.fullmatch(part):
+            raise argparse.ArgumentTypeError(f"not a number: {part!r}")
+        if "." in part:
+            values.append(float(part))
+        elif len(part.lstrip("+-").lstrip("0")) < 20:
+            values.append(int(part))
+        else:
+            # outside the INTEGER range, so READLN ends the run; int() refuses
+            # thousands of digits
+            values.append(frontend.INT_MIN - 1 if part[0] == "-" else frontend.INT_MAX + 1)
     return values
 
 

@@ -36,7 +36,8 @@ def test_simulate_trace(capsys):
     assert "line 6" in out and "line 12" in out
 
 
-@pytest.mark.parametrize("item", ["abc", "1e400", "1.5.5"])
+@pytest.mark.parametrize("item", ["abc", "1e400", "1.5.5", "1_000", "1_0.5", "\u0661",
+                                  "\u0661.\u0665", "\uff15"])
 def test_simulate_input_that_is_not_a_number_is_a_usage_error(capsys, item):
     # each of these ended in a ValueError traceback
     for mode in ([], ["--json"]):
@@ -405,8 +406,13 @@ _READS = ("PROGRAM P(input, output);\nVAR x: INTEGER; r: REAL;\nBEGIN\n"
     ("1.5,10000000000000000000.0", ("integer-overflow", 5)),
     ("99999999999999999999,1", ("integer-overflow", 4)),
     ("1.5e400,1", ("real-overflow", 4)),
+    ("1.5," + "9" * 25, ("integer-overflow", 5)),
+    ("1.5," + "9" * 5000, ("integer-overflow", 5)),
+    ("1.5,-" + "0" * 30 + "9" * 5000, ("integer-overflow", 5)),
+    ("1" * 5000 + ",1", ("integer-overflow", 4)),
 ], ids=["int-max", "int-min", "int-max-plus-1", "int-min-minus-1", "integral-real",
-        "long-int-into-real", "infinite-real"])
+        "long-int-into-real", "infinite-real", "25-digits", "5000-digits",
+        "5000-digits-negative", "5000-digits-into-real"])
 def test_simulate_inputs_keep_arithmetic_bounds(tmp_path, capsys, inputs, error):
     # unchecked, READLN stored each of these values and the run ended ok
     path = tmp_path / "reads.mp"
