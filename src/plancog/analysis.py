@@ -360,7 +360,7 @@ def chunk(program: fe.Program, kb: KnowledgeBase | None = None,
         # statements on a line) goes to the outermost; emptied chunks drop
         chunks = []
         owned = set()
-        level = [rel.decompose_primes(rel.build_cfg(program))]
+        level = [rel.decompose_primes(program)]
         while level:
             for node in level:
                 lines = sorted(set(node.lines) - owned)

@@ -43,7 +43,6 @@ class Cfg:
     edges: list[tuple[int, int, str]] = field(default_factory=list)
     entry: int = 0
     exit: int = 0
-    program: fe.Program | None = None
     _succs: list[list] = field(default_factory=list, init=False, repr=False)
     _preds: list[list] = field(default_factory=list, init=False, repr=False)
     _at_line: dict = field(default_factory=dict, init=False, repr=False)
@@ -80,7 +79,7 @@ class Cfg:
 
 
 def build_cfg(program: fe.Program) -> Cfg:
-    cfg = Cfg(program=program)
+    cfg = Cfg()
     entry = cfg.add_node(ENTRY, None, "entry")
     cfg.entry = entry.id
     tails = _chain(cfg, program.body, [(entry.id, SEQ)])
@@ -164,10 +163,8 @@ class PrimeNode:
             yield from c.walk()
 
 
-def decompose_primes(cfg: Cfg) -> PrimeNode:
-    if cfg.program is None:
-        raise AnalysisError("cfg carries no program")
-    return _sequence(cfg.program.body)
+def decompose_primes(program: fe.Program) -> PrimeNode:
+    return _sequence(program.body)
 
 
 def _flatten(stmts):

@@ -123,7 +123,7 @@ def test_criterion_7_relations_oracle(corpus_sources):
         chains, uninit = brute_force_def_use(cfg, max_unrollings=2)
         assert defuse.chains == chains
         assert set(defuse.possibly_uninitialized) == uninit
-        tree = rel.decompose_primes(cfg)
+        tree = rel.decompose_primes(program)
         leaf_lines = [line for leaf in tree.leaves() for line in leaf.lines]
         simple = [s.line for s in fe.simple_statements(program)]
         assert sorted(leaf_lines) == sorted(simple)

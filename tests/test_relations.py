@@ -72,7 +72,7 @@ def test_loop_conditions_have_one_loop_back_path(corpus_sources):
 
 def test_grey_prime_decomposition(grey):
     # frozen hand decomposition of the normalized fixture
-    tree = rel.decompose_primes(rel.build_cfg(grey))
+    tree = rel.decompose_primes(grey)
     assert tree.kind == "sequence"
     kinds = [(c.kind, c.lines) for c in tree.children]
     assert kinds == [("sequence", [5, 6]), ("iteration", [7, 14]),
@@ -85,12 +85,12 @@ def test_grey_prime_decomposition(grey):
 
 def test_single_assignment_prime_tree():
     program = fe.parse("PROGRAM P(input,output); VAR X: INTEGER; BEGIN X := 1; END.")
-    tree = rel.decompose_primes(rel.build_cfg(program))
+    tree = rel.decompose_primes(program)
     assert tree.is_leaf() and tree.lines == [1]
 
 
 def test_orange_iteration_is_pure_sequence(orange):
-    tree = rel.decompose_primes(rel.build_cfg(orange))
+    tree = rel.decompose_primes(orange)
     iteration = next(n for n in tree.walk() if n.kind == "iteration")
     body = iteration.children[0]
     assert body.is_leaf()
@@ -100,7 +100,7 @@ def test_orange_iteration_is_pure_sequence(orange):
 def test_prime_leaves_partition_simple_statements(corpus_sources):
     for src in corpus_sources.values():
         program = fe.parse(src)
-        tree = rel.decompose_primes(rel.build_cfg(program))
+        tree = rel.decompose_primes(program)
         leaf_lines = [line for leaf in tree.leaves() for line in leaf.lines]
         expected = sorted(s.line for s in fe.simple_statements(program))
         assert sorted(leaf_lines) == expected
@@ -110,7 +110,7 @@ def test_prime_leaves_partition_simple_statements(corpus_sources):
 def test_iteration_and_conditional_counts(corpus_sources):
     for src in corpus_sources.values():
         program = fe.parse(src)
-        tree = rel.decompose_primes(rel.build_cfg(program))
+        tree = rel.decompose_primes(program)
         statements = list(fe.walk_statements(program.body))
         loops = sum(isinstance(s, fe.LOOP_KINDS) for s in statements)
         conds = sum(isinstance(s, fe.If) for s in statements)
@@ -195,8 +195,8 @@ def test_determinism(corpus_sources):
         second = rel.def_use(fe.parse(src), rel.build_cfg(fe.parse(src)))
         assert first.chains == second.chains
         assert first.definitions == second.definitions
-        one = rel.decompose_primes(rel.build_cfg(program))
-        two = rel.decompose_primes(rel.build_cfg(fe.parse(src)))
+        one = rel.decompose_primes(program)
+        two = rel.decompose_primes(fe.parse(src))
         assert [(n.kind, n.lines) for n in one.walk()] == \
                [(n.kind, n.lines) for n in two.walk()]
 
