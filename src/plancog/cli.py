@@ -1,8 +1,10 @@
 """Command-line interface and report rendering.
 
 Exit codes: 0 success, 1 analysis errors (syntax, validation, bad lines),
-2 usage errors. With --json exactly one JSON document is written to stdout,
-including the error document on analysis failures.
+2 usage errors. A subcommand's handler prints its text report unless --json
+is given and returns its exit code and JSON document (None for text only).
+Under --json `main` writes exactly one JSON document to stdout: that one, or
+the error document of an analysis failure.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
 from importlib import resources
 
 from . import analysis, frontend, interpreter, kb as kblib, relations
@@ -20,17 +21,13 @@ from .errors import KbValidationError, PlancogError
 
 CORPUS_FILES = ("grey.mp", "orange.mp", "search.mp", "flag.mp")
 
+# the global flags' values when they are not given; argparse's own defaults
+# are suppressed, so that a subcommand's parser keeps a flag given before it
+_GLOBAL_DEFAULTS = {"kb_path": None, "json": False,
+                    "step_budget": interpreter.DEFAULT_STEP_BUDGET}
 
-@dataclass
-class Config:
-    kb_path: str | None = None
-    output_mode: str = "text"          # text | json
-    step_budget: int = interpreter.DEFAULT_STEP_BUDGET
-
-    def load_kb(self):
-        if self.kb_path is None:
-            return kblib.builtin_kb()
-        return kblib.load_kb(_read(self.kb_path))
+# subcommands whose JSON document is indented
+_INDENTED = ("parse", "recognize")
 
 
 def corpus() -> list[tuple[str, str]]:
@@ -42,6 +39,14 @@ def corpus() -> list[tuple[str, str]]:
 
 def corpus_path(name: str) -> str:
     return str(resources.files(__package__) / "corpus" / name)
+
+
+def _library(args):
+    """The --kb library, or the built-in one. Handlers load it after reading
+    their program, so that a bad program is reported first."""
+    if args.kb_path is None:
+        return kblib.builtin_kb()
+    return kblib.load_kb(_read(args.kb_path))
 
 
 def _read(path):
@@ -73,43 +78,39 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="plan-schema program comprehension")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", parents=[common],
-                       help="parse and pretty-print a program")
-    p.add_argument("file")
+    def add(subparsers, name, run, help, file=True):
+        """A subcommand whose handler is `run`, reading one FILE unless told not to."""
+        p = subparsers.add_parser(name, parents=[common], help=help)
+        if file:
+            p.add_argument("file")
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("relations", parents=[common],
-                       help="control/data relations of a statement")
-    p.add_argument("file")
+    add(sub, "parse", _cmd_parse, "parse and pretty-print a program")
+
+    p = add(sub, "relations", _cmd_relations, "control/data relations of a statement")
     p.add_argument("--line", type=int, required=True)
     p.add_argument("--kind", choices=("control", "data"), required=True)
 
     p = sub.add_parser("kb", parents=[common], help="knowledge-base utilities")
     kbsub = p.add_subparsers(dest="kb_command", required=True)
-    v = kbsub.add_parser("validate", parents=[common], help="validate a KB file")
-    v.add_argument("file")
-    kbsub.add_parser("dump-builtin", parents=[common], help="print the built-in KB")
+    add(kbsub, "validate", _cmd_kb_validate, "validate a KB file")
+    add(kbsub, "dump-builtin", _cmd_kb_dump, "print the built-in KB", file=False)
 
-    p = sub.add_parser("recognize", parents=[common],
-                       help="recognize plans and build the goal tree")
-    p.add_argument("file")
+    p = add(sub, "recognize", _cmd_recognize, "recognize plans and build the goal tree")
     p.add_argument("--trace", action="store_true",
                    help="emit the rule-firing sequence")
 
-    p = sub.add_parser("planliness", parents=[common],
-                       help="plan-likeness score and discourse checks")
-    p.add_argument("file")
+    add(sub, "planliness", _cmd_planliness, "plan-likeness score and discourse checks")
 
-    p = sub.add_parser("fill-blank", parents=[common], help="predict an erased line")
-    p.add_argument("file")
+    p = add(sub, "fill-blank", _cmd_fill_blank, "predict an erased line")
     p.add_argument("--line", type=int, required=True)
     p.add_argument("--strategy", choices=("plan", "control"), default="plan")
 
-    p = sub.add_parser("chunk", parents=[common], help="plan- or control-based chunking")
-    p.add_argument("file")
+    p = add(sub, "chunk", _cmd_chunk, "plan- or control-based chunking")
     p.add_argument("--mode", choices=("plan", "control"), required=True)
 
-    p = sub.add_parser("simulate", parents=[common], help="execute with concrete inputs")
-    p.add_argument("file")
+    p = add(sub, "simulate", _cmd_simulate, "execute with concrete inputs")
     p.add_argument("--input", type=_parse_inputs, default="", metavar="N,N,...",
                    help="comma-separated input numbers")
     p.add_argument("--trace", metavar="VAR", default=None,
@@ -118,23 +119,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv, argparse.Namespace(**_GLOBAL_DEFAULTS))
     except SystemExit as ex:
         return ex.code if isinstance(ex.code, int) else 2
-    config = Config(getattr(args, "kb_path", None),
-                    "json" if getattr(args, "json", False) else "text",
-                    getattr(args, "step_budget", interpreter.DEFAULT_STEP_BUDGET))
-    handler = _HANDLERS[args.command]
     try:
-        return handler(args, config)
+        code, doc = args.run(args)
     except PlancogError as err:
-        if config.output_mode == "json":
+        if args.json:
             print(json.dumps({"error": str(err)}))
         else:
             print(f"error: {err}", file=sys.stderr)
         return 1
+    if args.json:
+        print(json.dumps(doc, indent=2 if args.command in _INDENTED else None))
+    return code
 
 
 def entry():
@@ -143,72 +142,70 @@ def entry():
 
 # --- handlers ----------------------------------------------------------------
 
-def _cmd_parse(args, config):
+def _cmd_parse(args):
     program = frontend.parse(_read(args.file))
-    if config.output_mode == "json":
-        print(json.dumps(_program_json(program), indent=2))
-    else:
-        sys.stdout.write(frontend.pretty_print(program))
-    return 0
+    if args.json:
+        return 0, _program_json(program)
+    sys.stdout.write(frontend.pretty_print(program))
+    return 0, None
 
 
-def _cmd_relations(args, config):
+def _cmd_relations(args):
     program = frontend.parse(_read(args.file))
     related = sorted(relations.query_relation(args.kind, program, args.line))
-    if config.output_mode == "json":
-        print(json.dumps({"file": args.file, "line": args.line,
-                          "kind": args.kind, "related": related}))
-    else:
+    if not args.json:
         listing = ", ".join(map(str, related)) if related else "(none)"
         print(f"{args.kind} relations of line {args.line}: {listing}")
-    return 0
+    return 0, {"file": args.file, "line": args.line, "kind": args.kind,
+               "related": related}
 
 
-def _cmd_kb(args, config):
-    if args.kb_command == "dump-builtin":
-        text = kblib.dump_kb(kblib.builtin_kb())
-        if config.output_mode == "json":
-            print(json.dumps({"kb": text}))
-        else:
-            sys.stdout.write(text)
-        return 0
+def _cmd_kb_dump(args):
+    text = kblib.dump_kb(kblib.builtin_kb())
+    if not args.json:
+        sys.stdout.write(text)
+    return 0, {"kb": text}
+
+
+def _cmd_kb_validate(args):
     try:
         loaded = kblib.load_kb(_read(args.file))
     except KbValidationError as err:
-        diagnostics = [{"code": d.code, "subject": d.subject, "message": d.message}
-                       for d in err.diagnostics]
-        if config.output_mode == "json":
-            print(json.dumps({"valid": False, "diagnostics": diagnostics}))
-        else:
-            for d in err.diagnostics:
-                print(str(d))
-        return 1
-    if config.output_mode == "json":
-        print(json.dumps({"valid": True, "schemas": [s.name for s in loaded.schemas]}))
-    else:
+        if not args.json:
+            print(*err.diagnostics, sep="\n")
+        return 1, {"valid": False, "diagnostics": [vars(d) for d in err.diagnostics]}
+    if not args.json:
         print(f"ok: {len(loaded.schemas)} schemas, {len(loaded.rules)} rules")
-    return 0
+    return 0, {"valid": True, "schemas": [s.name for s in loaded.schemas]}
 
 
-def _cmd_recognize(args, config):
+def _cmd_recognize(args):
     program = frontend.parse(_read(args.file))
-    kb = config.load_kb()
-    rec = analysis.recognize(program, kb, step_budget=config.step_budget)
+    kb = _library(args)
+    rec = analysis.recognize(program, kb, step_budget=args.step_budget)
     tree = analysis.goal_tree(rec.instances, kb, rec.coherence)
-    if config.output_mode == "json":
+    if args.json:
         doc = {
             "goal_tree": _tree_json(tree),
             "activations": [{"schema": a.schema, "rules": a.rule_ids,
                              "direction": a.direction} for a in rec.activations],
             "instances": [_instance_json(i) for i in rec.instances],
-            "expectations": [_expectation_json(e) for e in rec.expectations],
-            "coherence": _coherence_json(rec.coherence),
+            "expectations": [{"instance": e.instance.label, "slot": e.slot,
+                              "pattern": e.pattern, "state": e.state,
+                              "line": e.resolved_line} for e in rec.expectations],
+            "coherence": {
+                "internal": [{"instance": e.instance, "slot": e.slot,
+                              "constraint": e.constraint, "ok": e.ok, "line": e.line}
+                             for e in rec.coherence.internal],
+                "external": [{"instances": list(e.instances),
+                              "description": e.description, "evidence": e.evidence,
+                              "inputs": e.inputs} for e in rec.coherence.external],
+            },
         }
         if args.trace:
             doc["trace"] = [{"rule": f.rule_id, "schema": f.schema,
                              "cues": [str(c) for c in f.cues]} for f in rec.firings]
-        print(json.dumps(doc, indent=2))
-        return 0
+        return 0, doc
     if args.trace:
         print("rule firings:")
         for f in rec.firings:
@@ -228,84 +225,71 @@ def _cmd_recognize(args, config):
         tag = f" inputs={e.inputs}" if e.evidence == "simulated" else ""
         print(f"  {e.instances[0]} / {e.instances[1]}: {e.description}"
               f" [{e.evidence}{tag}]")
-    return 0
+    return 0, None
 
 
-def _cmd_planliness(args, config):
+def _cmd_planliness(args):
     program = frontend.parse(_read(args.file))
-    kb = config.load_kb()
-    report = analysis.planliness(program, kb)
-    if config.output_mode == "json":
-        print(json.dumps({
-            "score": report.score, "coverage": report.coverage,
-            "violations": [{"rule": v.rule_id, "lines": v.lines,
-                            "explanation": v.explanation}
-                           for v in report.violations]}))
-        return 0
-    print(f"score: {report.score:.4f}")
-    print(f"coverage: {report.coverage:.4f}")
-    if not report.violations:
-        print("violations: none")
-    for v in report.violations:
-        lines = ", ".join(map(str, v.lines))
-        print(f"violation {v.rule_id} (lines {lines}): {v.explanation}")
-    return 0
+    report = analysis.planliness(program, _library(args))
+    if not args.json:
+        print(f"score: {report.score:.4f}\ncoverage: {report.coverage:.4f}")
+        if not report.violations:
+            print("violations: none")
+        for v in report.violations:
+            lines = ", ".join(map(str, v.lines))
+            print(f"violation {v.rule_id} (lines {lines}): {v.explanation}")
+    return 0, {"score": report.score, "coverage": report.coverage,
+               "violations": [{"rule": v.rule_id, "lines": v.lines,
+                               "explanation": v.explanation}
+                              for v in report.violations]}
 
 
-def _cmd_fill_blank(args, config):
+def _cmd_fill_blank(args):
     blanked = frontend.blank_line(_read(args.file), args.line)
-    kb = config.load_kb()
-    candidates = analysis.fill_blank(blanked, kb, args.strategy)
-    if config.output_mode == "json":
-        print(json.dumps({"line": args.line, "strategy": args.strategy,
-                          "candidates": [{"rank": c.rank, "text": c.text,
-                                          "justification": c.justification}
-                                         for c in candidates]}))
-        return 0
-    if not candidates:
-        print("no candidates")
-    for c in candidates:
-        print(f"{c.rank}. {c.text}    [{c.justification}]")
-    return 0
+    candidates = analysis.fill_blank(blanked, _library(args), args.strategy)
+    if not args.json:
+        if not candidates:
+            print("no candidates")
+        for c in candidates:
+            print(f"{c.rank}. {c.text}    [{c.justification}]")
+    return 0, {"line": args.line, "strategy": args.strategy,
+               "candidates": [{"rank": c.rank, "text": c.text,
+                               "justification": c.justification}
+                              for c in candidates]}
 
 
-def _cmd_chunk(args, config):
+def _cmd_chunk(args):
     program = frontend.parse(_read(args.file))
-    kb = config.load_kb()
-    chunks = analysis.chunk(program, kb, args.mode)
-    if config.output_mode == "json":
-        print(json.dumps({"mode": args.mode,
-                          "chunks": [{"label": c.label, "lines": c.lines}
-                                     for c in chunks]}))
-        return 0
-    for c in chunks:
-        print(f"{c.label}: lines {', '.join(map(str, c.lines))}")
-    return 0
+    chunks = analysis.chunk(program, _library(args), args.mode)
+    if not args.json:
+        for c in chunks:
+            print(f"{c.label}: lines {', '.join(map(str, c.lines))}")
+    return 0, {"mode": args.mode,
+               "chunks": [{"label": c.label, "lines": c.lines} for c in chunks]}
 
 
-def _cmd_simulate(args, config):
+def _cmd_simulate(args):
     program = frontend.parse(_read(args.file))
-    result = interpreter.execute(program, args.input, config.step_budget)
-    if config.output_mode == "json":
-        doc = {"outputs": [interpreter.render_value(v) for v in result.outputs],
-               "status": result.status, "steps": result.steps}
-        if result.status != interpreter.OK:
-            doc["error"] = {"kind": result.error_kind, "line": result.error_line}
-        if args.trace:
-            doc["trace"] = [{"step": s, "line": l, "value": interpreter.render_value(v)}
-                            for s, l, v in interpreter.variable_events(
-                                program, result, args.trace)]
-        print(json.dumps(doc))
-        return 0
-    for value in result.outputs:
-        print(interpreter.render_value(value))
+    result = interpreter.execute(program, args.input, args.step_budget)
+    doc = {"outputs": [interpreter.render_value(v) for v in result.outputs],
+           "status": result.status, "steps": result.steps}
     if result.status != interpreter.OK:
-        print(f"runtime error: {result.error_kind} at line {result.error_line}")
+        doc["error"] = {"kind": result.error_kind, "line": result.error_line}
+    if not args.json:
+        for value in doc["outputs"]:
+            print(value)
+        if "error" in doc:
+            print(f"runtime error: {result.error_kind} at line {result.error_line}")
     if args.trace:
-        for step, line, value in interpreter.variable_events(program, result, args.trace):
-            print(f"step {step} line {line}: {args.trace} = "
-                  f"{interpreter.render_value(value)}")
-    return 0
+        # an unknown variable is an error after the outputs are printed
+        doc["trace"] = [{"step": s, "line": l, "value": interpreter.render_value(v)}
+                        for s, l, v in interpreter.variable_events(
+                            program, result, args.trace)]
+        if not args.json:
+            for event in doc["trace"]:
+                print(f"step {event['step']} line {event['line']}: "
+                      f"{args.trace} = {event['value']}")
+    return 0, doc
 
 
 # an optional sign and ASCII digits with at most one point; a REAL item may
@@ -334,24 +318,11 @@ def _parse_inputs(text):
     return values
 
 
-_HANDLERS = {
-    "parse": _cmd_parse,
-    "relations": _cmd_relations,
-    "kb": _cmd_kb,
-    "recognize": _cmd_recognize,
-    "planliness": _cmd_planliness,
-    "fill-blank": _cmd_fill_blank,
-    "chunk": _cmd_chunk,
-    "simulate": _cmd_simulate,
-}
-
-
 # --- JSON shapes ----------------------------------------------------------------
 
 def _program_json(program):
     return {
-        "program": program.name,
-        "params": program.params,
+        "program": program.name, "params": program.params,
         "declarations": [{"name": d.name, "type": d.type, "line": d.line}
                          for d in program.declarations],
         "statements": [_stmt_json(s) for s in program.body],
@@ -387,33 +358,19 @@ def _stmt_json(s):
 def _instance_json(inst):
     lines = inst.part_lines()
     return {
-        "schema": inst.schema,
-        "variable": inst.variable,
-        "status": inst.status,
+        "schema": inst.schema, "variable": inst.variable, "status": inst.status,
         "bindings": {slot: {"line": b.line, "text": b.text}
                      for slot, b in sorted(inst.bindings.items())},
         "lines": lines,
-        "delocalization": (max(lines) - min(lines)) if len(lines) > 1 else None,
-        "children": [{"slot": slot, "schema": child.schema,
-                      "variable": child.variable}
+        "delocalization": _delocalization(lines),
+        "children": [{"slot": slot, "schema": child.schema, "variable": child.variable}
                      for slot, child in inst.children],
     }
 
 
-def _expectation_json(e):
-    return {"instance": e.instance.label, "slot": e.slot, "pattern": e.pattern,
-            "state": e.state, "line": e.resolved_line}
-
-
-def _coherence_json(report):
-    return {
-        "internal": [{"instance": e.instance, "slot": e.slot,
-                      "constraint": e.constraint, "ok": e.ok, "line": e.line}
-                     for e in report.internal],
-        "external": [{"instances": list(e.instances), "description": e.description,
-                      "evidence": e.evidence, "inputs": e.inputs}
-                     for e in report.external],
-    }
+def _delocalization(lines):
+    """The spread of a plan's part lines; None below two lines."""
+    return max(lines) - min(lines) if len(lines) > 1 else None
 
 
 def _tree_json(node):
@@ -433,8 +390,8 @@ def _print_tree(node, depth):
         flags = f" [{', '.join(node.flags)}]" if node.flags else ""
         part_lines = node.plan.part_lines()
         lines = ", ".join(map(str, part_lines))
-        spread = (f", delocalization {max(part_lines) - min(part_lines)}"
-                  if len(part_lines) > 1 else "")
+        spread = _delocalization(part_lines)
+        spread = "" if spread is None else f", delocalization {spread}"
         print(f"{pad}{node.plan.label} ({node.plan.status}{flags}) "
               f"lines {lines}{spread}")
     else:
