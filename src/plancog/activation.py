@@ -68,7 +68,6 @@ class PlanInstance:
     bindings: dict[str, Binding] = field(default_factory=dict)
     children: list[tuple[str, "PlanInstance"]] = field(default_factory=list)
     mandatory: tuple[str, ...] = ()
-    diagnostics: list[str] = field(default_factory=list)
 
     @property
     def complete(self) -> bool:

@@ -335,7 +335,6 @@ def _ranked(scored):
 
 @dataclass
 class Chunk:
-    mode: str              # plan | control
     lines: list[int]
     label: str
 
@@ -366,7 +365,7 @@ def chunk(program: fe.Program, kb: KnowledgeBase | None = None,
                 lines = sorted(set(node.lines) - owned)
                 owned.update(lines)
                 if lines:
-                    chunks.append(Chunk("control", lines, node.kind))
+                    chunks.append(Chunk(lines, node.kind))
             level = [c for node in level for c in node.children]
         chunks.sort(key=lambda c: c.lines[0])
         return chunks
@@ -382,12 +381,12 @@ def chunk(program: fe.Program, kb: KnowledgeBase | None = None,
         lines = inst.part_lines()
         if not lines:
             continue
-        chunks.append(Chunk("plan", lines, inst.schema))
+        chunks.append(Chunk(lines, inst.schema))
         covered |= set(lines)
     chunks.sort(key=lambda c: (c.lines[0], c.label))
     residue = sorted(chunk_universe(program) - covered)
     if residue:
-        chunks.append(Chunk("plan", residue, "(residue)"))
+        chunks.append(Chunk(residue, "(residue)"))
     return chunks
 
 

@@ -207,7 +207,6 @@ class Program:
 
 @dataclass
 class BlankedProgram:
-    original: str
     blank_line: int
     context: Program
 
@@ -771,4 +770,4 @@ def blank_line(source: str, line: int) -> BlankedProgram:
         raise AnalysisError(f"line {line} is not a blankable statement")
     # the copy takes the hole in place of the statement
     context = copy.deepcopy(program, {id(target): Hole(line)})
-    return BlankedProgram(source, line, context)
+    return BlankedProgram(line, context)

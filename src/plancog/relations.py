@@ -31,7 +31,6 @@ class CfgNode:
     id: int
     kind: str            # entry | exit | stmt | cond
     line: int | None
-    label: str
     stmt: object = None  # AST statement for stmt nodes, loop/if for cond nodes
 
 
@@ -47,8 +46,8 @@ class Cfg:
     _preds: list[list] = field(default_factory=list, init=False, repr=False)
     _at_line: dict = field(default_factory=dict, init=False, repr=False)
 
-    def add_node(self, kind, line, label, stmt=None) -> CfgNode:
-        node = CfgNode(len(self.nodes), kind, line, label, stmt)
+    def add_node(self, kind, line, stmt=None) -> CfgNode:
+        node = CfgNode(len(self.nodes), kind, line, stmt)
         self.nodes.append(node)
         self._succs.append([])
         self._preds.append([])
@@ -80,10 +79,10 @@ class Cfg:
 
 def build_cfg(program: fe.Program) -> Cfg:
     cfg = Cfg()
-    entry = cfg.add_node(ENTRY, None, "entry")
+    entry = cfg.add_node(ENTRY, None)
     cfg.entry = entry.id
     tails = _chain(cfg, program.body, [(entry.id, SEQ)])
-    exit_node = cfg.add_node(EXIT, None, "exit")
+    exit_node = cfg.add_node(EXIT, None)
     cfg.exit = exit_node.id
     _connect(cfg, tails, exit_node.id)
     return cfg
@@ -102,13 +101,13 @@ def _chain(cfg, stmts, pending):
 
 def _statement(cfg, s, pending):
     if isinstance(s, fe.SIMPLE_KINDS):
-        node = cfg.add_node(STMT, s.line, fe.node_text(s), s)
+        node = cfg.add_node(STMT, s.line, s)
         _connect(cfg, pending, node.id)
         return [(node.id, SEQ)]
     if isinstance(s, fe.Compound):
         return _chain(cfg, s.body, pending)
     if isinstance(s, fe.If):
-        cond = cfg.add_node(COND, s.line, f"if {fe.expr_text(s.cond)}", s)
+        cond = cfg.add_node(COND, s.line, s)
         _connect(cfg, pending, cond.id)
         out = _statement(cfg, s.then, [(cond.id, TRUE)])
         if s.otherwise is None:
@@ -117,13 +116,13 @@ def _statement(cfg, s, pending):
             out = out + _statement(cfg, s.otherwise, [(cond.id, FALSE)])
         return out
     if isinstance(s, fe.While):
-        cond = cfg.add_node(COND, s.line, f"while {fe.expr_text(s.cond)}", s)
+        cond = cfg.add_node(COND, s.line, s)
         _connect(cfg, pending, cond.id)
         body_out = _statement(cfg, s.body, [(cond.id, TRUE)])
         _connect(cfg, [(src, LOOP_BACK) for src, _ in body_out], cond.id)
         return [(cond.id, FALSE)]
     if isinstance(s, fe.For):
-        head = cfg.add_node(COND, s.line, f"for {s.var}", s)
+        head = cfg.add_node(COND, s.line, s)
         _connect(cfg, pending, head.id)
         body_out = _statement(cfg, s.body, [(head.id, TRUE)])
         _connect(cfg, [(src, LOOP_BACK) for src, _ in body_out], head.id)
@@ -133,7 +132,7 @@ def _statement(cfg, s, pending):
         # condition itself when the body creates none
         first = len(cfg.nodes)
         body_out = _chain(cfg, s.body, pending)
-        cond = cfg.add_node(COND, s.until_line, f"until {fe.expr_text(s.cond)}", s)
+        cond = cfg.add_node(COND, s.until_line, s)
         _connect(cfg, body_out, cond.id)
         cfg.add_edge(cond.id, first, LOOP_BACK)
         return [(cond.id, TRUE)]
