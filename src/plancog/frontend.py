@@ -468,7 +468,10 @@ class _Parser:
 def parse(source: str) -> Program:
     """Parse source text and check declarations: every identifier used in the
     body must be declared exactly once."""
-    tokens = tokenize(source)
+    return _parse_tokens(tokenize(source))
+
+
+def _parse_tokens(tokens: list[Token]) -> Program:
     program = _Parser(tokens).program()
     _check_depth(program)
     program.comments = [(t.line, t.text) for t in tokens if t.kind == COMMENT]
@@ -761,9 +764,10 @@ def structurally_equal(a, b) -> bool:
 def blank_line(source: str, line: int) -> BlankedProgram:
     """Replace the simple statement on `line` with a hole; everything else is
     kept as parsed."""
-    program = parse(source)
-    last_line = max((t.line for t in tokenize(source)), default=0)
-    if line < 1 or line > last_line:
+    tokens = tokenize(source)
+    program = _parse_tokens(tokens)
+    # a program has at least one token; lines after the last one are out of range
+    if line < 1 or line > tokens[-1].line:
         raise AnalysisError(f"line {line} out of range")
     target = statement_at(program, line)
     if not isinstance(target, (Assign, Readln, Writeln)):

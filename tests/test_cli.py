@@ -297,6 +297,22 @@ def test_simulate_trace_executes_once(capsys, monkeypatch):
         assert len(runs) == 1
 
 
+def test_fill_blank_lexes_its_program_once(capsys, monkeypatch):
+    from plancog import frontend
+    sources = []
+    tokenize = frontend.tokenize
+
+    def counted(source):
+        sources.append(source)
+        return tokenize(source)
+
+    monkeypatch.setattr(frontend, "tokenize", counted)
+    code, out, _ = run_cli(capsys, "fill-blank", corpus_path("grey.mp"),
+                           "--line", "6", "--json")
+    assert code == 0 and json.loads(out)["candidates"]
+    assert len(sources) == 1
+
+
 def test_simulate_trace_unknown_variable(capsys):
     code, out, err = run_cli(capsys, "simulate", corpus_path("orange.mp"),
                              "--input", "1,2,3,99999", "--trace", "Ghost")

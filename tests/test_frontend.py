@@ -329,6 +329,26 @@ def test_blank_line_rejects_non_statements(grey_src):
         fe.blank_line(grey_src, 99)    # out of range
 
 
+_BLANKABLE = "PROGRAM P;\nVAR x: INTEGER;\nBEGIN\n    x := 1\nEND.\n"
+
+
+@pytest.mark.parametrize("source, line, error", [
+    (_BLANKABLE, 0, "line 0 out of range"),
+    (_BLANKABLE, -1, "line -1 out of range"),
+    (_BLANKABLE + "\n\n", 5, "line 5 is not a blankable statement"),
+    (_BLANKABLE + "\n\n", 6, "line 6 out of range"),
+    (_BLANKABLE + "{ a trailing\n  comment }\n", 6, "line 6 is not a blankable statement"),
+    (_BLANKABLE + "{ a trailing\n  comment }\n", 7, "line 7 out of range"),
+], ids=["zero", "negative", "last-token", "after-blank-lines", "comment-start",
+        "inside-comment"])
+def test_blank_line_range_ends_at_the_last_token_line(source, line, error):
+    # a line is in range from 1 to the line on which the last token, a
+    # comment included, starts
+    assert fe.blank_line(source, 4).blank_line == 4
+    with pytest.raises(AnalysisError, match=f"^{error}$"):
+        fe.blank_line(source, line)
+
+
 # --- generated round-trip property ------------------------------------------
 
 _NAMES = ["Alpha", "Beta", "Gamma", "Delta"]
