@@ -195,3 +195,90 @@ def test_render_value_formats():
     assert run.render_value(7) == "7"
     assert run.render_value(True) == "true"
     assert float(run.render_value(1 / 3)) == 1 / 3
+
+
+# --- every runtime path, through execute --------------------------------------
+# Each program's statements start on line 4; `hole` names a line that
+# blank_line replaces with a hole before the run.
+
+_RUNTIME_HEAD = "PROGRAM P(input, output);\nVAR I, Y: INTEGER; R: REAL; B: BOOLEAN;\nBEGIN\n"
+_OK, _FAIL = run.OK, run.RUNTIME_ERROR
+
+
+@pytest.mark.parametrize("statements, inputs, hole, expected", [
+    (["B := NOT (1 > 2)", "WRITELN(B AND (2 > 1))", "WRITELN(B AND FALSE)",
+      "WRITELN(FALSE OR B)", "WRITELN(FALSE OR FALSE)", "WRITELN(NOT B)"], [], None,
+     (_OK, None, None, ["true", "false", "true", "false", "false"])),
+    (["I := 0", "WHILE I < 3 DO I := I + 1", "WRITELN(I)"], [], None,
+     (_OK, None, None, ["3"])),
+    (["IF 1 > 2 THEN WRITELN(1) ELSE WRITELN(2)", "IF 1 < 2 THEN WRITELN(3) ELSE WRITELN(4)"],
+     [], None, (_OK, None, None, ["2", "3"])),
+    (["WRITELN(1)", "WRITELN(2)"], [], 4, (_OK, None, None, ["2"])),
+    (["R := 2", "WRITELN(R)", "READLN(I)", "WRITELN(I)"], [3.0], None,
+     (_OK, None, None, ["2.0", "3"])),
+    (["I := 1", "I := 1.5"], [], None, (_FAIL, "type-error", 5, [])),
+    (["I := TRUE"], [], None, (_FAIL, "type-error", 4, [])),
+    (["R := FALSE"], [], None, (_FAIL, "type-error", 4, [])),
+    (["B := 1"], [], None, (_FAIL, "type-error", 4, [])),
+    (["B := 1.0"], [], None, (_FAIL, "type-error", 4, [])),
+    (["WRITELN(1)", "READLN(I)"], [1.5], None, (_FAIL, "type-error", 5, ["1"])),
+    (["FOR I := 1 TO 2.5 DO WRITELN(I)"], [], None, (_FAIL, "type-error", 4, [])),
+    (["FOR I := 0.5 TO 2 DO WRITELN(I)"], [], None, (_FAIL, "type-error", 4, [])),
+    (["FOR I := FALSE TO TRUE DO WRITELN(I)"], [], None, (_FAIL, "type-error", 4, [])),
+    (["IF 1 THEN WRITELN(1)"], [], None, (_FAIL, "type-error", 4, [])),
+    (["I := 0", "WHILE I DO I := 1"], [], None, (_FAIL, "type-error", 5, [])),
+    (["REPEAT I := 1 UNTIL 2.0"], [], None, (_FAIL, "type-error", 4, [])),
+    (["B := TRUE", "WRITELN(-B)"], [], None, (_FAIL, "type-error", 5, [])),
+    (["WRITELN(NOT 1)"], [], None, (_FAIL, "type-error", 4, [])),
+    (["WRITELN(1 AND TRUE)"], [], None, (_FAIL, "type-error", 4, [])),
+    (["WRITELN(TRUE OR 1)"], [], None, (_FAIL, "type-error", 4, [])),
+    (["B := FALSE AND (Y = 1)"], [], None, (_FAIL, "uninitialized-variable", 4, [])),
+    (["WRITELN(TRUE = 1)"], [], None, (_FAIL, "type-error", 4, [])),
+    (["WRITELN(0.5 < FALSE)"], [], None, (_FAIL, "type-error", 4, [])),
+    (["WRITELN(TRUE + 1)"], [], None, (_FAIL, "type-error", 4, [])),
+    (["WRITELN(2.0 * FALSE)"], [], None, (_FAIL, "type-error", 4, [])),
+    (["WRITELN(2.0 DIV 1)"], [], None, (_FAIL, "type-error", 4, [])),
+    (["WRITELN(5 MOD 2.0)"], [], None, (_FAIL, "type-error", 4, [])),
+    (["WRITELN(5 DIV 0)"], [], None, (_FAIL, "division-by-zero", 4, [])),
+    (["WRITELN(5 MOD 0)"], [], None, (_FAIL, "division-by-zero", 4, [])),
+    (["WRITELN(1.0 / 0)"], [], None, (_FAIL, "division-by-zero", 4, [])),
+], ids=["not-and-or", "while-exits", "if-else", "hole", "integer-into-real",
+        "real-into-integer", "boolean-into-integer", "boolean-into-real",
+        "integer-into-boolean", "real-into-boolean", "fractional-read",
+        "real-for-stop", "real-for-start", "boolean-for-bounds", "if-on-integer",
+        "while-on-integer", "until-on-real", "minus-boolean", "not-integer",
+        "and-integer-left", "or-integer-right", "and-evaluates-both",
+        "boolean-equals-integer", "real-below-boolean", "boolean-plus",
+        "real-times-boolean", "div-real", "mod-real", "div-zero", "mod-zero",
+        "slash-zero"])
+def test_runtime_paths(statements, inputs, hole, expected):
+    source = _RUNTIME_HEAD + ";\n".join(f"    {s}" for s in statements) + "\nEND.\n"
+    program = fe.parse(source) if hole is None else fe.blank_line(source, hole).context
+    result = run.execute(program, inputs)
+    outputs = [run.render_value(v) for v in result.outputs]
+    assert (result.status, result.error_kind, result.error_line, outputs) == expected
+
+
+def _writes(*expressions):
+    writes = "".join(f";\n    WRITELN({e})" for e in expressions)
+    return fe.parse("PROGRAM P(input, output);\nVAR X: INTEGER;\nBEGIN\n"
+                    f"    READLN(X){writes}\nEND.\n")
+
+
+@pytest.mark.parametrize("first, second, inputs, verdict, detail", [
+    ("X", ("X + 1",), [1], "unequal", "[1] vs [2]"),
+    ("X", ("X", "X"), [1], "unequal", "[1] vs [1, 1]"),
+    ("X", ("X * 0.1 * 3 / 0.3",), [1], "equal", "outputs [1]"),
+    ("X", ("X / 3 * 3 + 0.1",), [1], "unequal", "[1] vs [1.1]"),
+    ("X", ("X DIV 0",), [1], "differing-status", "one run failed with division-by-zero"),
+    ("X DIV 0", ("X",), [1], "differing-status", "one run failed with division-by-zero"),
+    ("X DIV 0", ("X * 9223372036854775807 * 2",), [1], "differing-status",
+     "division-by-zero vs integer-overflow"),
+    ("X", ("X DIV 0",), [], "equal-by-error", "both input-exhausted"),
+], ids=["unequal", "more-outputs", "within-tolerance", "beyond-tolerance", "second-fails",
+        "first-fails", "different-errors", "same-error"])
+def test_compare_behavior_verdicts(first, second, inputs, verdict, detail):
+    report = run.compare_behavior(_writes(first), _writes(*second), [inputs])
+    assert [(e.inputs, e.verdict, e.detail) for e in report.entries] == \
+        [(inputs, verdict, detail)]
+    assert report.all_equal is (verdict in ("equal", "equal-by-error"))
