@@ -93,6 +93,95 @@ def test_kb_validate_good_file(tmp_path, capsys):
     assert code == 0
 
 
+_KB = ('schema A kind variable\n  desc "a"\n  slot name mandatory\n    filler "<v>"\n'
+       'schema B kind variable\n  desc "b"\n  slot name mandatory\n    filler "<v>"\n')
+_RULE = 'rule R1 data: if name~"<v>" then activate A'
+
+
+def test_kb_validate_documents(tmp_path, capsys):
+    path = tmp_path / "lib.kb"
+    path.write_text(_KB)
+    assert run_cli(capsys, "kb", "validate", str(path)) == (0, "ok: 2 schemas, 0 rules\n", "")
+    code, out, _ = run_cli(capsys, "kb", "validate", str(path), "--json")
+    assert (code, json.loads(out)) == (0, {"valid": True, "schemas": ["A", "B"]})
+    path.write_text(_KB + "  slot name\n  kindof Missing\n")
+    code, out, _ = run_cli(capsys, "kb", "validate", str(path))
+    assert (code, out) == (1, "duplicate-slot [B.name]: slot declared twice\n"
+                              "dangling-link [B->Missing]: link endpoint does not exist\n")
+
+
+@pytest.mark.parametrize("text, expected", [
+    (_KB + "schema A kind variable\n  slot name mandatory\n", [("duplicate-schema", "A")]),
+    (_KB + "  slot name\n", [("duplicate-slot", "B.name")]),
+    (_KB + '    filler "<v>:=0" proto\n    filler "<v>:=1" proto\n',
+     [("double-prototypical", "B.name")]),
+    (_KB + '    filler "<nope>"\n', [("bad-pattern", "B.name")]),
+    (_KB + "  controlled-by nope\n", [("unknown-slot", "B.nope")]),
+    (_KB + "schema C kind control\n  slot body\n", [("no-mandatory-slot", "C")]),
+    (_KB + "  kindof Missing\n", [("dangling-link", "B->Missing")]),
+    (_KB + "  uses A as nope\n", [("unknown-slot", "B.nope")]),
+    (_KB + "schema C kind problem\n  kindof D\nschema D kind problem\n  kindof C\n",
+     [("cycle", "C -> D")]),
+    (_KB + 'discourse D1 check nope "x"\n', [("bad-check", "D1")]),
+    (_KB + f"{_RULE}\n{_RULE}\n", [("duplicate-rule", "R1")]),
+    (_KB + 'rule R1 data: if name~"<v>" then activate Nope\n', [("unknown-schema", "R1")]),
+    (_KB + f'{_RULE}, bind nope="x"\n', [("unknown-slot", "R1.nope")]),
+    (_KB + "rule R1 concept: if schema=Nope then activate A\n", [("unknown-schema", "R1")]),
+    (_KB + 'rule R1 data: if init~"<nope>" then activate A\n', [("bad-pattern", "R1")]),
+    (_KB + f'{_RULE}, bind name="<nope>"\n', [("bad-pattern", "R1")]),
+    (_KB + "  slot name\n  kindof Missing\n",
+     [("duplicate-slot", "B.name"), ("dangling-link", "B->Missing")]),
+    ("schema A\n", "kb line 1: expected: schema <Name> kind <kind>"),
+    ("schema A kind weird\n", "kb line 1: unknown schema kind 'weird'"),
+    ('desc "a"\n', "kb line 1: desc outside a schema or malformed"),
+    (_KB + "  goal a b\n", "kb line 9: expected: goal <name> inside a schema"),
+    ("names a\n", "kb line 1: expected: names <stem>... inside a schema"),
+    ("slot name\n", "kb line 1: slot outside a schema"),
+    (_KB + "  slot a b c\n", "kb line 9: expected: slot <name> [mandatory]"),
+    ('schema A kind variable\n  filler "<v>"\n', "kb line 2: filler outside a slot or malformed"),
+    (_KB + "  kindof\n", "kb line 9: expected: kindof <ParentName>"),
+    (_KB + "  uses A for name\n", "kb line 9: expected: uses <ChildName> as <slotname>"),
+    (_KB + "discourse D1 check\n", "kb line 9: malformed discourse rule"),
+    (_KB + "rule R1 data: activate A\n", "kb line 9: malformed production rule"),
+    (_KB + 'rule R1 data: if colour~"red" then activate A\n',
+     "kb line 9: bad cue 'colour~\"red\"'"),
+    (_KB + "frobnicate\n", "kb line 9: unrecognized directive 'frobnicate'"),
+], ids=["duplicate-schema", "duplicate-slot", "double-prototypical", "bad-filler",
+        "controlled-by-unknown-slot", "no-mandatory-slot", "dangling-link",
+        "uses-unknown-slot", "cycle", "bad-check", "duplicate-rule",
+        "rule-unknown-schema", "binding-unknown-slot", "cue-unknown-schema",
+        "bad-cue-pattern", "bad-binding-pattern", "two-diagnostics", "schema-line",
+        "schema-kind", "desc-outside", "goal-line", "names-outside", "slot-outside",
+        "slot-line", "filler-outside", "kindof-line", "uses-line", "discourse-line",
+        "rule-line", "cue-kind", "directive"])
+def test_kb_validate_json_reports_each_fault(tmp_path, capsys, text, expected):
+    # a diagnostic list, or the error document of a format error
+    path = tmp_path / "lib.kb"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "kb", "validate", str(path), "--json")
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    if isinstance(expected, str):
+        assert doc == {"error": expected}
+    else:
+        assert list(doc) == ["valid", "diagnostics"] and doc["valid"] is False
+        assert [(d["code"], d["subject"]) for d in doc["diagnostics"]] == expected
+        assert all(list(d) == ["code", "subject", "message"] for d in doc["diagnostics"])
+
+
+def test_parse_json_writes_else_branches(tmp_path, capsys):
+    path = tmp_path / "p.mp"
+    path.write_text("PROGRAM P;\nVAR x: INTEGER;\nBEGIN\n    x := 1;\n"
+                    "    IF x > 0 THEN\n        WRITELN(x)\n    ELSE\n        WRITELN(0)\n"
+                    "END.\n")
+    code, out, _ = run_cli(capsys, "parse", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["statements"][1] == {
+        "line": 5, "kind": "if", "cond": "x>0",
+        "then": [{"line": 6, "kind": "writeln", "text": "writeln(x)"}],
+        "else": [{"line": 8, "kind": "writeln", "text": "writeln(0)"}]}
+
+
 def test_kb_dump_builtin(capsys):
     code, out, _ = run_cli(capsys, "kb", "dump-builtin")
     assert code == 0

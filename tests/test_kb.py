@@ -172,6 +172,20 @@ def test_cycle_diagnostic_names_only_schemas_on_the_cycle(links, cycles):
         ("cycle", cycle) for cycle in cycles]
 
 
+@pytest.mark.parametrize("fault, expected", [
+    (lambda kb: setattr(kb.schemas[0], "kind", "weird"), ("bad-kind", "A")),
+    (lambda kb: kb.rules[0].conditions.append(kblib.Cue("colour", "red")), ("bad-cue", "R1")),
+    (lambda kb: kb.links.append(kblib.Link("uses", "A", "B")), ("missing-slot", "A->B")),
+], ids=["bad-kind", "bad-cue", "missing-slot"])
+def test_diagnostics_load_kb_cannot_produce(fault, expected):
+    # the file format rejects these before validation, so they are made in memory
+    kb = kblib.load_kb('schema A kind variable\n  desc "a"\n  slot name mandatory\n'
+                       'schema B kind variable\n  desc "b"\n  slot name mandatory\n'
+                       'rule R1 data: if name~"<v>" then activate A\n')
+    fault(kb)
+    assert [(d.code, d.subject) for d in kblib.validate_kb(kb)] == [expected]
+
+
 def test_double_prototypical_diagnostic():
     text = ('schema A kind variable\n  desc "a"\n  slot s mandatory\n'
             '    filler "<v>:=0" proto\n    filler "<v>:=1" proto\n')
