@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from plancog import cli
+from plancog import cli, frontend
 
 GOLDEN = Path(__file__).parent / "golden"
 SIMULATION_INPUT = "1,2,3,99999"
@@ -25,7 +25,8 @@ SIMULATION_INPUT = "1,2,3,99999"
 
 def requests(name, source):
     """argv lists (without --json) covering every subcommand on one program;
-    relations and fill-blank are asked on every line of the file."""
+    relations and fill-blank are asked on every line of the file, and
+    simulate --trace on every declared variable."""
     lines = [str(n) for n in range(1, len(source.splitlines()) + 1)]
     out = [["parse", name], ["recognize", name, "--trace"]]
     out += [["relations", name, "--line", line, "--kind", kind]
@@ -35,6 +36,8 @@ def requests(name, source):
             for line in lines for strategy in ("plan", "control")]
     out += [["chunk", name, "--mode", mode] for mode in ("plan", "control")]
     out.append(["simulate", name, "--input", SIMULATION_INPUT])
+    out += [["simulate", name, "--input", SIMULATION_INPUT, "--trace", d.name]
+            for d in frontend.parse(source).declarations]
     return out
 
 
