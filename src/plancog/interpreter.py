@@ -143,7 +143,11 @@ class _Machine:
             self.tick(s.line)
             start = self.eval(s.start, s.line)
             stop = self.eval(s.stop, s.line)
-            if not isinstance(start, int) or not isinstance(stop, int):
+            # an INTEGER control variable and INTEGER bounds, checked before
+            # the first iteration
+            if (self.types[s.var.lower()] != "integer"
+                    or isinstance(start, bool) or not isinstance(start, int)
+                    or isinstance(stop, bool) or not isinstance(stop, int)):
                 raise _Halt("type-error", s.line)
             current = start
             while current <= stop:

@@ -225,6 +225,8 @@ _OK, _FAIL = run.OK, run.RUNTIME_ERROR
     (["FOR I := 1 TO 2.5 DO WRITELN(I)"], [], None, (_FAIL, "type-error", 4, [])),
     (["FOR I := 0.5 TO 2 DO WRITELN(I)"], [], None, (_FAIL, "type-error", 4, [])),
     (["FOR I := FALSE TO TRUE DO WRITELN(I)"], [], None, (_FAIL, "type-error", 4, [])),
+    (["FOR B := FALSE TO TRUE DO WRITELN(B)"], [], None, (_FAIL, "type-error", 4, [])),
+    (["FOR R := 1 TO 2 DO WRITELN(R)"], [], None, (_FAIL, "type-error", 4, [])),
     (["IF 1 THEN WRITELN(1)"], [], None, (_FAIL, "type-error", 4, [])),
     (["I := 0", "WHILE I DO I := 1"], [], None, (_FAIL, "type-error", 5, [])),
     (["REPEAT I := 1 UNTIL 2.0"], [], None, (_FAIL, "type-error", 4, [])),
@@ -245,7 +247,8 @@ _OK, _FAIL = run.OK, run.RUNTIME_ERROR
 ], ids=["not-and-or", "while-exits", "if-else", "hole", "integer-into-real",
         "real-into-integer", "boolean-into-integer", "boolean-into-real",
         "integer-into-boolean", "real-into-boolean", "fractional-read",
-        "real-for-stop", "real-for-start", "boolean-for-bounds", "if-on-integer",
+        "real-for-stop", "real-for-start", "boolean-for-bounds",
+        "boolean-for-variable", "real-for-variable", "if-on-integer",
         "while-on-integer", "until-on-real", "minus-boolean", "not-integer",
         "and-integer-left", "or-integer-right", "and-evaluates-both",
         "boolean-equals-integer", "real-below-boolean", "boolean-plus",
