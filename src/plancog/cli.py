@@ -270,7 +270,8 @@ def _cmd_chunk(args):
 
 def _cmd_simulate(args):
     program = frontend.parse(_read(args.file))
-    result = interpreter.execute(program, args.input, args.step_budget)
+    result = interpreter.execute(program, args.input, args.step_budget,
+                                 trace=bool(args.trace))
     doc = {"outputs": [interpreter.render_value(v) for v in result.outputs],
            "status": result.status, "steps": result.steps}
     if result.status != interpreter.OK:

@@ -5,19 +5,23 @@ loop-back edge at most twice, and collects def-clear definition-to-use
 pairs by replaying the path. It shares no code with the fixpoint analysis
 it checks.
 
-The reference oracles are the straightforward versions of four optimised
+The reference oracles are the straightforward versions of five optimised
 steps, kept to compare against on every program: reaching definitions by
 round-robin passes over sets, coherence pairing over all instance pairs,
-filler matching with one regular expression per (pattern, variable), and a
-character-by-character lexer.
+filler matching with one regular expression per (pattern, variable), a
+character-by-character lexer, and an interpreter that walks the AST.
 """
 
+import math
 import re
 from functools import lru_cache
 
+from plancog import frontend as fe
 from plancog.errors import LexError
-from plancog.frontend import (COMMENT, IDENT, INT, KEYWORDS, KW, OP, PUNCT, REALLIT,
-                              Token)
+from plancog.frontend import (COMMENT, IDENT, INT, INT_MAX, INT_MIN, KEYWORDS, KW, OP, PUNCT,
+                              REALLIT, Token)
+from plancog.interpreter import (DEFAULT_STEP_BUDGET, RUNTIME_ERROR, ExecutionResult,
+                                 TraceEvent)
 from plancog.kb import LOOP_WORDS, normalize
 from plancog.relations import LOOP_BACK, DefUse, node_defs, node_uses
 
@@ -276,3 +280,208 @@ def char_loop_tokenize(source: str) -> list[Token]:
             continue
         raise LexError(f"illegal character {c!r}", line)
     return tokens
+
+
+class _Halt(Exception):
+    def __init__(self, kind, line):
+        self.kind = kind
+        self.line = line
+
+
+class _TreeWalker:
+    def __init__(self, program, inputs, step_budget):
+        self.program = program
+        self.inputs = list(inputs)
+        self.cursor = 0
+        self.budget = step_budget
+        self.result = ExecutionResult()
+        self.types = {d.name.lower(): d.type for d in program.declarations}
+        self.values = {}
+
+    def tick(self, line):
+        if self.result.steps >= self.budget:
+            raise _Halt("step-budget-exceeded", line)
+        self.result.steps += 1
+
+    def run(self):
+        try:
+            self.block(self.program.body)
+        except _Halt as halt:
+            self.result.status = RUNTIME_ERROR
+            self.result.error_kind = halt.kind
+            self.result.error_line = halt.line
+        return self.result
+
+    def block(self, stmts):
+        for s in stmts:
+            self.statement(s)
+
+    def assign(self, name, value, line):
+        key = name.lower()
+        declared = self.types[key]
+        if declared == "integer":
+            if isinstance(value, float):
+                raise _Halt("type-error", line)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise _Halt("type-error", line)
+        elif declared == "real":
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise _Halt("type-error", line)
+            value = float(value)
+        elif declared == "boolean" and not isinstance(value, bool):
+            raise _Halt("type-error", line)
+        self.values[key] = value
+        self.result.trace.append(TraceEvent(self.result.steps, line, key, value))
+
+    def statement(self, s):
+        if isinstance(s, fe.Assign):
+            self.tick(s.line)
+            self.assign(s.target, self.eval(s.expr, s.line), s.line)
+        elif isinstance(s, fe.Readln):
+            self.tick(s.line)
+            if self.cursor >= len(self.inputs):
+                raise _Halt("input-exhausted", s.line)
+            value = self.inputs[self.cursor]
+            self.cursor += 1
+            if isinstance(value, (int, float)):
+                # an input keeps the bounds of an arithmetic result
+                value = self.check_number(value, s.line)
+            if self.types[s.var.lower()] == "integer" and isinstance(value, float):
+                if not value.is_integer():
+                    raise _Halt("type-error", s.line)
+                value = self.check_number(int(value), s.line)
+            self.assign(s.var, value, s.line)
+        elif isinstance(s, fe.Writeln):
+            self.tick(s.line)
+            self.result.outputs.append(self.eval(s.expr, s.line))
+        elif isinstance(s, fe.Compound):
+            self.block(s.body)
+        elif isinstance(s, fe.If):
+            self.tick(s.line)
+            if self.truth(s.cond, s.line):
+                self.statement(s.then)
+            elif s.otherwise is not None:
+                self.statement(s.otherwise)
+        elif isinstance(s, fe.While):
+            while True:
+                self.tick(s.line)
+                if not self.truth(s.cond, s.line):
+                    return
+                self.statement(s.body)
+        elif isinstance(s, fe.Repeat):
+            while True:
+                self.block(s.body)
+                self.tick(s.until_line)
+                if self.truth(s.cond, s.until_line):
+                    return
+        elif isinstance(s, fe.For):
+            self.tick(s.line)
+            start = self.eval(s.start, s.line)
+            stop = self.eval(s.stop, s.line)
+            # an INTEGER control variable and INTEGER bounds, checked before
+            # the first iteration
+            if (self.types[s.var.lower()] != "integer"
+                    or isinstance(start, bool) or not isinstance(start, int)
+                    or isinstance(stop, bool) or not isinstance(stop, int)):
+                raise _Halt("type-error", s.line)
+            current = start
+            while current <= stop:
+                self.assign(s.var, current, s.line)
+                self.statement(s.body)
+                self.tick(s.line)
+                current += 1
+        elif isinstance(s, fe.Hole):
+            self.tick(s.line)
+        else:
+            raise TypeError(f"cannot execute {s!r}")
+
+    def truth(self, expr, line):
+        value = self.eval(expr, line)
+        if not isinstance(value, bool):
+            raise _Halt("type-error", line)
+        return value
+
+    def eval(self, expr, line):
+        if isinstance(expr, (fe.IntLit, fe.RealLit, fe.BoolLit)):
+            return expr.value
+        if isinstance(expr, fe.VarRef):
+            key = expr.name.lower()
+            if key not in self.values:
+                raise _Halt("uninitialized-variable", line)
+            return self.values[key]
+        if isinstance(expr, fe.Unary):
+            value = self.eval(expr.operand, line)
+            if expr.op == "-":
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise _Halt("type-error", line)
+                return self.check_number(-value, line)
+            if not isinstance(value, bool):
+                raise _Halt("type-error", line)
+            return not value
+        if isinstance(expr, fe.Binary):
+            return self.binary(expr, line)
+        raise TypeError(f"cannot evaluate {expr!r}")
+
+    def binary(self, expr, line):
+        op = expr.op
+        left = self.eval(expr.left, line)
+        if op in ("and", "or"):
+            if not isinstance(left, bool):
+                raise _Halt("type-error", line)
+            right = self.eval(expr.right, line)
+            if not isinstance(right, bool):
+                raise _Halt("type-error", line)
+            return (left and right) if op == "and" else (left or right)
+        right = self.eval(expr.right, line)
+        if op in ("=", "<>", "<", "<=", ">", ">="):
+            if isinstance(left, bool) != isinstance(right, bool):
+                raise _Halt("type-error", line)
+            table = {"=": left == right, "<>": left != right, "<": left < right,
+                     "<=": left <= right, ">": left > right, ">=": left >= right}
+            return table[op]
+        for operand in (left, right):
+            if isinstance(operand, bool) or not isinstance(operand, (int, float)):
+                raise _Halt("type-error", line)
+        if op == "+":
+            return self.check_number(left + right, line)
+        if op == "-":
+            return self.check_number(left - right, line)
+        if op == "*":
+            return self.check_number(left * right, line)
+        if op == "/":
+            if right == 0:
+                raise _Halt("division-by-zero", line)
+            return self.check_number(left / right, line)
+        if op in ("div", "mod"):
+            if not isinstance(left, int) or not isinstance(right, int):
+                raise _Halt("type-error", line)
+            if right == 0:
+                raise _Halt("division-by-zero", line)
+            # Pascal DIV truncates toward zero; exact for every 64-bit operand
+            quotient = abs(left) // abs(right)
+            if (left < 0) != (right < 0):
+                quotient = -quotient
+            if op == "div":
+                return self.check_number(quotient, line)
+            return self.check_number(left - quotient * right, line)
+        raise TypeError(f"unknown operator {op!r}")
+
+    def check_number(self, value, line):
+        """An arithmetic result: integers must fit 64 bits, reals must be
+        finite (an infinite or NaN REAL is an overflow, not a value)."""
+        if isinstance(value, int):
+            if not INT_MIN <= value <= INT_MAX:
+                raise _Halt("integer-overflow", line)
+        elif not math.isfinite(value):
+            raise _Halt("real-overflow", line)
+        return value
+
+
+def tree_walk_execute(program, inputs, step_budget=DEFAULT_STEP_BUDGET):
+    """Run `program` by walking its AST, dispatching on the node type at
+    every step; the reference for `interpreter.execute`. It always records
+    the trace, and keeps its final store in `values`."""
+    walker = _TreeWalker(program, inputs, step_budget)
+    result = walker.run()
+    result.values = walker.values
+    return result

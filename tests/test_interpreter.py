@@ -1,10 +1,17 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import tree_walk_execute
 from plancog import frontend as fe
 from plancog import interpreter as run
 from plancog.errors import AnalysisError
+from test_frontend import _TYPED_NAMES, _program, _stmt
 
 
 def test_grey_average_of_three(grey):
@@ -53,11 +60,18 @@ def test_trace_unknown_variable(grey):
 
 
 def test_trace_events_ordered_and_declared(grey):
-    result = run.execute(grey, [4, 7, 99999])
+    result = run.execute(grey, [4, 7, 99999], trace=True)
     declared = {d.name.lower() for d in grey.declarations}
     steps = [e.step for e in result.trace]
+    assert steps
     assert steps == sorted(steps)
     assert all(e.variable in declared for e in result.trace)
+
+
+def test_trace_is_recorded_only_on_request(grey):
+    result = run.execute(grey, [1, 2, 3, 99999])
+    assert result.trace == []
+    assert (result.final_value("Sum"), result.final_value("Count")) == (6, 3)
 
 
 def test_compare_equal_outputs(grey, orange):
@@ -285,3 +299,98 @@ def test_compare_behavior_verdicts(first, second, inputs, verdict, detail):
     assert [(e.inputs, e.verdict, e.detail) for e in report.entries] == \
         [(inputs, verdict, detail)]
     assert report.all_equal is (verdict in ("equal", "equal-by-error"))
+
+
+# --- the compiled interpreter against the tree walker --------------------------
+
+def _typed(value):
+    return type(value).__name__, repr(value)
+
+
+def _observed(result):
+    return (result.status, result.error_kind, result.error_line, result.steps,
+            [_typed(v) for v in result.outputs])
+
+
+def _events(result):
+    return [(e.step, e.line, e.variable, _typed(e.value)) for e in result.trace]
+
+
+def _last_traced(result, var):
+    values = [e.value for e in result.trace if e.variable == var.lower()]
+    return values[-1] if values else None
+
+
+def _assert_runs_like_tree_walk(program, inputs, step_budget=run.DEFAULT_STEP_BUDGET):
+    want = tree_walk_execute(program, inputs, step_budget)
+    for trace in (False, True):
+        got = run.execute(program, inputs, step_budget, trace=trace)
+        assert _observed(got) == _observed(want)
+        assert _events(got) == (_events(want) if trace else [])
+        for d in program.declarations:
+            assert _typed(got.final_value(d.name)) == _typed(_last_traced(want, d.name))
+
+
+_INPUT = st.one_of(
+    st.sampled_from([2 ** 63 - 1, 2 ** 63, -(2 ** 63), -(2 ** 63) - 1, True, 1e308, 99999]),
+    st.integers(-1000, 1000), st.floats())
+
+
+# initial values for every variable, so that most runs get past the first use
+_PRELUDE = st.tuples(st.lists(st.integers(-3, 5), min_size=4, max_size=4),
+                     st.sampled_from(["0.5", "-2", "123456789012.5"]),
+                     st.sampled_from(["TRUE", "FALSE"])).map(
+    lambda t: [f"{name} := {value}" for name, value in zip(_TYPED_NAMES, [*t[0], *t[1:]])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.just([]), _PRELUDE), st.lists(_stmt(2, _TYPED_NAMES), min_size=1, max_size=6),
+       st.lists(_INPUT, max_size=8), st.integers(1, 400))
+def test_generated_runs_match_tree_walk(prelude, stmts, inputs, step_budget):
+    program = fe.parse(_program(prelude + stmts))
+    _assert_runs_like_tree_walk(program, inputs, step_budget)
+
+
+_INT64 = st.one_of(st.integers(fe.INT_MIN, fe.INT_MAX),
+                   st.sampled_from([fe.INT_MIN, fe.INT_MIN + 1, -1, 0, 1, fe.INT_MAX]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_INT64, _INT64)
+def test_integer_arithmetic_matches_tree_walk(left, right):
+    program = fe.parse("PROGRAM P(input, output);\nVAR A, B: INTEGER;\nBEGIN\n"
+                       "    READLN(A);\n    READLN(B);\n    WRITELN(A DIV B);\n"
+                       "    WRITELN(A MOD B);\n    WRITELN(-A);\n    WRITELN(A * B);\n"
+                       "    WRITELN(A + B - B);\nEND.\n")
+    _assert_runs_like_tree_walk(program, [left, right])
+
+
+def _benchmark_programs():
+    """perfbench/programs.py, the benchmark's program generator."""
+    path = Path(__file__).parents[1] / "perfbench" / "programs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_programs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_corpus_and_benchmark_runs_match_tree_walk(corpus_sources):
+    pg = _benchmark_programs()
+    rng = random.Random(5)
+    inputs = [[1, 2, 3, 99999], [99999], [], [5, -7, 2.5, 99999],
+              pg.sentinel_inputs(rng, 200, 99999)]
+    for source in corpus_sources.values():
+        for values in inputs:
+            _assert_runs_like_tree_walk(fe.parse(source), values)
+    for name in ("grey", "orange"):
+        program = fe.parse(pg.corpus_program(f"{name}.mp").source)
+        for values in inputs:
+            for step_budget in (40, run.DEFAULT_STEP_BUDGET):
+                _assert_runs_like_tree_walk(program, values, step_budget)
+    names = {"sum": "Total", "row": "Row", "col": "Col", "part": "Part"}
+    for rows, cols, offset in ((6, 7, -12), (9, 4, 31)):
+        block = pg.nested_block(names, rows, cols, offset, rng.randint(5, 97), rng.randint(1, 7))
+        program = fe.parse(pg.render("Grid", [block]).source)
+        for step_budget in (57, run.DEFAULT_STEP_BUDGET):
+            _assert_runs_like_tree_walk(program, [], step_budget)
