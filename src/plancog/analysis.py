@@ -392,9 +392,8 @@ def chunk(program: fe.Program, kb: KnowledgeBase | None = None,
 
 # --- delocalization -----------------------------------------------------------------
 
-def delocalization(instance: PlanInstance) -> int:
-    """Maximum pairwise line distance among the instance's bound part lines."""
+def delocalization(instance: PlanInstance) -> int | None:
+    """Maximum pairwise line distance among the instance's bound part lines;
+    None below two lines."""
     lines = instance.part_lines()
-    if len(lines) < 2:
-        raise AnalysisError("delocalization needs at least two line-bound slots")
-    return max(lines) - min(lines)
+    return max(lines) - min(lines) if len(lines) > 1 else None

@@ -363,15 +363,10 @@ def _instance_json(inst):
         "bindings": {slot: {"line": b.line, "text": b.text}
                      for slot, b in sorted(inst.bindings.items())},
         "lines": lines,
-        "delocalization": _delocalization(lines),
+        "delocalization": analysis.delocalization(inst),
         "children": [{"slot": slot, "schema": child.schema, "variable": child.variable}
                      for slot, child in inst.children],
     }
-
-
-def _delocalization(lines):
-    """The spread of a plan's part lines; None below two lines."""
-    return max(lines) - min(lines) if len(lines) > 1 else None
 
 
 def _tree_json(node):
@@ -389,9 +384,8 @@ def _print_tree(node, depth):
     pad = "  " * depth
     if node.plan is not None:
         flags = f" [{', '.join(node.flags)}]" if node.flags else ""
-        part_lines = node.plan.part_lines()
-        lines = ", ".join(map(str, part_lines))
-        spread = _delocalization(part_lines)
+        lines = ", ".join(map(str, node.plan.part_lines()))
+        spread = analysis.delocalization(node.plan)
         spread = "" if spread is None else f", delocalization {spread}"
         print(f"{pad}{node.plan.label} ({node.plan.status}{flags}) "
               f"lines {lines}{spread}")

@@ -15,6 +15,7 @@ import math
 import re
 from dataclasses import dataclass, field, fields, is_dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 from .errors import AnalysisError, LexError, ParseError
 
@@ -33,7 +34,8 @@ OP = "operator"
 PUNCT = "punctuation"
 COMMENT = "comment"
 
-# One alternative per token class, tried in this order at each position.
+# One alternative per token class, tried in this order at each position; the
+# last one takes any character no other alternative starts with.
 # Identifiers and numbers are ASCII only: str.isdigit also accepts "²", which
 # int() rejects, and the KB's name patterns match no other letters. `\s`
 # accepts exactly the characters str.isspace accepts.
@@ -47,12 +49,13 @@ _TOKEN = re.compile(r"""
   | (?P<integer>[0-9]+)
   | (?P<operator>:=|<>|<=|>=|[-+*/=<>])
   | (?P<punctuation>[(),;:.])
+  | (?P<bad>.)
 """, re.VERBOSE | re.DOTALL)
-_TOKEN_KINDS = {"real": REALLIT, "integer": INT, "operator": OP, "punctuation": PUNCT}
+_TOKEN_KINDS = {"identifier": IDENT, "real": REALLIT, "integer": INT, "operator": OP,
+                "punctuation": PUNCT}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -64,24 +67,24 @@ def tokenize(source: str) -> list[Token]:
     """Turn source text into tokens; comments become COMMENT tokens with the
     interior text stripped of surrounding whitespace."""
     tokens = []
-    pos, line = 0, 1
-    while pos < len(source):
-        match = _TOKEN.match(source, pos)
-        if match is None:
-            raise LexError(f"illegal character {source[pos]!r}", line)
-        group, text, end = match.lastgroup, match.group(), match.end()
-        if group == "identifier":
-            kind = KW if text.upper() in KEYWORDS else IDENT
-            tokens.append(Token(kind, text, line, pos, end))
-        elif group in _TOKEN_KINDS:
-            tokens.append(Token(_TOKEN_KINDS[group], text, line, pos, end))
+    line = 1
+    for match in _TOKEN.finditer(source):
+        group = match.lastgroup
+        kind = _TOKEN_KINDS.get(group)
+        if kind is not None:
+            text = match.group()
+            if kind is IDENT and text.upper() in KEYWORDS:
+                kind = KW
+            tokens.append(Token(kind, text, line, match.start(), match.end()))
+        elif group == "space":
+            line += match.group().count("\n")
+        elif group == "bad":
+            raise LexError(f"illegal character {match.group()!r}", line)
         elif group == "opener":
             raise LexError("unterminated comment", line)
         else:
-            if group != "space":
-                tokens.append(Token(COMMENT, match[group].strip(), line, pos, end))
-            line += text.count("\n")
-        pos = end
+            tokens.append(Token(COMMENT, match[group].strip(), line, match.start(), match.end()))
+            line += match.group().count("\n")
     return tokens
 
 
@@ -241,15 +244,32 @@ MAX_DEPTH = 100
 # --- parser ------------------------------------------------------------
 
 class _Parser:
+    """Recursive descent over one program's tokens. It raises syntax errors
+    only; the checks that follow them read what it notes along the way."""
+
     def __init__(self, tokens):
         self.tokens = [t for t in tokens if t.kind != COMMENT]
         self.pos = 0
         self.depth = 0    # statements, parentheses and unary operators entered
+        self.too_deep = False     # an expression takes the tree past MAX_DEPTH
+        self.declared = set()     # lower-cased declared names
+        self.duplicate = None     # the first name token declared a second time
+        self.statements = 0       # statements begun, so each one's preorder number
+        self.current = 0          # preorder number of the statement whose names are read
+        self.undeclared = None    # (preorder number, name, line) first in walk order
 
     def enter(self):
         self.depth += 1
         if self.depth > MAX_DEPTH:
             self.fail(f"nesting deeper than {MAX_DEPTH} levels")
+
+    def check_declared(self, text, line):
+        """Note a name the current statement defines or reads if it is
+        undeclared and comes first in walk order: statements in preorder, each
+        one's defined name before the names its expressions read."""
+        if text.lower() not in self.declared and (
+                self.undeclared is None or self.current < self.undeclared[0]):
+            self.undeclared = (self.current, text, line)
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -326,6 +346,10 @@ class _Parser:
                 ty = self.advance().text.lower()
                 self.expect(PUNCT, ";")
                 for tok in names:
+                    key = tok.text.lower()
+                    if key in self.declared and self.duplicate is None:
+                        self.duplicate = tok
+                    self.declared.add(key)
                     decls.append(Decl(tok.text, ty, tok.line))
         return decls
 
@@ -347,6 +371,8 @@ class _Parser:
 
     def statement(self):
         self.enter()
+        self.statements += 1
+        self.current = self.statements
         stmt = self._statement()
         self.depth -= 1
         return stmt
@@ -356,9 +382,10 @@ class _Parser:
         if tok is None:
             self.fail("expected a statement")
         if tok.kind == IDENT:
-            name = self.advance()
+            self.advance()
             self.expect(OP, ":=")
-            return Assign(name.text, self.expression(), name.line)
+            self.check_declared(tok.text, tok.line)
+            return Assign(tok.text, self.expression(), tok.line)
         if tok.kind != KW:
             self.fail(f"unexpected {tok.text!r}", {"statement"})
         word = tok.text.upper()
@@ -367,6 +394,7 @@ class _Parser:
             self.expect(PUNCT, "(")
             var = self.expect(IDENT)
             self.expect(PUNCT, ")")
+            self.check_declared(var.text, tok.line)
             return Readln(var.text, tok.line)
         if word == "WRITELN":
             self.advance()
@@ -376,8 +404,11 @@ class _Parser:
             return Writeln(expr, tok.line)
         if word == "REPEAT":
             self.advance()
+            number = self.current
             body = self.statement_list({"UNTIL"})
             until = self.expect_keyword("UNTIL")
+            # the condition's names come before the body's in walk order
+            self.current = number
             cond = self.expression()
             return Repeat(body, cond, tok.line, until.line)
         if word == "WHILE":
@@ -388,6 +419,7 @@ class _Parser:
         if word == "FOR":
             self.advance()
             var = self.expect(IDENT)
+            self.check_declared(var.text, tok.line)
             self.expect(OP, ":=")
             start = self.expression()
             self.expect_keyword("TO")
@@ -411,57 +443,69 @@ class _Parser:
             return Compound(body, tok.line)
         self.fail(f"unexpected keyword {tok.text}", {"statement"})
 
-    def expression(self, level=0):
-        """Binary operators of precedence `level` and tighter; their operands
-        are the next level's expressions, and factors below the last level."""
-        ops = _BINARY_LEVELS[level]
-        tighter = level + 1 < len(_BINARY_LEVELS)
-        left = self.expression(level + 1) if tighter else self.factor()
+    def expression(self):
+        """A statement's expression. The statement's depth plus the
+        expression's height is the depth of its deepest node."""
+        expr, height = self.binary(0)
+        if self.depth + height > MAX_DEPTH:
+            self.too_deep = True
+        return expr
+
+    def binary(self, level):
+        """Binary operators of precedence `level` and tighter, left-associative,
+        over factors; with the height of the tree."""
+        left, height = self.factor()
         while True:
             tok = self.peek()
             # no identifier, literal or punctuation spells an operator
-            if tok is None or tok.text.lower() not in ops:
-                return left
-            self.advance()
-            right = self.expression(level + 1) if tighter else self.factor()
-            left = Binary(tok.text.lower(), left, right, left.line)
+            op = None if tok is None else tok.text.lower()
+            op_level = _PRECEDENCE.get(op, -1)
+            if op_level < level:
+                return left, height
+            self.pos += 1
+            right, right_height = self.binary(op_level + 1)
+            left = Binary(op, left, right, left.line)
+            height = 1 + max(height, right_height)
 
     def factor(self):
+        """A literal, variable, unary operation or parenthesized expression,
+        with its height."""
         tok = self.peek()
         if tok is None:
             self.fail("expected an expression")
+        if tok.kind == IDENT:
+            self.pos += 1
+            self.check_declared(tok.text, tok.line)
+            return VarRef(tok.text, tok.line), 1
         if (tok.kind == OP and tok.text == "-") or self.at_keyword("NOT"):
-            self.advance()
+            self.pos += 1
             self.enter()
-            operand = self.factor()
+            operand, height = self.factor()
             self.depth -= 1
-            return Unary("-" if tok.text == "-" else "not", operand, tok.line)
+            return Unary("-" if tok.text == "-" else "not", operand, tok.line), height + 1
         if tok.kind == INT:
             # 20 digits exceed INT_MAX, and int() refuses far longer ones
             value = int(tok.text) if len(tok.text.lstrip("0")) < 20 else INT_MAX + 1
             if value > INT_MAX:
                 self.fail("integer literal outside 64 bits")
-            self.advance()
-            return IntLit(value, tok.line)
+            self.pos += 1
+            return IntLit(value, tok.line), 1
         if tok.kind == REALLIT:
             value = float(tok.text)
             if math.isinf(value):
                 self.fail("real literal too large")
-            self.advance()
-            return RealLit(value, tok.line)
+            self.pos += 1
+            return RealLit(value, tok.line), 1
         if self.at_keyword("TRUE", "FALSE"):
-            self.advance()
-            return BoolLit(tok.text.upper() == "TRUE", tok.line)
-        if tok.kind == IDENT:
-            self.advance()
-            return VarRef(tok.text, tok.line)
+            self.pos += 1
+            return BoolLit(tok.text.upper() == "TRUE", tok.line), 1
         if tok.kind == PUNCT and tok.text == "(":
-            self.advance()
+            self.pos += 1
             self.enter()
-            expr = self.expression()
+            expr, height = self.binary(0)
             self.depth -= 1
             self.expect(PUNCT, ")")
-            return expr
+            return expr, height
         self.fail(f"unexpected {tok.text!r}", {"expression"})
 
 
@@ -472,24 +516,25 @@ def parse(source: str) -> Program:
 
 
 def _parse_tokens(tokens: list[Token]) -> Program:
-    program = _Parser(tokens).program()
-    _check_depth(program)
+    """Parse, then raise what the parser noted: a node deeper than MAX_DEPTH,
+    a duplicate declaration, the first undeclared name in walk order."""
+    parser = _Parser(tokens)
+    program = parser.program()
+    if parser.too_deep:
+        _check_depth(program)
+    if parser.duplicate is not None:
+        raise ParseError(f"duplicate declaration of {parser.duplicate.text}",
+                         parser.duplicate.line)
+    if parser.undeclared is not None:
+        _, name, line = parser.undeclared
+        raise ParseError(f"undeclared identifier {name}", line)
     program.comments = [(t.line, t.text) for t in tokens if t.kind == COMMENT]
-    seen = {}
-    for d in program.declarations:
-        key = d.name.lower()
-        if key in seen:
-            raise ParseError(f"duplicate declaration of {d.name}", d.line)
-        seen[key] = d
-    for stmt in walk_statements(program.body):
-        for name, line in defined_names(stmt) + used_names(stmt):
-            if name.lower() not in seen:
-                raise ParseError(f"undeclared identifier {name}", line)
     return program
 
 
 def _check_depth(program: Program):
-    """Reject a tree deeper than MAX_DEPTH, walking it without recursion."""
+    """Raise at the node of a too-deep tree that a last-in first-out walk
+    meets first, walking without recursion."""
     stack = [(s, 1) for s in program.body]
     while stack:
         node, depth = stack.pop()

@@ -5,11 +5,12 @@ loop-back edge at most twice, and collects def-clear definition-to-use
 pairs by replaying the path. It shares no code with the fixpoint analysis
 it checks.
 
-The reference oracles are the straightforward versions of five optimised
+The reference oracles are the straightforward versions of six optimised
 steps, kept to compare against on every program: reaching definitions by
 round-robin passes over sets, coherence pairing over all instance pairs,
 filler matching with one regular expression per (pattern, variable), a
-character-by-character lexer, and an interpreter that walks the AST.
+character-by-character lexer, depth and declaration checks that walk the
+parsed tree, and an interpreter that walks the AST.
 """
 
 import math
@@ -17,7 +18,7 @@ import re
 from functools import lru_cache
 
 from plancog import frontend as fe
-from plancog.errors import LexError
+from plancog.errors import LexError, ParseError
 from plancog.frontend import (COMMENT, IDENT, INT, INT_MAX, INT_MIN, KEYWORDS, KW, OP, PUNCT,
                               REALLIT, Token)
 from plancog.interpreter import (DEFAULT_STEP_BUDGET, RUNTIME_ERROR, ExecutionResult,
@@ -280,6 +281,47 @@ def char_loop_tokenize(source: str) -> list[Token]:
             continue
         raise LexError(f"illegal character {c!r}", line)
     return tokens
+
+
+# --- checking depth and declarations after parsing -----------------------------
+
+def two_pass_parse(source: str):
+    """Parse source text with the front end's parser, which raises syntax
+    errors only, then check the finished tree in two walks: depth, then
+    declarations (every identifier used in the body declared exactly once).
+    The reference for `frontend.parse`, which makes both checks while it
+    parses."""
+    tokens = fe.tokenize(source)
+    program = fe._Parser(tokens).program()
+    _check_depth(program)
+    program.comments = [(t.line, t.text) for t in tokens if t.kind == COMMENT]
+    seen = {}
+    for d in program.declarations:
+        key = d.name.lower()
+        if key in seen:
+            raise ParseError(f"duplicate declaration of {d.name}", d.line)
+        seen[key] = d
+    for stmt in fe.walk_statements(program.body):
+        for name, line in fe.defined_names(stmt) + fe.used_names(stmt):
+            if name.lower() not in seen:
+                raise ParseError(f"undeclared identifier {name}", line)
+    return program
+
+
+def _check_depth(program):
+    """Reject a tree deeper than MAX_DEPTH, walking it without recursion."""
+    stack = [(s, 1) for s in program.body]
+    while stack:
+        node, depth = stack.pop()
+        if depth > fe.MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {fe.MAX_DEPTH} levels", node.line)
+        if isinstance(node, fe.Binary):
+            children = [node.left, node.right]
+        elif isinstance(node, fe.Unary):
+            children = [node.operand]
+        else:
+            children = fe._expressions(node) + fe.substatements(node)
+        stack.extend((child, depth + 1) for child in children)
 
 
 class _Halt(Exception):

@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import brute_force_def_use, char_loop_tokenize, round_robin_def_use
+from oracles import (brute_force_def_use, char_loop_tokenize, round_robin_def_use,
+                     two_pass_parse)
 from plancog import analysis as an
 from plancog import frontend as fe
 from plancog import relations as rel
@@ -73,12 +74,14 @@ def test_tokenize_illegal_character():
 
 
 # fragments that sit on the lexer's boundaries: comment delimiters, a REAL
-# point without digits after it, non-ASCII digits, letters and spaces, and
-# line breaks of both conventions
+# point without digits after it, non-ASCII digits, letters and spaces, line
+# breaks of both conventions, and characters either side of `\s` (a NUL, a
+# form feed, a Unicode line separator)
 _LEX_FRAGMENTS = ["{", "}", "(*", "*)", "(", ")", "*", "1..2", "1.5", "3.", ".7",
                   "²", "١", "é", "\u00a0", "\r\n", "\n", " ", "\t", ":=", ":",
                   "<>", "<=", ">=", "<", ">", "=", "+", "-", "/", ";", ",", ".",
-                  "x", "_a1", "Div", "BEGIN", "0", "42", "@", "'"]
+                  "x", "_a1", "Div", "BEGIN", "0", "42", "@", "'", "\x00", "\x0c",
+                  "\u2028"]
 
 
 def _lex_outcome(tokenize, source):
@@ -463,6 +466,146 @@ def test_generated_control_chunks_partition_universe(stmts):
     lines = [line for c in an.chunk(program, mode="control") for line in c.lines]
     assert len(lines) == len(set(lines))
     assert set(lines) == an.chunk_universe(program)
+
+
+# --- depth and declarations checked while parsing ------------------------------
+
+_GHOSTS = ["Ghost", "Phantom"]    # names _program never declares
+_SYNTAX_ERRORS = ["Alpha := (1", "Alpha := 1 +", "IF Alpha THEN", "Alpha 1", "UNTIL Alpha"]
+
+
+def _tall(height, shape, sep, parens):
+    """Source of an expression whose tree is `height` nodes tall: a
+    left-associative chain, a right-nested chain or unary operators, inside
+    `parens` parentheses, its operands separated by `sep`."""
+    if shape == "chain":
+        text = f"{sep}+ ".join(["1"] * height)
+    elif shape == "right":
+        text = f"{sep}- (".join(["1"] * height) + ")" * (height - 1)
+    else:
+        text = f"-{sep}" * (height - 1) + "1"
+    return "(" * parens + text + ")" * parens
+
+
+@st.composite
+def _deep_statement(draw):
+    """An assignment nested in REPEAT, IF, FOR and WHILE statements, one line
+    each; every expression is a name or reaches depth MAX_DEPTH - 1,
+    MAX_DEPTH or MAX_DEPTH + 1 in the tree."""
+    wrappers = draw(st.lists(st.sampled_from(["REPEAT", "IF", "FOR", "WHILE"]), max_size=3))
+    name = st.sampled_from(_NAMES[:1] + _GHOSTS)
+
+    def expr(depth):
+        if draw(st.booleans()):
+            return draw(name)
+        target = draw(st.sampled_from([fe.MAX_DEPTH - 1, fe.MAX_DEPTH, fe.MAX_DEPTH + 1]))
+        return _tall(target - depth, draw(st.sampled_from(["chain", "right", "unary"])),
+                     draw(st.sampled_from([" ", "\n"])), draw(st.integers(0, 2)))
+
+    text = f"{draw(name)} := {expr(len(wrappers) + 1)}"
+    for depth in range(len(wrappers), 0, -1):
+        kind = wrappers[depth - 1]
+        if kind == "REPEAT":
+            text = f"REPEAT\n{text}\nUNTIL {expr(depth)}"
+        elif kind == "IF":
+            text = f"IF {expr(depth)} THEN\n{text}\nELSE\n{draw(name)} := {expr(depth + 1)}"
+        elif kind == "FOR":
+            text = f"FOR {draw(name)} := {expr(depth)} TO {expr(depth)} DO\n{text}"
+        else:
+            text = f"WHILE {expr(depth)} DO\n{text}"
+    return text
+
+
+_CHECKED_STATEMENT = st.one_of(_stmt(2, _NAMES + _GHOSTS), _deep_statement())
+
+
+@st.composite
+def _checked_program(draw):
+    """A program with undeclared names anywhere, and perhaps duplicate
+    declarations, a syntax error and statements nested about MAX_DEPTH deep."""
+    stmts = draw(st.lists(_CHECKED_STATEMENT, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        stmts.insert(draw(st.integers(0, len(stmts))), draw(st.sampled_from(_SYNTAX_ERRORS)))
+    return _redeclaring(_program(stmts), *draw(st.lists(st.sampled_from(_NAMES), max_size=2)))
+
+
+def _redeclaring(source, *names):
+    """`source` with each of `names` declared once more, on a line of its own."""
+    return source.replace("BEGIN\n", "".join(f"VAR {n}: REAL;\n" for n in names) + "BEGIN\n", 1)
+
+
+def _parse_outcome(parse, source):
+    try:
+        return parse(source)
+    except (LexError, ParseError) as err:
+        return (type(err).__name__, str(err), err.line)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_checked_program())
+@example(_program(["REPEAT\nGhost := 1\nUNTIL Phantom = 1"]))
+@example(_redeclaring(_program(["Alpha := 1", "Alpha := (1"]), "Beta", "Alpha"))
+@example(_program(["REPEAT\nAlpha := " + _tall(99, "chain", "\n", 0)
+                   + "\nUNTIL " + _tall(100, "right", "\n", 0)]))
+@example(_program(["Alpha := " + _tall(100, "right", " ", 0)]))
+def test_parse_matches_two_pass_parse(source):
+    assert _parse_outcome(fe.parse, source) == _parse_outcome(two_pass_parse, source)
+
+
+@pytest.mark.parametrize("stmts, duplicate, error", [
+    # the UNTIL condition's names come before its body's in walk order
+    (["REPEAT\nGhost := 1\nUNTIL Phantom = 1"], None, ("undeclared identifier Phantom", 8)),
+    (["Ghost := 1", "REPEAT\nAlpha := 1\nUNTIL Phantom = 1"], None,
+     ("undeclared identifier Ghost", 6)),
+    # a defined name is reported on its statement's line
+    (["READLN(\nGhost)"], None, ("undeclared identifier Ghost", 6)),
+    (["FOR\nGhost := Phantom TO 1 DO Alpha := 1"], None, ("undeclared identifier Ghost", 6)),
+    # a REPEAT's body is searched for the too-deep node before its condition
+    (["REPEAT\nAlpha := " + _tall(99, "chain", " ", 0) + "\nUNTIL " + _tall(100, "chain", " ", 0)],
+     None, ("nesting deeper than 100 levels", 7)),
+    (["Alpha := " + _tall(99, "chain", "\n", 0)], None, None),
+    (["Ghost := " + _tall(100, "unary", " ", 0)], "Alpha", ("nesting deeper than 100 levels", 7)),
+    (["Alpha := (1"], "Alpha", ("unexpected ';' (expected ))", 7)),
+    (["Ghost := 1"], "Alpha", ("duplicate declaration of Alpha", 5)),
+])
+def test_parse_reports_the_first_error_in_check_order(stmts, duplicate, error):
+    # syntax errors first, then depth, duplicates, undeclared names
+    source = _program(stmts)
+    if duplicate is not None:
+        source = _redeclaring(source, duplicate)
+    if error is None:
+        fe.parse(source)
+        return
+    with pytest.raises(ParseError) as err:
+        fe.parse(source)
+    message, line = error
+    assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
+
+
+def test_parse_lexes_once_through_tokenize(monkeypatch, grey_src):
+    # the benchmark counts tokens by wrapping the module-level tokenize
+    sources = []
+    tokenize = fe.tokenize
+
+    def counted(source):
+        sources.append(source)
+        return tokenize(source)
+
+    monkeypatch.setattr(fe, "tokenize", counted)
+    fe.parse(grey_src)
+    assert sources == [grey_src]
+
+
+def test_valid_programs_are_checked_without_walking_the_tree(monkeypatch, corpus_sources):
+    def refuse(*args):
+        raise AssertionError("walked the parsed tree")
+
+    for walk in ("_check_depth", "walk_statements", "defined_names", "used_names"):
+        monkeypatch.setattr(fe, walk, refuse)
+    deepest = _program(["REPEAT\nAlpha := " + _tall(98, "right", " ", 0)
+                        + "\nUNTIL " + _tall(99, "unary", " ", 0)])
+    for source in [*corpus_sources.values(), deepest]:
+        fe.parse(source)
 
 
 # --- statement facts ----------------------------------------------------------
