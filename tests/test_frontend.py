@@ -192,6 +192,47 @@ def test_parse_syntax_error_carries_line_and_expected():
     assert err.value.expected
 
 
+_HEAD = "PROGRAM P;\nVAR x: INTEGER;\nBEGIN\n"
+
+
+@pytest.mark.parametrize("source, message, line", [
+    # at end of input an error is reported on the last non-comment token's
+    # line, or on line 1 when there is none
+    ("", "expected PROGRAM (expected PROGRAM)", 1),
+    ("{ no program }\n\n", "expected PROGRAM (expected PROGRAM)", 1),
+    ("PROGRAM P;\nVAR x: INTEGER;\n\n", "expected BEGIN (expected BEGIN)", 2),
+    (_HEAD + "END", "unexpected token (expected .)", 4),
+    (_HEAD + "END\n{ no final dot }\n\n", "unexpected token (expected .)", 4),
+    (_HEAD + "REPEAT x := 1\n", "unexpected token (expected ;)", 4),
+    ("PROGRAM P;\nVAR x:\n", "expected a type name (expected BOOLEAN, INTEGER, REAL)", 2),
+    (_HEAD + "x := 1;\n\n", "unterminated statement list (expected END)", 4),
+    (_HEAD + "REPEAT\n  x := 1;", "unterminated statement list (expected UNTIL)", 5),
+    (_HEAD + "WHILE x < 1 DO\n", "expected a statement", 4),
+    (_HEAD + "IF x = 1 THEN x := 2 ELSE", "expected a statement", 4),
+    (_HEAD + "x :=", "expected an expression", 4),
+    (_HEAD + "x := 1 +\n", "expected an expression", 4),
+    (_HEAD + "x := -", "expected an expression", 4),
+    # mid-file an error is reported on the offending token's line
+    (_HEAD + "END.\n\nEND.", "trailing input after final '.'", 6),
+    ("PROGRAM P;\nVAR x: STRING;\nBEGIN\nEND.",
+     "expected a type name (expected BOOLEAN, INTEGER, REAL)", 2),
+    (_HEAD + "  THEN\nEND.", "unexpected keyword THEN (expected statement)", 4),
+    (_HEAD + "x := 1;\nUNTIL x = 1\nEND.", "unexpected keyword UNTIL (expected statement)", 5),
+    (_HEAD + "  := 1\nEND.", "unexpected ':=' (expected statement)", 4),
+    (_HEAD + "  x\n 1\nEND.", "unexpected '1' (expected :=)", 5),
+    (_HEAD + "x := )\nEND.", "unexpected ')' (expected expression)", 4),
+    ("PROGRAM P;\nVAR x: INTEGER;\nREPEAT\nEND.", "expected BEGIN (expected BEGIN)", 3),
+], ids=["empty", "comment-only", "eof-keyword", "eof-token", "eof-after-comment",
+        "eof-separator", "eof-type-name", "eof-list", "eof-repeat-list", "eof-statement",
+        "eof-else", "eof-expression", "eof-operand", "eof-unary", "trailing-input",
+        "type-name", "keyword", "until-keyword", "statement-token", "token",
+        "expression-token", "missing-begin"])
+def test_parse_syntax_error_message_and_line(source, message, line):
+    with pytest.raises(ParseError) as err:
+        fe.parse(source)
+    assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
+
+
 def test_parse_undeclared_identifier():
     with pytest.raises(ParseError, match="undeclared"):
         fe.parse("PROGRAM P(input,output); BEGIN X := 1; END.")
