@@ -240,6 +240,9 @@ _PRECEDENCE = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in o
 # subcommand stays within Python's default recursion limit.
 MAX_DEPTH = 100
 
+# the kind of the token the parser appends after the last one
+_END_OF_INPUT = "end-of-input"
+
 
 # --- parser ------------------------------------------------------------
 
@@ -249,7 +252,12 @@ class _Parser:
 
     def __init__(self, tokens):
         self.tokens = [t for t in tokens if t.kind != COMMENT]
+        # one end-of-input token on the last token's line, where errors at
+        # the end are reported
+        line, end = (self.tokens[-1].line, self.tokens[-1].end) if self.tokens else (1, 0)
+        self.tokens.append(Token(_END_OF_INPUT, "", line, end, end))
         self.pos = 0
+        self.tok = self.tokens[0]  # the current token
         self.depth = 0    # statements, parentheses and unary operators entered
         self.too_deep = False     # an expression takes the tree past MAX_DEPTH
         self.declared = set()     # lower-cased declared names
@@ -271,28 +279,20 @@ class _Parser:
                 self.undeclared is None or self.current < self.undeclared[0]):
             self.undeclared = (self.current, text, line)
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _line(self):
-        tok = self.peek()
-        if tok is not None:
-            return tok.line
-        return self.tokens[-1].line if self.tokens else 1
-
     def fail(self, message, expected=()):
-        raise ParseError(message, self._line(), expected)
+        raise ParseError(message, self.tok.line, expected)
 
     def advance(self):
-        tok = self.peek()
-        if tok is None:
-            self.fail("unexpected end of input")
+        """Move past the current token, which is not the end of input, and
+        return it."""
+        tok = self.tok
         self.pos += 1
+        self.tok = self.tokens[self.pos]
         return tok
 
     def at_keyword(self, *words):
-        tok = self.peek()
-        return tok is not None and tok.kind == KW and tok.text.upper() in words
+        tok = self.tok
+        return tok.kind == KW and tok.text.upper() in words
 
     def expect_keyword(self, word):
         if not self.at_keyword(word):
@@ -300,17 +300,16 @@ class _Parser:
         return self.advance()
 
     def expect(self, kind, text=None):
-        tok = self.peek()
-        if tok is None or tok.kind != kind or (text is not None and tok.text != text):
-            self.fail("unexpected token" if tok is None else f"unexpected {tok.text!r}",
-                      {text or kind})
+        tok = self.tok
+        if tok.kind != kind or (text is not None and tok.text != text):
+            self.fail("unexpected token" if tok.kind == _END_OF_INPUT
+                      else f"unexpected {tok.text!r}", {text or kind})
         return self.advance()
 
     def accept(self, kind, text=None):
-        tok = self.peek()
-        if tok is not None and tok.kind == kind and (text is None or tok.text == text):
-            self.pos += 1
-            return tok
+        tok = self.tok
+        if tok.kind == kind and (text is None or tok.text == text):
+            return self.advance()
         return None
 
     def program(self):
@@ -328,7 +327,7 @@ class _Parser:
         body = self.statement_list({"END"})
         self.expect_keyword("END")
         self.expect(PUNCT, ".")
-        if self.peek() is not None:
+        if self.tok.kind != _END_OF_INPUT:
             self.fail("trailing input after final '.'")
         return Program(name, params, decls, body)
 
@@ -336,7 +335,7 @@ class _Parser:
         decls = []
         while self.at_keyword("VAR"):
             self.advance()
-            while self.peek() is not None and self.peek().kind == IDENT:
+            while self.tok.kind == IDENT:
                 names = [self.advance()]
                 while self.accept(PUNCT, ","):
                     names.append(self.expect(IDENT))
@@ -358,14 +357,12 @@ class _Parser:
         while True:
             while self.accept(PUNCT, ";"):
                 pass
-            tok = self.peek()
-            if tok is None:
+            if self.tok.kind == _END_OF_INPUT:
                 self.fail("unterminated statement list", terminators)
-            if tok.kind == KW and tok.text.upper() in terminators:
+            if self.at_keyword(*terminators):
                 return stmts
             stmts.append(self.statement())
-            tok = self.peek()
-            if tok is not None and tok.kind == KW and tok.text.upper() in terminators:
+            if self.at_keyword(*terminators):
                 return stmts
             self.expect(PUNCT, ";")
 
@@ -378,8 +375,8 @@ class _Parser:
         return stmt
 
     def _statement(self):
-        tok = self.peek()
-        if tok is None:
+        tok = self.tok
+        if tok.kind == _END_OF_INPUT:
             self.fail("expected a statement")
         if tok.kind == IDENT:
             self.advance()
@@ -456,13 +453,12 @@ class _Parser:
         over factors; with the height of the tree."""
         left, height = self.factor()
         while True:
-            tok = self.peek()
-            # no identifier, literal or punctuation spells an operator
-            op = None if tok is None else tok.text.lower()
+            # no identifier, literal, punctuation or the end spells an operator
+            op = self.tok.text.lower()
             op_level = _PRECEDENCE.get(op, -1)
             if op_level < level:
                 return left, height
-            self.pos += 1
+            self.advance()
             right, right_height = self.binary(op_level + 1)
             left = Binary(op, left, right, left.line)
             height = 1 + max(height, right_height)
@@ -470,15 +466,15 @@ class _Parser:
     def factor(self):
         """A literal, variable, unary operation or parenthesized expression,
         with its height."""
-        tok = self.peek()
-        if tok is None:
+        tok = self.tok
+        if tok.kind == _END_OF_INPUT:
             self.fail("expected an expression")
         if tok.kind == IDENT:
-            self.pos += 1
+            self.advance()
             self.check_declared(tok.text, tok.line)
             return VarRef(tok.text, tok.line), 1
         if (tok.kind == OP and tok.text == "-") or self.at_keyword("NOT"):
-            self.pos += 1
+            self.advance()
             self.enter()
             operand, height = self.factor()
             self.depth -= 1
@@ -488,19 +484,19 @@ class _Parser:
             value = int(tok.text) if len(tok.text.lstrip("0")) < 20 else INT_MAX + 1
             if value > INT_MAX:
                 self.fail("integer literal outside 64 bits")
-            self.pos += 1
+            self.advance()
             return IntLit(value, tok.line), 1
         if tok.kind == REALLIT:
             value = float(tok.text)
             if math.isinf(value):
                 self.fail("real literal too large")
-            self.pos += 1
+            self.advance()
             return RealLit(value, tok.line), 1
         if self.at_keyword("TRUE", "FALSE"):
-            self.pos += 1
+            self.advance()
             return BoolLit(tok.text.upper() == "TRUE", tok.line), 1
         if tok.kind == PUNCT and tok.text == "(":
-            self.pos += 1
+            self.advance()
             self.enter()
             expr, height = self.binary(0)
             self.depth -= 1
