@@ -276,6 +276,26 @@ def test_runtime_paths(statements, inputs, hole, expected):
     assert (result.status, result.error_kind, result.error_line, outputs) == expected
 
 
+@pytest.mark.parametrize("statement, hole, line", [
+    ("WRITELN(I)", None, 5),
+    ("WHILE I = 0 DO I := 1", None, 5),
+    ("READLN(Y)", None, 5),
+    ("IF I = 0 THEN I := 1", None, 5),
+    ("REPEAT\n    UNTIL I = 0", None, 6),
+    ("FOR Y := 1 TO 2 DO I := 1", None, 5),
+    ("Y := 1", 5, 5),
+], ids=["writeln", "while", "readln", "if", "until", "for", "hole"])
+def test_step_budget_is_checked_by_each_statement_kind(statement, hole, line):
+    # the first assignment takes the only step, so the next statement to run
+    # finds the budget spent
+    source = _RUNTIME_HEAD + f"    I := 0;\n    {statement}\nEND.\n"
+    program = fe.parse(source) if hole is None else fe.blank_line(source, hole).context
+    result = run.execute(program, [7], step_budget=1)
+    assert (result.status, result.error_kind, result.error_line, result.steps) == \
+        (_FAIL, "step-budget-exceeded", line, 1)
+    _assert_runs_like_tree_walk(program, [7], step_budget=1)
+
+
 def _writes(*expressions):
     writes = "".join(f";\n    WRITELN({e})" for e in expressions)
     return fe.parse("PROGRAM P(input, output);\nVAR X: INTEGER;\nBEGIN\n"
