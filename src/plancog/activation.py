@@ -303,7 +303,8 @@ def activate_with_trace(kb: KnowledgeBase, cues):
 
 class ProgramIndex:
     """Per-program lookup tables, built once per recognition and read by
-    instantiation, verification, coherence and the discourse checks.
+    instantiation, verification, coherence and the discourse checks: with the
+    program's CFG (`cfg`) and def-use chains (`defuse`).
 
     Slot candidates are built in one pass over the statements, each with its
     text rendered once; callers share the lists and do not change them.
@@ -313,6 +314,8 @@ class ProgramIndex:
 
     def __init__(self, program: fe.Program):
         self.program = program
+        self.cfg = rel.build_cfg(program)
+        self.defuse = rel.def_use(program, self.cfg)
         self.decls = {d.name.lower(): d for d in program.declarations}
         self.loops = [s for s in fe.walk_statements(program.body)
                       if isinstance(s, fe.LOOP_KINDS)]
@@ -428,8 +431,7 @@ def _slot_candidates(index: ProgramIndex, instance: PlanInstance, slot_name: str
 
 # --- instantiation ------------------------------------------------------------
 
-def instantiate(kb: KnowledgeBase, index: ProgramIndex, activations,
-                defuse: rel.DefUse):
+def instantiate(kb: KnowledgeBase, index: ProgramIndex, activations):
     """Bind activated schemas to AST nodes; return (instances, expectations).
     Variable plans are bound per declared variable that one of their code
     slots can fill; every other active schema without a kind-of parent is
@@ -443,7 +445,7 @@ def instantiate(kb: KnowledgeBase, index: ProgramIndex, activations,
         code_slots = [s for s in schema.slots if s.name in _CODE_SLOTS]
         if schema.kind in (VARIABLE, CONTROL) and code_slots:
             for var in sorted(_fillable(index, code_slots)):
-                inst = _bind_variable_plan(kb, schema, var, index, defuse)
+                inst = _bind_variable_plan(kb, schema, var, index)
                 if inst is not None:
                     instances.append(inst)
         elif schema.kind != VARIABLE and not kb.parents(schema.name):
@@ -479,7 +481,7 @@ def _bind_order(slot):
     return _BIND_ORDER.index(slot.name) if slot.name in _BIND_ORDER else len(_BIND_ORDER)
 
 
-def _bind_variable_plan(kb, schema, var, index, defuse):
+def _bind_variable_plan(kb, schema, var, index):
     inst = PlanInstance(schema.name, schema.kind, var,
                         mandatory=tuple(s.name for s in schema.slots if s.mandatory))
     for slot in sorted(schema.slots, key=_bind_order):
@@ -492,7 +494,7 @@ def _bind_variable_plan(kb, schema, var, index, defuse):
             # when the update reads the variable, the initializing def must
             # reach it along some def-clear path
             candidates = [c for c in candidates
-                          if update.line in defuse.chains.get((var, c[1]), set())]
+                          if update.line in index.defuse.chains.get((var, c[1]), set())]
         bound = _first_filling(index, slot, candidates, var)
         if bound is not None:
             inst.bindings[slot.name] = bound
@@ -646,8 +648,7 @@ def verify_expectations(expectations, index: ProgramIndex):
 
 # --- coherence ------------------------------------------------------------------
 
-def evaluate_coherence(instances, defuse: rel.DefUse, index: ProgramIndex,
-                       kb: KnowledgeBase,
+def evaluate_coherence(instances, index: ProgramIndex, kb: KnowledgeBase,
                        step_budget: int = run.DEFAULT_STEP_BUDGET) -> CoherenceReport:
     """Internal checks per binding plus cross-plan interaction entries."""
     report = CoherenceReport()
@@ -665,9 +666,9 @@ def evaluate_coherence(instances, defuse: rel.DefUse, index: ProgramIndex,
             update = inst.bindings["update"]
             # only meaningful when the update reads the variable
             if _self_referential(update.node):
-                chain = defuse.chains.get((inst.variable,
-                                           inst.bindings["initialization"].line),
-                                          set())
+                chain = index.defuse.chains.get((inst.variable,
+                                                 inst.bindings["initialization"].line),
+                                                set())
                 report.internal.append(InternalEntry(
                     inst.label, "initialization", "def-use-chain",
                     update.line in chain,
@@ -684,7 +685,7 @@ def evaluate_coherence(instances, defuse: rel.DefUse, index: ProgramIndex,
 
     simulation = None
     loops = {id(inst): _instance_loops(inst, index) for inst in instances}
-    for left, right, how in _interaction_pairs(instances, defuse, loops):
+    for left, right, how in _interaction_pairs(instances, index.defuse, loops):
         counter_in_loop = any(
             inst.schema == "Counter_Variable" and loops[id(inst)]
             for inst in (left, right))

@@ -19,7 +19,6 @@ from .kb import VARIABLE, KnowledgeBase, builtin_kb, instantiate_pattern
 
 @dataclass
 class Recognition:
-    program: fe.Program
     kb: KnowledgeBase
     cues: list
     activations: list
@@ -27,8 +26,6 @@ class Recognition:
     instances: list[PlanInstance]
     expectations: list
     coherence: object
-    defuse: rel.DefUse
-    cfg: rel.Cfg
     index: ProgramIndex
 
 
@@ -39,14 +36,12 @@ def recognize(program: fe.Program, kb: KnowledgeBase | None = None, *,
     kb = kb or builtin_kb()
     cues = extract_beacons(program, kb)
     activations, firings = activate_with_trace(kb, cues)
-    cfg = rel.build_cfg(program)
-    defuse = rel.def_use(program, cfg)
     index = ProgramIndex(program)
-    instances, expectations = instantiate(kb, index, activations, defuse)
+    instances, expectations = instantiate(kb, index, activations)
     expectations = verify_expectations(expectations, index)
-    coherence = evaluate_coherence(instances, defuse, index, kb, step_budget=step_budget)
-    return Recognition(program, kb, cues, activations, firings, instances,
-                       expectations, coherence, defuse, cfg, index)
+    coherence = evaluate_coherence(instances, index, kb, step_budget=step_budget)
+    return Recognition(kb, cues, activations, firings, instances, expectations,
+                       coherence, index)
 
 
 # --- goal tree ----------------------------------------------------------------
@@ -227,7 +222,7 @@ def _check_no_unused_plan_part(rec: Recognition):
         if inst.kind != VARIABLE or not inst.variable or not inst.complete:
             continue
         own = set(inst.part_lines())
-        uses = set(rec.defuse.uses_of(inst.variable))
+        uses = set(rec.index.defuse.uses_of(inst.variable))
         if own and uses <= own:
             out.append((own, f"value of {inst.variable!r} never leaves the plan"))
     return out
@@ -257,15 +252,13 @@ def fill_blank(blanked: fe.BlankedProgram, kb: KnowledgeBase | None = None,
     definitions for variables used after the hole without one."""
     kb = kb or builtin_kb()
     context = blanked.context
-    cfg = rel.build_cfg(context)
-    defuse = rel.def_use(context, cfg)
     index = ProgramIndex(context)
     hole = blanked.blank_line
 
     if strategy == "control":
         scored = []
         uninit = {}
-        for var, line in defuse.possibly_uninitialized:
+        for var, line in index.defuse.possibly_uninitialized:
             if line >= hole:
                 uninit.setdefault(var, line)
         for var, first_use in sorted(uninit.items(), key=lambda kv: (kv[1], kv[0])):
@@ -281,8 +274,8 @@ def fill_blank(blanked: fe.BlankedProgram, kb: KnowledgeBase | None = None,
 
     cues = extract_beacons(context, kb)
     activations, _ = activate_with_trace(kb, cues)
-    instances, _ = instantiate(kb, index, activations, defuse)
-    undefined = {var for var, _ in defuse.possibly_uninitialized}
+    instances, _ = instantiate(kb, index, activations)
+    undefined = {var for var, _ in index.defuse.possibly_uninitialized}
     scored = []
     for inst in instances:
         schema = kb.schema(inst.schema)

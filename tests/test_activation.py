@@ -8,7 +8,6 @@ from plancog import activation as act
 from plancog import analysis as an
 from plancog import frontend as fe
 from plancog import kb as kblib
-from plancog import relations as rel
 from plancog.cli import corpus
 from plancog.kb import Cue, dump_kb, load_kb, pattern_matches
 
@@ -16,8 +15,7 @@ from plancog.kb import Cue, dump_kb, load_kb, pattern_matches
 def _recognize(program, kb):
     cues = act.extract_beacons(program, kb)
     activations = act.activate(kb, cues)
-    defuse = rel.def_use(program, rel.build_cfg(program))
-    return act.instantiate(kb, act.ProgramIndex(program), activations, defuse)
+    return act.instantiate(kb, act.ProgramIndex(program), activations)
 
 
 def _instance(instances, schema, variable=None):
@@ -236,8 +234,7 @@ def test_expectation_resolution_is_conservative(corpus_sources, builtin):
 
 def test_grey_counter_total_interaction_is_simulated(grey, builtin):
     instances, _ = _recognize(grey, builtin)
-    defuse = rel.def_use(grey, rel.build_cfg(grey))
-    report = act.evaluate_coherence(instances, defuse, act.ProgramIndex(grey), builtin)
+    report = act.evaluate_coherence(instances, act.ProgramIndex(grey), builtin)
     entry = next(e for e in report.external
                  if set(e.instances) == {"Counter_Variable[count]",
                                          "Running_Total_Variable[sum]"})
@@ -248,8 +245,7 @@ def test_grey_counter_total_interaction_is_simulated(grey, builtin):
 
 def test_orange_init_mismatch_is_internal_incoherence(orange, builtin):
     instances, _ = _recognize(orange, builtin)
-    defuse = rel.def_use(orange, rel.build_cfg(orange))
-    report = act.evaluate_coherence(instances, defuse, act.ProgramIndex(orange), builtin)
+    report = act.evaluate_coherence(instances, act.ProgramIndex(orange), builtin)
     failures = [e for e in report.internal if not e.ok]
     assert {(e.instance, e.slot, e.line) for e in failures} == {
         ("Counter_Variable[count]", "initialization", 6),
@@ -261,8 +257,7 @@ def test_flag_instance_is_internally_coherent(flag, builtin):
     # a flag's update writes a constant; init consistency must not demand a
     # def-use chain into it
     instances, _ = _recognize(flag, builtin)
-    defuse = rel.def_use(flag, rel.build_cfg(flag))
-    report = act.evaluate_coherence(instances, defuse, act.ProgramIndex(flag), builtin)
+    report = act.evaluate_coherence(instances, act.ProgramIndex(flag), builtin)
     assert report.incoherent_instances() == set()
 
 
@@ -270,8 +265,7 @@ def test_isolated_plan_has_no_external_entries(builtin):
     program = fe.parse("PROGRAM P(input,output); VAR I: INTEGER;"
                        " BEGIN I := 0; I := I + 1; END.")
     instances, _ = _recognize(program, builtin)
-    defuse = rel.def_use(program, rel.build_cfg(program))
-    report = act.evaluate_coherence(instances, defuse, act.ProgramIndex(program), builtin)
+    report = act.evaluate_coherence(instances, act.ProgramIndex(program), builtin)
     assert report.external == []
 
 
@@ -279,8 +273,7 @@ def test_simulated_entries_name_their_inputs(corpus_sources, builtin):
     for src in corpus_sources.values():
         program = fe.parse(src)
         instances, _ = _recognize(program, builtin)
-        defuse = rel.def_use(program, rel.build_cfg(program))
-        report = act.evaluate_coherence(instances, defuse, act.ProgramIndex(program), builtin)
+        report = act.evaluate_coherence(instances, act.ProgramIndex(program), builtin)
         for entry in report.external:
             if entry.evidence == "simulated":
                 assert entry.inputs
@@ -313,8 +306,8 @@ def test_user_loop_plan_binds_its_uses_slot(search, builtin):
 def _pairs_and_reference(program, kb):
     rec = an.recognize(program, kb)
     loops = {id(inst): act._instance_loops(inst, rec.index) for inst in rec.instances}
-    return (act._interaction_pairs(rec.instances, rec.defuse, loops),
-            all_pairs_interactions(rec.instances, rec.defuse, loops))
+    return (act._interaction_pairs(rec.instances, rec.index.defuse, loops),
+            all_pairs_interactions(rec.instances, rec.index.defuse, loops))
 
 
 # Num is read before the loop whose total it feeds, so the later instance
@@ -385,9 +378,9 @@ def test_variable_plans_are_bound_only_where_a_code_slot_can_fill(grey, builtin,
     calls = []
     bind = act._bind_variable_plan
 
-    def counted(kb, schema, var, index, defuse):
+    def counted(kb, schema, var, index):
         calls.append((schema.name, var))
-        return bind(kb, schema, var, index, defuse)
+        return bind(kb, schema, var, index)
 
     monkeypatch.setattr(act, "_bind_variable_plan", counted)
     rec = an.recognize(grey, builtin)
