@@ -421,7 +421,11 @@ def _slot_candidates(index: ProgramIndex, instance: PlanInstance, slot_name: str
                     loops.append(loop)
         return sorted(((l, l.line, fe.loop_keyword(l), "loop") for l in loops), key=_line)
     if slot_name in _LOOP_SLOTS:
-        return index.loop_candidates[slot_name]
+        # the instance's own loop once a loop slot holds it
+        candidates = index.loop_candidates[slot_name]
+        own = next((b.node for name, b in instance.bindings.items() if name in _LOOP_SLOTS),
+                   None)
+        return candidates if own is None else [c for c in candidates if c[0] is own]
     if slot_name == "counter-update":
         slot_name = "update"
     if var and slot_name in index.candidates:

@@ -93,6 +93,30 @@ def test_kb_validate_good_file(tmp_path, capsys):
     assert code == 0
 
 
+def test_loop_slot_expectation_is_checked_against_the_instance_own_loop(tmp_path, capsys):
+    # the WHILE loop's test (line 5) does not compare with a constant; the
+    # REPEAT loop's (line 9) does, and must not verify the WHILE plan's
+    library = tmp_path / "sentinel.kb"
+    library.write_text('schema Sentinel_Loop kind control\n'
+                       '  desc "runs until its test meets a sentinel"\n'
+                       '  slot body mandatory\n    filler "iteration"\n'
+                       '  slot test\n'
+                       'rule U1 data: if loop=while then activate Sentinel_Loop, '
+                       'bind test="<w>=<int>"\n')
+    program = tmp_path / "two.mp"
+    program.write_text("PROGRAM Two(input, output);\nVAR X, N: INTEGER;\nBEGIN\n"
+                       "    X := 0;\n    WHILE X < 5 DO\n        X := X + 1;\n"
+                       "    REPEAT\n        READLN(N)\n    UNTIL N = 0\nEND.\n")
+    code, out, _ = run_cli(capsys, "recognize", str(program), "--kb", str(library), "--json")
+    assert code == 0
+    assert json.loads(out)["expectations"] == [
+        {"instance": "Sentinel_Loop[@5]", "slot": "test", "pattern": "<w>=<int>",
+         "state": "violated", "line": 5},
+        {"instance": "Sentinel_Loop[@7]", "slot": "test", "pattern": "<w>=<int>",
+         "state": "verified", "line": 9},
+    ]
+
+
 _KB = ('schema A kind variable\n  desc "a"\n  slot name mandatory\n    filler "<v>"\n'
        'schema B kind variable\n  desc "b"\n  slot name mandatory\n    filler "<v>"\n')
 _RULE = 'rule R1 data: if name~"<v>" then activate A'
