@@ -19,7 +19,7 @@ from . import frontend as fe
 from . import interpreter as run
 from . import relations as rel
 from .kb import (CONCEPTUALLY_DRIVEN, CONTROL, DATA_DRIVEN, VARIABLE, Cue,
-                 KnowledgeBase, matches_normalized, normalize)
+                 KnowledgeBase, Slot, matches_normalized, normalize, pattern_matcher)
 
 DEFAULT_SIMULATION_INPUTS = (1, 2, 3, 99999)
 
@@ -58,6 +58,7 @@ class Binding:
     line: int
     text: str
     category: str  # decl | stmt | loop | cond
+    slot: Slot | None = None           # the slot whose filler matched the text
 
 
 @dataclass
@@ -68,11 +69,16 @@ class PlanInstance:
     bindings: dict[str, Binding] = field(default_factory=dict)
     children: list[tuple[str, "PlanInstance"]] = field(default_factory=list)
     mandatory: tuple[str, ...] = ()
+    # fixed by `close` once binding ends
+    complete: bool = field(default=False, init=False)
+    _lines: tuple[int, ...] = field(default=(), init=False, repr=False)
 
-    @property
-    def complete(self) -> bool:
+    def close(self):
+        """Fix completeness and part lines from the bindings and children."""
         filled = set(self.bindings) | {slot for slot, _ in self.children}
-        return all(m in filled for m in self.mandatory)
+        self.complete = all(m in filled for m in self.mandatory)
+        self._lines = tuple(sorted({b.line for slot, b in self.bindings.items()
+                                    if b.category != "decl" and slot != "context"}))
 
     @property
     def status(self) -> str:
@@ -86,14 +92,12 @@ class PlanInstance:
     def part_lines(self) -> list[int]:
         """Statement-bound slot lines, the plan's own code parts (declaration
         bindings and the context slot are environment, not parts)."""
-        return sorted({b.line for slot, b in self.bindings.items()
-                       if b.category != "decl" and slot != "context"})
+        return list(self._lines)
 
     @property
     def anchor_line(self) -> int:
-        lines = self.part_lines()
-        if lines:
-            return lines[0]
+        if self._lines:
+            return self._lines[0]
         return min((b.line for b in self.bindings.values()), default=0)
 
 
@@ -308,9 +312,7 @@ class ProgramIndex:
 
     Slot candidates are built in one pass over the statements, each with its
     text rendered once; callers share the lists and do not change them.
-    Filler matches are memoized per (pattern, normalized text, variable) for
-    the life of the index, so a pattern is matched against a statement once
-    however many plans ask."""
+    `normal[text]` is the text normalized, at most once per recognition."""
 
     def __init__(self, program: fe.Program):
         self.program = program
@@ -329,8 +331,7 @@ class ProgramIndex:
                 writes.append(s)
         self.candidates = self._variable_candidates(writes)
         self.loop_candidates = self._loop_candidates()
-        self._normal = {}     # text -> normalized text
-        self._matched = {}    # (pattern, normalized text, var) -> bool
+        self.normal = _Normalized()
 
     def loop_of(self, stmt):
         stack = self.enclosing.get(id(stmt), [])
@@ -382,21 +383,13 @@ class ProgramIndex:
             cands.sort(key=_line)
         return out
 
-    def matches(self, pattern, text, var=None) -> bool:
-        """`kb.pattern_matches`, memoized for the life of the index."""
-        norm = self._normal.get(text)
-        if norm is None:
-            norm = self._normal[text] = normalize(text)
-        key = (pattern, norm, var)
-        hit = self._matched.get(key)
-        if hit is None:
-            hit = self._matched[key] = matches_normalized(pattern, norm,
-                                                          var.lower() if var else None)
-        return hit
 
-    def accepts(self, slot, text, var=None) -> bool:
-        """True when some filler pattern of the slot matches the text."""
-        return any(self.matches(f.pattern, text, var) for f in slot.fillers)
+class _Normalized(dict):
+    """text -> normalized text, filled in as texts are looked up."""
+
+    def __missing__(self, text):
+        norm = self[text] = normalize(text)
+        return norm
 
 
 def _line(candidate):
@@ -435,25 +428,68 @@ def _slot_candidates(index: ProgramIndex, instance: PlanInstance, slot_name: str
 
 # --- instantiation ------------------------------------------------------------
 
+def _slot_matcher(slot: Slot):
+    """Whether some filler of the slot matches a normalized text for a
+    lowercased variable (or None): the fillers' matchers, read once."""
+    matchers = [pattern_matcher(f.pattern) for f in slot.fillers]
+    if len(matchers) == 1:
+        return matchers[0]
+
+    def accepts(text, var):
+        for match in matchers:
+            if match(text, var):
+                return True
+        return False
+    return accepts
+
+
+# code slots first: a plan none of them fills is not bound at all, so the
+# other slots only ever join a code binding
+_BIND_ORDER = ("update", "read", "result", "initialization", "output",
+               "context", "name", "type")
+
+
+def _bind_order(pair):
+    name = pair[0].name
+    return _BIND_ORDER.index(name) if name in _BIND_ORDER else len(_BIND_ORDER)
+
+
+class _Binder:
+    """A schema compiled for one recognition: its mandatory slots, and its
+    slots, in schema order and in bind order, each with its matcher. It is
+    built anew by each `instantiate`, as callers extend a KB after
+    construction."""
+
+    def __init__(self, schema):
+        self.schema = schema
+        self.mandatory = tuple(s.name for s in schema.slots if s.mandatory)
+        self.slots = [(s, _slot_matcher(s)) for s in schema.slots]
+        self.order = sorted(self.slots, key=_bind_order)
+        self.code_slots = [pair for pair in self.order if pair[0].name in _CODE_SLOTS]
+
+
 def instantiate(kb: KnowledgeBase, index: ProgramIndex, activations):
     """Bind activated schemas to AST nodes; return (instances, expectations).
     Variable plans are bound per declared variable that one of their code
     slots can fill; every other active schema without a kind-of parent is
-    bound per loop."""
+    bound per loop. Each instance's completeness and part lines are fixed
+    once it is bound."""
     active = {a.schema: a for a in activations}
     instances: list[PlanInstance] = []
     roots = []
     for schema in kb.schemas:
         if schema.name not in active:
             continue
-        code_slots = [s for s in schema.slots if s.name in _CODE_SLOTS]
-        if schema.kind in (VARIABLE, CONTROL) and code_slots:
-            for var in sorted(_fillable(index, code_slots)):
-                inst = _bind_variable_plan(kb, schema, var, index)
+        binder = _Binder(schema)
+        if schema.kind in (VARIABLE, CONTROL) and binder.code_slots:
+            first = {id(slot): _first_fillings(index, slot, match)
+                     for slot, match in binder.code_slots}
+            for var in sorted(set().union(*first.values())):
+                inst = _bind_variable_plan(binder, var, index, first)
                 if inst is not None:
                     instances.append(inst)
         elif schema.kind != VARIABLE and not kb.parents(schema.name):
-            roots.append(schema)
+            roots.append(binder)
 
     instances = _drop_shadowed(instances)
     instances.extend(_loop_plans(kb, index, roots, instances))
@@ -463,53 +499,62 @@ def instantiate(kb: KnowledgeBase, index: ProgramIndex, activations):
     return instances, expectations
 
 
-def _fillable(index, code_slots):
-    """Declared variables some candidate statement of a code slot can fill:
-    the statements are walked once per slot, not once per variable."""
-    out = set()
-    for slot in code_slots:
-        for var, candidates in index.candidates[slot.name].items():
-            if var not in out and var in index.decls and any(
-                    index.accepts(slot, text, var) for _, _, text, _ in candidates):
-                out.add(var)
+def _first_fillings(index, slot, match):
+    """{declared variable: position of the first of its candidates the code
+    slot accepts}, for the variables it can fill: each (slot, variable) pair
+    is walked once."""
+    normal, decls = index.normal, index.decls
+    out = {}
+    for var, candidates in index.candidates[slot.name].items():
+        if var in decls:
+            for pos, (_, _, text, _) in enumerate(candidates):
+                if match(normal[text], var):
+                    out[var] = pos
+                    break
     return out
 
 
-# code slots first: a plan none of them fills is not bound at all, so the
-# other slots only ever join a code binding
-_BIND_ORDER = ("update", "read", "result", "initialization", "output",
-               "context", "name", "type")
-
-
-def _bind_order(slot):
-    return _BIND_ORDER.index(slot.name) if slot.name in _BIND_ORDER else len(_BIND_ORDER)
-
-
-def _bind_variable_plan(kb, schema, var, index):
-    inst = PlanInstance(schema.name, schema.kind, var,
-                        mandatory=tuple(s.name for s in schema.slots if s.mandatory))
-    for slot in sorted(schema.slots, key=_bind_order):
-        if not inst.bindings and slot.name not in _CODE_SLOTS:
-            return None
-        candidates = _slot_candidates(index, inst, slot.name)
-        update = inst.bindings.get("update")
-        if (slot.name == "initialization" and update is not None
-                and _self_referential(update.node)):
-            # when the update reads the variable, the initializing def must
-            # reach it along some def-clear path
-            candidates = [c for c in candidates
-                          if update.line in index.defuse.chains.get((var, c[1]), set())]
-        bound = _first_filling(index, slot, candidates, var)
+def _bind_variable_plan(binder, var, index, first):
+    """The plan of `binder`'s schema on `var`, whose code slots' first
+    fillings are in `first` (see `_first_fillings`), or None."""
+    schema = binder.schema
+    inst = PlanInstance(schema.name, schema.kind, var, mandatory=binder.mandatory)
+    for slot, match in binder.order:
+        if slot.name not in _CODE_SLOTS:
+            if not inst.bindings:
+                return None
+            bound = _first_filling(index, slot, match,
+                                   _slot_candidates(index, inst, slot.name), var)
+        else:
+            pos = first[id(slot)].get(var)
+            if pos is None:
+                continue
+            candidates = index.candidates[slot.name][var]
+            bound = Binding(*candidates[pos], slot)
+            update = inst.bindings.get("update")
+            if (slot.name == "initialization" and update is not None
+                    and _self_referential(update.node)):
+                # when the update reads the variable, the initializing def
+                # must reach it along some def-clear path
+                chains = index.defuse.chains
+                bound = _first_filling(
+                    index, slot, match,
+                    [c for c in candidates[pos:]
+                     if update.line in chains.get((var, c[1]), ())], var)
         if bound is not None:
             inst.bindings[slot.name] = bound
-    return inst if inst.bindings else None
+    if not inst.bindings:
+        return None
+    inst.close()
+    return inst
 
 
-def _first_filling(index, slot, candidates, var):
-    """Binding for the first candidate, by line, that matches a filler."""
-    for node, line, text, category in candidates:
-        if index.accepts(slot, text, var):
-            return Binding(node, line, text, category)
+def _first_filling(index, slot, match, candidates, var):
+    """Binding for the first candidate, by line, that the slot accepts."""
+    normal = index.normal
+    for candidate in candidates:
+        if match(normal[candidate[2]], var):
+            return Binding(*candidate, slot)
     return None
 
 
@@ -519,11 +564,10 @@ def _drop_shadowed(instances):
     complete_lines = {}                # variable -> part lines of each complete instance
     for inst in instances:
         if inst.complete:
-            complete_lines.setdefault(inst.variable, []).append(set(inst.part_lines()))
+            complete_lines.setdefault(inst.variable, []).append(set(inst._lines))
     keep = []
     for inst in instances:
-        lines = set(inst.part_lines())
-        if inst.complete or not any(lines <= other
+        if inst.complete or not any(other.issuperset(inst._lines)
                                     for other in complete_lines.get(inst.variable, ())):
             keep.append(inst)
     return keep
@@ -549,8 +593,9 @@ def _loop_plans(kb, index, roots, var_instances):
     loop_candidates = {name: {id(c[0]): [c] for c in index.loop_candidates[name]}
                        for name in _LOOP_SLOTS}
     out = []
-    for root in roots:
-        mandatory = tuple(s.name for s in root.slots if s.mandatory)
+    for binder in roots:
+        root = binder.schema
+        mandatory = binder.mandatory
         # (slot, acceptable child schemas) per uses link to a variable plan
         uses = [(slot, [target] + kb.children(target))
                 for target, slot in kb.uses(root.name)
@@ -561,23 +606,45 @@ def _loop_plans(kb, index, roots, var_instances):
         for name in kb.children(root.name):
             child = kb.schema(name)
             controllers.setdefault(child.controlled_by, child)
+        # loop slots whose fillers ignore the variable: {id(loop): binding}
+        # each. A loop gives an incomplete plan, and is skipped before it is
+        # bound, when a mandatory one of them cannot fill and no child fills
+        # in its place, or when no child fills a mandatory slot without
+        # fillers.
+        fixed = {slot.name: {key: _first_filling(index, slot, match, cands, None)
+                             for key, cands in loop_candidates[slot.name].items()}
+                 for slot, match in binder.slots
+                 if slot.name in _LOOP_SLOTS
+                 and not any("<v>" in f.pattern for f in slot.fillers)}
+        required = [fixed[name] for name in mandatory
+                    if name in fixed and all(name != slot for slot, _ in uses)]
+        childless = [slot.name for slot in root.slots if slot.mandatory and not slot.fillers]
         for loop in index.loops:
-            inst = PlanInstance(root.name, root.kind, mandatory=mandatory)
+            if not all(bound.get(id(loop)) for bound in required):
+                continue
             group = working.get(id(loop), {}).values()
+            children = []
             for slot_name, names in uses:
                 child = next((i for name in names for i in group if i.schema == name), None)
-                if child is not None and all(child is not c for _, c in inst.children):
-                    inst.children.append((slot_name, child))
+                if child is not None and all(child is not c for _, c in children):
+                    children.append((slot_name, child))
+            if not all(any(name == slot for slot, _ in children) for name in childless):
+                continue
+            inst = PlanInstance(root.name, root.kind, children=children, mandatory=mandatory)
             if takes_variable and inst.children:
                 inst.variable = inst.children[0][1].variable
-            for slot in root.slots:
-                candidates = (loop_candidates[slot.name].get(id(loop), [])
-                              if slot.name in _LOOP_SLOTS
-                              else _slot_candidates(index, inst, slot.name))
-                bound = _first_filling(index, slot, candidates, inst.variable)
+            for slot, match in binder.slots:
+                if slot.name in fixed:
+                    bound = fixed[slot.name].get(id(loop))
+                else:
+                    candidates = (loop_candidates[slot.name].get(id(loop), [])
+                                  if slot.name in _LOOP_SLOTS
+                                  else _slot_candidates(index, inst, slot.name))
+                    bound = _first_filling(index, slot, match, candidates, inst.variable)
                 if bound is not None:
                     inst.bindings[slot.name] = bound
-            if not (inst.bindings or inst.children) or not inst.complete:
+            filled = set(inst.bindings) | {slot for slot, _ in inst.children}
+            if not filled or not all(m in filled for m in mandatory):
                 continue
             # a FOR loop tests its control variable, the others their condition
             test_vars = ({loop.var.lower()} if isinstance(loop, fe.For)
@@ -591,6 +658,7 @@ def _loop_plans(kb, index, roots, var_instances):
                     inst.schema, inst.kind = chosen.name, chosen.kind
                     inst.mandatory = tuple(s.name for s in chosen.slots if s.mandatory)
                     break
+            inst.close()
             out.append(inst)
     return out
 
@@ -637,8 +705,9 @@ def verify_expectations(expectations, index: ProgramIndex):
         candidates = _slot_candidates(index, exp.instance, exp.slot)
         if not candidates:
             continue
+        match = pattern_matcher(exp.pattern)
         matching = [line for _, line, text, _ in candidates
-                    if index.matches(exp.pattern, text, exp.instance.variable)]
+                    if match(index.normal[text], exp.instance.variable)]
         if matching:
             exp.state = VERIFIED
             exp.resolved_line = min(matching)
@@ -654,17 +723,25 @@ def verify_expectations(expectations, index: ProgramIndex):
 
 def evaluate_coherence(instances, index: ProgramIndex, kb: KnowledgeBase,
                        step_budget: int = run.DEFAULT_STEP_BUDGET) -> CoherenceReport:
-    """Internal checks per binding plus cross-plan interaction entries."""
+    """Internal checks per binding plus cross-plan interaction entries. A
+    binding made by the schema's own slot is known to match; one that is
+    not, as after a controlled-by child replaced the root, is matched
+    again."""
     report = CoherenceReport()
+
+    def accepts(slot, text, var):
+        return _slot_matcher(slot)(index.normal[text], var)
 
     for inst in instances:
         schema = kb.schema(inst.schema)
         if schema is None:
             continue
+        label = inst.label
         for slot_name, binding in sorted(inst.bindings.items()):
             slot = schema.slot(slot_name)
-            ok = slot is not None and index.accepts(slot, binding.text, inst.variable)
-            report.internal.append(InternalEntry(inst.label, slot_name,
+            ok = slot is not None and (slot is binding.slot
+                                       or accepts(slot, binding.text, inst.variable))
+            report.internal.append(InternalEntry(label, slot_name,
                                                  "filler-match", ok, binding.line))
         if "initialization" in inst.bindings and "update" in inst.bindings:
             update = inst.bindings["update"]
@@ -674,7 +751,7 @@ def evaluate_coherence(instances, index: ProgramIndex, kb: KnowledgeBase,
                                                  inst.bindings["initialization"].line),
                                                 set())
                 report.internal.append(InternalEntry(
-                    inst.label, "initialization", "def-use-chain",
+                    label, "initialization", "def-use-chain",
                     update.line in chain,
                     inst.bindings["initialization"].line))
         if (inst.kind == VARIABLE and "initialization" in inst.mandatory
@@ -682,9 +759,9 @@ def evaluate_coherence(instances, index: ProgramIndex, kb: KnowledgeBase,
             slot = schema.slot("initialization")
             for _, line, text, _ in index.candidates["initialization"].get(
                     inst.variable, ()):
-                if not index.accepts(slot, text, inst.variable):
+                if not accepts(slot, text, inst.variable):
                     report.internal.append(InternalEntry(
-                        inst.label, "initialization", "initialization-filler",
+                        label, "initialization", "initialization-filler",
                         False, line))
 
     simulation = None

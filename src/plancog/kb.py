@@ -12,13 +12,14 @@ statement text (lowercased, whitespace removed):
 * the bare words ``iteration``, ``repeat``, ``while`` and ``for`` match loop
   statements by their loop keyword (``iteration`` matches all three).
 
-Each pattern is compiled once per process, whatever the variable: the first
-``<v>`` is a captured group, later ones repeat it, and a match with a plan
-variable succeeds when the captured identifier is that variable. When the
-capture is another identifier (``<v>1<int>`` captures ``x1`` in ``x111``
-where the variable is ``x``), the pattern is matched once more with the
-variable's own text in place of ``<v>``; that regular expression is not
-kept here, so nothing held grows with the variables seen.
+Each pattern is compiled once per process, whatever the variable, into one
+matcher function (`pattern_matcher`): the first ``<v>`` is a captured group,
+later ones repeat it, and a match with a plan variable succeeds when the
+captured identifier is that variable. When the capture is another
+identifier (``<v>1<int>`` captures ``x1`` in ``x111`` where the variable is
+``x``), the pattern is matched once more with the variable's own text in
+place of ``<v>``; that regular expression is not kept here, so nothing held
+grows with the variables seen.
 
 ``~`` cues use substring matching for names and comments and whole-text
 pattern matching for initialization/update/loop forms.
@@ -50,7 +51,8 @@ DISCOURSE_CHECKS = ("name-reflects-function", "no-double-duty", "no-unused-plan-
 # --- pattern language ----------------------------------------------------
 
 def normalize(text: str) -> str:
-    return re.sub(r"\s+", "", text).lower()
+    # str.split splits at exactly the characters that `\s` matches
+    return "".join(text.split()).lower()
 
 
 _PATTERN_TOKEN = re.compile(r"<v>|<w>|<int>")
@@ -99,24 +101,43 @@ def _compile(pattern: str) -> re.Pattern:
 
 
 _IDENT = re.compile(_IDENT_RX + r"\Z")
+_WORD = re.compile(r"[a-z]*")
+
+
+@lru_cache(maxsize=1024)
+def pattern_matcher(pattern: str):
+    """`matches_normalized` for one pattern, as a function of the normalized
+    text and the lowercased variable (or None), specialized to the pattern's
+    form: a loop word reads the leading word, and a pattern without `<v>`
+    ignores the variable."""
+    if pattern in LOOP_WORDS:
+        words = ("repeat", "while", "for") if pattern == "iteration" else (pattern,)
+        return lambda text, var=None: _WORD.match(text).group() in words
+    rx = _compile(pattern)
+    match = rx.match
+    if "v" not in rx.groupindex:
+        return lambda text, var=None: match(text) is not None
+    if normalize(pattern) == "<v>":
+        # the variable's own name, or any identifier without a variable
+        return lambda text, var=None: (text == var if var is not None
+                                       else match(text) is not None)
+
+    def matches(text, var=None):
+        m = match(text)
+        if var is None or (m is None and _IDENT.match(var)):
+            return m is not None
+        if m is not None and m.group("v") == var:
+            return True
+        # the capture is another identifier (`<v>1<int>` on `x111` captures
+        # `x1`, yet var `x` fits too), or var is no identifier: write var in
+        return re.match(_regex(normalize(pattern), var), text) is not None
+    return matches
 
 
 def matches_normalized(pattern: str, text: str, var: str | None = None) -> bool:
     """`pattern_matches` for text already normalized and a variable already
     lowercased (or None)."""
-    if pattern in LOOP_WORDS:
-        word = re.match(r"[a-z]*", text).group()
-        if pattern == "iteration":
-            return word in ("repeat", "while", "for")
-        return word == pattern
-    m = _compile(pattern).match(text)
-    if var is None or (m is None and _IDENT.match(var)):
-        return m is not None
-    if m is not None and ("v" not in m.re.groupindex or m.group("v") == var):
-        return True
-    # the capture is another identifier (`<v>1<int>` on `x111` captures
-    # `x1`, yet var `x` fits too), or var is no identifier: write var in
-    return re.match(_regex(normalize(pattern), var), text) is not None
+    return pattern_matcher(pattern)(text, var)
 
 
 def pattern_matches(pattern: str, text: str, var: str | None = None) -> bool:

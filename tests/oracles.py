@@ -5,26 +5,44 @@ loop-back edge at most twice, and collects def-clear definition-to-use
 pairs by replaying the path. It shares no code with the fixpoint analysis
 it checks.
 
-The reference oracles are the straightforward versions of six optimised
+The reference oracles are the straightforward versions of seven optimised
 steps, kept to compare against on every program: reaching definitions by
 round-robin passes over sets, coherence pairing over all instance pairs,
 filler matching with one regular expression per (pattern, variable), a
 character-by-character lexer, depth and declaration checks that walk the
-parsed tree, and an interpreter that walks the AST.
+parsed tree, an interpreter that walks the AST, and instantiation that
+matches every slot filling afresh for each plan it binds.
 """
 
+import importlib.util
 import math
 import re
+import sys
+from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 
 from plancog import frontend as fe
+from plancog.activation import (_CODE_SLOTS, _LOOP_SLOTS, Binding, Expectation,
+                                _self_referential)
 from plancog.errors import LexError, ParseError
 from plancog.frontend import (COMMENT, IDENT, INT, INT_MAX, INT_MIN, KEYWORDS, KW, OP, PUNCT,
                               REALLIT, Token)
 from plancog.interpreter import (DEFAULT_STEP_BUDGET, RUNTIME_ERROR, ExecutionResult,
                                  TraceEvent)
-from plancog.kb import LOOP_WORDS, normalize
+from plancog.kb import CONTROL, LOOP_WORDS, VARIABLE, matches_normalized, normalize
 from plancog.relations import LOOP_BACK, DefUse, node_defs, node_uses
+
+
+def benchmark_programs():
+    """perfbench/programs.py, the benchmark's program generator, loaded by
+    path and only read."""
+    path = Path(__file__).parents[1] / "perfbench" / "programs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_programs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def brute_force_def_use(cfg, max_unrollings=2):
@@ -527,3 +545,247 @@ def tree_walk_execute(program, inputs, step_budget=DEFAULT_STEP_BUDGET):
     result = walker.run()
     result.values = walker.values
     return result
+
+
+# --- instantiation one plan at a time ------------------------------------------
+
+@dataclass
+class PerCallPlanInstance:
+    """A plan instance whose completeness and part lines are computed on
+    every call, from its bindings as they are then."""
+    schema: str
+    kind: str
+    variable: str | None = None
+    bindings: dict = field(default_factory=dict)
+    children: list = field(default_factory=list)
+    mandatory: tuple = ()
+
+    @property
+    def complete(self) -> bool:
+        filled = set(self.bindings) | {slot for slot, _ in self.children}
+        return all(m in filled for m in self.mandatory)
+
+    @property
+    def status(self) -> str:
+        return "complete" if self.complete else "partial"
+
+    @property
+    def label(self) -> str:
+        suffix = self.variable if self.variable else f"@{self.anchor_line}"
+        return f"{self.schema}[{suffix}]"
+
+    def part_lines(self) -> list:
+        return sorted({b.line for slot, b in self.bindings.items()
+                       if b.category != "decl" and slot != "context"})
+
+    @property
+    def anchor_line(self) -> int:
+        lines = self.part_lines()
+        if lines:
+            return lines[0]
+        return min((b.line for b in self.bindings.values()), default=0)
+
+
+def _accepts(slot, text, var=None):
+    """True when some filler pattern of the slot matches the text."""
+    return any(matches_normalized(f.pattern, normalize(text), var.lower() if var else None)
+               for f in slot.fillers)
+
+
+def _program_wide_slot_candidates(index, instance, slot_name):
+    """Candidate (node, line, text, category) tuples a slot may bind to, by
+    line; a loop slot's candidates are those of every loop in the program."""
+    var = instance.variable
+    if slot_name == "context":
+        loops = []
+        for b in instance.bindings.values():
+            if b.category == "stmt":
+                loop = index.loop_of(b.node)
+                if loop is not None and loop not in loops:
+                    loops.append(loop)
+        if not loops and var:
+            for s in index.defs.get(var, []):
+                loop = index.loop_of(s)
+                if loop is not None and loop not in loops:
+                    loops.append(loop)
+        return sorted(((l, l.line, fe.loop_keyword(l), "loop") for l in loops),
+                      key=lambda c: c[1])
+    if slot_name in _LOOP_SLOTS:
+        return index.loop_candidates[slot_name]
+    if slot_name == "counter-update":
+        slot_name = "update"
+    if var and slot_name in index.candidates:
+        return index.candidates[slot_name].get(var, [])
+    return []
+
+
+def per_plan_instantiate(kb, index, activations):
+    """Bind activated schemas to AST nodes; return (instances, expectations).
+    Each (schema, variable) pair is matched from scratch: which variables a
+    code slot can fill, then each slot's first filling, a filler matched
+    again wherever it is asked; the reference for `activation.instantiate`.
+    Bindings record no slot, so coherence rechecks every one of them."""
+    active = {a.schema: a for a in activations}
+    instances = []
+    roots = []
+    for schema in kb.schemas:
+        if schema.name not in active:
+            continue
+        code_slots = [s for s in schema.slots if s.name in _CODE_SLOTS]
+        if schema.kind in (VARIABLE, CONTROL) and code_slots:
+            for var in sorted(_fillable(index, code_slots)):
+                inst = _bind_variable_plan(kb, schema, var, index)
+                if inst is not None:
+                    instances.append(inst)
+        elif schema.kind != VARIABLE and not kb.parents(schema.name):
+            roots.append(schema)
+
+    instances = _drop_shadowed(instances)
+    instances.extend(_loop_plans(kb, index, roots, instances))
+    instances.sort(key=lambda i: (i.anchor_line, i.schema, i.variable or ""))
+
+    expectations = _expectations(kb, active, instances)
+    return instances, expectations
+
+
+def _fillable(index, code_slots):
+    out = set()
+    for slot in code_slots:
+        for var, candidates in index.candidates[slot.name].items():
+            if var not in out and var in index.decls and any(
+                    _accepts(slot, text, var) for _, _, text, _ in candidates):
+                out.add(var)
+    return out
+
+
+_BIND_ORDER = ("update", "read", "result", "initialization", "output",
+               "context", "name", "type")
+
+
+def _bind_order(slot):
+    return _BIND_ORDER.index(slot.name) if slot.name in _BIND_ORDER else len(_BIND_ORDER)
+
+
+def _bind_variable_plan(kb, schema, var, index):
+    inst = PerCallPlanInstance(schema.name, schema.kind, var,
+                               mandatory=tuple(s.name for s in schema.slots if s.mandatory))
+    for slot in sorted(schema.slots, key=_bind_order):
+        if not inst.bindings and slot.name not in _CODE_SLOTS:
+            return None
+        candidates = _program_wide_slot_candidates(index, inst, slot.name)
+        update = inst.bindings.get("update")
+        if (slot.name == "initialization" and update is not None
+                and _self_referential(update.node)):
+            candidates = [c for c in candidates
+                          if update.line in index.defuse.chains.get((var, c[1]), set())]
+        bound = _first_filling(slot, candidates, var)
+        if bound is not None:
+            inst.bindings[slot.name] = bound
+    return inst if inst.bindings else None
+
+
+def _first_filling(slot, candidates, var):
+    for node, line, text, category in candidates:
+        if _accepts(slot, text, var):
+            return Binding(node, line, text, category)
+    return None
+
+
+def _drop_shadowed(instances):
+    complete_lines = {}
+    for inst in instances:
+        if inst.complete:
+            complete_lines.setdefault(inst.variable, []).append(set(inst.part_lines()))
+    keep = []
+    for inst in instances:
+        lines = set(inst.part_lines())
+        if inst.complete or not any(lines <= other
+                                    for other in complete_lines.get(inst.variable, ())):
+            keep.append(inst)
+    return keep
+
+
+def _loop_plans(kb, index, roots, var_instances):
+    if not roots:
+        return []
+    working = {}
+    for inst in var_instances:
+        for slot, b in inst.bindings.items():
+            if b.category == "stmt" and slot != "initialization":
+                for loop in index.enclosing.get(id(b.node), ()):
+                    working.setdefault(id(loop), {})[id(inst)] = inst
+    loop_candidates = {name: {id(c[0]): [c] for c in index.loop_candidates[name]}
+                       for name in _LOOP_SLOTS}
+    out = []
+    for root in roots:
+        mandatory = tuple(s.name for s in root.slots if s.mandatory)
+        uses = [(slot, [target] + kb.children(target))
+                for target, slot in kb.uses(root.name)
+                if kb.schema(target).kind == VARIABLE]
+        uses.sort(key=lambda u: u[0] not in mandatory)
+        takes_variable = any("<v>" in f.pattern for s in root.slots for f in s.fillers)
+        controllers = {}
+        for name in kb.children(root.name):
+            child = kb.schema(name)
+            controllers.setdefault(child.controlled_by, child)
+        for loop in index.loops:
+            inst = PerCallPlanInstance(root.name, root.kind, mandatory=mandatory)
+            group = working.get(id(loop), {}).values()
+            for slot_name, names in uses:
+                child = next((i for name in names for i in group if i.schema == name), None)
+                if child is not None and all(child is not c for _, c in inst.children):
+                    inst.children.append((slot_name, child))
+            if takes_variable and inst.children:
+                inst.variable = inst.children[0][1].variable
+            for slot in root.slots:
+                candidates = (loop_candidates[slot.name].get(id(loop), [])
+                              if slot.name in _LOOP_SLOTS
+                              else _program_wide_slot_candidates(index, inst, slot.name))
+                bound = _first_filling(slot, candidates, inst.variable)
+                if bound is not None:
+                    inst.bindings[slot.name] = bound
+            if not (inst.bindings or inst.children) or not inst.complete:
+                continue
+            test_vars = ({loop.var.lower()} if isinstance(loop, fe.For)
+                         else {name.lower() for name, _ in fe.used_names(loop)})
+            children = dict(inst.children)
+            for slot in root.slots:
+                child = children.get(slot.name)
+                if (slot.name in controllers and child is not None
+                        and child.variable in test_vars):
+                    chosen = controllers[slot.name]
+                    inst.schema, inst.kind = chosen.name, chosen.kind
+                    inst.mandatory = tuple(s.name for s in chosen.slots if s.mandatory)
+                    break
+            out.append(inst)
+    return out
+
+
+def _expectations(kb, active, instances):
+    fired_rules = {}
+    for activation in active.values():
+        for rid in activation.rule_ids:
+            rule = kb.rule(rid)
+            if rule is not None and rule.bindings:
+                fired_rules.setdefault(rule.activates, []).append(rule)
+    out = []
+    seen = set()
+
+    def add(inst, slot, pattern):
+        key = (id(inst), slot, pattern)
+        if key not in seen:
+            seen.add(key)
+            out.append(Expectation(inst, slot, pattern))
+
+    for inst in instances:
+        for rule in fired_rules.get(inst.schema, []):
+            for slot, pattern in rule.bindings:
+                add(inst, slot, pattern)
+        schema = kb.schema(inst.schema)
+        filled = set(inst.bindings) | {slot for slot, _ in inst.children}
+        for slot in schema.slots:
+            if slot.mandatory and slot.name not in filled:
+                proto = slot.prototypical()
+                if proto is not None:
+                    add(inst, slot.name, proto.pattern)
+    return out

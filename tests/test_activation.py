@@ -375,12 +375,13 @@ def test_interaction_pairs_match_all_pairs_on_multi_loop_programs(builtin, parts
 
 def test_variable_plans_are_bound_only_where_a_code_slot_can_fill(grey, builtin,
                                                                  monkeypatch):
+    # one call per (schema, variable) binding attempt
     calls = []
     bind = act._bind_variable_plan
 
-    def counted(kb, schema, var, index):
-        calls.append((schema.name, var))
-        return bind(kb, schema, var, index)
+    def counted(binder, var, index, first):
+        calls.append((binder.schema.name, var))
+        return bind(binder, var, index, first)
 
     monkeypatch.setattr(act, "_bind_variable_plan", counted)
     rec = an.recognize(grey, builtin)

@@ -1,13 +1,10 @@
-import importlib.util
 import random
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import tree_walk_execute
+from oracles import benchmark_programs, tree_walk_execute
 from plancog import frontend as fe
 from plancog import interpreter as run
 from plancog.errors import AnalysisError
@@ -385,18 +382,8 @@ def test_integer_arithmetic_matches_tree_walk(left, right):
     _assert_runs_like_tree_walk(program, [left, right])
 
 
-def _benchmark_programs():
-    """perfbench/programs.py, the benchmark's program generator."""
-    path = Path(__file__).parents[1] / "perfbench" / "programs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_programs", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module   # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_corpus_and_benchmark_runs_match_tree_walk(corpus_sources):
-    pg = _benchmark_programs()
+    pg = benchmark_programs()
     rng = random.Random(5)
     inputs = [[1, 2, 3, 99999], [99999], [], [5, -7, 2.5, 99999],
               pg.sentinel_inputs(rng, 200, 99999)]
