@@ -607,10 +607,9 @@ def _loop_plans(kb, index, roots, var_instances):
             child = kb.schema(name)
             controllers.setdefault(child.controlled_by, child)
         # loop slots whose fillers ignore the variable: {id(loop): binding}
-        # each. A loop gives an incomplete plan, and is skipped before it is
-        # bound, when a mandatory one of them cannot fill and no child fills
-        # in its place, or when no child fills a mandatory slot without
-        # fillers.
+        # each. A loop that a mandatory one of them cannot fill, and no
+        # child fills in its place, gives an incomplete plan, so it is
+        # skipped before it is bound.
         fixed = {slot.name: {key: _first_filling(index, slot, match, cands, None)
                              for key, cands in loop_candidates[slot.name].items()}
                  for slot, match in binder.slots
@@ -618,19 +617,15 @@ def _loop_plans(kb, index, roots, var_instances):
                  and not any("<v>" in f.pattern for f in slot.fillers)}
         required = [fixed[name] for name in mandatory
                     if name in fixed and all(name != slot for slot, _ in uses)]
-        childless = [slot.name for slot in root.slots if slot.mandatory and not slot.fillers]
         for loop in index.loops:
             if not all(bound.get(id(loop)) for bound in required):
                 continue
+            inst = PlanInstance(root.name, root.kind, mandatory=mandatory)
             group = working.get(id(loop), {}).values()
-            children = []
             for slot_name, names in uses:
                 child = next((i for name in names for i in group if i.schema == name), None)
-                if child is not None and all(child is not c for _, c in children):
-                    children.append((slot_name, child))
-            if not all(any(name == slot for slot, _ in children) for name in childless):
-                continue
-            inst = PlanInstance(root.name, root.kind, children=children, mandatory=mandatory)
+                if child is not None and all(child is not c for _, c in inst.children):
+                    inst.children.append((slot_name, child))
             if takes_variable and inst.children:
                 inst.variable = inst.children[0][1].variable
             for slot, match in binder.slots:
@@ -643,8 +638,8 @@ def _loop_plans(kb, index, roots, var_instances):
                     bound = _first_filling(index, slot, match, candidates, inst.variable)
                 if bound is not None:
                     inst.bindings[slot.name] = bound
-            filled = set(inst.bindings) | {slot for slot, _ in inst.children}
-            if not filled or not all(m in filled for m in mandatory):
+            inst.close()
+            if not (inst.bindings or inst.children) or not inst.complete:
                 continue
             # a FOR loop tests its control variable, the others their condition
             test_vars = ({loop.var.lower()} if isinstance(loop, fe.For)
@@ -657,8 +652,8 @@ def _loop_plans(kb, index, roots, var_instances):
                     chosen = controllers[slot.name]
                     inst.schema, inst.kind = chosen.name, chosen.kind
                     inst.mandatory = tuple(s.name for s in chosen.slots if s.mandatory)
+                    inst.close()
                     break
-            inst.close()
             out.append(inst)
     return out
 
