@@ -117,10 +117,6 @@ def pattern_matcher(pattern: str):
     match = rx.match
     if "v" not in rx.groupindex:
         return lambda text, var=None: match(text) is not None
-    if normalize(pattern) == "<v>":
-        # the variable's own name, or any identifier without a variable
-        return lambda text, var=None: (text == var if var is not None
-                                       else match(text) is not None)
 
     def matches(text, var=None):
         m = match(text)
