@@ -16,7 +16,7 @@ from plancog.kb import (DATA_DRIVEN, Cue, Filler, ProductionRule, builtin_kb, du
 from test_frontend import _TYPED_NAMES, _program, _stmt
 
 # a rule appended to the dumped library: Linear_Search on every WHILE loop,
-# expecting a loop slot filling the library's own rule does not
+# expecting a `loop` filling that none of the library's fillers is
 _APPENDED_RULE = ('rule U1 data: if loop=while then activate Linear_Search, '
                   'bind loop="while <w> < <w>"\n')
 
@@ -190,7 +190,6 @@ def test_instantiate_matches_per_plan_oracle_on_benchmark_programs(seed):
 
 
 # --- the KB is compiled per recognition -------------------------------------------
-
 
 def test_kb_changes_between_recognitions_are_bound():
     # each recognition compiles the KB as it is then
