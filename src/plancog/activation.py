@@ -31,6 +31,8 @@ VIOLATED = "violated"
 _CODE_SLOTS = {"initialization", "update", "read", "result", "output"}
 # slots bound to a loop statement or its exit test
 _LOOP_SLOTS = ("body", "loop", "header", "test")
+# slots whose binding names an instance's own loop, in the order they are asked
+_OWN_LOOP_SLOTS = (*_LOOP_SLOTS, "context")
 
 
 @dataclass
@@ -414,9 +416,11 @@ def _slot_candidates(index: ProgramIndex, instance: PlanInstance, slot_name: str
                     loops.append(loop)
         return sorted(((l, l.line, fe.loop_keyword(l), "loop") for l in loops), key=_line)
     if slot_name in _LOOP_SLOTS:
-        # the instance's own loop once a loop slot holds it
+        # the instance's own loop once a loop slot holds it, or else the
+        # context slot, where a variable plan holds its loop
         candidates = index.loop_candidates[slot_name]
-        own = next((b.node for name, b in instance.bindings.items() if name in _LOOP_SLOTS),
+        bindings = instance.bindings
+        own = next((bindings[name].node for name in _OWN_LOOP_SLOTS if name in bindings),
                    None)
         return candidates if own is None else [c for c in candidates if c[0] is own]
     if slot_name == "counter-update":

@@ -117,6 +117,31 @@ def test_loop_slot_expectation_is_checked_against_the_instance_own_loop(tmp_path
     ]
 
 
+def test_variable_plan_loop_slot_expectation_is_checked_against_its_context_loop(
+        tmp_path, capsys):
+    # a variable plan holds its loop in `context`: X's update runs in the
+    # WHILE loop, whose test (line 5) does not compare with a constant, and
+    # the REPEAT loop's test (line 9) must not verify it
+    library = tmp_path / "limit.kb"
+    library.write_text('schema Limit_Variable kind variable\n'
+                       '  desc "counts up to a limit"\n'
+                       '  slot update mandatory\n    filler "<v>:=<v>+1"\n'
+                       '  slot context\n    filler "iteration"\n'
+                       '  slot test\n'
+                       'rule U1 data: if update~"<v>:=<v>+1" then activate Limit_Variable, '
+                       'bind test="<w>=<int>"\n')
+    program = tmp_path / "two.mp"
+    program.write_text("PROGRAM Two(input, output);\nVAR X, N: INTEGER;\nBEGIN\n"
+                       "    X := 0;\n    WHILE X < 5 DO\n        X := X + 1;\n"
+                       "    REPEAT\n        READLN(N)\n    UNTIL N = 0\nEND.\n")
+    code, out, _ = run_cli(capsys, "recognize", str(program), "--kb", str(library), "--json")
+    assert code == 0
+    assert json.loads(out)["expectations"] == [
+        {"instance": "Limit_Variable[x]", "slot": "test", "pattern": "<w>=<int>",
+         "state": "violated", "line": 5},
+    ]
+
+
 _KB = ('schema A kind variable\n  desc "a"\n  slot name mandatory\n    filler "<v>"\n'
        'schema B kind variable\n  desc "b"\n  slot name mandatory\n    filler "<v>"\n')
 _RULE = 'rule R1 data: if name~"<v>" then activate A'
