@@ -34,25 +34,32 @@ OP = "operator"
 PUNCT = "punctuation"
 COMMENT = "comment"
 
-# One alternative per token class, tried in this order at each position; the
-# last one takes any character no other alternative starts with.
+# One match per token: the whitespace before it (group 1), then one
+# alternative per token class, tried in this order. `end` takes the end of
+# the source, so the whitespace group never gives back a character, and
+# `bad` any character no other alternative starts with.
 # Identifiers and numbers are ASCII only: str.isdigit also accepts "²", which
 # int() rejects, and the KB's name patterns match no other letters. `\s`
 # accepts exactly the characters str.isspace accepts.
 _TOKEN = re.compile(r"""
-    (?P<space>\s+)
-  | \{(?P<brace>[^}]*)\}
-  | \(\*(?P<star>.*?)\*\)
-  | (?P<opener>\{|\(\*)
-  | (?P<identifier>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<real>[0-9]+\.[0-9]+)
-  | (?P<integer>[0-9]+)
-  | (?P<operator>:=|<>|<=|>=|[-+*/=<>])
-  | (?P<punctuation>[(),;:.])
-  | (?P<bad>.)
+    (\s*)
+    (?: \{(?P<brace>[^}]*)\}
+      | \(\*(?P<star>.*?)\*\)
+      | (?P<opener>\{|\(\*)
+      | (?P<identifier>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<real>[0-9]+\.[0-9]+)
+      | (?P<integer>[0-9]+)
+      | (?P<operator>:=|<>|<=|>=|[-+*/=<>])
+      | (?P<punctuation>[(),;:.])
+      | (?P<end>\Z)
+      | (?P<bad>.)
+    )
 """, re.VERBOSE | re.DOTALL)
-_TOKEN_KINDS = {"identifier": IDENT, "real": REALLIT, "integer": INT, "operator": OP,
-                "punctuation": PUNCT}
+# the token kind of each group, by group number (None: not a plain token)
+_TOKEN_KINDS = [None] * (_TOKEN.groups + 1)
+for _group, _kind in (("identifier", IDENT), ("real", REALLIT), ("integer", INT),
+                      ("operator", OP), ("punctuation", PUNCT)):
+    _TOKEN_KINDS[_TOKEN.groupindex[_group]] = _kind
 
 
 class Token(NamedTuple):
@@ -67,24 +74,31 @@ def tokenize(source: str) -> list[Token]:
     """Turn source text into tokens; comments become COMMENT tokens with the
     interior text stripped of surrounding whitespace."""
     tokens = []
+    append = tokens.append
+    new = tuple.__new__             # Token's own __new__ is a Python function
     line = 1
     for match in _TOKEN.finditer(source):
-        group = match.lastgroup
-        kind = _TOKEN_KINDS.get(group)
+        space = match[1]
+        if space:
+            line += space.count("\n")
+        group = match.lastindex
+        kind = _TOKEN_KINDS[group]
         if kind is not None:
-            text = match.group()
+            text = match[group]
             if kind is IDENT and text.upper() in KEYWORDS:
                 kind = KW
-            tokens.append(Token(kind, text, line, match.start(), match.end()))
-        elif group == "space":
-            line += match.group().count("\n")
-        elif group == "bad":
-            raise LexError(f"illegal character {match.group()!r}", line)
-        elif group == "opener":
+            append(new(Token, (kind, text, line, match.end(1), match.end())))
+            continue
+        name = match.lastgroup
+        if name == "end":
+            break
+        if name == "bad":
+            raise LexError(f"illegal character {match[group]!r}", line)
+        if name == "opener":
             raise LexError("unterminated comment", line)
-        else:
-            tokens.append(Token(COMMENT, match[group].strip(), line, match.start(), match.end()))
-            line += match.group().count("\n")
+        text = match[group]
+        append(new(Token, (COMMENT, text.strip(), line, match.end(1), match.end())))
+        line += text.count("\n")
     return tokens
 
 
