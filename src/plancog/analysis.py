@@ -217,13 +217,15 @@ def _check_no_double_duty(rec: Recognition):
 
 
 def _check_no_unused_plan_part(rec: Recognition):
+    uses = {}                          # variable -> lines that read it
+    for var, line in rec.index.defuse.uses:
+        uses.setdefault(var, set()).add(line)
     out = []
     for inst in rec.instances:
         if inst.kind != VARIABLE or not inst.variable or not inst.complete:
             continue
         own = set(inst.part_lines())
-        uses = set(rec.index.defuse.uses_of(inst.variable))
-        if own and uses <= own:
+        if own and uses.get(inst.variable, set()) <= own:
             out.append((own, f"value of {inst.variable!r} never leaves the plan"))
     return out
 
