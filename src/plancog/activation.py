@@ -140,32 +140,31 @@ class CoherenceReport:
 
 # --- beacons ---------------------------------------------------------------
 
-def extract_beacons(program: fe.Program, kb: KnowledgeBase) -> list[Cue]:
+def extract_beacons(index: ProgramIndex, kb: KnowledgeBase) -> list[Cue]:
     """Surface cues: declared names and types, initialization and update
-    forms, loop forms, comments."""
+    forms, loop forms, comments. A statement's cue holds its record (its
+    CFG node), a declaration's the declaration."""
+    program, cfg = index.program, index.cfg
     cues = []
     for d in program.declarations:
         cues.append(Cue("name", d.name, d.line, d))
         cues.append(Cue("type", d.type, d.line, d))
-    for s in fe.walk_statements(program.body):
+    # the CFG makes simple statements' nodes in source order and lists loops
+    # in preorder, so cues that sort equal stay in source order
+    for node in cfg.nodes:
+        s = node.stmt
         if isinstance(s, fe.Assign):
-            kind = "update" if _self_referential(s) else "init"
-            cues.append(Cue(kind, fe.node_text(s), s.line, s))
+            cues.append(Cue("update" if node.reads_own else "init", node.text, node.line, node))
         elif isinstance(s, (fe.Readln, fe.Writeln)):
-            cues.append(Cue("update", fe.node_text(s), s.line, s))
-        elif isinstance(s, fe.LOOP_KINDS):
-            cues.append(Cue("loop", fe.loop_keyword(s), s.line, s))
-            cues.append(Cue("loopform", fe.loop_form(s), s.line, s))
+            cues.append(Cue("update", node.text, node.line, node))
+    for loop in index.loops:
+        node = cfg.node_of(loop)
+        cues.append(Cue("loop", fe.loop_keyword(loop), loop.line, node))
+        cues.append(Cue("loopform", fe.loop_form(loop), loop.line, node))
     for line, text in program.comments:
         cues.append(Cue("comment", text, line))
     cues.sort(key=lambda c: (c.line, c.kind, c.payload))
     return cues
-
-
-def _self_referential(stmt) -> bool:
-    """Whether the statement reads a variable it defines (`x := x + 1`)."""
-    defined = {name.lower() for name, _ in fe.defined_names(stmt)}
-    return any(name.lower() in defined for name, _ in fe.used_names(stmt))
 
 
 def _cue_subject(cue: Cue) -> str | None:
@@ -174,8 +173,8 @@ def _cue_subject(cue: Cue) -> str | None:
     node = cue.node
     if isinstance(node, fe.Decl):
         return node.name.lower()
-    names = {name.lower() for name, _ in fe.defined_names(node) or fe.used_names(node)}
-    return names.pop() if len(names) == 1 else None
+    names = node.defs or node.uses
+    return names[0] if len(names) == 1 else None
 
 
 # cue kinds compared by substring or equality of the lowercased payload; the
@@ -309,35 +308,36 @@ def activate_with_trace(kb: KnowledgeBase, cues):
 
 class ProgramIndex:
     """Per-program lookup tables, built once per recognition and read by
-    instantiation, verification, coherence and the discourse checks: with the
-    program's CFG (`cfg`) and def-use chains (`defuse`).
+    every stage from beacon extraction on: with the program's CFG (`cfg`),
+    whose nodes are the statements' records (see `relations`), and def-use
+    chains (`defuse`).
 
-    Slot candidates are built in one pass over the statements, each with its
-    text rendered once; callers share the lists and do not change them.
-    `normal[text]` is the text normalized, at most once per recognition."""
+    Slot candidates are built in one pass over the records; callers share
+    the lists and do not change them. `normal[text]` is the text
+    normalized, at most once per recognition."""
 
     def __init__(self, program: fe.Program):
         self.program = program
         self.cfg = rel.build_cfg(program)
         self.defuse = rel.def_use(program, self.cfg)
         self.decls = {d.name.lower(): d for d in program.declarations}
-        self.loops = [s for s in fe.walk_statements(program.body)
-                      if isinstance(s, fe.LOOP_KINDS)]
-        self.enclosing = fe.enclosing_loops(program)
-        self.defs = {}        # var -> defining simple statements (no FOR headers)
+        self.loops = self.cfg.loops   # loop statements in preorder
+        self.defs = {}        # var -> records of its defining simple statements
         writes = []
-        for s in fe.simple_statements(program):
-            for name, _ in fe.defined_names(s):
-                self.defs.setdefault(name.lower(), []).append(s)
-            if isinstance(s, fe.Writeln):
-                writes.append(s)
+        for node in self.cfg.nodes:
+            if node.kind == rel.STMT:
+                for var in node.defs:
+                    self.defs.setdefault(var, []).append(node)
+                if isinstance(node.stmt, fe.Writeln):
+                    writes.append(node)
         self.candidates = self._variable_candidates(writes)
         self.loop_candidates = self._loop_candidates()
         self.normal = _Normalized()
 
     def loop_of(self, stmt):
-        stack = self.enclosing.get(id(stmt), [])
-        return stack[-1] if stack else None
+        """The innermost loop around a statement, or None."""
+        loops = self.cfg.node_of(stmt).loops
+        return loops[-1] if loops else None
 
     def _variable_candidates(self, writes):
         """{slot category: {var: [(node, line, text, category)] by line}}.
@@ -350,22 +350,20 @@ class ProgramIndex:
             out["name"][var] = [(d, d.line, d.name, "decl")]
             out["type"][var] = [(d, d.line, d.type, "decl")]
         for var, defs in self.defs.items():
-            for i, s in enumerate(defs):
-                cand = (s, s.line, fe.node_text(s), "stmt")
-                if isinstance(s, fe.Readln):
+            for i, node in enumerate(defs):
+                cand = (node.stmt, node.line, node.text, "stmt")
+                if isinstance(node.stmt, fe.Readln):
                     out["read"].setdefault(var, []).append(cand)
                     continue
-                in_loop = self.loop_of(s) is not None
-                if i == 0 or not in_loop:
+                if i == 0 or not node.loops:
                     out["initialization"].setdefault(var, []).append(cand)
-                if i > 0 or in_loop:
+                if i > 0 or node.loops:
                     out["update"].setdefault(var, []).append(cand)
                 out["result"].setdefault(var, []).append(cand)
-        for s in writes:
-            read = {name.lower() for name, _ in fe.used_names(s)}
-            if len(read) == 1:
-                out["output"].setdefault(read.pop(), []).append(
-                    (s, s.line, fe.node_text(s), "stmt"))
+        for node in writes:
+            if len(node.uses) == 1:
+                out["output"].setdefault(node.uses[0], []).append(
+                    (node.stmt, node.line, node.text, "stmt"))
         for by_var in out.values():
             for cands in by_var.values():
                 cands.sort(key=_line)
@@ -410,10 +408,9 @@ def _slot_candidates(index: ProgramIndex, instance: PlanInstance, slot_name: str
                 if loop is not None and loop not in loops:
                     loops.append(loop)
         if not loops and var:
-            for s in index.defs.get(var, []):
-                loop = index.loop_of(s)
-                if loop is not None and loop not in loops:
-                    loops.append(loop)
+            for node in index.defs.get(var, []):
+                if node.loops and node.loops[-1] not in loops:
+                    loops.append(node.loops[-1])
         return sorted(((l, l.line, fe.loop_keyword(l), "loop") for l in loops), key=_line)
     if slot_name in _LOOP_SLOTS:
         # the instance's own loop once a loop slot holds it, or else the
@@ -537,7 +534,7 @@ def _bind_variable_plan(binder, var, index, first):
             bound = Binding(*candidates[pos], slot)
             update = inst.bindings.get("update")
             if (slot.name == "initialization" and update is not None
-                    and _self_referential(update.node)):
+                    and index.cfg.node_of(update.node).reads_own):
                 # when the update reads the variable, the initializing def
                 # must reach it along some def-clear path
                 chains = index.defuse.chains
@@ -592,7 +589,7 @@ def _loop_plans(kb, index, roots, var_instances):
     for inst in var_instances:
         for slot, b in inst.bindings.items():
             if b.category == "stmt" and slot != "initialization":
-                for loop in index.enclosing.get(id(b.node), ()):
+                for loop in index.cfg.node_of(b.node).loops:
                     working.setdefault(id(loop), {})[id(inst)] = inst
     loop_candidates = {name: {id(c[0]): [c] for c in index.loop_candidates[name]}
                        for name in _LOOP_SLOTS}
@@ -647,7 +644,7 @@ def _loop_plans(kb, index, roots, var_instances):
                 continue
             # a FOR loop tests its control variable, the others their condition
             test_vars = ({loop.var.lower()} if isinstance(loop, fe.For)
-                         else {name.lower() for name, _ in fe.used_names(loop)})
+                         else index.cfg.node_of(loop).uses)
             children = dict(inst.children)
             for slot in root.slots:
                 child = children.get(slot.name)
@@ -745,7 +742,7 @@ def evaluate_coherence(instances, index: ProgramIndex, kb: KnowledgeBase,
         if "initialization" in inst.bindings and "update" in inst.bindings:
             update = inst.bindings["update"]
             # only meaningful when the update reads the variable
-            if _self_referential(update.node):
+            if index.cfg.node_of(update.node).reads_own:
                 chain = index.defuse.chains.get((inst.variable,
                                                  inst.bindings["initialization"].line),
                                                 set())

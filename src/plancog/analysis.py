@@ -34,9 +34,9 @@ def recognize(program: fe.Program, kb: KnowledgeBase | None = None, *,
     """Full pipeline: beacons, activation, instantiation, verification and
     coherence evaluation."""
     kb = kb or builtin_kb()
-    cues = extract_beacons(program, kb)
-    activations, firings = activate_with_trace(kb, cues)
     index = ProgramIndex(program)
+    cues = extract_beacons(index, kb)
+    activations, firings = activate_with_trace(kb, cues)
     instances, expectations = instantiate(kb, index, activations)
     expectations = verify_expectations(expectations, index)
     coherence = evaluate_coherence(instances, index, kb, step_budget=step_budget)
@@ -163,8 +163,8 @@ def planliness(program: fe.Program, kb: KnowledgeBase | None = None,
     violation: score = coverage * (1 - 0.25 * min(4, violations))."""
     kb = kb or builtin_kb()
     rec = recognition or recognize(program, kb)
-    simple_lines = {s.line for s in fe.simple_statements(program)
-                    if not isinstance(s, fe.Hole)}
+    simple_lines = {node.line for node in rec.index.cfg.nodes
+                    if node.kind == rel.STMT and not isinstance(node.stmt, fe.Hole)}
     covered = set()
     for inst in rec.instances:
         if inst.complete:
@@ -274,7 +274,7 @@ def fill_blank(blanked: fe.BlankedProgram, kb: KnowledgeBase | None = None,
     if strategy != "plan":
         raise AnalysisError(f"unknown strategy {strategy!r}")
 
-    cues = extract_beacons(context, kb)
+    cues = extract_beacons(index, kb)
     activations, _ = activate_with_trace(kb, cues)
     instances, _ = instantiate(kb, index, activations)
     undefined = {var for var, _ in index.defuse.possibly_uninitialized}
@@ -334,21 +334,12 @@ class Chunk:
     label: str
 
 
-def chunk_universe(program: fe.Program) -> set[int]:
-    """Simple-statement lines plus loop/if header and loop-condition lines."""
-    lines = set()
-    for s in fe.walk_statements(program.body):
-        if not isinstance(s, fe.Compound):
-            lines.add(s.line)
-        if isinstance(s, fe.LOOP_KINDS):
-            lines.add(fe.test_line(s))
-    return lines
-
-
 def chunk(program: fe.Program, kb: KnowledgeBase | None = None,
           mode: str = "plan", recognition: Recognition | None = None) -> list[Chunk]:
-    """Control chunks partition the chunk universe along the prime tree; plan
-    chunks are complete instances' part lines, with residue reported last."""
+    """Control chunks partition the chunk universe (simple-statement lines
+    plus loop/if header and loop-condition lines) along the prime tree; plan
+    chunks are complete instances' part lines, with the rest of the
+    universe reported last as residue."""
     if mode == "control":
         # a line shared by several prime nodes (a one-line loop or two
         # statements on a line) goes to the outermost; emptied chunks drop
@@ -379,7 +370,7 @@ def chunk(program: fe.Program, kb: KnowledgeBase | None = None,
         chunks.append(Chunk(lines, inst.schema))
         covered |= set(lines)
     chunks.sort(key=lambda c: (c.lines[0], c.label))
-    residue = sorted(chunk_universe(program) - covered)
+    residue = sorted(rec.index.cfg.lines() - covered)
     if residue:
         chunks.append(Chunk(residue, "(residue)"))
     return chunks

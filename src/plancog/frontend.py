@@ -587,7 +587,10 @@ def defined_names(stmt) -> list[tuple[str, int]]:
 def used_names(stmt) -> list[tuple[str, int]]:
     """(name, line) of every variable `stmt`'s own expressions read, in source
     order; nested statements are not included. A FOR header reads its bounds."""
-    return [ref for expr in _expressions(stmt) for ref in _expr_identifiers(expr)]
+    out = []
+    for expr in _expressions(stmt):
+        _collect_names(expr, out)
+    return out
 
 
 def _expressions(stmt) -> list:
@@ -601,14 +604,15 @@ def _expressions(stmt) -> list:
     return []
 
 
-def _expr_identifiers(expr):
+def _collect_names(expr, out):
+    """Append (name, line) of every variable `expr` reads, in source order."""
     if isinstance(expr, VarRef):
-        yield expr.name, expr.line
-    elif isinstance(expr, Unary):
-        yield from _expr_identifiers(expr.operand)
+        out.append((expr.name, expr.line))
     elif isinstance(expr, Binary):
-        yield from _expr_identifiers(expr.left)
-        yield from _expr_identifiers(expr.right)
+        _collect_names(expr.left, out)
+        _collect_names(expr.right, out)
+    elif isinstance(expr, Unary):
+        _collect_names(expr.operand, out)
 
 
 _LOOP_KEYWORDS = {Repeat: "repeat", While: "while", For: "for"}
@@ -642,28 +646,11 @@ def walk_statements(stmts):
             yield from walk_statements(nested)
 
 
-def simple_statements(program: Program):
-    return [s for s in walk_statements(program.body) if isinstance(s, SIMPLE_KINDS)]
-
-
 def statement_at(program: Program, line: int):
     for s in walk_statements(program.body):
         if s.line == line:
             return s
     return None
-
-
-def enclosing_loops(program: Program) -> dict[int, list]:
-    """Map id(stmt) -> enclosing loop statements, innermost last."""
-    out = {}
-
-    def visit(stmts, stack):
-        for s in stmts:
-            out[id(s)] = list(stack)
-            visit(substatements(s), stack + [s] if isinstance(s, LOOP_KINDS) else stack)
-
-    visit(program.body, [])
-    return out
 
 
 # --- text rendering ----------------------------------------------------

@@ -207,7 +207,7 @@ class Cue:
     kind: str
     payload: str
     line: int = 0
-    node: object = None
+    node: object = None    # a beacon's declaration or statement record (CFG node)
 
     def __str__(self):
         if self.kind in ("loop", "type", "schema"):

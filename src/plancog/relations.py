@@ -2,9 +2,12 @@
 def-use chains.
 
 The CFG keeps one node per simple statement plus one condition node per loop
-or if statement (a repeat's condition node carries the UNTIL line). The prime
-tree decomposes the structured statement language into sequence, iteration
-and conditional nodes whose leaves partition the simple statements.
+or if statement (a repeat's condition node carries the UNTIL line). So every
+statement but a BEGIN/END block has one node, which is also its record: made
+once when the graph is built, and read by every later stage instead of
+taking the statement apart again. The prime tree decomposes the structured
+statement language into sequence, iteration and conditional nodes whose
+leaves partition the simple statements.
 """
 
 from __future__ import annotations
@@ -28,10 +31,17 @@ LOOP_BACK = "loop-back"
 
 @dataclass
 class CfgNode:
+    """A node, and for a statement what the statement itself defines and
+    reads, the loops around it and, for a simple statement, its text."""
     id: int
     kind: str            # entry | exit | stmt | cond
     line: int | None
     stmt: object = None  # AST statement for stmt nodes, loop/if for cond nodes
+    defs: tuple[str, ...] = ()     # lowercased names it defines (a FOR header its variable)
+    uses: tuple[str, ...] = ()     # lowercased names it reads, sorted, each once
+    loops: tuple = ()              # enclosing loop statements, innermost last
+    text: str | None = None        # a simple statement's `fe.node_text`
+    reads_own: bool = False        # reads a name it defines (`x := x + 1`)
 
 
 @dataclass
@@ -42,12 +52,23 @@ class Cfg:
     edges: list[tuple[int, int, str]] = field(default_factory=list)
     entry: int = 0
     exit: int = 0
+    # loop statements in preorder; a repeat's node is made after its body's
+    loops: list = field(default_factory=list)
     _succs: list[list] = field(default_factory=list, init=False, repr=False)
     _preds: list[list] = field(default_factory=list, init=False, repr=False)
     _at_line: dict = field(default_factory=dict, init=False, repr=False)
+    _of: dict = field(default_factory=dict, init=False, repr=False)   # id(stmt) -> node
 
-    def add_node(self, kind, line, stmt=None) -> CfgNode:
-        node = CfgNode(len(self.nodes), kind, line, stmt)
+    def add_node(self, kind, line, stmt=None, loops=()) -> CfgNode:
+        if stmt is None:
+            node = CfgNode(len(self.nodes), kind, line)
+        else:
+            defs = tuple([name.lower() for name, _ in fe.defined_names(stmt)])
+            uses = tuple(sorted({name.lower() for name, _ in fe.used_names(stmt)}))
+            node = CfgNode(len(self.nodes), kind, line, stmt, defs, uses, loops,
+                           fe.node_text(stmt) if kind == STMT else None,
+                           not set(defs).isdisjoint(uses))
+            self._of[id(stmt)] = node
         self.nodes.append(node)
         self._succs.append([])
         self._preds.append([])
@@ -76,12 +97,20 @@ class Cfg:
         nodes = self._at_line.get(line)
         return nodes[0] if nodes else None
 
+    def node_of(self, stmt) -> CfgNode:
+        """The node of a statement other than a BEGIN/END block."""
+        return self._of[id(stmt)]
+
+    def lines(self) -> set[int]:
+        """Every line a statement's node sits on or stands for."""
+        return {line for line in self._at_line if line is not None}
+
 
 def build_cfg(program: fe.Program) -> Cfg:
     cfg = Cfg()
     entry = cfg.add_node(ENTRY, None)
     cfg.entry = entry.id
-    tails = _chain(cfg, program.body, [(entry.id, SEQ)])
+    tails = _chain(cfg, program.body, [(entry.id, SEQ)], ())
     exit_node = cfg.add_node(EXIT, None)
     cfg.exit = exit_node.id
     _connect(cfg, tails, exit_node.id)
@@ -93,50 +122,48 @@ def _connect(cfg, pending, nid):
         cfg.add_edge(src, nid, lbl)
 
 
-def _chain(cfg, stmts, pending):
+def _chain(cfg, stmts, pending, loops):
     for s in stmts:
-        pending = _statement(cfg, s, pending)
+        pending = _statement(cfg, s, pending, loops)
     return pending
 
 
-def _statement(cfg, s, pending):
+def _statement(cfg, s, pending, loops):
+    """Add the nodes and edges of statement `s`, entered from the `pending`
+    (node, label) exits, inside the `loops`; return its exits."""
     if isinstance(s, fe.SIMPLE_KINDS):
-        node = cfg.add_node(STMT, s.line, s)
+        node = cfg.add_node(STMT, s.line, s, loops)
         _connect(cfg, pending, node.id)
         return [(node.id, SEQ)]
     if isinstance(s, fe.Compound):
-        return _chain(cfg, s.body, pending)
+        return _chain(cfg, s.body, pending, loops)
     if isinstance(s, fe.If):
-        cond = cfg.add_node(COND, s.line, s)
+        cond = cfg.add_node(COND, s.line, s, loops)
         _connect(cfg, pending, cond.id)
-        out = _statement(cfg, s.then, [(cond.id, TRUE)])
+        out = _statement(cfg, s.then, [(cond.id, TRUE)], loops)
         if s.otherwise is None:
             out = out + [(cond.id, FALSE)]
         else:
-            out = out + _statement(cfg, s.otherwise, [(cond.id, FALSE)])
+            out = out + _statement(cfg, s.otherwise, [(cond.id, FALSE)], loops)
         return out
-    if isinstance(s, fe.While):
-        cond = cfg.add_node(COND, s.line, s)
-        _connect(cfg, pending, cond.id)
-        body_out = _statement(cfg, s.body, [(cond.id, TRUE)])
-        _connect(cfg, [(src, LOOP_BACK) for src, _ in body_out], cond.id)
-        return [(cond.id, FALSE)]
-    if isinstance(s, fe.For):
-        head = cfg.add_node(COND, s.line, s)
-        _connect(cfg, pending, head.id)
-        body_out = _statement(cfg, s.body, [(head.id, TRUE)])
-        _connect(cfg, [(src, LOOP_BACK) for src, _ in body_out], head.id)
-        return [(head.id, FALSE)]
+    if not isinstance(s, fe.LOOP_KINDS):
+        raise TypeError(f"unexpected statement {s!r}")
+    cfg.loops.append(s)
+    inner = (*loops, s)
     if isinstance(s, fe.Repeat):
         # the loop-back edge enters the first node the body creates, or the
         # condition itself when the body creates none
         first = len(cfg.nodes)
-        body_out = _chain(cfg, s.body, pending)
-        cond = cfg.add_node(COND, s.until_line, s)
+        body_out = _chain(cfg, s.body, pending, inner)
+        cond = cfg.add_node(COND, s.until_line, s, loops)
         _connect(cfg, body_out, cond.id)
         cfg.add_edge(cond.id, first, LOOP_BACK)
         return [(cond.id, TRUE)]
-    raise TypeError(f"unexpected statement {s!r}")
+    head = cfg.add_node(COND, s.line, s, loops)
+    _connect(cfg, pending, head.id)
+    body_out = _statement(cfg, s.body, [(head.id, TRUE)], inner)
+    _connect(cfg, [(src, LOOP_BACK) for src, _ in body_out], head.id)
+    return [(head.id, FALSE)]
 
 
 # --- prime structures ----------------------------------------------------
@@ -209,29 +236,13 @@ class DefUse:
     chains: dict[tuple[str, int], set[int]]
     possibly_uninitialized: list[tuple[str, int]]
 
-    def uses_of(self, var):
-        var = var.lower()
-        return sorted(line for v, line in self.uses if v == var)
-
-
-def node_defs(node: CfgNode) -> list[str]:
-    """Variables the node defines; a FOR header defines its control variable."""
-    return [name.lower() for name, _ in fe.defined_names(node.stmt)]
-
-
-def node_uses(node: CfgNode) -> list[str]:
-    """Variables the node reads, sorted; a FOR header reads its bounds."""
-    return sorted({name.lower() for name, _ in fe.used_names(node.stmt)})
-
 
 def def_use(program: fe.Program, cfg: Cfg) -> DefUse:
     """Reaching definitions over the CFG, solved by a worklist over bit
     vectors (Kildall 1973); a chain maps a definition to every use a
     def-clear path can reach."""
-    node_def = [node_defs(n) for n in cfg.nodes]
-    node_use = [node_uses(n) for n in cfg.nodes]
-    defs = [(v, n.line) for n in cfg.nodes for v in node_def[n.id]]
-    uses = [(v, n.line) for n in cfg.nodes for v in node_use[n.id]]
+    defs = [(v, n.line) for n in cfg.nodes for v in n.defs]
+    uses = [(v, n.line) for n in cfg.nodes for v in n.uses]
 
     # One bit per definition site: first a synthetic entry definition per
     # declared variable, so "possibly uninitialized" means some path carries
@@ -249,11 +260,11 @@ def def_use(program: fe.Program, cfg: Cfg) -> DefUse:
     for d in program.declarations:
         gen[cfg.entry] |= site(d.name.lower(), None)
     for n in cfg.nodes:
-        for v in node_def[n.id]:
+        for v in n.defs:
             gen[n.id] |= site(v, n.line)
     keep = [-1] * len(cfg.nodes)          # all ones: kills nothing
     for n in cfg.nodes:
-        for v in node_def[n.id]:
+        for v in n.defs:
             keep[n.id] &= ~kill[v]
 
     # IN[n] = OR of OUT[p]; OUT[n] = gen(n) | (IN[n] & keep(n)). Every edge
@@ -284,7 +295,7 @@ def def_use(program: fe.Program, cfg: Cfg) -> DefUse:
     chains = {}
     uninit = set()
     for n in cfg.nodes:
-        for v in node_use[n.id]:
+        for v in n.uses:
             reaching = reach_in[n.id] & kill.get(v, 0)
             while reaching:
                 low = reaching & -reaching

@@ -5,13 +5,15 @@ loop-back edge at most twice, and collects def-clear definition-to-use
 pairs by replaying the path. It shares no code with the fixpoint analysis
 it checks.
 
-The reference oracles are the straightforward versions of seven optimised
+The reference oracles are the straightforward versions of eight optimised
 steps, kept to compare against on every program: reaching definitions by
 round-robin passes over sets, coherence pairing over all instance pairs,
 filler matching with one regular expression per (pattern, variable), a
 character-by-character lexer, depth and declaration checks that walk the
-parsed tree, an interpreter that walks the AST, and instantiation that
-matches every slot filling afresh for each plan it binds.
+parsed tree, an interpreter that walks the AST, instantiation that
+matches every slot filling afresh for each plan it binds, and statement
+facts (names, enclosing loops, self-reference, chunk universe) found by
+walking the tree each time they are asked for.
 """
 
 import importlib.util
@@ -23,15 +25,14 @@ from functools import lru_cache
 from pathlib import Path
 
 from plancog import frontend as fe
-from plancog.activation import (_CODE_SLOTS, _LOOP_SLOTS, Binding, Expectation,
-                                _self_referential)
+from plancog.activation import _CODE_SLOTS, _LOOP_SLOTS, Binding, Expectation
 from plancog.errors import LexError, ParseError
 from plancog.frontend import (COMMENT, IDENT, INT, INT_MAX, INT_MIN, KEYWORDS, KW, OP, PUNCT,
                               REALLIT, Token)
 from plancog.interpreter import (DEFAULT_STEP_BUDGET, RUNTIME_ERROR, ExecutionResult,
                                  TraceEvent)
 from plancog.kb import CONTROL, LOOP_WORDS, VARIABLE, matches_normalized, normalize
-from plancog.relations import LOOP_BACK, DefUse, node_defs, node_uses
+from plancog.relations import LOOP_BACK, DefUse
 
 
 def benchmark_programs():
@@ -52,8 +53,8 @@ def brute_force_def_use(cfg, max_unrollings=2):
         succs[src].append((dst, label, (src, dst)))
     by_id = {n.id: n for n in cfg.nodes}
     # each node's facts once: a program has thousands of paths through it
-    uses = {n.id: node_uses(n) for n in cfg.nodes}
-    defs = {n.id: node_defs(n) for n in cfg.nodes}
+    uses = {n.id: n.uses for n in cfg.nodes}
+    defs = {n.id: n.defs for n in cfg.nodes}
     chains = {}
     uninit = set()
 
@@ -88,7 +89,7 @@ def brute_force_def_use(cfg, max_unrollings=2):
 
     walk(cfg.entry, [], {})
     for node in cfg.nodes:
-        for var in node_defs(node):
+        for var in node.defs:
             chains.setdefault((var, node.line), set())
     return chains, uninit
 
@@ -96,8 +97,8 @@ def brute_force_def_use(cfg, max_unrollings=2):
 def round_robin_def_use(program, cfg):
     """Reaching definitions by round-robin passes over sets of (variable,
     node id) pairs until nothing changes; the reference for `def_use`."""
-    node_def = [node_defs(n) for n in cfg.nodes]
-    node_use = [node_uses(n) for n in cfg.nodes]
+    node_def = [n.defs for n in cfg.nodes]
+    node_use = [n.uses for n in cfg.nodes]
     defs = [(v, n.line) for n in cfg.nodes for v in node_def[n.id]]
     uses = [(v, n.line) for n in cfg.nodes for v in node_use[n.id]]
 
@@ -299,6 +300,42 @@ def char_loop_tokenize(source: str) -> list[Token]:
             continue
         raise LexError(f"illegal character {c!r}", line)
     return tokens
+
+
+# --- statement facts by walking the tree -----------------------------------------
+
+def simple_statements(program):
+    return [s for s in fe.walk_statements(program.body) if isinstance(s, fe.SIMPLE_KINDS)]
+
+
+def enclosing_loops(program) -> dict:
+    """Map id(stmt) -> enclosing loop statements, innermost last."""
+    out = {}
+
+    def visit(stmts, stack):
+        for s in stmts:
+            out[id(s)] = list(stack)
+            visit(fe.substatements(s), stack + [s] if isinstance(s, fe.LOOP_KINDS) else stack)
+
+    visit(program.body, [])
+    return out
+
+
+def self_referential(stmt) -> bool:
+    """Whether the statement reads a variable it defines (`x := x + 1`)."""
+    defined = {name.lower() for name, _ in fe.defined_names(stmt)}
+    return any(name.lower() in defined for name, _ in fe.used_names(stmt))
+
+
+def chunk_universe(program) -> set:
+    """Simple-statement lines plus loop/if header and loop-condition lines."""
+    lines = set()
+    for s in fe.walk_statements(program.body):
+        if not isinstance(s, fe.Compound):
+            lines.add(s.line)
+        if isinstance(s, fe.LOOP_KINDS):
+            lines.add(fe.test_line(s))
+    return lines
 
 
 # --- checking depth and declarations after parsing -----------------------------
@@ -604,8 +641,8 @@ def _program_wide_slot_candidates(index, instance, slot_name):
                 if loop is not None and loop not in loops:
                     loops.append(loop)
         if not loops and var:
-            for s in index.defs.get(var, []):
-                loop = index.loop_of(s)
+            for node in index.defs.get(var, []):
+                loop = index.loop_of(node.stmt)
                 if loop is not None and loop not in loops:
                     loops.append(loop)
         return sorted(((l, l.line, fe.loop_keyword(l), "loop") for l in loops),
@@ -675,7 +712,7 @@ def _bind_variable_plan(kb, schema, var, index):
         candidates = _program_wide_slot_candidates(index, inst, slot.name)
         update = inst.bindings.get("update")
         if (slot.name == "initialization" and update is not None
-                and _self_referential(update.node)):
+                and self_referential(update.node)):
             candidates = [c for c in candidates
                           if update.line in index.defuse.chains.get((var, c[1]), set())]
         bound = _first_filling(slot, candidates, var)
@@ -709,10 +746,11 @@ def _loop_plans(kb, index, roots, var_instances):
     if not roots:
         return []
     working = {}
+    enclosing = enclosing_loops(index.program)
     for inst in var_instances:
         for slot, b in inst.bindings.items():
             if b.category == "stmt" and slot != "initialization":
-                for loop in index.enclosing.get(id(b.node), ()):
+                for loop in enclosing[id(b.node)]:
                     working.setdefault(id(loop), {})[id(inst)] = inst
     loop_candidates = {name: {id(c[0]): [c] for c in index.loop_candidates[name]}
                        for name in _LOOP_SLOTS}

@@ -5,7 +5,7 @@ them)."""
 import random
 import time
 
-from oracles import brute_force_def_use
+from oracles import brute_force_def_use, simple_statements
 
 from plancog import activation as act
 from plancog import analysis as an
@@ -97,7 +97,7 @@ def test_criterion_6_activation_determinism_and_monotonicity(corpus_sources, bui
     rng = random.Random(0)
     for src in corpus_sources.values():
         program = fe.parse(src)
-        cues = act.extract_beacons(program, builtin)
+        cues = act.extract_beacons(act.ProgramIndex(program), builtin)
         baseline = {a.schema for a in act.activate(builtin, cues)}
         for _ in range(20):
             shuffled = cues[:]
@@ -117,7 +117,7 @@ def test_criterion_7_relations_oracle(corpus_sources):
     check = _timed(5.0)
     for src in corpus_sources.values():
         program = fe.parse(src)
-        assert len(fe.simple_statements(program)) <= 12
+        assert len(simple_statements(program)) <= 12
         cfg = rel.build_cfg(program)
         defuse = rel.def_use(program, cfg)
         chains, uninit = brute_force_def_use(cfg, max_unrollings=2)
@@ -125,7 +125,7 @@ def test_criterion_7_relations_oracle(corpus_sources):
         assert set(defuse.possibly_uninitialized) == uninit
         tree = rel.decompose_primes(program)
         leaf_lines = [line for leaf in tree.leaves() for line in leaf.lines]
-        simple = [s.line for s in fe.simple_statements(program)]
+        simple = [s.line for s in simple_statements(program)]
         assert sorted(leaf_lines) == sorted(simple)
         assert len(leaf_lines) == len(set(leaf_lines))
     check("7 relations oracle")

@@ -13,9 +13,9 @@ from plancog.kb import Cue, dump_kb, load_kb, pattern_matches
 
 
 def _recognize(program, kb):
-    cues = act.extract_beacons(program, kb)
-    activations = act.activate(kb, cues)
-    return act.instantiate(kb, act.ProgramIndex(program), activations)
+    index = act.ProgramIndex(program)
+    activations = act.activate(kb, act.extract_beacons(index, kb))
+    return act.instantiate(kb, index, activations)
 
 
 def _instance(instances, schema, variable=None):
@@ -28,7 +28,7 @@ def _instance(instances, schema, variable=None):
 # --- beacons -----------------------------------------------------------------
 
 def test_grey_beacons(grey, builtin):
-    cues = act.extract_beacons(grey, builtin)
+    cues = act.extract_beacons(act.ProgramIndex(grey), builtin)
     assert any(c.kind == "init" and c.payload == "Count:=0" and c.line == 6
                for c in cues)
     assert any(c.kind == "loop" and c.payload == "repeat" for c in cues)
@@ -38,7 +38,7 @@ def test_grey_beacons(grey, builtin):
 
 def test_declaration_beacons(builtin):
     program = fe.parse("PROGRAM P(input,output); VAR I: INTEGER; BEGIN I := 1; END.")
-    cues = act.extract_beacons(program, builtin)
+    cues = act.extract_beacons(act.ProgramIndex(program), builtin)
     assert any(c.kind == "name" and c.payload == "I" for c in cues)
     assert any(c.kind == "type" and c.payload == "integer" for c in cues)
 
@@ -46,7 +46,7 @@ def test_declaration_beacons(builtin):
 def test_comment_beacon(builtin):
     program = fe.parse("PROGRAM P(input,output); VAR S: INTEGER;"
                        " BEGIN {running total} S := 0; END.")
-    cues = act.extract_beacons(program, builtin)
+    cues = act.extract_beacons(act.ProgramIndex(program), builtin)
     assert any(c.kind == "comment" and c.payload == "running total" for c in cues)
 
 
@@ -54,7 +54,7 @@ def test_beacon_sources_exist(corpus_sources, builtin):
     for src in corpus_sources.values():
         program = fe.parse(src)
         lines = {t.line for t in fe.tokenize(src)}
-        for cue in act.extract_beacons(program, builtin):
+        for cue in act.extract_beacons(act.ProgramIndex(program), builtin):
             assert cue.line in lines
 
 
@@ -62,7 +62,7 @@ def test_beacon_sources_exist(corpus_sources, builtin):
 
 def test_r1_counter_from_name_and_type(builtin):
     program = fe.parse("PROGRAM P(input,output); VAR I: INTEGER; BEGIN I := 1; END.")
-    activations = act.activate(builtin, act.extract_beacons(program, builtin))
+    activations = act.activate(builtin, act.extract_beacons(act.ProgramIndex(program), builtin))
     counter = next(a for a in activations if a.schema == "Counter_Variable")
     assert "R1" in counter.rule_ids
     assert counter.direction == "data-driven"
@@ -70,7 +70,7 @@ def test_r1_counter_from_name_and_type(builtin):
 
 
 def test_r3_linear_search_needs_counter_and_while(search, builtin):
-    activations = act.activate(builtin, act.extract_beacons(search, builtin))
+    activations = act.activate(builtin, act.extract_beacons(act.ProgramIndex(search), builtin))
     names = {a.schema for a in activations}
     assert "Linear_Search" in names
     search_act = next(a for a in activations if a.schema == "Linear_Search")
@@ -81,7 +81,7 @@ def test_r1_requires_same_variable(builtin):
     # integer type on one variable, counter-ish name on another: R1 must not fire
     program = fe.parse("PROGRAM P(input,output);\nVAR I: REAL;\n    Sum: INTEGER;\n"
                        "BEGIN\n    Sum := 0;\nEND.")
-    activations = act.activate(builtin, act.extract_beacons(program, builtin))
+    activations = act.activate(builtin, act.extract_beacons(act.ProgramIndex(program), builtin))
     for a in activations:
         assert "R1" not in a.rule_ids
 
@@ -91,7 +91,7 @@ def test_empty_cues_no_activations(builtin):
 
 
 def test_fixpoint_escalates_to_superstructures(grey, builtin):
-    activations = act.activate(builtin, act.extract_beacons(grey, builtin))
+    activations = act.activate(builtin, act.extract_beacons(act.ProgramIndex(grey), builtin))
     names = {a.schema for a in activations}
     assert "Running_Total_Loop" in names                       # via schema= cue
     assert "New_Value_Controlled_Running_Total_Loop" in names  # downward expansion
@@ -104,7 +104,7 @@ def test_activation_order_independence(corpus_sources, builtin):
     rng = random.Random(7)
     for src in corpus_sources.values():
         program = fe.parse(src)
-        cues = act.extract_beacons(program, builtin)
+        cues = act.extract_beacons(act.ProgramIndex(program), builtin)
         baseline = {a.schema for a in act.activate(builtin, cues)}
         for _ in range(5):
             shuffled = cues[:]
@@ -119,14 +119,14 @@ def test_activation_order_independence(corpus_sources, builtin):
 def test_data_driven_activations_carry_cues(corpus_sources, builtin):
     for src in corpus_sources.values():
         program = fe.parse(src)
-        for a in act.activate(builtin, act.extract_beacons(program, builtin)):
+        for a in act.activate(builtin, act.extract_beacons(act.ProgramIndex(program), builtin)):
             if a.direction == "data-driven":
                 assert a.cues
                 assert a.rule_ids
 
 
 def test_activation_monotonicity(grey, builtin):
-    cues = act.extract_beacons(grey, builtin)
+    cues = act.extract_beacons(act.ProgramIndex(grey), builtin)
     small = {a.schema for a in act.activate(builtin, cues[: len(cues) // 2])}
     full = {a.schema for a in act.activate(builtin, cues)}
     assert small <= full

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import chunk_universe
 from plancog import analysis as an
 from plancog import frontend as fe
 
@@ -209,7 +210,7 @@ def test_chunk_control_partitions_universe(corpus_sources, builtin):
         program = fe.parse(src)
         chunks = an.chunk(program, builtin, "control")
         lines = [l for c in chunks for l in c.lines]
-        assert sorted(lines) == sorted(an.chunk_universe(program))
+        assert sorted(lines) == sorted(chunk_universe(program))
         assert len(lines) == len(set(lines))
 
 
@@ -238,13 +239,13 @@ def test_chunk_plan_residue(grey, builtin):
     union = set()
     for c in chunks:
         union |= set(c.lines)
-    assert union == an.chunk_universe(grey)
+    assert union == chunk_universe(grey)
 
 
 def test_chunk_plan_within_universe(corpus_sources, builtin):
     for src in corpus_sources.values():
         program = fe.parse(src)
-        universe = an.chunk_universe(program)
+        universe = chunk_universe(program)
         for c in an.chunk(program, builtin, "plan"):
             assert set(c.lines) <= universe
 

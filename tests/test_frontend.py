@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (brute_force_def_use, char_loop_tokenize, round_robin_def_use,
-                     two_pass_parse)
+from oracles import (brute_force_def_use, char_loop_tokenize, chunk_universe,
+                     round_robin_def_use, two_pass_parse)
 from plancog import analysis as an
 from plancog import frontend as fe
 from plancog import relations as rel
@@ -506,7 +506,7 @@ def test_generated_control_chunks_partition_universe(stmts):
     program = fe.parse(_program(stmts))
     lines = [line for c in an.chunk(program, mode="control") for line in c.lines]
     assert len(lines) == len(set(lines))
-    assert set(lines) == an.chunk_universe(program)
+    assert set(lines) == chunk_universe(program)
 
 
 # --- depth and declarations checked while parsing ------------------------------

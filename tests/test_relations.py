@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import brute_force_def_use, round_robin_def_use
+from oracles import brute_force_def_use, round_robin_def_use, simple_statements
 from plancog import frontend as fe
 from plancog import relations as rel
 from plancog.errors import AnalysisError
@@ -102,7 +102,7 @@ def test_prime_leaves_partition_simple_statements(corpus_sources):
         program = fe.parse(src)
         tree = rel.decompose_primes(program)
         leaf_lines = [line for leaf in tree.leaves() for line in leaf.lines]
-        expected = sorted(s.line for s in fe.simple_statements(program))
+        expected = sorted(s.line for s in simple_statements(program))
         assert sorted(leaf_lines) == expected
         assert len(leaf_lines) == len(set(leaf_lines))
 
@@ -167,7 +167,7 @@ def test_query_bad_line(grey):
 def test_chains_match_brute_force_oracle(corpus_sources):
     for src in corpus_sources.values():
         program = fe.parse(src)
-        assert len(fe.simple_statements(program)) <= 12
+        assert len(simple_statements(program)) <= 12
         cfg = rel.build_cfg(program)
         du = rel.def_use(program, cfg)
         chains, uninit = brute_force_def_use(cfg)
