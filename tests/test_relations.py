@@ -1,9 +1,15 @@
-import pytest
+import random
 
-from oracles import brute_force_def_use, round_robin_def_use, simple_statements
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import (benchmark_programs, brute_force_def_use, chunk_universe,
+                     enclosing_loops, round_robin_def_use, self_referential,
+                     simple_statements)
 from plancog import frontend as fe
 from plancog import relations as rel
 from plancog.errors import AnalysisError
+from test_frontend import _program, _stmt
 
 
 def _reachable(cfg, start, forward=True):
@@ -285,3 +291,50 @@ def test_def_use_matches_round_robin_on_corpus(corpus_sources):
 @pytest.mark.parametrize("src", REPEAT_CASES)
 def test_def_use_matches_round_robin_on_repeat_cases(src):
     _assert_same_def_use(src)
+
+
+# --- statement records ------------------------------------------------------------
+
+def _assert_records_match_walks(program):
+    """Each statement's record, made while the CFG is built, says what
+    walking the tree says of that statement."""
+    cfg = rel.build_cfg(program)
+    enclosing = enclosing_loops(program)
+    statements = [s for s in fe.walk_statements(program.body)
+                  if not isinstance(s, fe.Compound)]
+    assert sorted(cfg.node_of(s).id for s in statements) == \
+        [n.id for n in cfg.nodes if n.stmt is not None]
+    for s in statements:
+        node = cfg.node_of(s)
+        assert node.stmt is s
+        assert node.defs == tuple(name.lower() for name, _ in fe.defined_names(s))
+        assert node.uses == tuple(sorted({name.lower() for name, _ in fe.used_names(s)}))
+        assert [id(loop) for loop in node.loops] == [id(loop) for loop in enclosing[id(s)]]
+        assert node.text == (fe.node_text(s) if isinstance(s, fe.SIMPLE_KINDS) else None)
+        assert node.reads_own == self_referential(s)
+    # loops in preorder, though a REPEAT's node is made after its body's
+    assert [id(loop) for loop in cfg.loops] == \
+        [id(s) for s in statements if isinstance(s, fe.LOOP_KINDS)]
+    assert cfg.lines() == chunk_universe(program)
+
+
+def test_statement_records_match_walks_on_corpus(corpus_sources):
+    for src in corpus_sources.values():
+        program = fe.parse(src)
+        _assert_records_match_walks(program)
+        # and with each statement that can be blanked left as a hole
+        for s in simple_statements(program):
+            _assert_records_match_walks(fe.blank_line(src, s.line).context)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_stmt(3), min_size=1, max_size=6))
+def test_statement_records_match_walks_on_generated_programs(stmts):
+    _assert_records_match_walks(fe.parse(_program(stmts)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_statement_records_match_walks_on_benchmark_programs(seed):
+    pg = benchmark_programs()
+    _assert_records_match_walks(
+        fe.parse(pg.scale_program(random.Random(seed), 12, f"t{seed}").source))
