@@ -305,6 +305,7 @@ def char_loop_tokenize(source: str) -> list[Token]:
 # --- statement facts by walking the tree -----------------------------------------
 
 def simple_statements(program):
+    """Assignments, READLNs, WRITELNs and holes, in preorder."""
     return [s for s in fe.walk_statements(program.body) if isinstance(s, fe.SIMPLE_KINDS)]
 
 
