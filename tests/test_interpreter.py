@@ -255,6 +255,17 @@ _OK, _FAIL = run.OK, run.RUNTIME_ERROR
     (["WRITELN(5 DIV 0)"], [], None, (_FAIL, "division-by-zero", 4, [])),
     (["WRITELN(5 MOD 0)"], [], None, (_FAIL, "division-by-zero", 4, [])),
     (["WRITELN(1.0 / 0)"], [], None, (_FAIL, "division-by-zero", 4, [])),
+    (["WRITELN((Y + TRUE) * 2)"], [], None, (_FAIL, "uninitialized-variable", 4, [])),
+    (["Y := 1", "WRITELN((Y + TRUE) * 2)"], [], None, (_FAIL, "type-error", 5, [])),
+    (["WRITELN(TRUE + (9223372036854775807 + 1))"], [], None,
+     (_FAIL, "integer-overflow", 4, [])),
+    (["I := 7 DIV 0 + TRUE"], [], None, (_FAIL, "division-by-zero", 4, [])),
+    (["READLN(R)", "WRITELN(R * R + TRUE)"], [1e308], None, (_FAIL, "real-overflow", 5, [])),
+    (["Y := 1", "I := 2.0 + Y"], [], None, (_FAIL, "type-error", 5, [])),
+    (["WHILE 1 + Y DO Y := 1"], [], None, (_FAIL, "uninitialized-variable", 4, [])),
+    (["FOR I := Y TO TRUE DO WRITELN(I)"], [], None, (_FAIL, "uninitialized-variable", 4, [])),
+    (["Y := 3", "FOR I := 1 TO Y DO Y := Y - 1", "WRITELN(I)", "WRITELN(Y)"], [], None,
+     (_OK, None, None, ["3", "0"])),
 ], ids=["not-and-or", "while-exits", "if-else", "hole", "integer-into-real",
         "real-into-integer", "boolean-into-integer", "boolean-into-real",
         "integer-into-boolean", "real-into-boolean", "fractional-read",
@@ -264,7 +275,10 @@ _OK, _FAIL = run.OK, run.RUNTIME_ERROR
         "and-integer-left", "or-integer-right", "and-evaluates-both",
         "boolean-equals-integer", "real-below-boolean", "boolean-plus",
         "real-times-boolean", "div-real", "mod-real", "div-zero", "mod-zero",
-        "slash-zero"])
+        "slash-zero", "ill-typed-operand-reads-first", "ill-typed-operand",
+        "overflow-under-ill-typed", "division-by-zero-under-ill-typed",
+        "real-overflow-under-ill-typed", "real-into-integer-sum", "while-reads-first",
+        "for-reads-first", "for-bound-evaluated-once"])
 def test_runtime_paths(statements, inputs, hole, expected):
     source = _RUNTIME_HEAD + ";\n".join(f"    {s}" for s in statements) + "\nEND.\n"
     program = fe.parse(source) if hole is None else fe.blank_line(source, hole).context
