@@ -200,6 +200,22 @@ def test_for_loop_and_booleans():
     assert result.final_value("S") == 10
 
 
+def test_statements_after_a_halt_are_not_compiled(monkeypatch):
+    program = fe.parse(_RUNTIME_HEAD + "    READLN(I);\n    WRITELN(I + 1);\n"
+                       "    WHILE I > 0 DO I := I - 1\nEND.\n")
+    compiled = []
+    statement = run._Machine.statement
+
+    def counting(machine, s):
+        compiled.append(s)
+        return statement(machine, s)
+    monkeypatch.setattr(run._Machine, "statement", counting)
+    result = run.execute(program, [])
+    assert (result.error_kind, result.error_line) == ("input-exhausted", 4)
+    top_level = [s for s in compiled if any(s is t for t in program.body)]
+    assert top_level == [program.body[0]]
+
+
 def test_render_value_formats():
     assert run.render_value(2.0) == "2.0"
     assert run.render_value(0.1) == "0.1"
@@ -362,9 +378,19 @@ def _assert_runs_like_tree_walk(program, inputs, step_budget=run.DEFAULT_STEP_BU
             assert _typed(got.final_value(d.name)) == _typed(_last_traced(want, d.name))
 
 
+class _Int(int):
+    """An int that is not of type int: READLN must store what it checked."""
+
+
+class _Float(float):
+    """A float that is not of type float."""
+
+
 _INPUT = st.one_of(
-    st.sampled_from([2 ** 63 - 1, 2 ** 63, -(2 ** 63), -(2 ** 63) - 1, True, 1e308, 99999]),
-    st.integers(-1000, 1000), st.floats())
+    st.sampled_from([2 ** 63 - 1, 2 ** 63, -(2 ** 63), -(2 ** 63) - 1, True, 1e308, 99999,
+                     _Int(2 ** 63 - 1), _Int(-(2 ** 63)), _Float(1e308), _Float(-4.0)]),
+    st.integers(-1000, 1000), st.floats(), st.integers(-1000, 1000).map(_Int),
+    st.floats().map(_Float))
 
 
 # initial values for every variable, so that most runs get past the first use
