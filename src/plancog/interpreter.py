@@ -77,13 +77,174 @@ _COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
                 "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _LOGIC = {"and": operator.and_, "or": operator.or_}
+_LITERALS = {fe.IntLit: "integer", fe.RealLit: "real", fe.BoolLit: "boolean"}
+_NUMERIC = ("integer", "real")
+
+
+def _result_type(op, left, right):
+    """The static type of `left op right` given its operands' static types;
+    None when the node cannot evaluate without a type-error."""
+    if op in _LOGIC:
+        return "boolean" if left == right == "boolean" else None
+    numeric = left in _NUMERIC and right in _NUMERIC
+    if op in _COMPARISONS:
+        return "boolean" if numeric or left == right == "boolean" else None
+    if op in ("div", "mod"):
+        return "integer" if left == right == "integer" else None
+    if not numeric:
+        return None
+    return "integer" if op in _ARITHMETIC and left == right == "integer" else "real"
+
+
+def _type_error(line, *operands):
+    """The closure of a node whose operand types never fit: it evaluates the
+    operands in order, so that a fault inside one comes first, then fails."""
+    def fault():
+        for operand in operands:
+            operand()
+        raise _Halt("type-error", line)
+    return fault
+
+
+def _shape(left, lhs, right, rhs):
+    """(shape, a, b): how a fused closure reads its operands. 'v' reads a
+    variable by its key, 'c' is an integer constant, 'e' calls the operand's
+    closure; (var, var), (var, const), (expr, const) and (expr, var) read
+    their leaves inline, every other shape calls two closures."""
+    if isinstance(left, fe.VarRef):
+        if isinstance(right, fe.VarRef):
+            return "vv", left.name.lower(), right.name.lower()
+        if isinstance(right, fe.IntLit):
+            return "vc", left.name.lower(), right.value
+    elif isinstance(right, fe.IntLit):
+        return "ec", lhs, right.value
+    elif isinstance(right, fe.VarRef):
+        return "ev", lhs, right.name.lower()
+    return "ee", lhs, rhs
+
+
+def _unchecked(fn, shape, a, b, values):
+    """`fn` on operands whose static types leave nothing to check:
+    comparisons, AND and OR."""
+    if shape == "vv":
+        return lambda: fn(values[a], values[b])
+    if shape == "vc":
+        return lambda: fn(values[a], b)
+    if shape == "ec":
+        return lambda: fn(a(), b)
+    if shape == "ev":
+        return lambda: fn(a(), values[b])
+    return lambda: fn(a(), b())
+
+
+def _integer_arithmetic(fn, shape, a, b, values, line):
+    """`fn` on two INTEGER operands, its result checked against 64 bits."""
+    if shape == "vv":
+        def arithmetic():
+            value = fn(values[a], values[b])
+            if INT_MIN <= value <= INT_MAX:
+                return value
+            raise _Halt("integer-overflow", line)
+    elif shape == "vc":
+        def arithmetic():
+            value = fn(values[a], b)
+            if INT_MIN <= value <= INT_MAX:
+                return value
+            raise _Halt("integer-overflow", line)
+    elif shape == "ec":
+        def arithmetic():
+            value = fn(a(), b)
+            if INT_MIN <= value <= INT_MAX:
+                return value
+            raise _Halt("integer-overflow", line)
+    elif shape == "ev":
+        def arithmetic():
+            value = fn(a(), values[b])
+            if INT_MIN <= value <= INT_MAX:
+                return value
+            raise _Halt("integer-overflow", line)
+    else:
+        def arithmetic():
+            value = fn(a(), b())
+            if INT_MIN <= value <= INT_MAX:
+                return value
+            raise _Halt("integer-overflow", line)
+    return arithmetic
+
+
+# Pascal DIV truncates toward zero and MOD takes the sign of the dividend;
+# Python's // and % floor, so a result with operands of opposite signs is
+# moved one step back. Only INT_MIN DIV -1 leaves 64 bits.
+
+def _quotient(left, right, line):
+    if right == 0:
+        raise _Halt("division-by-zero", line)
+    value = left // right
+    if value < 0 and value * right != left:
+        value += 1
+    if value > INT_MAX:
+        raise _Halt("integer-overflow", line)
+    return value
+
+
+def _remainder(left, right, line):
+    if right == 0:
+        raise _Halt("division-by-zero", line)
+    value = left % right
+    if value and (left < 0) is not (right < 0):
+        value -= right
+    return value
+
+
+def _integer_division(op, shape, a, b, values, line):
+    """DIV or MOD on two INTEGER operands. A positive constant divisor (every
+    integer literal but 0) divides inline: it needs no check for 0, and its
+    quotient stays within 64 bits."""
+    if shape in ("vc", "ec") and b > 0:
+        if op == "mod" and shape == "vc":
+            def division():
+                left = values[a]
+                value = left % b
+                return value - b if value and left < 0 else value
+        elif op == "mod":
+            def division():
+                left = a()
+                value = left % b
+                return value - b if value and left < 0 else value
+        elif shape == "vc":
+            def division():
+                left = values[a]
+                value = left // b
+                return value + 1 if value < 0 and value * b != left else value
+        else:
+            def division():
+                left = a()
+                value = left // b
+                return value + 1 if value < 0 and value * b != left else value
+        return division
+    fn = _remainder if op == "mod" else _quotient
+    if shape == "vv":
+        return lambda: fn(values[a], values[b], line)
+    if shape == "vc":
+        return lambda: fn(values[a], b, line)
+    if shape == "ec":
+        return lambda: fn(a(), b, line)
+    if shape == "ev":
+        return lambda: fn(a(), values[b], line)
+    return lambda: fn(a(), b(), line)
 
 
 class _Machine:
-    """One run: the machine state and the closures compiled over it. Every
-    statement closure counts its own steps; `type(x) is int` and the like are
-    fast paths in front of the full checks, which an int or float subclass
-    among the inputs still reaches."""
+    """One run: the machine state and the closures compiled over it.
+
+    Each expression node is typed once, from the declarations, as its
+    closure is made. A well-typed node checks no operand type at run time:
+    every store keeps its variable's declared type (READLN checks its input
+    in full), so each operand can only hold a value of its static type. An
+    ill-typed node compiles to a closure that evaluates its operands and
+    then raises type-error. A read of an unset variable raises KeyError,
+    which the statement reading it reports as uninitialized-variable; every
+    statement closure counts its own steps."""
 
     def __init__(self, program, inputs, step_budget, trace):
         self.program = program
@@ -121,15 +282,38 @@ class _Machine:
         return run
 
     def statement(self, s):
-        m, budget, line = self, self.budget, s.line
+        m, budget, line, values = self, self.budget, s.line, self.values
         if isinstance(s, fe.Assign):
-            expr, store = self.expr(s.expr, line), self.store(s.target, line)
+            key = s.target.lower()
+            expr, typed = self.expr(s.expr, line)
+            declared = self.types[key]
+            if self.events is not None:
+                # the store checks again and records the event
+                store = self.store(s.target, line)
+
+                def run():
+                    if m.steps >= budget:
+                        raise _Halt("step-budget-exceeded", line)
+                    m.steps += 1
+                    try:
+                        store(expr())
+                    except KeyError:
+                        raise _Halt("uninitialized-variable", line) from None
+                return run
+            if typed == "integer" and declared == "real":
+                integer = expr
+                expr = lambda: float(integer())
+            elif typed != declared:
+                expr = _type_error(line, expr)
 
             def run():
                 if m.steps >= budget:
                     raise _Halt("step-budget-exceeded", line)
                 m.steps += 1
-                store(expr())
+                try:
+                    values[key] = expr()
+                except KeyError:
+                    raise _Halt("uninitialized-variable", line) from None
         elif isinstance(s, fe.Readln):
             store, inputs = self.store(s.var, line), self.inputs
             integer = self.types[s.var.lower()] == "integer"
@@ -151,47 +335,52 @@ class _Machine:
                         value = _number(int(value), line)
                 store(value)
         elif isinstance(s, fe.Writeln):
-            expr, outputs = self.expr(s.expr, line), self.result.outputs
+            expr, outputs = self.expr(s.expr, line)[0], self.result.outputs
 
             def run():
                 if m.steps >= budget:
                     raise _Halt("step-budget-exceeded", line)
                 m.steps += 1
-                outputs.append(expr())
+                try:
+                    outputs.append(expr())
+                except KeyError:
+                    raise _Halt("uninitialized-variable", line) from None
         elif isinstance(s, fe.Compound):
             return self.block(s.body)
         elif isinstance(s, fe.If):
-            cond, then = self.expr(s.cond, line), self.statement(s.then)
+            cond, then = self.condition(s.cond, line), self.statement(s.then)
             otherwise = None if s.otherwise is None else self.statement(s.otherwise)
 
             def run():
                 if m.steps >= budget:
                     raise _Halt("step-budget-exceeded", line)
                 m.steps += 1
-                value = cond()
-                if value is True:
+                try:
+                    value = cond()
+                except KeyError:
+                    raise _Halt("uninitialized-variable", line) from None
+                if value:
                     then()
-                elif value is not False:
-                    raise _Halt("type-error", line)
                 elif otherwise is not None:
                     otherwise()
         elif isinstance(s, fe.While):
-            cond, body = self.expr(s.cond, line), self.statement(s.body)
+            cond, body = self.condition(s.cond, line), self.statement(s.body)
 
             def run():
                 while True:
                     if m.steps >= budget:
                         raise _Halt("step-budget-exceeded", line)
                     m.steps += 1
-                    value = cond()
-                    if value is False:
+                    try:
+                        value = cond()
+                    except KeyError:
+                        raise _Halt("uninitialized-variable", line) from None
+                    if not value:
                         return
-                    if value is not True:
-                        raise _Halt("type-error", line)
                     body()
         elif isinstance(s, fe.Repeat):
             line = s.until_line
-            body, cond = self.block(s.body), self.expr(s.cond, line)
+            body, cond = self.block(s.body), self.condition(s.cond, line)
 
             def run():
                 while True:
@@ -199,11 +388,12 @@ class _Machine:
                     if m.steps >= budget:
                         raise _Halt("step-budget-exceeded", line)
                     m.steps += 1
-                    value = cond()
-                    if value is True:
+                    try:
+                        value = cond()
+                    except KeyError:
+                        raise _Halt("uninitialized-variable", line) from None
+                    if value:
                         return
-                    if value is not False:
-                        raise _Halt("type-error", line)
         elif isinstance(s, fe.For):
             return self.for_loop(s)
         elif isinstance(s, fe.Hole):
@@ -217,21 +407,23 @@ class _Machine:
 
     def for_loop(self, s):
         m, budget, line, values, events = self, self.budget, s.line, self.values, self.events
-        start, stop = self.expr(s.start, line), self.expr(s.stop, line)
+        start, first = self.expr(s.start, line)
+        stop, last = self.expr(s.stop, line)
         body = self.statement(s.body)
         key = s.var.lower()
-        integer = self.types[key] == "integer"
+        if not self.types[key] == first == last == "integer":
+            # an INTEGER control variable and INTEGER bounds, or a type-error
+            # once both bounds are evaluated, before the first iteration
+            stop = _type_error(line, stop)
 
         def run():
             if m.steps >= budget:
                 raise _Halt("step-budget-exceeded", line)
             m.steps += 1
-            current, last = start(), stop()
-            # an INTEGER control variable and INTEGER bounds, checked before
-            # the first iteration; the INTEGER store check then always holds
-            if (not integer or isinstance(current, bool) or not isinstance(current, int)
-                    or isinstance(last, bool) or not isinstance(last, int)):
-                raise _Halt("type-error", line)
+            try:
+                current, last = start(), stop()
+            except KeyError:
+                raise _Halt("uninitialized-variable", line) from None
             while current <= last:
                 values[key] = current
                 if events is not None:
@@ -245,7 +437,8 @@ class _Machine:
 
     def store(self, name, line):
         """The closure that checks a value against the declared type of
-        `name`, stores it and, in a traced run, records it."""
+        `name`, stores it and, in a traced run, records it: READLN's store,
+        and every store of a traced run."""
         key = name.lower()
         declared, values = self.types[key], self.values
         if declared == "integer":
@@ -277,115 +470,67 @@ class _Machine:
 
     # -- expressions ------------------------------------------------------------
 
+    def condition(self, e, line):
+        """A closure computing the condition `e`: True or False, or a fault
+        when `e` is not BOOLEAN."""
+        cond, typed = self.expr(e, line)
+        return cond if typed == "boolean" else _type_error(line, cond)
+
     def expr(self, e, line):
-        """A closure computing `e`; a fault ends the run on `line`."""
-        if isinstance(e, (fe.IntLit, fe.RealLit, fe.BoolLit)):
+        """(closure computing `e`, static type of `e`): every value of `e`
+        has that type; None when `e` always ends in a fault on `line`."""
+        if type(e) in _LITERALS:
             value = e.value
-            return lambda: value
+            return (lambda: value), _LITERALS[type(e)]
         if isinstance(e, fe.VarRef):
             key, values = e.name.lower(), self.values
-
-            def load():
-                try:
-                    return values[key]
-                except KeyError:
-                    raise _Halt("uninitialized-variable", line) from None
-            return load
+            return (lambda: values[key]), self.types[key]
         if isinstance(e, fe.Unary):
-            operand = self.expr(e.operand, line)
-            if e.op == "-":
+            operand, typed = self.expr(e.operand, line)
+            if e.op == "not" and typed == "boolean":
+                return (lambda: not operand()), typed
+            if e.op == "-" and typed == "real":
+                return (lambda: -operand()), typed
+            if e.op == "-" and typed == "integer":
                 def negate():
-                    value = operand()
-                    if not _is_number(value):
-                        raise _Halt("type-error", line)
-                    return _number(-value, line)
-                return negate
-
-            def invert():
-                value = operand()
-                if value is not True and value is not False:
-                    raise _Halt("type-error", line)
-                return not value
-            return invert
+                    value = -operand()
+                    if value > INT_MAX:
+                        raise _Halt("integer-overflow", line)
+                    return value
+                return negate, typed
+            return _type_error(line, operand), None
         if isinstance(e, fe.Binary):
-            return self.binary(e.op, self.expr(e.left, line), self.expr(e.right, line), line)
+            return self.binary(e.op, e.left, e.right, line)
         raise TypeError(f"cannot evaluate {e!r}")
 
-    def binary(self, op, lhs, rhs, line):
-        # the left operand is evaluated first, then the right one, then the
-        # operand types are checked; AND and OR check the left operand before
-        # evaluating the right one, and always evaluate both
-        if op in _LOGIC:
-            fn = _LOGIC[op]
-
-            def logic():
-                left = lhs()
-                if left is not True and left is not False:
-                    raise _Halt("type-error", line)
-                right = rhs()
-                if right is not True and right is not False:
-                    raise _Halt("type-error", line)
-                return fn(left, right)
-            return logic
-        if op in _COMPARISONS:
-            fn = _COMPARISONS[op]
-
-            def compare():
-                left, right = lhs(), rhs()
-                if (type(left) is bool) is not (type(right) is bool):
-                    raise _Halt("type-error", line)
-                return fn(left, right)
-            return compare
-        if op in _ARITHMETIC:
-            fn = _ARITHMETIC[op]
-
-            def arithmetic():
-                left, right = lhs(), rhs()
-                if type(left) is int and type(right) is int:
-                    value = fn(left, right)
-                    if INT_MIN <= value <= INT_MAX:
-                        return value
-                    raise _Halt("integer-overflow", line)
-                if not (_is_number(left) and _is_number(right)):
-                    raise _Halt("type-error", line)
-                return _number(fn(left, right), line)
-            return arithmetic
+    def binary(self, op, left, right, line):
+        # the left operand is evaluated first, then the right one; AND and
+        # OR evaluate both, but fail on a left operand that is not BOOLEAN
+        # before they evaluate the right one
+        lhs, ltype = self.expr(left, line)
+        rhs, rtype = self.expr(right, line)
+        typed = _result_type(op, ltype, rtype)
+        if typed is None:
+            if op in _LOGIC and ltype != "boolean":
+                return _type_error(line, lhs), None
+            return _type_error(line, lhs, rhs), None
+        shape, a, b = _shape(left, lhs, right, rhs)
+        values = self.values
+        if op in _LOGIC or op in _COMPARISONS:
+            return _unchecked(_LOGIC.get(op) or _COMPARISONS[op], shape, a, b, values), typed
+        if typed == "integer" and op in _ARITHMETIC:
+            return _integer_arithmetic(_ARITHMETIC[op], shape, a, b, values, line), typed
+        if typed == "integer":
+            return _integer_division(op, shape, a, b, values, line), typed
         if op == "/":
             def divide():
                 left, right = lhs(), rhs()
-                if not (_is_number(left) and _is_number(right)):
-                    raise _Halt("type-error", line)
                 if right == 0:
                     raise _Halt("division-by-zero", line)
                 return _number(left / right, line)
-            return divide
-        if op in ("div", "mod"):
-            remainder = op == "mod"
-
-            def integer_division():
-                left, right = lhs(), rhs()
-                if type(left) is not int or type(right) is not int:
-                    if (not (_is_number(left) and _is_number(right))
-                            or not isinstance(left, int) or not isinstance(right, int)):
-                        raise _Halt("type-error", line)
-                if right == 0:
-                    raise _Halt("division-by-zero", line)
-                # Pascal DIV truncates toward zero and MOD takes the sign of
-                # the dividend; Python's // and % floor, so a result with
-                # operands of opposite signs is moved one step back
-                if remainder:
-                    value = left % right
-                    if value and (left < 0) is not (right < 0):
-                        value -= right
-                    return value
-                value = left // right
-                if value < 0 and value * right != left:
-                    value += 1
-                if value > INT_MAX:
-                    raise _Halt("integer-overflow", line)
-                return value
-            return integer_division
-        raise TypeError(f"unknown operator {op!r}")
+            return divide, typed
+        fn = _ARITHMETIC[op]
+        return (lambda: _number(fn(lhs(), rhs()), line)), typed
 
 
 def execute(program: fe.Program, inputs, step_budget: int = DEFAULT_STEP_BUDGET,

@@ -282,6 +282,15 @@ _OK, _FAIL = run.OK, run.RUNTIME_ERROR
     (["FOR I := Y TO TRUE DO WRITELN(I)"], [], None, (_FAIL, "uninitialized-variable", 4, [])),
     (["Y := 3", "FOR I := 1 TO Y DO Y := Y - 1", "WRITELN(I)", "WRITELN(Y)"], [], None,
      (_OK, None, None, ["3", "0"])),
+    (["READLN(B)", "WRITELN(NOT B)"], [True], None, (_OK, None, None, ["false"])),
+    (["READLN(R)", "WRITELN(R)"], [2], None, (_OK, None, None, ["2.0"])),
+    (["READLN(B)"], [1], None, (_FAIL, "type-error", 4, [])),
+    (["READLN(I)"], [True], None, (_FAIL, "type-error", 4, [])),
+    (["READLN(R)"], [False], None, (_FAIL, "type-error", 4, [])),
+    (["IF Y = 1 THEN I := 1"], [], None, (_FAIL, "uninitialized-variable", 4, [])),
+    (["REPEAT I := 1 UNTIL Y = 1"], [], None, (_FAIL, "uninitialized-variable", 4, [])),
+    (["R := 1.5", "WRITELN(-R)"], [], None, (_OK, None, None, ["-1.5"])),
+    (["READLN(I)", "WRITELN(-I)"], [-(2 ** 63)], None, (_FAIL, "integer-overflow", 5, [])),
 ], ids=["not-and-or", "while-exits", "if-else", "hole", "integer-into-real",
         "real-into-integer", "boolean-into-integer", "boolean-into-real",
         "integer-into-boolean", "real-into-boolean", "fractional-read",
@@ -294,13 +303,17 @@ _OK, _FAIL = run.OK, run.RUNTIME_ERROR
         "slash-zero", "ill-typed-operand-reads-first", "ill-typed-operand",
         "overflow-under-ill-typed", "division-by-zero-under-ill-typed",
         "real-overflow-under-ill-typed", "real-into-integer-sum", "while-reads-first",
-        "for-reads-first", "for-bound-evaluated-once"])
+        "for-reads-first", "for-bound-evaluated-once", "boolean-read", "integer-read-into-real",
+        "integer-read-into-boolean", "boolean-read-into-integer", "boolean-read-into-real",
+        "if-reads-first", "until-reads-first", "minus-real",
+        "minus-overflow"])
 def test_runtime_paths(statements, inputs, hole, expected):
     source = _RUNTIME_HEAD + ";\n".join(f"    {s}" for s in statements) + "\nEND.\n"
     program = fe.parse(source) if hole is None else fe.blank_line(source, hole).context
     result = run.execute(program, inputs)
     outputs = [run.render_value(v) for v in result.outputs]
     assert (result.status, result.error_kind, result.error_line, outputs) == expected
+    _assert_runs_like_tree_walk(program, inputs)
 
 
 @pytest.mark.parametrize("statement, hole, line", [
@@ -420,6 +433,25 @@ def test_integer_arithmetic_matches_tree_walk(left, right):
                        "    WRITELN(A MOD B);\n    WRITELN(-A);\n    WRITELN(A * B);\n"
                        "    WRITELN(A + B - B);\nEND.\n")
     _assert_runs_like_tree_walk(program, [left, right])
+
+
+# every operand shape the compiler reads apart: (var, var), (var, const),
+# (expr, const), (expr, var), two closures, and constant divisors of 0
+_SHAPES = ("A {} B", "A {} 3", "(A - 1) {} 3", "(A - 1) {} B", "(A - 1) {} (B + 1)",
+           "2 {} B", "A {} 0", "(A + 1) {} 0")
+_PAIRS = ((7, 2), (-7, 2), (7, -2), (-7, -2), (6, 3), (-6, -3), (0, 0), (fe.INT_MIN, -1),
+          (fe.INT_MAX, 1), (fe.INT_MIN, 2), (fe.INT_MAX, fe.INT_MAX), (-2, fe.INT_MAX))
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/", "DIV", "MOD", "=", "<>", "<", "<=", ">",
+                                ">="])
+def test_operand_shapes_match_tree_walk(op):
+    for shape in _SHAPES:
+        program = fe.parse("PROGRAM P(input, output);\nVAR A, B: INTEGER;\nBEGIN\n"
+                           "    READLN(A);\n    READLN(B);\n"
+                           f"    WRITELN({shape.format(op)})\nEND.\n")
+        for pair in _PAIRS:
+            _assert_runs_like_tree_walk(program, list(pair))
 
 
 def test_corpus_and_benchmark_runs_match_tree_walk(corpus_sources):
