@@ -10,7 +10,6 @@ tokens and collected per program.
 
 from __future__ import annotations
 
-import copy
 import math
 import re
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -814,6 +813,24 @@ def blank_line(source: str, line: int) -> BlankedProgram:
     target = statement_at(program, line)
     if not isinstance(target, (Assign, Readln, Writeln)):
         raise AnalysisError(f"line {line} is not a blankable statement")
-    # the copy takes the hole in place of the statement
-    context = copy.deepcopy(program, {id(target): Hole(line)})
-    return BlankedProgram(line, context)
+    # the tree was parsed for this call alone, so the hole goes in in place
+    _put_in_place(program.body, target, Hole(line))
+    return BlankedProgram(line, program)
+
+
+def _put_in_place(stmts, target, new):
+    """Put `new` where `target` is: in the list `stmts`, or in a statement
+    list or field (a loop body, THEN, ELSE) under it. True once placed."""
+    for i, s in enumerate(stmts):
+        if s is target:
+            stmts[i] = new
+            return True
+        for name in ("body", "then", "otherwise"):
+            child = getattr(s, name, None)
+            if child is target:
+                setattr(s, name, new)
+                return True
+            if child is not None and _put_in_place(
+                    child if isinstance(child, list) else [child], target, new):
+                return True
+    return False

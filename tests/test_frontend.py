@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -688,6 +690,16 @@ def test_blank_line_replaces_nested_statements(line):
             assert type(new) is type(old)
             if isinstance(old, fe.SIMPLE_KINDS):
                 assert fe.node_text(new) == fe.node_text(old)
+
+
+def test_blank_line_copies_no_tree(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("copied the parsed tree")
+
+    monkeypatch.setattr(copy, "deepcopy", refuse)
+    for line in (4, 8, 11, 13, 15, 17, 19):
+        blanked = fe.blank_line(_FACTS_SOURCE, line)
+        assert isinstance(fe.statement_at(blanked.context, line), fe.Hole)
 
 
 @pytest.mark.parametrize("line, kind, defined, used, nested, loop", [
