@@ -262,6 +262,7 @@ _OK, _FAIL = run.OK, run.RUNTIME_ERROR
     (["WRITELN(1 AND TRUE)"], [], None, (_FAIL, "type-error", 4, [])),
     (["WRITELN(TRUE OR 1)"], [], None, (_FAIL, "type-error", 4, [])),
     (["B := FALSE AND (Y = 1)"], [], None, (_FAIL, "uninitialized-variable", 4, [])),
+    (["WRITELN(1 AND (Y = 1))"], [], None, (_FAIL, "type-error", 4, [])),
     (["WRITELN(TRUE = 1)"], [], None, (_FAIL, "type-error", 4, [])),
     (["WRITELN(0.5 < FALSE)"], [], None, (_FAIL, "type-error", 4, [])),
     (["WRITELN(TRUE + 1)"], [], None, (_FAIL, "type-error", 4, [])),
@@ -297,7 +298,7 @@ _OK, _FAIL = run.OK, run.RUNTIME_ERROR
         "real-for-stop", "real-for-start", "boolean-for-bounds",
         "boolean-for-variable", "real-for-variable", "if-on-integer",
         "while-on-integer", "until-on-real", "minus-boolean", "not-integer",
-        "and-integer-left", "or-integer-right", "and-evaluates-both",
+        "and-integer-left", "or-integer-right", "and-evaluates-both", "and-tests-left-first",
         "boolean-equals-integer", "real-below-boolean", "boolean-plus",
         "real-times-boolean", "div-real", "mod-real", "div-zero", "mod-zero",
         "slash-zero", "ill-typed-operand-reads-first", "ill-typed-operand",
@@ -305,8 +306,7 @@ _OK, _FAIL = run.OK, run.RUNTIME_ERROR
         "real-overflow-under-ill-typed", "real-into-integer-sum", "while-reads-first",
         "for-reads-first", "for-bound-evaluated-once", "boolean-read", "integer-read-into-real",
         "integer-read-into-boolean", "boolean-read-into-integer", "boolean-read-into-real",
-        "if-reads-first", "until-reads-first", "minus-real",
-        "minus-overflow"])
+        "if-reads-first", "until-reads-first", "minus-real", "minus-overflow"])
 def test_runtime_paths(statements, inputs, hole, expected):
     source = _RUNTIME_HEAD + ";\n".join(f"    {s}" for s in statements) + "\nEND.\n"
     program = fe.parse(source) if hole is None else fe.blank_line(source, hole).context
