@@ -7,10 +7,17 @@ instead of a hang.
 
 A run compiles each top-level statement into Python closures when it first
 reaches it (Feeley & Lapalme 1987, "Using closures for code generation"),
-so that each variable's key, its declared type's store check, each
-operator's function and each statement's line are fixed once instead of
-dispatched on every step; a run that stops early compiles no more. The
-final store is kept in `ExecutionResult.values`. A trace event per
+so that each variable's key, each operator's function and each statement's
+line are fixed once instead of dispatched on every step; a run that stops
+early compiles no more. Each expression node is typed once, from the
+declarations, as its closure is made. A well-typed node checks no operand
+type at run time, and a variable or integer constant among its operands is
+read inside its closure; it keeps the checks for 64-bit and finite results,
+division by zero and unset variables. An ill-typed node compiles to a
+closure that evaluates its operands and then fails with type-error. This
+holds because every store keeps its variable's declared type: READLN checks
+each input in full, and so does the store of every assignment in a traced
+run. The final store is kept in `ExecutionResult.values`. A trace event per
 assignment and READLN is recorded only when `execute` is asked for one.
 """
 
@@ -235,16 +242,10 @@ def _integer_division(op, shape, a, b, values, line):
 
 
 class _Machine:
-    """One run: the machine state and the closures compiled over it.
-
-    Each expression node is typed once, from the declarations, as its
-    closure is made. A well-typed node checks no operand type at run time:
-    every store keeps its variable's declared type (READLN checks its input
-    in full), so each operand can only hold a value of its static type. An
-    ill-typed node compiles to a closure that evaluates its operands and
-    then raises type-error. A read of an unset variable raises KeyError,
-    which the statement reading it reports as uninitialized-variable; every
-    statement closure counts its own steps."""
+    """One run: the machine state and the closures compiled over it. Every
+    statement closure counts its own steps, and reports a KeyError from
+    its expressions, a read of an unset variable, as uninitialized-variable
+    on its line."""
 
     def __init__(self, program, inputs, step_budget, trace):
         self.program = program
