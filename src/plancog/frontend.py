@@ -814,23 +814,12 @@ def blank_line(source: str, line: int) -> BlankedProgram:
     if not isinstance(target, (Assign, Readln, Writeln)):
         raise AnalysisError(f"line {line} is not a blankable statement")
     # the tree was parsed for this call alone, so the hole goes in in place
-    _put_in_place(program.body, target, Hole(line))
-    return BlankedProgram(line, program)
-
-
-def _put_in_place(stmts, target, new):
-    """Put `new` where `target` is: in the list `stmts`, or in a statement
-    list or field (a loop body, THEN, ELSE) under it. True once placed."""
-    for i, s in enumerate(stmts):
-        if s is target:
-            stmts[i] = new
-            return True
+    hole = Hole(line)
+    for parent in (program, *walk_statements(program.body)):
         for name in ("body", "then", "otherwise"):
-            child = getattr(s, name, None)
+            child = getattr(parent, name, None)
             if child is target:
-                setattr(s, name, new)
-                return True
-            if child is not None and _put_in_place(
-                    child if isinstance(child, list) else [child], target, new):
-                return True
-    return False
+                setattr(parent, name, hole)
+            elif isinstance(child, list):
+                child[:] = [hole if s is target else s for s in child]
+    return BlankedProgram(line, program)
