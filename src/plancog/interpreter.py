@@ -14,11 +14,13 @@ declarations, as its closure is made. A well-typed node checks no operand
 type at run time, and a variable or integer constant among its operands is
 read inside its closure; it keeps the checks for 64-bit and finite results,
 division by zero and unset variables. An ill-typed node compiles to a
-closure that evaluates its operands and then fails with type-error. This
-holds because every store keeps its variable's declared type: READLN checks
-each input in full, and so does the store of every assignment in a traced
-run. The final store is kept in `ExecutionResult.values`. A trace event per
-assignment and READLN is recorded only when `execute` is asked for one.
+closure that evaluates its operands and then fails with type-error. The
+operand checks can go because every store keeps its variable's declared
+type: an assignment stores only a value whose static type fits its target
+(an INTEGER is converted for a REAL), and the full checks live in READLN's
+store, which a traced run's assignments use as well. The final store is
+kept in `ExecutionResult.values`. A trace event per assignment and READLN
+is recorded only when `execute` is asked for one.
 """
 
 from __future__ import annotations
