@@ -266,8 +266,8 @@ def activate_with_trace(kb: KnowledgeBase, cues):
         progressed = True
         while progressed:
             progressed = False
-            for rule in kb.rules:
-                if rule.direction != direction or rule.id in fired:
+            for rule in kb.rules_by_direction[direction]:
+                if rule.id in fired:
                     continue
                 support = _rule_fires(rule, table, active)
                 if support is None:
@@ -456,17 +456,18 @@ def _bind_order(pair):
 
 
 class _Binder:
-    """A schema compiled for one recognition: its mandatory slots, and its
-    slots, in schema order and in bind order, each with its matcher. It is
-    built anew by each `instantiate`, as callers extend a KB after
-    construction."""
+    """A schema compiled for recognition (`Schema.binder`): its mandatory
+    slots, and its slots, in schema order, in bind order and by name, each
+    with its matcher. It holds no reference to the schema, which holds it,
+    so that a library is freed without the cycle collector."""
 
     def __init__(self, schema):
-        self.schema = schema
         self.mandatory = tuple(s.name for s in schema.slots if s.mandatory)
         self.slots = [(s, _slot_matcher(s)) for s in schema.slots]
         self.order = sorted(self.slots, key=_bind_order)
         self.code_slots = [pair for pair in self.order if pair[0].name in _CODE_SLOTS]
+        # reversed, so that the first of two slots with one name wins
+        self.by_name = {pair[0].name: pair for pair in reversed(self.slots)}
 
 
 def instantiate(kb: KnowledgeBase, index: ProgramIndex, activations):
@@ -481,16 +482,16 @@ def instantiate(kb: KnowledgeBase, index: ProgramIndex, activations):
     for schema in kb.schemas:
         if schema.name not in active:
             continue
-        binder = _Binder(schema)
+        binder = schema.binder
         if schema.kind in (VARIABLE, CONTROL) and binder.code_slots:
             first = {id(slot): _first_fillings(index, slot, match)
                      for slot, match in binder.code_slots}
             for var in sorted(set().union(*first.values())):
-                inst = _bind_variable_plan(binder, var, index, first)
+                inst = _bind_variable_plan(schema, var, index, first)
                 if inst is not None:
                     instances.append(inst)
         elif schema.kind != VARIABLE and not kb.parents(schema.name):
-            roots.append(binder)
+            roots.append(schema)
 
     instances = _drop_shadowed(instances)
     instances.extend(_loop_plans(kb, index, roots, instances))
@@ -515,10 +516,10 @@ def _first_fillings(index, slot, match):
     return out
 
 
-def _bind_variable_plan(binder, var, index, first):
-    """The plan of `binder`'s schema on `var`, whose code slots' first
-    fillings are in `first` (see `_first_fillings`), or None."""
-    schema = binder.schema
+def _bind_variable_plan(schema, var, index, first):
+    """The plan of `schema` on `var`, whose code slots' first fillings are
+    in `first` (see `_first_fillings`), or None."""
+    binder = schema.binder
     inst = PlanInstance(schema.name, schema.kind, var, mandatory=binder.mandatory)
     for slot, match in binder.order:
         if slot.name not in _CODE_SLOTS:
@@ -594,8 +595,8 @@ def _loop_plans(kb, index, roots, var_instances):
     loop_candidates = {name: {id(c[0]): [c] for c in index.loop_candidates[name]}
                        for name in _LOOP_SLOTS}
     out = []
-    for binder in roots:
-        root = binder.schema
+    for root in roots:
+        binder = root.binder
         mandatory = binder.mandatory
         # (slot, acceptable child schemas) per uses link to a variable plan
         uses = [(slot, [target] + kb.children(target))
@@ -652,7 +653,7 @@ def _loop_plans(kb, index, roots, var_instances):
                         and child.variable in test_vars):
                     chosen = controllers[slot.name]
                     inst.schema, inst.kind = chosen.name, chosen.kind
-                    inst.mandatory = tuple(s.name for s in chosen.slots if s.mandatory)
+                    inst.mandatory = chosen.binder.mandatory
                     inst.close()
                     break
             out.append(inst)
@@ -724,19 +725,17 @@ def evaluate_coherence(instances, index: ProgramIndex, kb: KnowledgeBase,
     not, as after a controlled-by child replaced the root, is matched
     again."""
     report = CoherenceReport()
-
-    def accepts(slot, text, var):
-        return _slot_matcher(slot)(index.normal[text], var)
-
+    normal = index.normal
     for inst in instances:
         schema = kb.schema(inst.schema)
         if schema is None:
             continue
+        binder = schema.binder
         label = inst.label
         for slot_name, binding in sorted(inst.bindings.items()):
-            slot = schema.slot(slot_name)
+            slot, match = binder.by_name.get(slot_name, (None, None))
             ok = slot is not None and (slot is binding.slot
-                                       or accepts(slot, binding.text, inst.variable))
+                                       or match(normal[binding.text], inst.variable))
             report.internal.append(InternalEntry(label, slot_name,
                                                  "filler-match", ok, binding.line))
         if "initialization" in inst.bindings and "update" in inst.bindings:
@@ -752,10 +751,10 @@ def evaluate_coherence(instances, index: ProgramIndex, kb: KnowledgeBase,
                     inst.bindings["initialization"].line))
         if (inst.kind == VARIABLE and "initialization" in inst.mandatory
                 and "initialization" not in inst.bindings and inst.variable):
-            slot = schema.slot("initialization")
+            _, match = binder.by_name["initialization"]
             for _, line, text, _ in index.candidates["initialization"].get(
                     inst.variable, ()):
-                if not accepts(slot, text, inst.variable):
+                if not match(normal[text], inst.variable):
                     report.internal.append(InternalEntry(
                         label, "initialization", "initialization-filler",
                         False, line))

@@ -28,8 +28,9 @@ pattern matching for initialization/update/loop forms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from importlib import resources
 
 from .errors import KbFormatError, KbValidationError
 
@@ -59,6 +60,7 @@ _PATTERN_TOKEN = re.compile(r"<v>|<w>|<int>")
 _IDENT_RX = r"[a-z_][a-z0-9_]*"
 
 
+@lru_cache(maxsize=1024)
 def pattern_ok(pattern: str) -> bool:
     """True when every <word> wildcard is a known one (bare `<`, `<=` and the
     `<>` operator are literal characters)."""
@@ -151,43 +153,44 @@ def instantiate_pattern(pattern: str, var: str) -> str | None:
 
 # --- domain types ---------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Filler:
     pattern: str
     prototypical: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class Slot:
     name: str
     mandatory: bool = False
-    fillers: list[Filler] = field(default_factory=list)
+    fillers: tuple[Filler, ...] = ()
 
     def prototypical(self) -> Filler | None:
-        for f in self.fillers:
-            if f.prototypical:
-                return f
-        return None
+        return next((f for f in self.fillers if f.prototypical), None)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Schema:
     name: str
     kind: str
     description: str = ""
-    slots: list[Slot] = field(default_factory=list)
+    slots: tuple[Slot, ...] = ()
     goal: str | None = None            # goal-tree node name; default derived from name
     names: tuple[str, ...] = ()        # name stems that reflect the plan's function
     controlled_by: str | None = None   # slot whose child variable the exit test reads
 
     def slot(self, name) -> Slot | None:
-        for s in self.slots:
-            if s.name == name:
-                return s
-        return None
+        return next((s for s in self.slots if s.name == name), None)
+
+    @cached_property
+    def binder(self):
+        """The schema compiled for recognition (`activation._Binder`), built
+        by the first recognition that needs it and kept with the schema."""
+        from .activation import _Binder     # activation imports this module
+        return _Binder(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Link:
     relation: str          # kind-of | uses
     source: str
@@ -195,14 +198,14 @@ class Link:
     as_slot: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscourseRule:
     id: str
     check: str
     statement: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cue:
     kind: str
     payload: str
@@ -215,51 +218,70 @@ class Cue:
         return f'{self.kind}~"{self.payload}"'
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProductionRule:
     id: str
     direction: str
-    conditions: list[Cue]
+    conditions: tuple[Cue, ...]
     activates: str
-    bindings: list[tuple[str, str]] = field(default_factory=list)
+    bindings: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class KnowledgeBase:
-    schemas: list[Schema] = field(default_factory=list)
-    links: list[Link] = field(default_factory=list)
-    discourse_rules: list[DiscourseRule] = field(default_factory=list)
-    rules: list[ProductionRule] = field(default_factory=list)
+    """A plan library. It and every record it holds are frozen dataclasses
+    whose sequences are tuples, so one library can be shared by all its
+    callers. Lookups read one map, and the rules by direction and each
+    schema's binder are compiled for recognition, each built on first use.
+    Building a library validates nothing: `load_kb` validates, and
+    `validate_kb` reports on any library."""
+    schemas: tuple[Schema, ...] = ()
+    links: tuple[Link, ...] = ()
+    discourse_rules: tuple[DiscourseRule, ...] = ()
+    rules: tuple[ProductionRule, ...] = ()
+
+    @cached_property
+    def _index(self):
+        """("schema", name) and ("rule", id) -> the first of that name; in link
+        order, ("children", name) -> sources of kind-of links to a schema,
+        ("parents", name) -> their targets from it, ("uses", name) -> (target,
+        slot) pairs of its uses links."""
+        out = {}
+        for s in reversed(self.schemas):
+            out["schema", s.name] = s
+        for r in reversed(self.rules):
+            out["rule", r.id] = r
+        for l in self.links:
+            if l.relation == "kind-of":
+                out.setdefault(("children", l.target), []).append(l.source)
+                out.setdefault(("parents", l.source), []).append(l.target)
+            elif l.relation == "uses":
+                out.setdefault(("uses", l.source), []).append((l.target, l.as_slot))
+        return out
+
+    @cached_property
+    def rules_by_direction(self) -> dict[str, tuple[ProductionRule, ...]]:
+        """The production rules of each direction, in library order."""
+        return {d: tuple(r for r in self.rules if r.direction == d)
+                for d in (DATA_DRIVEN, CONCEPTUALLY_DRIVEN)}
 
     def schema(self, name) -> Schema | None:
-        for s in self.schemas:
-            if s.name == name:
-                return s
-        return None
+        return self._index.get(("schema", name))
 
     def rule(self, rule_id) -> ProductionRule | None:
-        for r in self.rules:
-            if r.id == rule_id:
-                return r
-        return None
-
-    # Link queries scan the ~30 links on each call: callers extend a KB after
-    # construction, so a cached map would need invalidation.
+        return self._index.get(("rule", rule_id))
 
     def children(self, name) -> list[str]:
         """Direct kind-of specializations of a schema, in link order."""
-        return [l.source for l in self.links
-                if l.relation == "kind-of" and l.target == name]
+        return list(self._index.get(("children", name), ()))
 
     def parents(self, name) -> list[str]:
         """Schemas a schema is a kind of, in link order."""
-        return [l.target for l in self.links
-                if l.relation == "kind-of" and l.source == name]
+        return list(self._index.get(("parents", name), ()))
 
     def uses(self, name) -> list[tuple[str, str]]:
         """Direct uses links of a schema as (target, slot) pairs, in link order."""
-        return [(l.target, l.as_slot) for l in self.links
-                if l.relation == "uses" and l.source == name]
+        return list(self._index.get(("uses", name), ()))
 
 
 @dataclass
@@ -274,178 +296,14 @@ class Diagnostic:
 
 # --- built-in library -----------------------------------------------------
 
-def _schema(name, kind, desc, slots, goal=None, names="", controlled_by=None):
-    return Schema(name, kind, desc, [
-        Slot(sname, mand, [Filler(p, proto) for p, proto in fills])
-        for sname, mand, fills in slots
-    ], goal, tuple(names.split()), controlled_by)
-
-
-# slot order breaks ties when the exit test reads several children's variables
-_LOOP_SLOTS = [
-    ("New_Value", True, []),
-    ("Counter", False, []),
-    ("Running_total", True, []),
-    ("setup", False, []),
-    ("body", True, [("iteration", False)]),
-]
-_LOOP_TEST = ("test", True, [("<w>=<int>", False), ("<w><><int>", False)])
-_LOOP_GOAL = "process-values-in-loop"
-_LOOP_USES = [("Counter_Variable", "Counter"),
-              ("Running_Total_Variable", "Running_total"),
-              ("New_Value_Variable", "New_Value")]
-
-
+@lru_cache(maxsize=None)
 def builtin_kb() -> KnowledgeBase:
     """The built-in plan library: variable plans, the running-total loop
     family, a linear-search algorithm plan, a flag plan, the stock-management
-    problem schema, two discourse rules and the production rules R1..R15."""
-    kb = KnowledgeBase()
-    kb.schemas = [
-        _schema("New_Value_Variable", VARIABLE,
-                "holds each new value produced by a generator for other plans to consume",
-                [("name", False, [("<v>", False)]),
-                 ("source", True, [])]),
-        _schema("Read_Variable", VARIABLE,
-                "receives and holds each value read from the input",
-                [("name", False, [("<v>", False)]),
-                 ("read", True, [("readln(<v>)", True)]),
-                 ("context", False, [("iteration", False)])],
-                goal="enter-data",
-                names="num number value val item data input entry ch a b x"),
-        _schema("Counter_Variable", VARIABLE,
-                "counts the occurrences of an action",
-                [("name", False, [("<v>", False)]),
-                 ("type", False, [("integer", False)]),
-                 ("initialization", True, [("<v>:=0", True), ("<v>:=<int>", False)]),
-                 ("update", True, [("<v>:=<v>+1", True)]),
-                 ("context", False, [("iteration", False)])],
-                goal="count-occurrences",
-                names="counter count cnt ctr index idx i j k n"),
-        _schema("Running_Total_Variable", VARIABLE,
-                "accumulates a running total one contribution at a time",
-                [("name", False, [("<v>", False)]),
-                 ("type", False, [("integer", False), ("real", False)]),
-                 ("initialization", True, [("<v>:=0", True), ("<v>:=<int>", False)]),
-                 ("update", True, [("<v>:=<v>+<w>", True)]),
-                 ("context", False, [("iteration", False)])],
-                goal="accumulate-total", names="sum total tot acc accum result"),
-        _schema("Flag_Variable", VARIABLE,
-                "records that a condition of interest has occurred",
-                [("name", False, [("<v>", False)]),
-                 ("type", False, [("boolean", False)]),
-                 ("initialization", True, [("<v>:=false", True), ("<v>:=true", False)]),
-                 ("update", True, [("<v>:=true", True), ("<v>:=false", False)]),
-                 ("context", False, [("repeat", False), ("while", True)])],
-                goal="track-condition", names="flag done found stop finished ok seen"),
-        _schema("Quotient_Variable", VARIABLE,
-                "holds the ratio of two accumulated results",
-                [("name", False, [("<v>", False)]),
-                 ("result", True, [("<v>:=<w>/<w>", True)])],
-                goal="compute-ratio", names="average avg mean ratio quotient rate"),
-        _schema("Output_Value", CONTROL,
-                "reports a computed value on the output stream",
-                [("name", False, [("<v>", False)]),
-                 ("output", True, [("writeln(<v>)", True)])],
-                goal="output-result"),
-        _schema("Running_Total_Loop", CONTROL,
-                "accumulates values into a running total inside a loop, optionally counting iterations",
-                _LOOP_SLOTS + [("test", False, _LOOP_TEST[2])], goal=_LOOP_GOAL),
-        _schema("Total_Controlled_Running_Total_Loop", CONTROL,
-                "running-total loop whose exit test examines the running total",
-                _LOOP_SLOTS + [_LOOP_TEST], goal=_LOOP_GOAL, controlled_by="Running_total"),
-        _schema("Counter_Controlled_Running_Total_Loop", CONTROL,
-                "running-total loop whose exit test examines the counter",
-                _LOOP_SLOTS + [_LOOP_TEST, ("implementation", False, [("for", False)])],
-                goal=_LOOP_GOAL, controlled_by="Counter"),
-        _schema("New_Value_Controlled_Running_Total_Loop", CONTROL,
-                "running-total loop whose exit test examines the newly read value",
-                _LOOP_SLOTS + [_LOOP_TEST], goal=_LOOP_GOAL, controlled_by="New_Value"),
-        _schema("For_Loop", IMPLEMENTATION,
-                "counted loop construct that initializes, tests and increments its control variable",
-                [("header", False, [("for", False)])], goal="counted-loop"),
-        _schema("Linear_Search", ALGORITHM,
-                "scans candidates one at a time, counting the position, until the target is met",
-                [("loop", True, [("while <w> <> <w>", True)]),
-                 ("counter", True, []),
-                 ("counter-update", False, [("<v>:=<v>+1", True)])], goal="search-items"),
-        _schema("Stock_Management", PROBLEM,
-                "inventory bookkeeping task domain",
-                [("data-structure", False, [("record", False)]),
-                 ("functions", False, [("allocation", False), ("destruction", False),
-                                       ("search", False)])]),
-    ]
-    # declared in dump order: per schema, kind-of links then uses links
-    kb.links = [
-        Link("kind-of", "Read_Variable", "New_Value_Variable"),
-        Link("kind-of", "Counter_Variable", "New_Value_Variable"),
-        *[Link("uses", "Running_Total_Loop", tgt, slot) for tgt, slot in _LOOP_USES],
-        Link("kind-of", "Total_Controlled_Running_Total_Loop", "Running_Total_Loop"),
-        *[Link("uses", "Total_Controlled_Running_Total_Loop", tgt, slot)
-          for tgt, slot in _LOOP_USES],
-        Link("kind-of", "Counter_Controlled_Running_Total_Loop", "Running_Total_Loop"),
-        *[Link("uses", "Counter_Controlled_Running_Total_Loop", tgt, slot)
-          for tgt, slot in _LOOP_USES],
-        Link("uses", "Counter_Controlled_Running_Total_Loop", "For_Loop", "implementation"),
-        Link("kind-of", "New_Value_Controlled_Running_Total_Loop", "Running_Total_Loop"),
-        *[Link("uses", "New_Value_Controlled_Running_Total_Loop", tgt, slot)
-          for tgt, slot in _LOOP_USES],
-        Link("uses", "Linear_Search", "Counter_Variable", "counter"),
-    ]
-    kb.discourse_rules = [
-        DiscourseRule("D1", "name-reflects-function",
-                      "the name of a variable should reflect what the variable accomplishes"),
-        DiscourseRule("D2", "no-double-duty",
-                      "an initialization should not quietly serve a second purpose"),
-    ]
-    kb.rules = [
-        ProductionRule("R1", DATA_DRIVEN,
-                       [Cue("name", "I"), Cue("type", "integer")],
-                       "Counter_Variable", [("context", "iteration")]),
-        ProductionRule("R2", DATA_DRIVEN,
-                       [Cue("init", "I:=1")],
-                       "Counter_Variable", [("update", "I:=I+1")]),
-        ProductionRule("R3", DATA_DRIVEN,
-                       [Cue("schema", "Counter_Variable"), Cue("loopform", "while <w> <> <w>")],
-                       "Linear_Search", [("counter-update", "I:=I+1")]),
-        ProductionRule("R4", DATA_DRIVEN,
-                       [Cue("update", "<v>:=<v>+1")],
-                       "Counter_Variable", [("initialization", "<v>:=0")]),
-        ProductionRule("R5", DATA_DRIVEN,
-                       [Cue("update", "<v>:=<v>+<w>")],
-                       "Running_Total_Variable", [("initialization", "<v>:=0")]),
-        ProductionRule("R6", DATA_DRIVEN,
-                       [Cue("update", "readln(<v>)")],
-                       "Read_Variable"),
-        ProductionRule("R7", DATA_DRIVEN,
-                       [Cue("schema", "Running_Total_Variable"), Cue("loop", "repeat")],
-                       "Running_Total_Loop"),
-        ProductionRule("R8", DATA_DRIVEN,
-                       [Cue("schema", "Running_Total_Variable"), Cue("loop", "while")],
-                       "Running_Total_Loop"),
-        ProductionRule("R9", DATA_DRIVEN,
-                       [Cue("schema", "Running_Total_Variable"), Cue("loop", "for")],
-                       "Running_Total_Loop"),
-        ProductionRule("R10", DATA_DRIVEN,
-                       [Cue("type", "boolean")],
-                       "Flag_Variable", [("context", "while")]),
-        ProductionRule("R11", DATA_DRIVEN,
-                       [Cue("init", "<v>:=<w>/<w>")],
-                       "Quotient_Variable"),
-        ProductionRule("R12", DATA_DRIVEN,
-                       [Cue("update", "writeln(<v>)")],
-                       "Output_Value"),
-        ProductionRule("R13", DATA_DRIVEN,
-                       [Cue("comment", "counter")],
-                       "Counter_Variable"),
-        ProductionRule("R14", DATA_DRIVEN,
-                       [Cue("comment", "total")],
-                       "Running_Total_Variable"),
-        ProductionRule("R15", CONCEPTUALLY_DRIVEN,
-                       [Cue("schema", "Running_Total_Loop")],
-                       "Output_Value", [("output", "writeln(<v>)")]),
-    ]
-    return kb
+    problem schema, two discourse rules and the production rules R1..R15. It
+    is read from `builtin.kb` beside this module on the first call; every
+    call returns that one library."""
+    return load_kb((resources.files(__package__) / "builtin.kb").read_text(encoding="utf-8"))
 
 
 # --- validation -----------------------------------------------------------
@@ -496,16 +354,12 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
 
     # a schema lies on a kind-of cycle when it is its own ancestor; one
     # diagnostic per cycle, naming the schemas that are each other's ancestors
-    parents = {}
-    for link in kb.links:
-        if link.relation == "kind-of" and link.source in names and link.target in names:
-            parents.setdefault(link.source, set()).add(link.target)
     ancestors = {}
-    for node in parents:
+    for node in names:
         seen, frontier = set(), [node]
         while frontier:
-            for parent in parents.get(frontier.pop(), ()):
-                if parent not in seen:
+            for parent in kb.parents(frontier.pop()):
+                if parent in names and parent not in seen:
                     seen.add(parent)
                     frontier.append(parent)
         ancestors[node] = seen
@@ -633,6 +487,8 @@ _RULE_RX = re.compile(
     r"rule\s+(?P<id>\S+)\s+(?P<dir>data|concept):\s*if\s+(?P<cues>.*?)"
     r"\s+then\s+activate\s+(?P<schema>[A-Za-z_][A-Za-z0-9_]*)(?P<binds>.*)$")
 _BIND_RX = re.compile(r'bind\s+(?P<slot>[A-Za-z_][A-Za-z0-9_-]*)="(?P<pat>[^"]*)"')
+_DESC_RX = re.compile(r'desc\s+"(?P<d>[^"]*)"')
+_FILLER_RX = re.compile(r'filler\s+"(?P<p>[^"]*)"(?P<proto>\s+proto)?')
 _DISCOURSE_RX = re.compile(
     r'discourse\s+(?P<id>\S+)\s+check\s+(?P<check>\S+)\s+"(?P<stmt>[^"]*)"$')
 
@@ -644,9 +500,10 @@ def _split_cues(text):
 
 def load_kb(text: str) -> KnowledgeBase:
     """Parse the line-oriented KB format and validate the result."""
-    kb = KnowledgeBase()
-    schema = None
-    slot = None
+    # per schema, its fields and its slots as [name, mandatory, fillers] as
+    # they are read; the records are made once the text is read
+    specs, links, discourse_rules, rules = [], [], [], []
+    schema = slots = slot = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -658,69 +515,69 @@ def load_kb(text: str) -> KnowledgeBase:
                 raise KbFormatError("expected: schema <Name> kind <kind>", lineno)
             if words[3] not in SCHEMA_KINDS:
                 raise KbFormatError(f"unknown schema kind {words[3]!r}", lineno)
-            schema = Schema(words[1], words[3])
-            kb.schemas.append(schema)
-            slot = None
+            schema, slots, slot = {"name": words[1], "kind": words[3]}, [], None
+            specs.append((schema, slots))
         elif head == "desc":
-            m = re.fullmatch(r'desc\s+"(?P<d>[^"]*)"', stripped)
+            m = _DESC_RX.fullmatch(stripped)
             if not m or schema is None:
                 raise KbFormatError("desc outside a schema or malformed", lineno)
-            schema.description = m.group("d")
+            schema["description"] = m.group("d")
         elif head in ("goal", "controlled-by"):
             if len(words) != 2 or schema is None:
                 raise KbFormatError(f"expected: {head} <name> inside a schema", lineno)
-            if head == "goal":
-                schema.goal = words[1]
-            else:
-                schema.controlled_by = words[1]
+            schema[head.replace("-", "_")] = words[1]
         elif head == "names":
             if len(words) < 2 or schema is None:
                 raise KbFormatError("expected: names <stem>... inside a schema", lineno)
             # stems are matched against lowercased variable names
-            schema.names = tuple(w.lower() for w in words[1:])
+            schema["names"] = tuple(w.lower() for w in words[1:])
         elif head == "slot":
             if schema is None:
                 raise KbFormatError("slot outside a schema", lineno)
             if len(words) == 3 and words[2] == "mandatory":
-                slot = Slot(words[1], True)
+                slot = [words[1], True, []]
             elif len(words) == 2:
-                slot = Slot(words[1], False)
+                slot = [words[1], False, []]
             else:
                 raise KbFormatError("expected: slot <name> [mandatory]", lineno)
-            schema.slots.append(slot)
+            slots.append(slot)
         elif head == "filler":
-            m = re.fullmatch(r'filler\s+"(?P<p>[^"]*)"(?P<proto>\s+proto)?', stripped)
+            m = _FILLER_RX.fullmatch(stripped)
             if not m or slot is None:
                 raise KbFormatError("filler outside a slot or malformed", lineno)
-            slot.fillers.append(Filler(m.group("p"), bool(m.group("proto"))))
+            slot[2].append(Filler(m.group("p"), bool(m.group("proto"))))
         elif head == "kindof":
             if len(words) != 2 or schema is None:
                 raise KbFormatError("expected: kindof <ParentName>", lineno)
-            kb.links.append(Link("kind-of", schema.name, words[1]))
+            links.append(Link("kind-of", schema["name"], words[1]))
         elif head == "uses":
             if len(words) != 4 or words[2] != "as" or schema is None:
                 raise KbFormatError("expected: uses <ChildName> as <slotname>", lineno)
-            kb.links.append(Link("uses", schema.name, words[1], words[3]))
+            links.append(Link("uses", schema["name"], words[1], words[3]))
         elif head == "discourse":
             m = _DISCOURSE_RX.fullmatch(stripped)
             if not m:
                 raise KbFormatError("malformed discourse rule", lineno)
-            kb.discourse_rules.append(DiscourseRule(m.group("id"), m.group("check"),
-                                                    m.group("stmt")))
+            discourse_rules.append(DiscourseRule(m.group("id"), m.group("check"),
+                                                 m.group("stmt")))
             schema = slot = None
         elif head == "rule":
             m = _RULE_RX.fullmatch(stripped)
             if not m:
                 raise KbFormatError("malformed production rule", lineno)
             direction = DATA_DRIVEN if m.group("dir") == "data" else CONCEPTUALLY_DRIVEN
-            conditions = [_parse_cue(c, lineno) for c in _split_cues(m.group("cues"))]
-            bindings = [(b.group("slot"), b.group("pat"))
-                        for b in _BIND_RX.finditer(m.group("binds"))]
-            kb.rules.append(ProductionRule(m.group("id"), direction, conditions,
-                                           m.group("schema"), bindings))
+            conditions = tuple([_parse_cue(c, lineno) for c in _split_cues(m.group("cues"))])
+            bindings = tuple([(b.group("slot"), b.group("pat"))
+                              for b in _BIND_RX.finditer(m.group("binds"))])
+            rules.append(ProductionRule(m.group("id"), direction, conditions,
+                                        m.group("schema"), bindings))
             schema = slot = None
         else:
             raise KbFormatError(f"unrecognized directive {head!r}", lineno)
+    schemas = tuple([Schema(**fields, slots=tuple([Slot(name, mandatory, tuple(fillers))
+                                                   for name, mandatory, fillers in slots]))
+                     for fields, slots in specs])
+    kb = KnowledgeBase(schemas, tuple(links), tuple(discourse_rules), tuple(rules))
     diagnostics = validate_kb(kb)
     if diagnostics:
         raise KbValidationError(diagnostics)

@@ -102,10 +102,10 @@ def test_criterion_6_activation_determinism_and_monotonicity(corpus_sources, bui
         for _ in range(20):
             shuffled = cues[:]
             rng.shuffle(shuffled)
-            rules = builtin.rules[:]
+            rules = list(builtin.rules)
             rng.shuffle(rules)
             permuted_kb = kblib.KnowledgeBase(builtin.schemas, builtin.links,
-                                              builtin.discourse_rules, rules)
+                                              builtin.discourse_rules, tuple(rules))
             result = {a.schema for a in act.activate(permuted_kb, shuffled)}
             assert result == baseline
         extended = cues + [Cue("comment", "counter", 1)]

@@ -1,5 +1,7 @@
+import gc
 import random
 import re
+import weakref
 
 from hypothesis import given, settings, strategies as st
 
@@ -109,10 +111,10 @@ def test_activation_order_independence(corpus_sources, builtin):
         for _ in range(5):
             shuffled = cues[:]
             rng.shuffle(shuffled)
-            rules = builtin.rules[:]
+            rules = list(builtin.rules)
             rng.shuffle(rules)
             kb2 = type(builtin)(builtin.schemas, builtin.links,
-                                builtin.discourse_rules, rules)
+                                builtin.discourse_rules, tuple(rules))
             assert {a.schema for a in act.activate(kb2, shuffled)} == baseline
 
 
@@ -379,9 +381,9 @@ def test_variable_plans_are_bound_only_where_a_code_slot_can_fill(grey, builtin,
     calls = []
     bind = act._bind_variable_plan
 
-    def counted(binder, var, index, first):
-        calls.append((binder.schema.name, var))
-        return bind(binder, var, index, first)
+    def counted(schema, var, index, first):
+        calls.append((schema.name, var))
+        return bind(schema, var, index, first)
 
     monkeypatch.setattr(act, "_bind_variable_plan", counted)
     rec = an.recognize(grey, builtin)
@@ -416,6 +418,56 @@ def _module_cache_sizes():
             elif isinstance(value, (dict, list, set)):
                 sizes[module.__name__, name] = len(value)
     return sizes
+
+
+def test_a_library_is_compiled_once(monkeypatch, grey):
+    made = {"binders": 0, "matchers": 0}
+    slot_matcher = act._slot_matcher
+
+    class Counted(act._Binder):
+        def __init__(self, schema):
+            made["binders"] += 1
+            super().__init__(schema)
+
+    def counted(slot):
+        made["matchers"] += 1
+        return slot_matcher(slot)
+
+    monkeypatch.setattr(act, "_Binder", Counted)
+    monkeypatch.setattr(act, "_slot_matcher", counted)
+    kb = load_kb(dump_kb(kblib.builtin_kb()))    # a library no recognition has compiled
+    an.recognize(grey, kb)
+    first = dict(made)
+    assert first["binders"] and first["matchers"]
+    rec = an.recognize(grey, kb)
+    act.evaluate_coherence(rec.instances, rec.index, kb)
+    assert made == first
+
+
+def test_no_module_level_cache_grows_with_libraries(grey):
+    # fifty distinct libraries, each the built-in one with a schema of its
+    # own, loaded and used one after another in one process
+    dumped = dump_kb(kblib.builtin_kb())
+
+    def library(k):
+        return load_kb(dumped + f'schema Extra_{k} kind problem\n  desc "library {k}"\n')
+
+    assert an.recognize(grey, library(0)).instances
+    sizes = _module_cache_sizes()
+    refs = []
+    # with the cycle collector off, each library is freed once it is
+    # dropped: its compiled form holds no reference cycle
+    gc.disable()
+    try:
+        for k in range(1, 50):
+            kb = library(k)
+            assert an.recognize(grey, kb).instances
+            refs.append(weakref.ref(kb.schema("Counter_Variable")))
+        del kb
+        assert not [ref for ref in refs if ref() is not None]
+    finally:
+        gc.enable()
+    assert _module_cache_sizes() == sizes
 
 
 def test_no_module_level_cache_grows_with_program_content(builtin):

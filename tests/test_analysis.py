@@ -121,11 +121,13 @@ def test_user_schema_names_and_goal(builtin, name, violations):
 
 
 def test_no_unused_plan_part_predicate():
+    import dataclasses
     from plancog import kb as kblib
-    kb = kblib.builtin_kb()
-    kb.discourse_rules.append(
+    builtin = kblib.builtin_kb()
+    kb = dataclasses.replace(builtin, discourse_rules=(
+        *builtin.discourse_rules,
         kblib.DiscourseRule("D3", "no-unused-plan-part",
-                            "every plan part should feed some other part"))
+                            "every plan part should feed some other part")))
     assert kblib.validate_kb(kb) == []
     counted_but_unused = fe.parse(
         "PROGRAM P(input,output);\nVAR Count, Num: INTEGER;\nBEGIN\n"

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -235,6 +236,12 @@ def test_kb_dump_builtin(capsys):
     code, out, _ = run_cli(capsys, "kb", "dump-builtin")
     assert code == 0
     assert out == kblib.dump_kb(kblib.builtin_kb())
+
+
+def test_kb_dump_builtin_prints_the_shipped_file(capsys):
+    code, out, _ = run_cli(capsys, "kb", "dump-builtin")
+    assert code == 0
+    assert out.encode("utf-8") == (resources.files("plancog") / "builtin.kb").read_bytes()
 
 
 def test_kb_dump_builtin_json_is_one_document(capsys):

@@ -1,5 +1,4 @@
-"""Instantiation against the per-plan oracle, and a KB compiled per
-recognition."""
+"""Instantiation against the per-plan oracle, and a library compiled once."""
 
 import random
 
@@ -11,8 +10,7 @@ from plancog import activation as act
 from plancog import analysis as an
 from plancog import frontend as fe
 from plancog.cli import corpus
-from plancog.kb import (DATA_DRIVEN, Cue, Filler, ProductionRule, builtin_kb, dump_kb,
-                        load_kb)
+from plancog.kb import builtin_kb, dump_kb, load_kb
 from test_frontend import _TYPED_NAMES, _program, _stmt
 
 # a rule appended to the dumped library: Linear_Search on every WHILE loop,
@@ -189,23 +187,26 @@ def test_instantiate_matches_per_plan_oracle_on_benchmark_programs(seed):
     _assert_binds_like_per_plan(program)
 
 
-# --- the KB is compiled per recognition -------------------------------------------
+# --- a library is compiled once ------------------------------------------------------
 
 def test_kb_changes_between_recognitions_are_bound():
-    # each recognition compiles the KB as it is then
-    kb = builtin_kb()
+    # a changed library is a new one, loaded and compiled on its own: the
+    # built-in library, then one with a rule added, then one with a filler
+    # added to that
     program = fe.parse(_EVEN)
+    with_rule = _LIBRARY + ('rule U1 data: if update~"<v>:=<v>+<int>" '
+                            'then activate Running_Total_Variable\n')
+    # the first prototypical `<v>:=<v>+1` filler is Counter_Variable's update
+    with_filler = with_rule.replace('    filler "<v>:=<v>+1" proto\n',
+                                    '    filler "<v>:=<v>+1" proto\n    filler "<v>:=<v>+2"\n', 1)
 
-    def plans():
+    def plans(kb):
         return {(i.schema, i.variable): sorted(i.bindings)
                 for i in an.recognize(program, kb).instances}
 
-    assert plans() == {("Counter_Variable", "i"): ["context", "initialization", "name",
-                                                   "type"]}
-    kb.rules.append(ProductionRule("U1", DATA_DRIVEN, [Cue("update", "<v>:=<v>+<int>")],
-                                   "Running_Total_Variable"))
-    assert plans()[("Running_Total_Variable", "i")] == ["context", "initialization", "name",
-                                                       "type"]
-    kb.schema("Counter_Variable").slot("update").fillers.append(Filler("<v>:=<v>+2"))
-    assert plans() == {("Counter_Variable", "i"): ["context", "initialization", "name",
-                                                   "type", "update"]}
+    assert plans(builtin_kb()) == {("Counter_Variable", "i"): ["context", "initialization",
+                                                               "name", "type"]}
+    assert plans(load_kb(with_rule))[("Running_Total_Variable", "i")] == [
+        "context", "initialization", "name", "type"]
+    assert plans(load_kb(with_filler)) == {("Counter_Variable", "i"): [
+        "context", "initialization", "name", "type", "update"]}

@@ -1,4 +1,6 @@
+import dataclasses
 import re
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,7 +82,7 @@ def test_builtin_rule_r2(builtin):
     r2 = builtin.rule("R2")
     assert [(c.kind, c.payload) for c in r2.conditions] == [("init", "I:=1")]
     assert r2.activates == "Counter_Variable"
-    assert r2.bindings == [("update", "I:=I+1")]
+    assert r2.bindings == (("update", "I:=I+1"),)
 
 
 def test_builtin_rule_r3(builtin):
@@ -90,7 +92,7 @@ def test_builtin_rule_r3(builtin):
     assert any(kind == "loopform" and kblib.pattern_matches(payload, "while a<>b")
                for kind, payload in kinds)
     assert r3.activates == "Linear_Search"
-    assert r3.bindings == [("counter-update", "I:=I+1")]
+    assert r3.bindings == (("counter-update", "I:=I+1"),)
 
 
 def test_dump_load_round_trip_builtin(builtin):
@@ -98,6 +100,29 @@ def test_dump_load_round_trip_builtin(builtin):
     loaded = kblib.load_kb(text)
     assert loaded == builtin
     assert kblib.dump_kb(loaded) == text
+
+
+def test_builtin_kb_is_one_library():
+    assert kblib.builtin_kb() is kblib.builtin_kb()
+
+
+def test_builtin_file_round_trips():
+    text = (resources.files("plancog") / "builtin.kb").read_text(encoding="utf-8")
+    assert kblib.dump_kb(kblib.load_kb(text)) == text
+
+
+def test_library_and_its_records_are_frozen(builtin):
+    # the library and one record of each kind it holds
+    schema = builtin.schema("Counter_Variable")
+    slot = schema.slot("update")
+    rule = builtin.rule("R3")
+    for record in (builtin, schema, slot, slot.fillers[0], builtin.links[0],
+                   builtin.discourse_rules[0], rule, rule.conditions[0]):
+        for f in dataclasses.fields(record):
+            value = getattr(record, f.name)
+            assert not isinstance(value, (list, dict, set))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, value)
 
 
 def test_builtin_dump_carries_plan_shapes(builtin):
@@ -172,17 +197,23 @@ def test_cycle_diagnostic_names_only_schemas_on_the_cycle(links, cycles):
         ("cycle", cycle) for cycle in cycles]
 
 
+_replace = dataclasses.replace
+
+
 @pytest.mark.parametrize("fault, expected", [
-    (lambda kb: setattr(kb.schemas[0], "kind", "weird"), ("bad-kind", "A")),
-    (lambda kb: kb.rules[0].conditions.append(kblib.Cue("colour", "red")), ("bad-cue", "R1")),
-    (lambda kb: kb.links.append(kblib.Link("uses", "A", "B")), ("missing-slot", "A->B")),
+    (lambda kb: _replace(kb, schemas=(_replace(kb.schemas[0], kind="weird"), *kb.schemas[1:])),
+     ("bad-kind", "A")),
+    (lambda kb: _replace(kb, rules=(_replace(kb.rules[0], conditions=(
+        *kb.rules[0].conditions, kblib.Cue("colour", "red"))),)), ("bad-cue", "R1")),
+    (lambda kb: _replace(kb, links=(*kb.links, kblib.Link("uses", "A", "B"))),
+     ("missing-slot", "A->B")),
 ], ids=["bad-kind", "bad-cue", "missing-slot"])
 def test_diagnostics_load_kb_cannot_produce(fault, expected):
-    # the file format rejects these before validation, so they are made in memory
-    kb = kblib.load_kb('schema A kind variable\n  desc "a"\n  slot name mandatory\n'
-                       'schema B kind variable\n  desc "b"\n  slot name mandatory\n'
-                       'rule R1 data: if name~"<v>" then activate A\n')
-    fault(kb)
+    # the file format rejects these before validation, so they are made in
+    # memory, as a new library built from a loaded one
+    kb = fault(kblib.load_kb('schema A kind variable\n  desc "a"\n  slot name mandatory\n'
+                             'schema B kind variable\n  desc "b"\n  slot name mandatory\n'
+                             'rule R1 data: if name~"<v>" then activate A\n'))
     assert [(d.code, d.subject) for d in kblib.validate_kb(kb)] == [expected]
 
 
@@ -195,18 +226,16 @@ def test_double_prototypical_diagnostic():
 
 
 def test_rule_binding_unknown_slot_diagnostic(builtin):
-    kb = kblib.load_kb(kblib.dump_kb(builtin))
-    kb.rules.append(kblib.ProductionRule("RX", kblib.DATA_DRIVEN,
-                                         [kblib.Cue("type", "integer")],
-                                         "Counter_Variable", [("nope", "<v>:=0")]))
+    kb = _replace(builtin, rules=(*builtin.rules, kblib.ProductionRule(
+        "RX", kblib.DATA_DRIVEN, (kblib.Cue("type", "integer"),), "Counter_Variable",
+        (("nope", "<v>:=0"),))))
     codes = [d.code for d in kblib.validate_kb(kb)]
     assert codes == ["unknown-slot"]
 
 
 def test_rule_activating_unknown_schema_diagnostic(builtin):
-    kb = kblib.load_kb(kblib.dump_kb(builtin))
-    kb.rules.append(kblib.ProductionRule("RX", kblib.DATA_DRIVEN,
-                                         [kblib.Cue("type", "integer")], "Ghost"))
+    kb = _replace(builtin, rules=(*builtin.rules, kblib.ProductionRule(
+        "RX", kblib.DATA_DRIVEN, (kblib.Cue("type", "integer"),), "Ghost")))
     assert "unknown-schema" in [d.code for d in kblib.validate_kb(kb)]
 
 
