@@ -21,6 +21,14 @@ type: an assignment stores only a value whose static type fits its target
 store, which a traced run's assignments use as well. The final store is
 kept in `ExecutionResult.values`. A trace event per assignment and READLN
 is recorded only when `execute` is asked for one.
+
+Some statements do their one operation inside their own closure, with no
+call for it. An untraced INTEGER assignment of `+ - *` on a variable and a
+variable or integer constant computes, checks 64 bits and stores there. An
+IF, WHILE or UNTIL test that compares a variable with a variable or integer
+constant compares there. An untraced READLN into an INTEGER stores an int
+input within 64 bits at once; every other input takes the full checks.
+WHILE, REPEAT and FOR run the closures of their body in turn themselves.
 """
 
 from __future__ import annotations
@@ -274,15 +282,23 @@ class _Machine:
 
     # -- statements -------------------------------------------------------------
 
-    def block(self, stmts):
-        compiled = [self.statement(s) for s in stmts]
-        if len(compiled) == 1:
-            return compiled[0]
+    def body(self, s):
+        """The closures of a loop body or a block, which it runs in turn."""
+        return [self.statement(t) for t in (s.body if isinstance(s, fe.Compound) else [s])]
 
-        def run():
-            for s in compiled:
-                s()
-        return run
+    def leaves(self, e, ops):
+        """(fn, a, right, b) when `e` applies an operator of `ops` to a variable
+        `a` and a variable or integer constant `b` (shape vv or vc): its value
+        is fn(values[a], right[b]), `right` being the store for a variable and
+        {b: b} for a constant, so that one closure reads both shapes inline.
+        None for any other `e`."""
+        if isinstance(e, fe.Binary) and e.op in ops:
+            shape, a, b = _shape(e.left, None, e.right, None)
+            if shape == "vv":
+                return ops[e.op], a, self.values, b
+            if shape == "vc":
+                return ops[e.op], a, {b: b}, b
+        return None
 
     def statement(self, s):
         m, budget, line, values = self, self.budget, s.line, self.values
@@ -303,6 +319,22 @@ class _Machine:
                     except KeyError:
                         raise _Halt("uninitialized-variable", line) from None
                 return run
+            leaves = self.leaves(s.expr, _ARITHMETIC) if typed == declared == "integer" else None
+            if leaves is not None:
+                fn, a, right, b = leaves
+
+                def run():
+                    if m.steps >= budget:
+                        raise _Halt("step-budget-exceeded", line)
+                    m.steps += 1
+                    try:
+                        value = fn(values[a], right[b])
+                    except KeyError:
+                        raise _Halt("uninitialized-variable", line) from None
+                    if not INT_MIN <= value <= INT_MAX:
+                        raise _Halt("integer-overflow", line)
+                    values[key] = value
+                return run
             if typed == "integer" and declared == "real":
                 integer = expr
                 expr = lambda: float(integer())
@@ -318,8 +350,9 @@ class _Machine:
                 except KeyError:
                     raise _Halt("uninitialized-variable", line) from None
         elif isinstance(s, fe.Readln):
-            store, inputs = self.store(s.var, line), self.inputs
-            integer = self.types[s.var.lower()] == "integer"
+            key, store, inputs = s.var.lower(), self.store(s.var, line), self.inputs
+            integer = self.types[key] == "integer"
+            inline = integer and self.events is None
 
             def run():
                 if m.steps >= budget:
@@ -329,6 +362,9 @@ class _Machine:
                     value = next(inputs)
                 except StopIteration:
                     raise _Halt("input-exhausted", line) from None
+                if inline and type(value) is int and INT_MIN <= value <= INT_MAX:
+                    values[key] = value
+                    return
                 if isinstance(value, (int, float)):
                     # an input keeps the bounds of an arithmetic result
                     value = _number(value, line)
@@ -349,10 +385,32 @@ class _Machine:
                 except KeyError:
                     raise _Halt("uninitialized-variable", line) from None
         elif isinstance(s, fe.Compound):
-            return self.block(s.body)
+            body = self.body(s)
+            if len(body) == 1:
+                return body[0]
+
+            def run():
+                for t in body:
+                    t()
         elif isinstance(s, fe.If):
-            cond, then = self.condition(s.cond, line), self.statement(s.then)
+            (cond, leaves), then = self.condition(s.cond, line), self.statement(s.then)
             otherwise = None if s.otherwise is None else self.statement(s.otherwise)
+            if leaves is not None:
+                fn, a, right, b = leaves
+
+                def run():
+                    if m.steps >= budget:
+                        raise _Halt("step-budget-exceeded", line)
+                    m.steps += 1
+                    try:
+                        value = fn(values[a], right[b])
+                    except KeyError:
+                        raise _Halt("uninitialized-variable", line) from None
+                    if value:
+                        then()
+                    elif otherwise is not None:
+                        otherwise()
+                return run
 
             def run():
                 if m.steps >= budget:
@@ -367,7 +425,24 @@ class _Machine:
                 elif otherwise is not None:
                     otherwise()
         elif isinstance(s, fe.While):
-            cond, body = self.condition(s.cond, line), self.statement(s.body)
+            (cond, leaves), body = self.condition(s.cond, line), self.body(s.body)
+            if leaves is not None:
+                fn, a, right, b = leaves
+
+                def run():
+                    while True:
+                        if m.steps >= budget:
+                            raise _Halt("step-budget-exceeded", line)
+                        m.steps += 1
+                        try:
+                            value = fn(values[a], right[b])
+                        except KeyError:
+                            raise _Halt("uninitialized-variable", line) from None
+                        if not value:
+                            return
+                        for t in body:
+                            t()
+                return run
 
             def run():
                 while True:
@@ -380,14 +455,34 @@ class _Machine:
                         raise _Halt("uninitialized-variable", line) from None
                     if not value:
                         return
-                    body()
+                    for t in body:
+                        t()
         elif isinstance(s, fe.Repeat):
             line = s.until_line
-            body, cond = self.block(s.body), self.condition(s.cond, line)
+            body = [self.statement(t) for t in s.body]
+            cond, leaves = self.condition(s.cond, line)
+            if leaves is not None:
+                fn, a, right, b = leaves
+
+                def run():
+                    while True:
+                        for t in body:
+                            t()
+                        if m.steps >= budget:
+                            raise _Halt("step-budget-exceeded", line)
+                        m.steps += 1
+                        try:
+                            value = fn(values[a], right[b])
+                        except KeyError:
+                            raise _Halt("uninitialized-variable", line) from None
+                        if value:
+                            return
+                return run
 
             def run():
                 while True:
-                    body()
+                    for t in body:
+                        t()
                     if m.steps >= budget:
                         raise _Halt("step-budget-exceeded", line)
                     m.steps += 1
@@ -412,7 +507,7 @@ class _Machine:
         m, budget, line, values, events = self, self.budget, s.line, self.values, self.events
         start, first = self.expr(s.start, line)
         stop, last = self.expr(s.stop, line)
-        body = self.statement(s.body)
+        body = self.body(s.body)
         key = s.var.lower()
         if not self.types[key] == first == last == "integer":
             # an INTEGER control variable and INTEGER bounds, or a type-error
@@ -431,7 +526,8 @@ class _Machine:
                 values[key] = current
                 if events is not None:
                     events.append(TraceEvent(m.steps, line, key, current))
-                body()
+                for t in body:
+                    t()
                 if m.steps >= budget:
                     raise _Halt("step-budget-exceeded", line)
                 m.steps += 1
@@ -474,10 +570,13 @@ class _Machine:
     # -- expressions ------------------------------------------------------------
 
     def condition(self, e, line):
-        """A closure computing the condition `e`: True or False, or a fault
-        when `e` is not BOOLEAN."""
+        """(closure, leaves) of the condition `e`: the closure computes True or
+        False, or a fault when `e` is not BOOLEAN; `leaves` gives a comparison
+        on leaf operands to read inline, else it is None."""
         cond, typed = self.expr(e, line)
-        return cond if typed == "boolean" else _type_error(line, cond)
+        if typed != "boolean":
+            return _type_error(line, cond), None
+        return cond, self.leaves(e, _COMPARISONS)
 
     def expr(self, e, line):
         """(closure computing `e`, static type of `e`): every value of `e`

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -151,13 +152,22 @@ def test_integer_overflow():
     ("X", float("inf"), "real-overflow"),
     ("R", float("-inf"), "real-overflow"),
     ("R", float("nan"), "real-overflow"),
+    ("X", 2 ** 63 - 1, None),
+    ("X", -(2 ** 63), None),
+    ("X", True, "type-error"),
+    ("X", 2.0, None),
+    ("X", 2.5, "type-error"),
 ])
 def test_readln_keeps_arithmetic_bounds(target, value, kind):
-    # an input outside 64 bits or not finite ends the run where it is read
+    # an input outside 64 bits or not finite ends the run where it is read;
+    # an INTEGER input that is not a 64-bit int takes READLN's full checks
     program = fe.parse("PROGRAM P(input,output);\nVAR X: INTEGER; R: REAL;\nBEGIN\n"
                        f"    X := 0;\n    READLN({target})\nEND.")
     result = run.execute(program, [value])
-    assert (result.error_kind, result.error_line) == (kind, 5)
+    assert (result.error_kind, result.error_line, result.steps) == (kind, kind and 5, 2)
+    if kind is None:
+        assert _typed(result.final_value(target)) == _typed(int(value))
+    _assert_runs_like_tree_walk(program, [value])
 
 
 def test_integer_division_semantics():
@@ -235,63 +245,91 @@ _OK, _FAIL = run.OK, run.RUNTIME_ERROR
 @pytest.mark.parametrize("statements, inputs, hole, expected", [
     (["B := NOT (1 > 2)", "WRITELN(B AND (2 > 1))", "WRITELN(B AND FALSE)",
       "WRITELN(FALSE OR B)", "WRITELN(FALSE OR FALSE)", "WRITELN(NOT B)"], [], None,
-     (_OK, None, None, ["true", "false", "true", "false", "false"])),
+     (_OK, None, None, 6, ["true", "false", "true", "false", "false"])),
     (["I := 0", "WHILE I < 3 DO I := I + 1", "WRITELN(I)"], [], None,
-     (_OK, None, None, ["3"])),
+     (_OK, None, None, 9, ["3"])),
     (["IF 1 > 2 THEN WRITELN(1) ELSE WRITELN(2)", "IF 1 < 2 THEN WRITELN(3) ELSE WRITELN(4)"],
-     [], None, (_OK, None, None, ["2", "3"])),
-    (["WRITELN(1)", "WRITELN(2)"], [], 4, (_OK, None, None, ["2"])),
+     [], None, (_OK, None, None, 4, ["2", "3"])),
+    (["WRITELN(1)", "WRITELN(2)"], [], 4, (_OK, None, None, 2, ["2"])),
     (["R := 2", "WRITELN(R)", "READLN(I)", "WRITELN(I)"], [3.0], None,
-     (_OK, None, None, ["2.0", "3"])),
-    (["I := 1", "I := 1.5"], [], None, (_FAIL, "type-error", 5, [])),
-    (["I := TRUE"], [], None, (_FAIL, "type-error", 4, [])),
-    (["R := FALSE"], [], None, (_FAIL, "type-error", 4, [])),
-    (["B := 1"], [], None, (_FAIL, "type-error", 4, [])),
-    (["B := 1.0"], [], None, (_FAIL, "type-error", 4, [])),
-    (["WRITELN(1)", "READLN(I)"], [1.5], None, (_FAIL, "type-error", 5, ["1"])),
-    (["FOR I := 1 TO 2.5 DO WRITELN(I)"], [], None, (_FAIL, "type-error", 4, [])),
-    (["FOR I := 0.5 TO 2 DO WRITELN(I)"], [], None, (_FAIL, "type-error", 4, [])),
-    (["FOR I := FALSE TO TRUE DO WRITELN(I)"], [], None, (_FAIL, "type-error", 4, [])),
-    (["FOR B := FALSE TO TRUE DO WRITELN(B)"], [], None, (_FAIL, "type-error", 4, [])),
-    (["FOR R := 1 TO 2 DO WRITELN(R)"], [], None, (_FAIL, "type-error", 4, [])),
-    (["IF 1 THEN WRITELN(1)"], [], None, (_FAIL, "type-error", 4, [])),
-    (["I := 0", "WHILE I DO I := 1"], [], None, (_FAIL, "type-error", 5, [])),
-    (["REPEAT I := 1 UNTIL 2.0"], [], None, (_FAIL, "type-error", 4, [])),
-    (["B := TRUE", "WRITELN(-B)"], [], None, (_FAIL, "type-error", 5, [])),
-    (["WRITELN(NOT 1)"], [], None, (_FAIL, "type-error", 4, [])),
-    (["WRITELN(1 AND TRUE)"], [], None, (_FAIL, "type-error", 4, [])),
-    (["WRITELN(TRUE OR 1)"], [], None, (_FAIL, "type-error", 4, [])),
-    (["B := FALSE AND (Y = 1)"], [], None, (_FAIL, "uninitialized-variable", 4, [])),
-    (["WRITELN(1 AND (Y = 1))"], [], None, (_FAIL, "type-error", 4, [])),
-    (["WRITELN(TRUE = 1)"], [], None, (_FAIL, "type-error", 4, [])),
-    (["WRITELN(0.5 < FALSE)"], [], None, (_FAIL, "type-error", 4, [])),
-    (["WRITELN(TRUE + 1)"], [], None, (_FAIL, "type-error", 4, [])),
-    (["WRITELN(2.0 * FALSE)"], [], None, (_FAIL, "type-error", 4, [])),
-    (["WRITELN(2.0 DIV 1)"], [], None, (_FAIL, "type-error", 4, [])),
-    (["WRITELN(5 MOD 2.0)"], [], None, (_FAIL, "type-error", 4, [])),
-    (["WRITELN(5 DIV 0)"], [], None, (_FAIL, "division-by-zero", 4, [])),
-    (["WRITELN(5 MOD 0)"], [], None, (_FAIL, "division-by-zero", 4, [])),
-    (["WRITELN(1.0 / 0)"], [], None, (_FAIL, "division-by-zero", 4, [])),
-    (["WRITELN((Y + TRUE) * 2)"], [], None, (_FAIL, "uninitialized-variable", 4, [])),
-    (["Y := 1", "WRITELN((Y + TRUE) * 2)"], [], None, (_FAIL, "type-error", 5, [])),
+     (_OK, None, None, 4, ["2.0", "3"])),
+    (["I := 1", "I := 1.5"], [], None, (_FAIL, "type-error", 5, 2, [])),
+    (["I := TRUE"], [], None, (_FAIL, "type-error", 4, 1, [])),
+    (["R := FALSE"], [], None, (_FAIL, "type-error", 4, 1, [])),
+    (["B := 1"], [], None, (_FAIL, "type-error", 4, 1, [])),
+    (["B := 1.0"], [], None, (_FAIL, "type-error", 4, 1, [])),
+    (["WRITELN(1)", "READLN(I)"], [1.5], None, (_FAIL, "type-error", 5, 2, ["1"])),
+    (["FOR I := 1 TO 2.5 DO WRITELN(I)"], [], None, (_FAIL, "type-error", 4, 1, [])),
+    (["FOR I := 0.5 TO 2 DO WRITELN(I)"], [], None, (_FAIL, "type-error", 4, 1, [])),
+    (["FOR I := FALSE TO TRUE DO WRITELN(I)"], [], None, (_FAIL, "type-error", 4, 1, [])),
+    (["FOR B := FALSE TO TRUE DO WRITELN(B)"], [], None, (_FAIL, "type-error", 4, 1, [])),
+    (["FOR R := 1 TO 2 DO WRITELN(R)"], [], None, (_FAIL, "type-error", 4, 1, [])),
+    (["IF 1 THEN WRITELN(1)"], [], None, (_FAIL, "type-error", 4, 1, [])),
+    (["I := 0", "WHILE I DO I := 1"], [], None, (_FAIL, "type-error", 5, 2, [])),
+    (["REPEAT I := 1 UNTIL 2.0"], [], None, (_FAIL, "type-error", 4, 2, [])),
+    (["B := TRUE", "WRITELN(-B)"], [], None, (_FAIL, "type-error", 5, 2, [])),
+    (["WRITELN(NOT 1)"], [], None, (_FAIL, "type-error", 4, 1, [])),
+    (["WRITELN(1 AND TRUE)"], [], None, (_FAIL, "type-error", 4, 1, [])),
+    (["WRITELN(TRUE OR 1)"], [], None, (_FAIL, "type-error", 4, 1, [])),
+    (["B := FALSE AND (Y = 1)"], [], None, (_FAIL, "uninitialized-variable", 4, 1, [])),
+    (["WRITELN(1 AND (Y = 1))"], [], None, (_FAIL, "type-error", 4, 1, [])),
+    (["WRITELN(TRUE = 1)"], [], None, (_FAIL, "type-error", 4, 1, [])),
+    (["WRITELN(0.5 < FALSE)"], [], None, (_FAIL, "type-error", 4, 1, [])),
+    (["WRITELN(TRUE + 1)"], [], None, (_FAIL, "type-error", 4, 1, [])),
+    (["WRITELN(2.0 * FALSE)"], [], None, (_FAIL, "type-error", 4, 1, [])),
+    (["WRITELN(2.0 DIV 1)"], [], None, (_FAIL, "type-error", 4, 1, [])),
+    (["WRITELN(5 MOD 2.0)"], [], None, (_FAIL, "type-error", 4, 1, [])),
+    (["WRITELN(5 DIV 0)"], [], None, (_FAIL, "division-by-zero", 4, 1, [])),
+    (["WRITELN(5 MOD 0)"], [], None, (_FAIL, "division-by-zero", 4, 1, [])),
+    (["WRITELN(1.0 / 0)"], [], None, (_FAIL, "division-by-zero", 4, 1, [])),
+    (["WRITELN((Y + TRUE) * 2)"], [], None, (_FAIL, "uninitialized-variable", 4, 1, [])),
+    (["Y := 1", "WRITELN((Y + TRUE) * 2)"], [], None, (_FAIL, "type-error", 5, 2, [])),
     (["WRITELN(TRUE + (9223372036854775807 + 1))"], [], None,
-     (_FAIL, "integer-overflow", 4, [])),
-    (["I := 7 DIV 0 + TRUE"], [], None, (_FAIL, "division-by-zero", 4, [])),
-    (["READLN(R)", "WRITELN(R * R + TRUE)"], [1e308], None, (_FAIL, "real-overflow", 5, [])),
-    (["Y := 1", "I := 2.0 + Y"], [], None, (_FAIL, "type-error", 5, [])),
-    (["WHILE 1 + Y DO Y := 1"], [], None, (_FAIL, "uninitialized-variable", 4, [])),
-    (["FOR I := Y TO TRUE DO WRITELN(I)"], [], None, (_FAIL, "uninitialized-variable", 4, [])),
+     (_FAIL, "integer-overflow", 4, 1, [])),
+    (["I := 7 DIV 0 + TRUE"], [], None, (_FAIL, "division-by-zero", 4, 1, [])),
+    (["READLN(R)", "WRITELN(R * R + TRUE)"], [1e308], None, (_FAIL, "real-overflow", 5, 2, [])),
+    (["Y := 1", "I := 2.0 + Y"], [], None, (_FAIL, "type-error", 5, 2, [])),
+    (["WHILE 1 + Y DO Y := 1"], [], None, (_FAIL, "uninitialized-variable", 4, 1, [])),
+    (["FOR I := Y TO TRUE DO WRITELN(I)"], [], None, (_FAIL, "uninitialized-variable", 4, 1, [])),
     (["Y := 3", "FOR I := 1 TO Y DO Y := Y - 1", "WRITELN(I)", "WRITELN(Y)"], [], None,
-     (_OK, None, None, ["3", "0"])),
-    (["READLN(B)", "WRITELN(NOT B)"], [True], None, (_OK, None, None, ["false"])),
-    (["READLN(R)", "WRITELN(R)"], [2], None, (_OK, None, None, ["2.0"])),
-    (["READLN(B)"], [1], None, (_FAIL, "type-error", 4, [])),
-    (["READLN(I)"], [True], None, (_FAIL, "type-error", 4, [])),
-    (["READLN(R)"], [False], None, (_FAIL, "type-error", 4, [])),
-    (["IF Y = 1 THEN I := 1"], [], None, (_FAIL, "uninitialized-variable", 4, [])),
-    (["REPEAT I := 1 UNTIL Y = 1"], [], None, (_FAIL, "uninitialized-variable", 4, [])),
-    (["R := 1.5", "WRITELN(-R)"], [], None, (_OK, None, None, ["-1.5"])),
-    (["READLN(I)", "WRITELN(-I)"], [-(2 ** 63)], None, (_FAIL, "integer-overflow", 5, [])),
+     (_OK, None, None, 10, ["3", "0"])),
+    (["READLN(B)", "WRITELN(NOT B)"], [True], None, (_OK, None, None, 2, ["false"])),
+    (["READLN(R)", "WRITELN(R)"], [2], None, (_OK, None, None, 2, ["2.0"])),
+    (["READLN(B)"], [1], None, (_FAIL, "type-error", 4, 1, [])),
+    (["READLN(I)"], [True], None, (_FAIL, "type-error", 4, 1, [])),
+    (["READLN(R)"], [False], None, (_FAIL, "type-error", 4, 1, [])),
+    (["IF Y = 1 THEN I := 1"], [], None, (_FAIL, "uninitialized-variable", 4, 1, [])),
+    (["REPEAT I := 1 UNTIL Y = 1"], [], None, (_FAIL, "uninitialized-variable", 4, 2, [])),
+    (["R := 1.5", "WRITELN(-R)"], [], None, (_OK, None, None, 2, ["-1.5"])),
+    (["READLN(I)", "WRITELN(-I)"], [-(2 ** 63)], None, (_FAIL, "integer-overflow", 5, 2, [])),
+    # statements that read their leaf operands inline: v := v op v, v := v op c,
+    # and conditions comparing a variable with a variable or integer constant
+    (["I := 3", "Y := I * I", "Y := Y - 2", "WRITELN(Y)"], [], None,
+     (_OK, None, None, 4, ["7"])),
+    (["I := 1", "Y := I + Y"], [], None, (_FAIL, "uninitialized-variable", 5, 2, [])),
+    (["Y := Y - 1"], [], None, (_FAIL, "uninitialized-variable", 4, 1, [])),
+    (["I := 9223372036854775807", "Y := I + I"], [], None, (_FAIL, "integer-overflow", 5, 2, [])),
+    (["I := -9223372036854775807", "Y := I - 2"], [], None, (_FAIL, "integer-overflow", 5, 2, [])),
+    (["I := 1", "Y := 2", "IF I < Y THEN WRITELN(I) ELSE WRITELN(Y)"], [], None,
+     (_OK, None, None, 4, ["1"])),
+    (["I := 1", "IF I >= Y THEN WRITELN(I)"], [], None,
+     (_FAIL, "uninitialized-variable", 5, 2, [])),
+    (["R := 0.5", "IF R > 0 THEN WRITELN(1) ELSE WRITELN(0)"], [], None,
+     (_OK, None, None, 3, ["1"])),
+    (["R := 0.5", "WHILE R < 3 DO R := R + 1", "WRITELN(R)"], [], None,
+     (_OK, None, None, 9, ["3.5"])),
+    (["WHILE R < 1 DO R := R + 1"], [], None, (_FAIL, "uninitialized-variable", 4, 1, [])),
+    (["I := 0", "WHILE I < Y DO I := I + 1"], [], None,
+     (_FAIL, "uninitialized-variable", 5, 2, [])),
+    (["I := 9223372036854775806", "WHILE I > 0 DO I := I + 1"], [], None,
+     (_FAIL, "integer-overflow", 5, 5, [])),
+    (["REPEAT I := 1 UNTIL I = Y"], [], None, (_FAIL, "uninitialized-variable", 4, 2, [])),
+    (["I := 9223372036854775806", "REPEAT I := I + 1 UNTIL I < 0"], [], None,
+     (_FAIL, "integer-overflow", 5, 4, [])),
+    # the same statements on operands that are not leaves
+    (["I := 0", "WHILE I + 1 < 3 DO I := I + 1", "WRITELN(I)"], [], None,
+     (_OK, None, None, 7, ["2"])),
+    (["REPEAT I := 1 UNTIL Y + 1 = 1"], [], None, (_FAIL, "uninitialized-variable", 4, 2, [])),
 ], ids=["not-and-or", "while-exits", "if-else", "hole", "integer-into-real",
         "real-into-integer", "boolean-into-integer", "boolean-into-real",
         "integer-into-boolean", "real-into-boolean", "fractional-read",
@@ -306,13 +344,18 @@ _OK, _FAIL = run.OK, run.RUNTIME_ERROR
         "real-overflow-under-ill-typed", "real-into-integer-sum", "while-reads-first",
         "for-reads-first", "for-bound-evaluated-once", "boolean-read", "integer-read-into-real",
         "integer-read-into-boolean", "boolean-read-into-integer", "boolean-read-into-real",
-        "if-reads-first", "until-reads-first", "minus-real", "minus-overflow"])
+        "if-reads-first", "until-reads-first", "minus-real", "minus-overflow", "inline-arithmetic",
+        "inline-vv-reads-first", "inline-vc-reads-first", "inline-vv-overflow",
+        "inline-vc-overflow", "inline-if", "inline-if-reads-first", "inline-if-real",
+        "inline-while-real", "inline-while-real-reads-first", "inline-while-reads-first",
+        "inline-while-body-overflow", "inline-until-reads-first", "inline-until-body-overflow",
+        "while-on-expression", "until-on-expression-reads-first"])
 def test_runtime_paths(statements, inputs, hole, expected):
     source = _RUNTIME_HEAD + ";\n".join(f"    {s}" for s in statements) + "\nEND.\n"
     program = fe.parse(source) if hole is None else fe.blank_line(source, hole).context
     result = run.execute(program, inputs)
     outputs = [run.render_value(v) for v in result.outputs]
-    assert (result.status, result.error_kind, result.error_line, outputs) == expected
+    assert (result.status, result.error_kind, result.error_line, result.steps, outputs) == expected
     _assert_runs_like_tree_walk(program, inputs)
 
 
@@ -324,7 +367,14 @@ def test_runtime_paths(statements, inputs, hole, expected):
     ("REPEAT\n    UNTIL I = 0", None, 6),
     ("FOR Y := 1 TO 2 DO I := 1", None, 5),
     ("Y := 1", 5, 5),
-], ids=["writeln", "while", "readln", "if", "until", "for", "hole"])
+    ("Y := I + I", None, 5),
+    ("Y := I * 2", None, 5),
+    ("IF R > 0 THEN I := 1", None, 5),
+    ("IF I + 1 = 0 THEN I := 1", None, 5),
+    ("WHILE I + 1 = 0 DO I := 1", None, 5),
+    ("REPEAT\n    UNTIL I + 1 = 0", None, 6),
+], ids=["writeln", "while", "readln", "if", "until", "for", "hole", "inline-vv", "inline-vc",
+        "inline-if-real", "if-on-expression", "while-on-expression", "until-on-expression"])
 def test_step_budget_is_checked_by_each_statement_kind(statement, hole, line):
     # the first assignment takes the only step, so the next statement to run
     # finds the budget spent
@@ -413,8 +463,23 @@ _PRELUDE = st.tuples(st.lists(st.integers(-3, 5), min_size=4, max_size=4),
     lambda t: [f"{name} := {value}" for name, value in zip(_TYPED_NAMES, [*t[0], *t[1:]])])
 
 
+# statements that read their leaf operands inline: v := v op v or c, and
+# conditions comparing a variable with a variable or integer constant, over
+# names of every type
+_NAME = st.sampled_from(_TYPED_NAMES)
+_LEAF = st.one_of(_NAME, st.sampled_from(["0", "3", "9223372036854775807"]))
+_TEST = st.tuples(_NAME, st.sampled_from(["=", "<>", "<", "<=", ">", ">="]), _LEAF).map(" ".join)
+_INLINE = st.one_of(
+    st.tuples(_NAME, _NAME, st.sampled_from(["+", "-", "*"]), _LEAF).map(
+        lambda t: f"{t[0]} := {t[1]} {t[2]} {t[3]}"),
+    st.tuples(_TEST, _stmt(1, _TYPED_NAMES)).map(lambda t: f"IF {t[0]} THEN BEGIN {t[1]}; END"),
+    st.tuples(_TEST, _stmt(1, _TYPED_NAMES)).map(lambda t: f"WHILE {t[0]} DO BEGIN {t[1]}; END"),
+    st.tuples(_stmt(1, _TYPED_NAMES), _TEST).map(lambda t: f"REPEAT {t[0]}; UNTIL {t[1]}"))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.just([]), _PRELUDE), st.lists(_stmt(2, _TYPED_NAMES), min_size=1, max_size=6),
+@given(st.one_of(st.just([]), _PRELUDE),
+       st.lists(st.one_of(_stmt(2, _TYPED_NAMES), _INLINE), min_size=1, max_size=6),
        st.lists(_INPUT, max_size=8), st.integers(1, 400))
 def test_generated_runs_match_tree_walk(prelude, stmts, inputs, step_budget):
     program = fe.parse(_program(prelude + stmts))
@@ -436,22 +501,27 @@ def test_integer_arithmetic_matches_tree_walk(left, right):
 
 
 # every operand shape the compiler reads apart: (var, var), (var, const),
-# (expr, const), (expr, var), two closures, and constant divisors of 0
+# (expr, const), (expr, var), two closures, and constant divisors of 0; R
+# is a REAL variable
 _SHAPES = ("A {} B", "A {} 3", "(A - 1) {} 3", "(A - 1) {} B", "(A - 1) {} (B + 1)",
-           "2 {} B", "A {} 0", "(A + 1) {} 0")
+           "2 {} B", "A {} 0", "(A + 1) {} 0", "R {} 3", "R {} B")
 _PAIRS = ((7, 2), (-7, 2), (7, -2), (-7, -2), (6, 3), (-6, -3), (0, 0), (fe.INT_MIN, -1),
           (fe.INT_MAX, 1), (fe.INT_MIN, 2), (fe.INT_MAX, fe.INT_MAX), (-2, fe.INT_MAX))
+# each shape as an expression, a stored value and the test of every
+# conditional statement; the loops stop at the step budget if not before
+_STATEMENTS = ("WRITELN({})", "C := {}", "IF {} THEN WRITELN(1) ELSE WRITELN(0)",
+               "WHILE {} DO A := A - 1", "REPEAT A := A + 1 UNTIL {}")
 
 
 @pytest.mark.parametrize("op", ["+", "-", "*", "/", "DIV", "MOD", "=", "<>", "<", "<=", ">",
                                 ">="])
 def test_operand_shapes_match_tree_walk(op):
-    for shape in _SHAPES:
-        program = fe.parse("PROGRAM P(input, output);\nVAR A, B: INTEGER;\nBEGIN\n"
-                           "    READLN(A);\n    READLN(B);\n"
-                           f"    WRITELN({shape.format(op)})\nEND.\n")
-        for pair in _PAIRS:
-            _assert_runs_like_tree_walk(program, list(pair))
+    for shape, statement in itertools.product(_SHAPES, _STATEMENTS):
+        program = fe.parse("PROGRAM P(input, output);\nVAR A, B, C: INTEGER; R: REAL;\nBEGIN\n"
+                           "    READLN(A);\n    READLN(B);\n    READLN(R);\n"
+                           f"    {statement.format(shape.format(op))}\nEND.\n")
+        for a, b in _PAIRS:
+            _assert_runs_like_tree_walk(program, [a, b, a / 4], step_budget=30)
 
 
 def test_corpus_and_benchmark_runs_match_tree_walk(corpus_sources):
