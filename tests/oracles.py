@@ -575,6 +575,41 @@ class _TreeWalker:
         return value
 
 
+class _DefUseWalker(_TreeWalker):
+    """The tree walker noting (variable, defining node, reading node) at
+    every read of a set variable; a statement stands for its CFG node, so a
+    line that holds several nodes keeps them apart."""
+
+    def __init__(self, program, inputs, cfg):
+        super().__init__(program, inputs, DEFAULT_STEP_BUDGET)
+        self.cfg, self.node, self.defined, self.pairs = cfg, None, {}, set()
+
+    def statement(self, s):
+        outer = self.node
+        if not isinstance(s, fe.Compound):
+            self.node = self.cfg.node_of(s).id
+        super().statement(s)
+        self.node = outer
+
+    def assign(self, name, value, line):
+        super().assign(name, value, line)
+        self.defined[name.lower()] = self.node
+
+    def eval(self, expr, line):
+        if isinstance(expr, fe.VarRef) and expr.name.lower() in self.defined:
+            key = expr.name.lower()
+            self.pairs.add((key, self.defined[key], self.node))
+        return super().eval(expr, line)
+
+
+def dynamic_def_use(program, cfg, inputs):
+    """{(variable, defining node id, reading node id)} seen in one run of
+    `program` on `inputs`: the def-use pairs its execution exercised."""
+    walker = _DefUseWalker(program, inputs, cfg)
+    walker.run()
+    return walker.pairs
+
+
 def tree_walk_execute(program, inputs, step_budget=DEFAULT_STEP_BUDGET):
     """Run `program` by walking its AST, dispatching on the node type at
     every step; the reference for `interpreter.execute`. It always records

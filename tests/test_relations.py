@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (benchmark_programs, brute_force_def_use, chunk_universe,
-                     enclosing_loops, round_robin_def_use, self_referential,
-                     simple_statements)
+                     dynamic_def_use, enclosing_loops, round_robin_def_use,
+                     self_referential, simple_statements)
 from plancog import frontend as fe
 from plancog import relations as rel
 from plancog.errors import AnalysisError
@@ -179,6 +179,46 @@ def test_chains_match_brute_force_oracle(corpus_sources):
         chains, uninit = brute_force_def_use(cfg)
         assert du.chains == chains
         assert set(du.possibly_uninitialized) == uninit
+
+
+def _unchained_pairs(program, inputs):
+    """The def-use pairs a run of `program` exercised that def_use does not
+    chain, as (variable, definition line, use line), and how many it saw."""
+    cfg = rel.build_cfg(program)
+    chains = rel.def_use(program, cfg).chains
+    seen = dynamic_def_use(program, cfg, inputs)
+    lines = {(var, cfg.nodes[d].line, cfg.nodes[u].line) for var, d, u in seen}
+    return {(var, d, u) for var, d, u in lines if u not in chains[(var, d)]}, len(seen)
+
+
+def test_executed_pairs_are_chained(corpus_sources):
+    # dynamic def-use pairs are a subset of the static chains: on the
+    # corpus, a one-line REPEAT, and generated programs with every block fed
+    pg = benchmark_programs()
+    rng = random.Random(11)
+    runs = [(fe.parse(src), pg.search_inputs(rng, 4) if name == "search.mp"
+             else pg.sentinel_inputs(rng, 5, 99999)) for name, src in corpus_sources.items()]
+    runs.append((fe.parse("PROGRAM P(input, output);\nVAR X, Y: INTEGER;\nBEGIN\n"
+                          "    X := 0; Y := 1;\n    REPEAT X := X + Y UNTIL X > 3;\n"
+                          "    WRITELN(X)\nEND.\n"), []))
+    for seed in range(30):
+        program = pg.scale_program(random.Random(seed), 6, seed)
+        inputs = []
+        for block in program.blocks:
+            if block.shape == "search":
+                inputs += pg.search_inputs(rng, rng.randint(2, 5))
+            elif block.shape != "nested":
+                inputs += pg.sentinel_inputs(rng, rng.randint(1, 5), block.consts["X"])
+        runs.append((fe.parse(program.source), inputs))
+    seen = 0
+    for program, inputs in runs:
+        # printed, every CFG node has a line of its own, so that the chains
+        # of a line that holds several nodes are compared node by node
+        for form in (program, fe.parse(fe.pretty_print(program))):
+            unchained, count = _unchained_pairs(form, inputs)
+            assert unchained == set()
+            seen += count
+    assert seen > 2000
 
 
 def test_every_use_chained_or_flagged(corpus_sources):
