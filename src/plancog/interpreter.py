@@ -25,7 +25,7 @@ is recorded only when `execute` is asked for one.
 Some statements do their one operation inside their own closure, with no
 call for it. An untraced INTEGER assignment of `+ - *` on a variable and a
 variable or integer constant computes, checks 64 bits and stores there. An
-IF, WHILE or UNTIL test that compares a variable with a variable or integer
+IF or UNTIL test that compares a variable with a variable or integer
 constant compares there. An untraced READLN into an INTEGER stores an int
 input within 64 bits at once; every other input takes the full checks.
 WHILE, REPEAT and FOR run the closures of their body in turn themselves.
@@ -425,24 +425,7 @@ class _Machine:
                 elif otherwise is not None:
                     otherwise()
         elif isinstance(s, fe.While):
-            (cond, leaves), body = self.condition(s.cond, line), self.body(s.body)
-            if leaves is not None:
-                fn, a, right, b = leaves
-
-                def run():
-                    while True:
-                        if m.steps >= budget:
-                            raise _Halt("step-budget-exceeded", line)
-                        m.steps += 1
-                        try:
-                            value = fn(values[a], right[b])
-                        except KeyError:
-                            raise _Halt("uninitialized-variable", line) from None
-                        if not value:
-                            return
-                        for t in body:
-                            t()
-                return run
+            cond, body = self.condition(s.cond, line)[0], self.body(s.body)
 
             def run():
                 while True:

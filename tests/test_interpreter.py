@@ -303,7 +303,8 @@ _OK, _FAIL = run.OK, run.RUNTIME_ERROR
     (["R := 1.5", "WRITELN(-R)"], [], None, (_OK, None, None, 2, ["-1.5"])),
     (["READLN(I)", "WRITELN(-I)"], [-(2 ** 63)], None, (_FAIL, "integer-overflow", 5, 2, [])),
     # statements that read their leaf operands inline: v := v op v, v := v op c,
-    # and conditions comparing a variable with a variable or integer constant
+    # and IF and UNTIL tests comparing a variable with a variable or integer
+    # constant; WHILE runs the same kind of test through its closure
     (["I := 3", "Y := I * I", "Y := Y - 2", "WRITELN(Y)"], [], None,
      (_OK, None, None, 4, ["7"])),
     (["I := 1", "Y := I + Y"], [], None, (_FAIL, "uninitialized-variable", 5, 2, [])),
@@ -347,8 +348,8 @@ _OK, _FAIL = run.OK, run.RUNTIME_ERROR
         "if-reads-first", "until-reads-first", "minus-real", "minus-overflow", "inline-arithmetic",
         "inline-vv-reads-first", "inline-vc-reads-first", "inline-vv-overflow",
         "inline-vc-overflow", "inline-if", "inline-if-reads-first", "inline-if-real",
-        "inline-while-real", "inline-while-real-reads-first", "inline-while-reads-first",
-        "inline-while-body-overflow", "inline-until-reads-first", "inline-until-body-overflow",
+        "while-leaf-real", "while-leaf-real-reads-first", "while-leaf-reads-first",
+        "while-leaf-body-overflow", "inline-until-reads-first", "inline-until-body-overflow",
         "while-on-expression", "until-on-expression-reads-first"])
 def test_runtime_paths(statements, inputs, hole, expected):
     source = _RUNTIME_HEAD + ";\n".join(f"    {s}" for s in statements) + "\nEND.\n"
@@ -463,9 +464,9 @@ _PRELUDE = st.tuples(st.lists(st.integers(-3, 5), min_size=4, max_size=4),
     lambda t: [f"{name} := {value}" for name, value in zip(_TYPED_NAMES, [*t[0], *t[1:]])])
 
 
-# statements that read their leaf operands inline: v := v op v or c, and
-# conditions comparing a variable with a variable or integer constant, over
-# names of every type
+# statements that read their leaf operands inline: v := v op v or c, and IF
+# and UNTIL tests comparing a variable with a variable or integer constant,
+# over names of every type; WHILE takes the same tests through its closure
 _NAME = st.sampled_from(_TYPED_NAMES)
 _LEAF = st.one_of(_NAME, st.sampled_from(["0", "3", "9223372036854775807"]))
 _TEST = st.tuples(_NAME, st.sampled_from(["=", "<>", "<", "<=", ">", ">="]), _LEAF).map(" ".join)
