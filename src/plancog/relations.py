@@ -267,12 +267,23 @@ def def_use(program: fe.Program, cfg: Cfg) -> DefUse:
         for v in n.defs:
             keep[n.id] &= ~kill[v]
 
-    # IN[n] = OR of OUT[p]; OUT[n] = gen(n) | (IN[n] & keep(n)). Every edge
-    # but a loop-back edge runs from a lower node id to a higher one, so
-    # taking the lowest queued id first settles a loop before the code after
-    # it: each node is visited about once per enclosing loop, plus once.
-    preds = [[p for p, _ in cfg.preds(n.id)] for n in cfg.nodes]
-    succs = [[s for s, _ in cfg.succs(n.id)] for n in cfg.nodes]
+    # IN[n] = OR of OUT[p]; OUT[n] = gen(n) | (IN[n] & keep(n)). A FOR
+    # header assigns its variable only when it enters the body, by its TRUE
+    # edge or, for an empty body, its edge to itself; its exit edge, labelled
+    # FALSE or, at the end of an enclosing loop's body, LOOP_BACK, passes on
+    # IN of the header. Every edge but a loop-back edge runs from a lower
+    # node id to a higher one, so taking the lowest queued id first settles a
+    # loop before the code after it: each node is visited about once per
+    # enclosing loop, plus once.
+    preds, succs = [[] for _ in cfg.nodes], [[] for _ in cfg.nodes]
+    passed, exits = [[] for _ in cfg.nodes], [[] for _ in cfg.nodes]   # FOR exit edges
+    for src, dst, label in cfg.edges:
+        if label != TRUE and src != dst and isinstance(cfg.nodes[src].stmt, fe.For):
+            passed[dst].append(src)
+            exits[src].append(dst)
+        else:
+            preds[dst].append(src)
+            succs[src].append(dst)
     reach_in = [0] * len(cfg.nodes)
     reach_out = gen[:]
     queued = [True] * len(cfg.nodes)
@@ -283,7 +294,14 @@ def def_use(program: fe.Program, cfg: Cfg) -> DefUse:
         new_in = 0
         for p in preds[nid]:
             new_in |= reach_out[p]
-        reach_in[nid] = new_in
+        for p in passed[nid]:
+            new_in |= reach_in[p]
+        if new_in != reach_in[nid]:
+            reach_in[nid] = new_in
+            for s in exits[nid]:
+                if not queued[s]:
+                    queued[s] = True
+                    heapq.heappush(work, s)
         new_out = gen[nid] | (new_in & keep[nid])
         if new_out != reach_out[nid]:
             reach_out[nid] = new_out

@@ -46,6 +46,15 @@ def benchmark_programs():
     return module
 
 
+def _skips_body(cfg, nid, nxt):
+    """Whether the step from node `nid` to node `nxt` leaves a FOR header
+    without entering its body, so that the header assigns nothing: `nxt` is
+    neither inside the loop nor, for an empty body, the header again."""
+    loop = cfg.nodes[nid].stmt
+    return (isinstance(loop, fe.For) and nxt != nid
+            and not any(outer is loop for outer in cfg.nodes[nxt].loops))
+
+
 def brute_force_def_use(cfg, max_unrollings=2):
     """Return (chains, possibly_uninitialized) from exhaustive path walks."""
     succs = {n.id: [] for n in cfg.nodes}
@@ -60,13 +69,15 @@ def brute_force_def_use(cfg, max_unrollings=2):
 
     def replay(path):
         live = {}
-        for nid in path:
+        for i, nid in enumerate(path):
             line = by_id[nid].line
             for var in uses[nid]:
                 if var in live:
                     chains.setdefault((var, by_id[live[var]].line), set()).add(line)
                 else:
                     uninit.add((var, line))
+            if nid != cfg.exit and _skips_body(cfg, nid, path[i + 1]):
+                continue
             for var in defs[nid]:
                 live[var] = nid
 
@@ -102,7 +113,8 @@ def round_robin_def_use(program, cfg):
     defs = [(v, n.line) for n in cfg.nodes for v in node_def[n.id]]
     uses = [(v, n.line) for n in cfg.nodes for v in node_use[n.id]]
 
-    # IN[n] = union of OUT[p]; OUT[n] = gen(n) | (IN[n] - kill(n)).
+    # IN[n] = union of OUT[p], but of IN[p] for a FOR header p left without
+    # entering its body; OUT[n] = gen(n) | (IN[n] - kill(n)).
     # A synthetic entry definition (id None) per variable makes "possibly
     # uninitialized" mean: some path carries no real definition to the use.
     reach_in = {n.id: set() for n in cfg.nodes}
@@ -114,7 +126,7 @@ def round_robin_def_use(program, cfg):
         for n in cfg.nodes:
             new_in = set()
             for p, _ in cfg.preds(n.id):
-                new_in |= reach_out[p]
+                new_in |= reach_in[p] if _skips_body(cfg, p, n.id) else reach_out[p]
             gen = {(v, n.id) for v in node_def[n.id]}
             killed = set(node_def[n.id])
             new_out = gen | {(v, d) for v, d in new_in if v not in killed}

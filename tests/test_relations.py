@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from oracles import (benchmark_programs, brute_force_def_use, chunk_universe,
                      dynamic_def_use, enclosing_loops, round_robin_def_use,
@@ -9,7 +9,7 @@ from oracles import (benchmark_programs, brute_force_def_use, chunk_universe,
 from plancog import frontend as fe
 from plancog import relations as rel
 from plancog.errors import AnalysisError
-from test_frontend import _program, _stmt
+from test_frontend import _NAMES, _TYPED_NAMES, _program, _stmt
 
 
 def _reachable(cfg, start, forward=True):
@@ -219,6 +219,33 @@ def test_executed_pairs_are_chained(corpus_sources):
             assert unchained == set()
             seen += count
     assert seen > 2000
+
+
+# initial values for the INTEGER variables, so that most runs get past the
+# first use
+_PRELUDE = st.lists(st.integers(-3, 5), min_size=4, max_size=4).map(
+    lambda values: [f"{name} := {value}" for name, value in zip(_NAMES, values)])
+
+
+@seed(18)
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.just([]), _PRELUDE),
+       st.lists(_stmt(2, _TYPED_NAMES), min_size=1, max_size=6),
+       st.lists(st.integers(-3, 5), max_size=8))
+# a FOR header assigns its variable only when it enters the body: after a
+# FOR that runs zero times the earlier definition reaches the read, also
+# when the FOR ends an enclosing loop's body, and after a body that
+# redefines the variable, the body's definition does
+@example(["Alpha := 5"], ["FOR Alpha := 2 TO 1 DO BEGIN WRITELN(Alpha); END",
+                          "WRITELN(Alpha)"], [])
+@example(["Alpha := 5", "Beta := 0"],
+         ["WHILE Beta < 2 DO BEGIN WRITELN(Alpha); Alpha := Beta; Beta := Beta + 1;"
+          " FOR Alpha := 2 TO 1 DO WRITELN(Beta); END"], [])
+@example([], ["REPEAT FOR Alpha := 0 TO 0 DO BEGIN Alpha := 0; END; UNTIL Alpha = 0"], [])
+def test_executed_pairs_of_generated_programs_are_chained(prelude, stmts, inputs):
+    program = fe.parse(_program(prelude + stmts))
+    for form in (program, fe.parse(fe.pretty_print(program))):
+        assert _unchained_pairs(form, inputs)[0] == set()
 
 
 def test_every_use_chained_or_flagged(corpus_sources):
