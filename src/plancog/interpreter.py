@@ -5,36 +5,46 @@ and inputs are 64-bit-checked and real results and inputs must stay finite,
 and a step budget turns non-termination into an explicit error status
 instead of a hang.
 
-A run compiles each top-level statement into Python closures when it first
-reaches it (Feeley & Lapalme 1987, "Using closures for code generation"),
-so that each variable's key, each operator's function and each statement's
-line are fixed once instead of dispatched on every step; a run that stops
-early compiles no more. Each expression node is typed once, from the
-declarations, as its closure is made. A well-typed node checks no operand
-type at run time, and a variable or integer constant among its operands is
-read inside its closure; it keeps the checks for 64-bit and finite results,
-division by zero and unset variables. An ill-typed node compiles to a
-closure that evaluates its operands and then fails with type-error. The
-operand checks can go because every store keeps its variable's declared
-type: an assignment stores only a value whose static type fits its target
-(an INTEGER is converted for a REAL), and the full checks live in READLN's
-store, which a traced run's assignments use as well. The final store is
-kept in `ExecutionResult.values`. A trace event per assignment and READLN
-is recorded only when `execute` is asked for one.
+A run compiles each top-level statement when it first reaches it, so a run
+that stops early compiles no more. The statement, its nested statements
+inline, is written as the Python source of one function and compiled with
+`compile`, so that a step runs as straight-line bytecode instead of a call
+per node. The source holds no text of the program: every variable key,
+constant, line and per-run object is an argument `a<n>` of the generated
+`make(m, V, B, E, IN, OUT, a0, ...)`, which returns the statement's
+function. So the source depends on the statement's shape alone, and `_make`
+compiles each shape once per process: programs that differ only in names,
+constants and line layout share it. No two arguments share a slot, not even
+equal constants, so that a chance equality makes no new shape.
 
-Some statements do their one operation inside their own closure, with no
-call for it. An untraced INTEGER assignment of `+ - *` on a variable and a
-variable or integer constant computes, checks 64 bits and stores there. An
-IF or UNTIL test that compares a variable with a variable or integer
-constant compares there. An untraced READLN into an INTEGER stores an int
-input within 64 bits at once; every other input takes the full checks.
-WHILE, REPEAT and FOR run the closures of their body in turn themselves.
+Each expression node is typed once, from the declarations, as its source is
+written. A well-typed node checks no operand type at run time. It keeps the
+checks for 64-bit and finite results, made inline through one temporary, and
+for division by zero; a positive constant divisor divides inline. Each
+statement's reads sit in a `try` that turns the KeyError of an unset
+variable into uninitialized-variable on its line. An ill-typed node passes
+its operands to `_type_error`, which fails with type-error once they are
+evaluated. The operand checks can go because every store keeps its
+variable's declared type: an assignment stores only a value whose static
+type fits its target (an INTEGER is converted for a REAL), and the full
+checks live in READLN's store; an untraced READLN into an INTEGER stores an
+int input within 64 bits at once. The step count is a local of the
+function, read from the machine on entry and written back however it ends.
+The final store is kept in `ExecutionResult.values`. A trace event per
+assignment and READLN is written into the source only when `execute` is
+asked for one.
+
+CPython limits how deeply one function's source nests: 20 blocks, 100
+indentation levels and 200 parentheses. A compound statement that would
+start deeper than `_MAX_INDENT` levels, or an expression node `_MAX_DEPTH`
+nodes down, is written as a unit of its own, compiled the same way and
+called in place.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 from . import frontend as fe
@@ -90,10 +100,10 @@ def _is_number(value):
     return not isinstance(value, bool) and isinstance(value, (int, float))
 
 
-_COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
-                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_LOGIC = {"and": operator.and_, "or": operator.or_}
+# operators as Python writes them
+_COMPARISONS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+_ARITHMETIC = ("+", "-", "*")
+_LOGIC = {"and": "&", "or": "|"}
 _LITERALS = {fe.IntLit: "integer", fe.RealLit: "real", fe.BoolLit: "boolean"}
 _NUMERIC = ("integer", "real")
 
@@ -113,80 +123,17 @@ def _result_type(op, left, right):
     return "integer" if op in _ARITHMETIC and left == right == "integer" else "real"
 
 
+# Helpers the generated source calls. Each takes its operands as arguments,
+# so they are evaluated in order before it runs.
+
 def _type_error(line, *operands):
-    """The closure of a node whose operand types never fit: it evaluates the
-    operands in order, so that a fault inside one comes first, then fails."""
-    def fault():
-        for operand in operands:
-            operand()
-        raise _Halt("type-error", line)
-    return fault
+    """A node whose operand types never fit: a fault inside an operand comes
+    first, then this one."""
+    raise _Halt("type-error", line)
 
 
-def _shape(left, lhs, right, rhs):
-    """(shape, a, b): how a fused closure reads its operands. 'v' reads a
-    variable by its key, 'c' is an integer constant, 'e' calls the operand's
-    closure; (var, var), (var, const), (expr, const) and (expr, var) read
-    their leaves inline, every other shape calls two closures."""
-    if isinstance(left, fe.VarRef):
-        if isinstance(right, fe.VarRef):
-            return "vv", left.name.lower(), right.name.lower()
-        if isinstance(right, fe.IntLit):
-            return "vc", left.name.lower(), right.value
-    elif isinstance(right, fe.IntLit):
-        return "ec", lhs, right.value
-    elif isinstance(right, fe.VarRef):
-        return "ev", lhs, right.name.lower()
-    return "ee", lhs, rhs
-
-
-def _unchecked(fn, shape, a, b, values):
-    """`fn` on operands whose static types leave nothing to check:
-    comparisons, AND and OR."""
-    if shape == "vv":
-        return lambda: fn(values[a], values[b])
-    if shape == "vc":
-        return lambda: fn(values[a], b)
-    if shape == "ec":
-        return lambda: fn(a(), b)
-    if shape == "ev":
-        return lambda: fn(a(), values[b])
-    return lambda: fn(a(), b())
-
-
-def _integer_arithmetic(fn, shape, a, b, values, line):
-    """`fn` on two INTEGER operands, its result checked against 64 bits."""
-    if shape == "vv":
-        def arithmetic():
-            value = fn(values[a], values[b])
-            if INT_MIN <= value <= INT_MAX:
-                return value
-            raise _Halt("integer-overflow", line)
-    elif shape == "vc":
-        def arithmetic():
-            value = fn(values[a], b)
-            if INT_MIN <= value <= INT_MAX:
-                return value
-            raise _Halt("integer-overflow", line)
-    elif shape == "ec":
-        def arithmetic():
-            value = fn(a(), b)
-            if INT_MIN <= value <= INT_MAX:
-                return value
-            raise _Halt("integer-overflow", line)
-    elif shape == "ev":
-        def arithmetic():
-            value = fn(a(), values[b])
-            if INT_MIN <= value <= INT_MAX:
-                return value
-            raise _Halt("integer-overflow", line)
-    else:
-        def arithmetic():
-            value = fn(a(), b())
-            if INT_MIN <= value <= INT_MAX:
-                return value
-            raise _Halt("integer-overflow", line)
-    return arithmetic
+def _overflow(line):
+    raise _Halt("integer-overflow", line)
 
 
 # Pascal DIV truncates toward zero and MOD takes the sign of the dividend;
@@ -213,59 +160,63 @@ def _remainder(left, right, line):
     return value
 
 
-def _integer_division(op, shape, a, b, values, line):
-    """DIV or MOD on two INTEGER operands. A positive constant divisor (every
-    integer literal but 0) divides inline: it needs no check for 0, and its
-    quotient stays within 64 bits."""
-    if shape in ("vc", "ec") and b > 0:
-        if op == "mod" and shape == "vc":
-            def division():
-                left = values[a]
-                value = left % b
-                return value - b if value and left < 0 else value
-        elif op == "mod":
-            def division():
-                left = a()
-                value = left % b
-                return value - b if value and left < 0 else value
-        elif shape == "vc":
-            def division():
-                left = values[a]
-                value = left // b
-                return value + 1 if value < 0 and value * b != left else value
-        else:
-            def division():
-                left = a()
-                value = left // b
-                return value + 1 if value < 0 and value * b != left else value
-        return division
-    fn = _remainder if op == "mod" else _quotient
-    if shape == "vv":
-        return lambda: fn(values[a], values[b], line)
-    if shape == "vc":
-        return lambda: fn(values[a], b, line)
-    if shape == "ec":
-        return lambda: fn(a(), b, line)
-    if shape == "ev":
-        return lambda: fn(a(), values[b], line)
-    return lambda: fn(a(), b(), line)
+def _divide(left, right, line):
+    if right == 0:
+        raise _Halt("division-by-zero", line)
+    return _number(left / right, line)
+
+
+# The function of a unit. A statement counts its steps in the local `s`;
+# an expression returns its value. V is the store, B the step budget, E
+# appends a trace event (None when untraced), IN returns the next input and
+# OUT appends an output.
+_STATEMENT = ("def make(m, V, B, E, IN, OUT{}):\n    def run():\n        s = m.steps\n"
+              "        try:\n{}\n        finally:\n            m.steps = s\n    return run\n")
+_EXPRESSION = ("def make(m, V, B, E, IN, OUT{}):\n    def run():\n        return {}\n"
+               "    return run\n")
+_BASE = 3            # the indentation level of a statement unit's body
+# CPython's nesting limits, with room to spare: a loop is one block and one
+# level, and each checked operator two parentheses
+_MAX_INDENT = 12
+_MAX_DEPTH = 30
+
+
+@functools.lru_cache(maxsize=1024)
+def _make(source):
+    """The `make` function of a unit's source, compiled once per shape."""
+    namespace = {}
+    exec(compile(source, "<plancog unit>", "exec"), globals(), namespace)
+    return namespace["make"]
+
+
+class _Unit:
+    """The source lines of one unit being written, and the values of its
+    arguments: `a<n>` is args[n]. `reads` notes whether the expressions
+    written since it was last cleared read a variable."""
+
+    def __init__(self):
+        self.lines = []
+        self.args = []
+        self.reads = False
+
+    def arg(self, value):
+        self.args.append(value)
+        return f"a{len(self.args) - 1}"
 
 
 class _Machine:
-    """One run: the machine state and the closures compiled over it. Every
-    statement closure counts its own steps, and reports a KeyError from
-    its expressions, a read of an unset variable, as uninitialized-variable
-    on its line."""
+    """One run: the machine state and the units compiled over it."""
 
     def __init__(self, program, inputs, step_budget, trace):
         self.program = program
-        self.inputs = iter(list(inputs))
-        self.budget = step_budget
         self.steps = 0
         self.result = ExecutionResult()
         self.values = self.result.values
-        self.events = self.result.trace if trace else None
+        self.traced = trace
         self.types = {d.name.lower(): d.type for d in program.declarations}
+        # what every unit's make takes after the machine
+        self.state = (self.values, step_budget, self.result.trace.append if trace else None,
+                      iter(list(inputs)).__next__, self.result.outputs.append)
 
     def run(self):
         try:
@@ -280,342 +231,227 @@ class _Machine:
         self.result.steps = self.steps
         return self.result
 
+    def statement(self, s):
+        """The function that runs statement `s`, one unit."""
+        unit = _Unit()
+        self.block(unit, s, _BASE)
+        return self.build(unit, _STATEMENT, "\n".join(unit.lines))
+
+    def build(self, unit, template, body):
+        params = "".join([f", a{n}" for n in range(len(unit.args))])
+        return _make(template.format(params, body))(self, *self.state, *unit.args)
+
     # -- statements -------------------------------------------------------------
 
-    def body(self, s):
-        """The closures of a loop body or a block, which it runs in turn."""
-        return [self.statement(t) for t in (s.body if isinstance(s, fe.Compound) else [s])]
+    def block(self, unit, s, level):
+        """Statement `s` at indentation `level`, or `pass` if it writes
+        nothing: a BEGIN/END block may be empty."""
+        start = len(unit.lines)
+        self.emit(unit, s, level)
+        if len(unit.lines) == start:
+            unit.lines.append("    " * level + "pass")
 
-    def leaves(self, e, ops):
-        """(fn, a, right, b) when `e` applies an operator of `ops` to a variable
-        `a` and a variable or integer constant `b` (shape vv or vc): its value
-        is fn(values[a], right[b]), `right` being the store for a variable and
-        {b: b} for a constant, so that one closure reads both shapes inline.
-        None for any other `e`."""
-        if isinstance(e, fe.Binary) and e.op in ops:
-            shape, a, b = _shape(e.left, None, e.right, None)
-            if shape == "vv":
-                return ops[e.op], a, self.values, b
-            if shape == "vc":
-                return ops[e.op], a, {b: b}, b
-        return None
-
-    def statement(self, s):
-        m, budget, line, values = self, self.budget, s.line, self.values
-        if isinstance(s, fe.Assign):
-            key = s.target.lower()
-            expr, typed = self.expr(s.expr, line)
-            declared = self.types[key]
-            if self.events is not None:
-                # the store checks again and records the event
-                store = self.store(s.target, line)
-
-                def run():
-                    if m.steps >= budget:
-                        raise _Halt("step-budget-exceeded", line)
-                    m.steps += 1
-                    try:
-                        store(expr())
-                    except KeyError:
-                        raise _Halt("uninitialized-variable", line) from None
-                return run
-            leaves = self.leaves(s.expr, _ARITHMETIC) if typed == declared == "integer" else None
-            if leaves is not None:
-                fn, a, right, b = leaves
-
-                def run():
-                    if m.steps >= budget:
-                        raise _Halt("step-budget-exceeded", line)
-                    m.steps += 1
-                    try:
-                        value = fn(values[a], right[b])
-                    except KeyError:
-                        raise _Halt("uninitialized-variable", line) from None
-                    if not INT_MIN <= value <= INT_MAX:
-                        raise _Halt("integer-overflow", line)
-                    values[key] = value
-                return run
-            if typed == "integer" and declared == "real":
-                integer = expr
-                expr = lambda: float(integer())
-            elif typed != declared:
-                expr = _type_error(line, expr)
-
-            def run():
-                if m.steps >= budget:
-                    raise _Halt("step-budget-exceeded", line)
-                m.steps += 1
-                try:
-                    values[key] = expr()
-                except KeyError:
-                    raise _Halt("uninitialized-variable", line) from None
-        elif isinstance(s, fe.Readln):
-            key, store, inputs = s.var.lower(), self.store(s.var, line), self.inputs
-            integer = self.types[key] == "integer"
-            inline = integer and self.events is None
-
-            def run():
-                if m.steps >= budget:
-                    raise _Halt("step-budget-exceeded", line)
-                m.steps += 1
-                try:
-                    value = next(inputs)
-                except StopIteration:
-                    raise _Halt("input-exhausted", line) from None
-                if inline and type(value) is int and INT_MIN <= value <= INT_MAX:
-                    values[key] = value
-                    return
-                if isinstance(value, (int, float)):
-                    # an input keeps the bounds of an arithmetic result
-                    value = _number(value, line)
-                    if integer and isinstance(value, float):
-                        if not value.is_integer():
-                            raise _Halt("type-error", line)
-                        value = _number(int(value), line)
-                store(value)
-        elif isinstance(s, fe.Writeln):
-            expr, outputs = self.expr(s.expr, line)[0], self.result.outputs
-
-            def run():
-                if m.steps >= budget:
-                    raise _Halt("step-budget-exceeded", line)
-                m.steps += 1
-                try:
-                    outputs.append(expr())
-                except KeyError:
-                    raise _Halt("uninitialized-variable", line) from None
-        elif isinstance(s, fe.Compound):
-            body = self.body(s)
-            if len(body) == 1:
-                return body[0]
-
-            def run():
-                for t in body:
-                    t()
-        elif isinstance(s, fe.If):
-            (cond, leaves), then = self.condition(s.cond, line), self.statement(s.then)
-            otherwise = None if s.otherwise is None else self.statement(s.otherwise)
-            if leaves is not None:
-                fn, a, right, b = leaves
-
-                def run():
-                    if m.steps >= budget:
-                        raise _Halt("step-budget-exceeded", line)
-                    m.steps += 1
-                    try:
-                        value = fn(values[a], right[b])
-                    except KeyError:
-                        raise _Halt("uninitialized-variable", line) from None
-                    if value:
-                        then()
-                    elif otherwise is not None:
-                        otherwise()
-                return run
-
-            def run():
-                if m.steps >= budget:
-                    raise _Halt("step-budget-exceeded", line)
-                m.steps += 1
-                try:
-                    value = cond()
-                except KeyError:
-                    raise _Halt("uninitialized-variable", line) from None
-                if value:
-                    then()
-                elif otherwise is not None:
-                    otherwise()
-        elif isinstance(s, fe.While):
-            cond, body = self.condition(s.cond, line)[0], self.body(s.body)
-
-            def run():
-                while True:
-                    if m.steps >= budget:
-                        raise _Halt("step-budget-exceeded", line)
-                    m.steps += 1
-                    try:
-                        value = cond()
-                    except KeyError:
-                        raise _Halt("uninitialized-variable", line) from None
-                    if not value:
-                        return
-                    for t in body:
-                        t()
-        elif isinstance(s, fe.Repeat):
-            line = s.until_line
-            body = [self.statement(t) for t in s.body]
-            cond, leaves = self.condition(s.cond, line)
-            if leaves is not None:
-                fn, a, right, b = leaves
-
-                def run():
-                    while True:
-                        for t in body:
-                            t()
-                        if m.steps >= budget:
-                            raise _Halt("step-budget-exceeded", line)
-                        m.steps += 1
-                        try:
-                            value = fn(values[a], right[b])
-                        except KeyError:
-                            raise _Halt("uninitialized-variable", line) from None
-                        if value:
-                            return
-                return run
-
-            def run():
-                while True:
-                    for t in body:
-                        t()
-                    if m.steps >= budget:
-                        raise _Halt("step-budget-exceeded", line)
-                    m.steps += 1
-                    try:
-                        value = cond()
-                    except KeyError:
-                        raise _Halt("uninitialized-variable", line) from None
-                    if value:
-                        return
-        elif isinstance(s, fe.For):
-            return self.for_loop(s)
-        elif isinstance(s, fe.Hole):
-            def run():
-                if m.steps >= budget:
-                    raise _Halt("step-budget-exceeded", line)
-                m.steps += 1
+    def emit(self, unit, s, level):
+        """Write statement `s` at indentation `level`."""
+        lines, pad = unit.lines, "    " * level
+        kind = type(s)
+        if kind is fe.Compound:
+            for t in s.body:
+                self.emit(unit, t, level)
+            return
+        if level > _MAX_INDENT and kind not in fe.SIMPLE_KINDS:
+            # a unit of its own, which takes the step count and hands it back
+            run = unit.arg(self.statement(s))
+            lines += (f"{pad}m.steps = s", f"{pad}try:", f"{pad}    {run}()",
+                      f"{pad}finally:", f"{pad}    s = m.steps")
+            return
+        if kind is fe.Repeat:
+            lines.append(f"{pad}while True:")
+            for t in s.body:
+                self.emit(unit, t, level + 1)
+            pad += "    "
+            line = unit.arg(s.until_line)
         else:
+            if kind is fe.While:
+                lines.append(f"{pad}while True:")
+                pad += "    "
+            line = unit.arg(s.line)
+        lines.append(f"{pad}if s >= B: raise _Halt('step-budget-exceeded', {line})")
+        lines.append(f"{pad}s += 1")
+        unit.reads = False
+        if kind is fe.Assign:
+            key = s.target.lower()
+            target = unit.arg(key)
+            value, typed = self.expr(unit, s.expr, s.line, line, 0)
+            declared = self.types[key]
+            if typed == "integer" and declared == "real":
+                value = f"float({value})"
+            elif typed != declared:
+                value = f"_type_error({line}, {value})"
+            self.guard(unit, pad, line, f"V[{target}] = {value}")
+            self.event(unit, pad, line, target, f"V[{target}]")
+        elif kind is fe.Readln:
+            key = s.var.lower()
+            target = unit.arg(key)
+            store = unit.arg(self.store(key, s.line))
+            lines += (f"{pad}try:", f"{pad}    _v = IN()", f"{pad}except StopIteration:",
+                      f"{pad}    raise _Halt('input-exhausted', {line}) from None")
+            if self.types[key] == "integer" and not self.traced:
+                lines += (f"{pad}if type(_v) is int and INT_MIN <= _v <= INT_MAX:",
+                          f"{pad}    V[{target}] = _v", f"{pad}else:", f"{pad}    {store}(_v)")
+            else:
+                lines.append(f"{pad}{store}(_v)")
+                self.event(unit, pad, line, target, f"V[{target}]")
+        elif kind is fe.Writeln:
+            value = self.expr(unit, s.expr, s.line, line, 0)[0]
+            self.guard(unit, pad, line, f"OUT({value})")
+        elif kind is fe.If:
+            self.guard(unit, pad, line, f"_c = {self.condition(unit, s.cond, s.line, line)}")
+            lines.append(f"{pad}if _c:")
+            self.block(unit, s.then, level + 1)
+            if s.otherwise is not None:
+                lines.append(f"{pad}else:")
+                self.block(unit, s.otherwise, level + 1)
+        elif kind is fe.While:
+            self.guard(unit, pad, line, f"_c = {self.condition(unit, s.cond, s.line, line)}")
+            lines += (f"{pad}if not _c:", f"{pad}    break")
+            self.emit(unit, s.body, level + 1)
+        elif kind is fe.Repeat:
+            self.guard(unit, pad, line,
+                       f"_c = {self.condition(unit, s.cond, s.until_line, line)}")
+            lines += (f"{pad}if _c:", f"{pad}    break")
+        elif kind is fe.For:
+            self.for_loop(unit, s, level, line)
+        elif kind is not fe.Hole:
             raise TypeError(f"cannot execute {s!r}")
-        return run
 
-    def for_loop(self, s):
-        m, budget, line, values, events = self, self.budget, s.line, self.values, self.events
-        start, first = self.expr(s.start, line)
-        stop, last = self.expr(s.stop, line)
-        body = self.body(s.body)
+    def for_loop(self, unit, s, level, line):
+        lines, pad = unit.lines, "    " * level
         key = s.var.lower()
+        target = unit.arg(key)
+        start, first = self.expr(unit, s.start, s.line, line, 0)
+        stop, last = self.expr(unit, s.stop, s.line, line, 0)
         if not self.types[key] == first == last == "integer":
             # an INTEGER control variable and INTEGER bounds, or a type-error
             # once both bounds are evaluated, before the first iteration
-            stop = _type_error(line, stop)
+            stop = f"_type_error({line}, {stop})"
+        # the counter and bound of each loop level have names of their own
+        current, bound = f"_i{level}", f"_n{level}"
+        self.guard(unit, pad, line, f"{current}, {bound} = {start}, {stop}")
+        lines += (f"{pad}while {current} <= {bound}:", f"{pad}    V[{target}] = {current}")
+        self.event(unit, pad + "    ", line, target, current)
+        self.emit(unit, s.body, level + 1)
+        lines += (f"{pad}    if s >= B: raise _Halt('step-budget-exceeded', {line})",
+                  f"{pad}    s += 1", f"{pad}    {current} += 1")
 
-        def run():
-            if m.steps >= budget:
-                raise _Halt("step-budget-exceeded", line)
-            m.steps += 1
-            try:
-                current, last = start(), stop()
-            except KeyError:
-                raise _Halt("uninitialized-variable", line) from None
-            while current <= last:
-                values[key] = current
-                if events is not None:
-                    events.append(TraceEvent(m.steps, line, key, current))
-                for t in body:
-                    t()
-                if m.steps >= budget:
-                    raise _Halt("step-budget-exceeded", line)
-                m.steps += 1
-                current += 1
-        return run
-
-    def store(self, name, line):
-        """The closure that checks a value against the declared type of
-        `name`, stores it and, in a traced run, records it: READLN's store,
-        and every store of a traced run."""
-        key = name.lower()
-        declared, values = self.types[key], self.values
-        if declared == "integer":
-            def store(value):
-                if type(value) is not int and (isinstance(value, bool)
-                                               or not isinstance(value, int)):
-                    raise _Halt("type-error", line)
-                values[key] = value
-        elif declared == "real":
-            def store(value):
-                if type(value) is not float:
-                    if not _is_number(value):
-                        raise _Halt("type-error", line)
-                    value = float(value)
-                values[key] = value
+    def guard(self, unit, pad, line, code):
+        """`code` at `pad`; if it reads a variable, inside a try that reports
+        an unset one as uninitialized-variable on `line`. It never holds a
+        nested statement."""
+        if unit.reads:
+            unit.lines += (f"{pad}try:", f"{pad}    {code}", f"{pad}except KeyError:",
+                           f"{pad}    raise _Halt('uninitialized-variable', {line}) from None")
         else:
-            def store(value):
-                if value is not True and value is not False:
-                    raise _Halt("type-error", line)
-                values[key] = value
-        if self.events is None:
-            return store
-        m, events, untraced = self, self.events, store
+            unit.lines.append(pad + code)
+
+    def event(self, unit, pad, line, target, value):
+        """In a traced run, the trace event of a store."""
+        if self.traced:
+            unit.lines.append(f"{pad}E(TraceEvent(s, {line}, {target}, {value}))")
+
+    def store(self, key, line):
+        """READLN's store: the closure that checks an input against the
+        bounds of an arithmetic result and the declared type of `key`, then
+        stores it."""
+        declared, values = self.types[key], self.values
 
         def store(value):
-            untraced(value)
-            events.append(TraceEvent(m.steps, line, key, values[key]))
+            if isinstance(value, (int, float)):
+                # an input keeps the bounds of an arithmetic result
+                value = _number(value, line)
+                if declared == "integer" and isinstance(value, float):
+                    if not value.is_integer():
+                        raise _Halt("type-error", line)
+                    value = _number(int(value), line)
+            if declared == "integer":
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise _Halt("type-error", line)
+            elif declared == "real":
+                if not _is_number(value):
+                    raise _Halt("type-error", line)
+                value = float(value)
+            elif value is not True and value is not False:
+                raise _Halt("type-error", line)
+            values[key] = value
         return store
 
     # -- expressions ------------------------------------------------------------
 
-    def condition(self, e, line):
-        """(closure, leaves) of the condition `e`: the closure computes True or
-        False, or a fault when `e` is not BOOLEAN; `leaves` gives a comparison
-        on leaf operands to read inline, else it is None."""
-        cond, typed = self.expr(e, line)
-        if typed != "boolean":
-            return _type_error(line, cond), None
-        return cond, self.leaves(e, _COMPARISONS)
+    def condition(self, unit, e, at, line):
+        """The source of the condition `e`: True or False, or a type-error
+        when `e` is not BOOLEAN."""
+        cond, typed = self.expr(unit, e, at, line, 0)
+        return cond if typed == "boolean" else f"_type_error({line}, {cond})"
 
-    def expr(self, e, line):
-        """(closure computing `e`, static type of `e`): every value of `e`
-        has that type; None when `e` always ends in a fault on `line`."""
-        if type(e) in _LITERALS:
-            value = e.value
-            return (lambda: value), _LITERALS[type(e)]
-        if isinstance(e, fe.VarRef):
-            key, values = e.name.lower(), self.values
-            return (lambda: values[key]), self.types[key]
-        if isinstance(e, fe.Unary):
-            operand, typed = self.expr(e.operand, line)
+    def expr(self, unit, e, at, line, depth):
+        """(source of `e`, static type of `e`), `e` being `depth` nodes down
+        in a statement on line `at`, whose argument is `line`: every value of
+        `e` has that type; None when `e` always ends in a fault."""
+        kind = type(e)
+        if kind in _LITERALS:
+            return unit.arg(e.value), _LITERALS[kind]
+        if kind is fe.VarRef:
+            key = e.name.lower()
+            unit.reads = True
+            return f"V[{unit.arg(key)}]", self.types[key]
+        if depth == _MAX_DEPTH:
+            sub = _Unit()
+            value, typed = self.expr(sub, e, at, sub.arg(at), 0)
+            unit.reads = True
+            return f"{unit.arg(self.build(sub, _EXPRESSION, value))}()", typed
+        if kind is fe.Unary:
+            operand, typed = self.expr(unit, e.operand, at, line, depth + 1)
             if e.op == "not" and typed == "boolean":
-                return (lambda: not operand()), typed
+                return f"(not {operand})", typed
             if e.op == "-" and typed == "real":
-                return (lambda: -operand()), typed
+                return f"(-{operand})", typed
             if e.op == "-" and typed == "integer":
-                def negate():
-                    value = -operand()
-                    if value > INT_MAX:
-                        raise _Halt("integer-overflow", line)
-                    return value
-                return negate, typed
-            return _type_error(line, operand), None
-        if isinstance(e, fe.Binary):
-            return self.binary(e.op, e.left, e.right, line)
+                return f"(_t if (_t := -{operand}) <= INT_MAX else _overflow({line}))", typed
+            return f"_type_error({line}, {operand})", None
+        if kind is fe.Binary:
+            return self.binary(unit, e, at, line, depth)
         raise TypeError(f"cannot evaluate {e!r}")
 
-    def binary(self, op, left, right, line):
+    def binary(self, unit, e, at, line, depth):
         # the left operand is evaluated first, then the right one; AND and
         # OR evaluate both, but fail on a left operand that is not BOOLEAN
         # before they evaluate the right one
-        lhs, ltype = self.expr(left, line)
-        rhs, rtype = self.expr(right, line)
+        op = e.op
+        left, ltype = self.expr(unit, e.left, at, line, depth + 1)
+        right, rtype = self.expr(unit, e.right, at, line, depth + 1)
         typed = _result_type(op, ltype, rtype)
         if typed is None:
             if op in _LOGIC and ltype != "boolean":
-                return _type_error(line, lhs), None
-            return _type_error(line, lhs, rhs), None
-        shape, a, b = _shape(left, lhs, right, rhs)
-        values = self.values
-        if op in _LOGIC or op in _COMPARISONS:
-            return _unchecked(_LOGIC.get(op) or _COMPARISONS[op], shape, a, b, values), typed
-        if typed == "integer" and op in _ARITHMETIC:
-            return _integer_arithmetic(_ARITHMETIC[op], shape, a, b, values, line), typed
-        if typed == "integer":
-            return _integer_division(op, shape, a, b, values, line), typed
+                return f"_type_error({line}, {left})", None
+            return f"_type_error({line}, {left}, {right})", None
+        if op in _LOGIC:
+            return f"({left} {_LOGIC[op]} {right})", typed
+        if op in _COMPARISONS:
+            return f"({left} {_COMPARISONS[op]} {right})", typed
         if op == "/":
-            def divide():
-                left, right = lhs(), rhs()
-                if right == 0:
-                    raise _Halt("division-by-zero", line)
-                return _number(left / right, line)
-            return divide, typed
-        fn = _ARITHMETIC[op]
-        return (lambda: _number(fn(lhs(), rhs()), line)), typed
+            return f"_divide({left}, {right}, {line})", typed
+        if typed == "real":
+            return f"_number({left} {op} {right}, {line})", typed
+        if op in _ARITHMETIC:
+            return (f"(_t if INT_MIN <= (_t := {left} {op} {right}) <= INT_MAX"
+                    f" else _overflow({line}))"), typed
+        python = "//" if op == "div" else "%"
+        if type(e.right) is fe.IntLit and e.right.value > 0:
+            # a positive constant divisor: no check for 0, and the quotient
+            # stays within 64 bits; a negative dividend divides by its magnitude
+            return (f"(_t {python} {right} if (_t := {left}) >= 0"
+                    f" else -(-_t {python} {right}))"), typed
+        return f"{'_quotient' if op == 'div' else '_remainder'}({left}, {right}, {line})", typed
 
 
 def execute(program: fe.Program, inputs, step_budget: int = DEFAULT_STEP_BUDGET,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import benchmark_programs, tree_walk_execute
 from plancog import frontend as fe
 from plancog import interpreter as run
-from plancog.errors import AnalysisError
+from plancog.errors import AnalysisError, ParseError
 from test_frontend import _TYPED_NAMES, _program, _stmt
 
 
@@ -331,6 +331,8 @@ _OK, _FAIL = run.OK, run.RUNTIME_ERROR
     (["I := 0", "WHILE I + 1 < 3 DO I := I + 1", "WRITELN(I)"], [], None,
      (_OK, None, None, 7, ["2"])),
     (["REPEAT I := 1 UNTIL Y + 1 = 1"], [], None, (_FAIL, "uninitialized-variable", 4, 2, [])),
+    (["BEGIN END", "IF 1 < 2 THEN BEGIN END ELSE BEGIN END", "WRITELN(1)"], [], None,
+     (_OK, None, None, 2, ["1"])),
 ], ids=["not-and-or", "while-exits", "if-else", "hole", "integer-into-real",
         "real-into-integer", "boolean-into-integer", "boolean-into-real",
         "integer-into-boolean", "real-into-boolean", "fractional-read",
@@ -350,7 +352,7 @@ _OK, _FAIL = run.OK, run.RUNTIME_ERROR
         "inline-vc-overflow", "inline-if", "inline-if-reads-first", "inline-if-real",
         "while-leaf-real", "while-leaf-real-reads-first", "while-leaf-reads-first",
         "while-leaf-body-overflow", "inline-until-reads-first", "inline-until-body-overflow",
-        "while-on-expression", "until-on-expression-reads-first"])
+        "while-on-expression", "until-on-expression-reads-first", "empty-blocks"])
 def test_runtime_paths(statements, inputs, hole, expected):
     source = _RUNTIME_HEAD + ";\n".join(f"    {s}" for s in statements) + "\nEND.\n"
     program = fe.parse(source) if hole is None else fe.blank_line(source, hole).context
@@ -544,3 +546,84 @@ def test_corpus_and_benchmark_runs_match_tree_walk(corpus_sources):
         program = fe.parse(pg.render("Grid", [block]).source)
         for step_budget in (57, run.DEFAULT_STEP_BUDGET):
             _assert_runs_like_tree_walk(program, [], step_budget)
+
+
+# --- generated units: CPython's nesting limits and shared shapes -------------
+
+def _nested_programs():
+    """(statement kind, source) of programs nested exactly frontend.MAX_DEPTH
+    deep, each with the same program one level deeper, which does not parse."""
+    def shapes(levels):
+        loops = levels - 3      # the innermost statement, its expression and its leaves
+        return {
+            "while": "WHILE I < 9 DO " * loops + "I := I + 1",
+            "for": "FOR I := 1 TO 2 DO " * loops + "Y := Y + I",
+            "if": "IF I > 0 THEN " * loops + "I := I - 1",
+            "if-else": "IF I > 0 THEN I := I - 1 ELSE " * loops + "Y := Y - 1",
+            "repeat": "REPEAT " * loops + "I := I + 1" + " UNTIL I > 3" * loops,
+            # a right-nested chain: every pair of parentheses is a node
+            "parentheses": "Y := " + "I + (" * (levels - 2) + "Y" + ")" * (levels - 2),
+        }
+    source = _RUNTIME_HEAD + "    I := 1;\n    Y := 2;\n    {}\nEND.\n"
+    deeper = shapes(fe.MAX_DEPTH + 1)
+    return [(kind, source.format(text), source.format(deeper[kind]))
+            for kind, text in shapes(fe.MAX_DEPTH).items()]
+
+
+@pytest.mark.parametrize("kind, source, deeper", _nested_programs(),
+                         ids=[kind for kind, _, _ in _nested_programs()])
+def test_programs_at_the_nesting_bound_run_like_tree_walk(kind, source, deeper):
+    # deeper than CPython lets one function nest, so compound statements and
+    # expressions are split into units of their own
+    program = fe.parse(source)
+    with pytest.raises(ParseError):
+        fe.parse(deeper)
+    for inputs, step_budget in (([], 3000), ([], 40)):
+        _assert_runs_like_tree_walk(program, inputs, step_budget)
+    # an unset variable and an overflow deep inside
+    _assert_runs_like_tree_walk(fe.parse(source.replace("Y := 2", "I := I")), [])
+    _assert_runs_like_tree_walk(fe.parse(source.replace("Y := 2", "Y := 9223372036854775800")),
+                                [])
+
+
+def _recorded_sources(monkeypatch):
+    sources = []
+    make = run._make
+
+    def recording(source):
+        sources.append(source)
+        return make(source)
+    monkeypatch.setattr(run, "_make", recording)
+    return sources
+
+
+_SHAPE = ("PROGRAM P(input, output);\nVAR {a}, {b}: INTEGER; {r}: REAL;\nBEGIN\n"
+          "    READLN({a}); {b} := {a} * {k} + {j};\n"
+          "    WHILE {b} > {k} DO {b} := {b} DIV {j};\n"
+          "    {r} := {b} / {k} + {x};\n    WRITELN({r} > {x})\nEND.\n")
+
+
+def test_programs_that_differ_in_names_constants_and_layout_share_their_units():
+    first = fe.parse(_SHAPE.format(a="Alpha", b="Beta", r="Ratio", k=3, j=7, x="2.5"))
+    second = fe.parse(_SHAPE.format(a="Gamma", b="Delta", r="Mean", k=11, j=11, x="0.125")
+                      .replace("; ", ";\n\n    "))
+    run.execute(first, [40], trace=True)
+    before = run._make.cache_info()
+    result = run.execute(second, [40], trace=True)
+    after = run._make.cache_info()
+    assert (result.status, result.outputs) == (_OK, [True])
+    assert after.misses == before.misses
+    assert after.hits - before.hits == len(second.body)
+
+
+def test_generated_source_holds_no_program_text(monkeypatch):
+    sources = _recorded_sources(monkeypatch)
+    source = _SHAPE.format(a="Quux", b="Zorp", r="Frob", k=4242, j=31337, x="271.828")
+    program = fe.parse(source.replace("WRITELN(Frob > 271.828)", "WRITELN(" + "-(" * 41
+                                      + "Zorp + 4243" + ")" * 41 + ")"))
+    for trace in (False, True):
+        assert run.execute(program, [10 ** 5], trace=trace).outputs == [-4243]
+    assert len(sources) == 2 * (len(program.body) + 1)    # and one expression unit each
+    text = "\n".join(sources).lower()
+    for word in ("quux", "zorp", "frob", "4242", "4243", "31337", "271", "828"):
+        assert word not in text
