@@ -592,8 +592,8 @@ class _DefUseWalker(_TreeWalker):
     every read of a set variable; a statement stands for its CFG node, so a
     line that holds several nodes keeps them apart."""
 
-    def __init__(self, program, inputs, cfg):
-        super().__init__(program, inputs, DEFAULT_STEP_BUDGET)
+    def __init__(self, program, inputs, cfg, step_budget):
+        super().__init__(program, inputs, step_budget)
         self.cfg, self.node, self.defined, self.pairs = cfg, None, {}, set()
 
     def statement(self, s):
@@ -614,10 +614,10 @@ class _DefUseWalker(_TreeWalker):
         return super().eval(expr, line)
 
 
-def dynamic_def_use(program, cfg, inputs):
+def dynamic_def_use(program, cfg, inputs, step_budget=DEFAULT_STEP_BUDGET):
     """{(variable, defining node id, reading node id)} seen in one run of
     `program` on `inputs`: the def-use pairs its execution exercised."""
-    walker = _DefUseWalker(program, inputs, cfg)
+    walker = _DefUseWalker(program, inputs, cfg, step_budget)
     walker.run()
     return walker.pairs
 

@@ -9,6 +9,7 @@ from oracles import (benchmark_programs, brute_force_def_use, chunk_universe,
 from plancog import frontend as fe
 from plancog import relations as rel
 from plancog.errors import AnalysisError
+from plancog.interpreter import DEFAULT_STEP_BUDGET
 from test_frontend import _NAMES, _TYPED_NAMES, _program, _stmt
 
 
@@ -181,12 +182,12 @@ def test_chains_match_brute_force_oracle(corpus_sources):
         assert set(du.possibly_uninitialized) == uninit
 
 
-def _unchained_pairs(program, inputs):
+def _unchained_pairs(program, inputs, step_budget=DEFAULT_STEP_BUDGET):
     """The def-use pairs a run of `program` exercised that def_use does not
     chain, as (variable, definition line, use line), and how many it saw."""
     cfg = rel.build_cfg(program)
     chains = rel.def_use(program, cfg).chains
-    seen = dynamic_def_use(program, cfg, inputs)
+    seen = dynamic_def_use(program, cfg, inputs, step_budget)
     lines = {(var, cfg.nodes[d].line, cfg.nodes[u].line) for var, d, u in seen}
     return {(var, d, u) for var, d, u in lines if u not in chains[(var, d)]}, len(seen)
 
@@ -245,7 +246,8 @@ _PRELUDE = st.lists(st.integers(-3, 5), min_size=4, max_size=4).map(
 def test_executed_pairs_of_generated_programs_are_chained(prelude, stmts, inputs):
     program = fe.parse(_program(prelude + stmts))
     for form in (program, fe.parse(fe.pretty_print(program))):
-        assert _unchained_pairs(form, inputs)[0] == set()
+        # a generated loop that never ends would walk the default 100,000 steps
+        assert _unchained_pairs(form, inputs, step_budget=2000)[0] == set()
 
 
 def test_every_use_chained_or_flagged(corpus_sources):
