@@ -267,14 +267,14 @@ def def_use(program: fe.Program, cfg: Cfg) -> DefUse:
         for v in n.defs:
             keep[n.id] &= ~kill[v]
 
-    # IN[n] = OR of OUT[p]; OUT[n] = gen(n) | (IN[n] & keep(n)). A FOR
-    # header assigns its variable only when it enters the body, by its TRUE
-    # edge or, for an empty body, its edge to itself; its exit edge, labelled
-    # FALSE or, at the end of an enclosing loop's body, LOOP_BACK, passes on
-    # IN of the header. Every edge but a loop-back edge runs from a lower
-    # node id to a higher one, so taking the lowest queued id first settles a
-    # loop before the code after it: each node is visited about once per
-    # enclosing loop, plus once.
+    # IN[n] = OR of OUT[p]; OUT[n] = gen(n) | (IN[n] & keep(n)). But a FOR
+    # header assigns its variable only on entering the body (its TRUE edge,
+    # or its edge to itself when the body is empty), so its exit edge, FALSE
+    # or, ending an enclosing loop's body, LOOP_BACK, carries IN[header].
+    # Every edge but a loop-back edge runs from a lower node id to a higher
+    # one, so taking the lowest queued id first settles a loop before the
+    # code after it: each node is visited about once per enclosing loop,
+    # plus once.
     preds, succs = [[] for _ in cfg.nodes], [[] for _ in cfg.nodes]
     passed, exits = [[] for _ in cfg.nodes], [[] for _ in cfg.nodes]   # FOR exit edges
     for src, dst, label in cfg.edges:

@@ -551,8 +551,9 @@ def test_corpus_and_benchmark_runs_match_tree_walk(corpus_sources):
 # --- generated units: CPython's nesting limits and shared shapes -------------
 
 def _nested_programs():
-    """(statement kind, source) of programs nested exactly frontend.MAX_DEPTH
-    deep, each with the same program one level deeper, which does not parse."""
+    """Programs nested exactly frontend.MAX_DEPTH deep, one per statement
+    kind and a parenthesised expression, each with the same program one
+    level deeper, which does not parse."""
     def shapes(levels):
         loops = levels - 3      # the innermost statement, its expression and its leaves
         return {
@@ -566,35 +567,23 @@ def _nested_programs():
         }
     source = _RUNTIME_HEAD + "    I := 1;\n    Y := 2;\n    {}\nEND.\n"
     deeper = shapes(fe.MAX_DEPTH + 1)
-    return [(kind, source.format(text), source.format(deeper[kind]))
+    return [pytest.param(source.format(text), source.format(deeper[kind]), id=kind)
             for kind, text in shapes(fe.MAX_DEPTH).items()]
 
 
-@pytest.mark.parametrize("kind, source, deeper", _nested_programs(),
-                         ids=[kind for kind, _, _ in _nested_programs()])
-def test_programs_at_the_nesting_bound_run_like_tree_walk(kind, source, deeper):
-    # deeper than CPython lets one function nest, so compound statements and
-    # expressions are split into units of their own
+@pytest.mark.parametrize("source, deeper", _nested_programs())
+def test_programs_at_the_nesting_bound_run_like_tree_walk(source, deeper):
+    # nested deeper than one generated function may be, so deep statements
+    # and expressions run as units of their own
     program = fe.parse(source)
     with pytest.raises(ParseError):
         fe.parse(deeper)
-    for inputs, step_budget in (([], 3000), ([], 40)):
-        _assert_runs_like_tree_walk(program, inputs, step_budget)
-    # an unset variable and an overflow deep inside
+    for step_budget in (3000, 40):
+        _assert_runs_like_tree_walk(program, [], step_budget)
+    # Y unset, and Y close to overflowing
     _assert_runs_like_tree_walk(fe.parse(source.replace("Y := 2", "I := I")), [])
     _assert_runs_like_tree_walk(fe.parse(source.replace("Y := 2", "Y := 9223372036854775800")),
                                 [])
-
-
-def _recorded_sources(monkeypatch):
-    sources = []
-    make = run._make
-
-    def recording(source):
-        sources.append(source)
-        return make(source)
-    monkeypatch.setattr(run, "_make", recording)
-    return sources
 
 
 _SHAPE = ("PROGRAM P(input, output);\nVAR {a}, {b}: INTEGER; {r}: REAL;\nBEGIN\n"
@@ -617,7 +606,8 @@ def test_programs_that_differ_in_names_constants_and_layout_share_their_units():
 
 
 def test_generated_source_holds_no_program_text(monkeypatch):
-    sources = _recorded_sources(monkeypatch)
+    sources, make = [], run._make
+    monkeypatch.setattr(run, "_make", lambda source: sources.append(source) or make(source))
     source = _SHAPE.format(a="Quux", b="Zorp", r="Frob", k=4242, j=31337, x="271.828")
     program = fe.parse(source.replace("WRITELN(Frob > 271.828)", "WRITELN(" + "-(" * 41
                                       + "Zorp + 4243" + ")" * 41 + ")"))
