@@ -487,9 +487,7 @@ def instantiate(kb: KnowledgeBase, index: ProgramIndex, activations):
             first = {id(slot): _first_fillings(index, slot, match)
                      for slot, match in binder.code_slots}
             for var in sorted(set().union(*first.values())):
-                inst = _bind_variable_plan(schema, var, index, first)
-                if inst is not None:
-                    instances.append(inst)
+                instances.append(_bind_variable_plan(schema, var, index, first))
         elif schema.kind != VARIABLE and not kb.parents(schema.name):
             roots.append(schema)
 
@@ -518,13 +516,12 @@ def _first_fillings(index, slot, match):
 
 def _bind_variable_plan(schema, var, index, first):
     """The plan of `schema` on `var`, whose code slots' first fillings are
-    in `first` (see `_first_fillings`), or None."""
+    in `first` (see `_first_fillings`). Some code slot fills `var`, and code
+    slots bind first, so every other slot joins a code binding."""
     binder = schema.binder
     inst = PlanInstance(schema.name, schema.kind, var, mandatory=binder.mandatory)
     for slot, match in binder.order:
         if slot.name not in _CODE_SLOTS:
-            if not inst.bindings:
-                return None
             bound = _first_filling(index, slot, match,
                                    _slot_candidates(index, inst, slot.name), var)
         else:
@@ -545,8 +542,6 @@ def _bind_variable_plan(schema, var, index, first):
                      if update.line in chains.get((var, c[1]), ())], var)
         if bound is not None:
             inst.bindings[slot.name] = bound
-    if not inst.bindings:
-        return None
     inst.close()
     return inst
 
@@ -608,20 +603,7 @@ def _loop_plans(kb, index, roots, var_instances):
         for name in kb.children(root.name):
             child = kb.schema(name)
             controllers.setdefault(child.controlled_by, child)
-        # loop slots whose fillers ignore the variable: {id(loop): binding}
-        # each. A loop that a mandatory one of them cannot fill, and no
-        # child fills in its place, gives an incomplete plan, so it is
-        # skipped before it is bound.
-        fixed = {slot.name: {key: _first_filling(index, slot, match, cands, None)
-                             for key, cands in loop_candidates[slot.name].items()}
-                 for slot, match in binder.slots
-                 if slot.name in _LOOP_SLOTS
-                 and not any("<v>" in f.pattern for f in slot.fillers)}
-        required = [fixed[name] for name in mandatory
-                    if name in fixed and all(name != slot for slot, _ in uses)]
         for loop in index.loops:
-            if not all(bound.get(id(loop)) for bound in required):
-                continue
             inst = PlanInstance(root.name, root.kind, mandatory=mandatory)
             group = working.get(id(loop), {}).values()
             for slot_name, names in uses:
@@ -631,13 +613,10 @@ def _loop_plans(kb, index, roots, var_instances):
             if takes_variable and inst.children:
                 inst.variable = inst.children[0][1].variable
             for slot, match in binder.slots:
-                if slot.name in fixed:
-                    bound = fixed[slot.name].get(id(loop))
-                else:
-                    candidates = (loop_candidates[slot.name].get(id(loop), [])
-                                  if slot.name in _LOOP_SLOTS
-                                  else _slot_candidates(index, inst, slot.name))
-                    bound = _first_filling(index, slot, match, candidates, inst.variable)
+                candidates = (loop_candidates[slot.name].get(id(loop), [])
+                              if slot.name in _LOOP_SLOTS
+                              else _slot_candidates(index, inst, slot.name))
+                bound = _first_filling(index, slot, match, candidates, inst.variable)
                 if bound is not None:
                     inst.bindings[slot.name] = bound
             inst.close()
