@@ -21,8 +21,8 @@ Each expression node is typed once, from the declarations, as its source is
 written. A well-typed node checks no operand type at run time. It keeps the
 checks for 64-bit and finite results, made inline through one temporary, and
 for division by zero; a positive constant divisor divides inline. Each
-statement's reads sit in a `try` that turns the KeyError of an unset
-variable into uninitialized-variable on its line. An ill-typed node passes
+simple statement and loop or IF test sits in a `try` that turns the
+KeyError of an unset variable into uninitialized-variable on its line. An ill-typed node passes
 its operands to `_type_error`, which fails with type-error once they are
 evaluated. The operand checks can go because every store keeps its
 variable's declared type: an assignment stores only a value whose static
@@ -191,13 +191,11 @@ def _make(source):
 
 class _Unit:
     """The source lines of one unit being written, and the values of its
-    arguments: `a<n>` is args[n]. `reads` notes whether the expressions
-    written since it was last cleared read a variable."""
+    arguments: `a<n>` is args[n]."""
 
     def __init__(self):
         self.lines = []
         self.args = []
-        self.reads = False
 
     def arg(self, value):
         self.args.append(value)
@@ -278,7 +276,6 @@ class _Machine:
             line = unit.arg(s.line)
         lines.append(f"{pad}if s >= B: raise _Halt('step-budget-exceeded', {line})")
         lines.append(f"{pad}s += 1")
-        unit.reads = False
         if kind is fe.Assign:
             key = s.target.lower()
             target = unit.arg(key)
@@ -345,14 +342,11 @@ class _Machine:
                   f"{pad}    s += 1", f"{pad}    {current} += 1")
 
     def guard(self, unit, pad, line, code):
-        """`code` at `pad`; if it reads a variable, inside a try that reports
-        an unset one as uninitialized-variable on `line`. It never holds a
-        nested statement."""
-        if unit.reads:
-            unit.lines += (f"{pad}try:", f"{pad}    {code}", f"{pad}except KeyError:",
-                           f"{pad}    raise _Halt('uninitialized-variable', {line}) from None")
-        else:
-            unit.lines.append(pad + code)
+        """`code` at `pad`, inside a try that reports an unset variable as
+        uninitialized-variable on `line`. It never holds a nested
+        statement."""
+        unit.lines += (f"{pad}try:", f"{pad}    {code}", f"{pad}except KeyError:",
+                       f"{pad}    raise _Halt('uninitialized-variable', {line}) from None")
 
     def event(self, unit, pad, line, target, value):
         """In a traced run, the trace event of a store."""
@@ -402,12 +396,10 @@ class _Machine:
             return unit.arg(e.value), _LITERALS[kind]
         if kind is fe.VarRef:
             key = e.name.lower()
-            unit.reads = True
             return f"V[{unit.arg(key)}]", self.types[key]
         if depth == _MAX_DEPTH:
             sub = _Unit()
             value, typed = self.expr(sub, e, at, sub.arg(at), 0)
-            unit.reads = True
             return f"{unit.arg(self.build(sub, _EXPRESSION, value))}()", typed
         if kind is fe.Unary:
             operand, typed = self.expr(unit, e.operand, at, line, depth + 1)
