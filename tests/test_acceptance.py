@@ -1,11 +1,13 @@
 """Acceptance criteria, one test per criterion. Each prints a PASS line when
 its assertions hold (run with `pytest -s tests/test_acceptance.py` to see
-them)."""
+them). The last test checks criteria 1-5 again on generated pairs of
+plan-like and unplan-like programs."""
 
 import random
 import time
 
-from oracles import brute_force_def_use, simple_statements
+from hypothesis import given, seed, settings, strategies as st
+from oracles import benchmark_programs, brute_force_def_use, simple_statements
 
 from plancog import activation as act
 from plancog import analysis as an
@@ -166,3 +168,68 @@ def test_criterion_9_kb_round_trip_and_diagnostics(builtin):
         except KbValidationError as err:
             assert [d.code for d in err.diagnostics] == [expected_code]
     check("9 KB round-trip and diagnostics")
+
+
+# --- criteria 1-5 on generated plan-like/unplan-like pairs ----------------------------
+
+def _pair_facts(program, builtin):
+    """(recognition, planliness report) of a rendered benchmark program."""
+    parsed = fe.parse(program.source)
+    rec = an.recognize(parsed, builtin)
+    return rec, an.planliness(parsed, builtin, recognition=rec)
+
+
+def _bindings(rec, roles):
+    """Every binding of every plan, its variable given by role."""
+    return sorted((inst.schema, roles.get(inst.variable), slot, b.line)
+                  for inst in rec.instances for slot, b in inst.bindings.items())
+
+
+@settings(max_examples=100, deadline=None)
+@seed(19)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_generated_plan_like_and_unplan_like_pairs(builtin, pair_seed):
+    # the benchmark's averaging (grey-shaped) and compensating
+    # (orange-shaped) blocks, with the same seeded names and sentinel
+    pg = benchmark_programs()
+    rng = random.Random(pair_seed)
+    taken = set()
+    names = {role: pg._pick(rng, role, taken) for role in ("sum", "count", "num", "avg")}
+    sentinel = rng.choice(pg.SENTINELS)
+    plan = pg.render("Grey", [pg.averaging_block(names, sentinel)])
+    unplan = pg.render("Orange", [pg.compensating_block(names, sentinel)])
+    count = names["count"]
+
+    # criterion 5: the compensation keeps the behaviour
+    input_sets = [pg.sentinel_inputs(rng, rng.randint(1, 20), sentinel) for _ in range(10)]
+    report = run.compare_behavior(fe.parse(plan.source), fe.parse(unplan.source), input_sets)
+    assert [e.verdict for e in report.entries] == ["equal"] * len(input_sets)
+
+    # criterion 4: one double-duty violation, on the two initializations
+    plan_rec, plan_report = _pair_facts(plan, builtin)
+    _, unplan_report = _pair_facts(unplan, builtin)
+    assert plan_report.violations == []
+    assert plan_report.score > unplan_report.score
+    init_lines = sorted(unplan.line_of[0][role] for role in ("sum_init", "count_init"))
+    assert [(v.rule_id, v.lines) for v in unplan_report.violations] == [("D2", init_lines)]
+
+    # criteria 2 and 3: the plan's filler first, whatever the program wrote
+    for program in (plan, unplan):
+        blanked = fe.blank_line(program.source, program.line_of[0]["count_init"])
+        top = an.fill_blank(blanked, builtin, "plan")[0]
+        assert top.text.replace(" ", "").lower() == f"{count.lower()}:=0"
+
+    # criterion 1: report / enter-data / compute / output
+    avg = names["avg"].lower()
+    tree = an.goal_tree(plan_rec.instances, builtin, plan_rec.coherence)
+    assert tree.goal == f"report-{avg}"
+    assert [c.goal for c in tree.children] == ["enter-data", f"compute-{avg}", f"output-{avg}"]
+
+    # a second rule of discourse: a counter named for another role draws
+    # one name-reflects-function violation and moves no binding
+    renamed = dict(names, count=pg._pick(rng, rng.choice(("avg", "flag")), taken))
+    renamed_plan = pg.render("Grey", [pg.averaging_block(renamed, sentinel)])
+    renamed_rec, renamed_report = _pair_facts(renamed_plan, builtin)
+    assert [v.rule_id for v in renamed_report.violations] == ["D1"]
+    assert _bindings(renamed_rec, {n.lower(): role for role, n in renamed.items()}) == \
+        _bindings(plan_rec, {n.lower(): role for role, n in names.items()})

@@ -232,6 +232,15 @@ def test_expectation_resolution_is_conservative(corpus_sources, builtin):
                            for t in texts)
 
 
+
+def test_resolved_expectations_are_kept(flag, builtin):
+    index = act.ProgramIndex(flag)
+    _, expectations = _recognize(flag, builtin)
+    first = [(e.state, e.resolved_line) for e in act.verify_expectations(expectations, index)]
+    assert (act.VIOLATED, 6) in first
+    again = [(e.state, e.resolved_line) for e in act.verify_expectations(expectations, index)]
+    assert again == first
+
 # --- coherence --------------------------------------------------------------------
 
 def test_grey_counter_total_interaction_is_simulated(grey, builtin):
@@ -270,6 +279,42 @@ def test_isolated_plan_has_no_external_entries(builtin):
     report = act.evaluate_coherence(instances, act.ProgramIndex(program), builtin)
     assert report.external == []
 
+
+
+def test_coherence_checks_no_binding_of_a_schema_the_library_lacks(grey, builtin):
+    index = act.ProgramIndex(grey)
+    instances, _ = _recognize(grey, builtin)
+    other = load_kb('schema Other kind problem\n  desc "another library"\n')
+    report = act.evaluate_coherence(instances, index, other)
+    assert report.internal == []
+    assert report.external == act.evaluate_coherence(instances, index, builtin).external
+
+
+# a library whose Counter_Variable is a loop plan: a simulated pair of two
+# plans without a variable reports the outputs
+LOOP_COUNTER = """schema Counter_Variable kind control
+  desc "a loop taken as a counter"
+  slot body mandatory
+    filler "repeat"
+schema Echo_Loop kind control
+  desc "a loop that echoes"
+  slot body mandatory
+    filler "repeat"
+rule L1 data: if loop=repeat then activate Counter_Variable
+rule L2 data: if loop=repeat then activate Echo_Loop
+"""
+
+
+def test_a_simulated_pair_without_variables_reports_the_outputs(builtin):
+    program = fe.parse("PROGRAM P(input,output);\nVAR N: INTEGER;\nBEGIN\n"
+                       "    REPEAT\n        READLN(N);\n        WRITELN(N);\n"
+                       "    UNTIL N = 99999;\nEND.")
+    kb = load_kb(LOOP_COUNTER)
+    instances, _ = _recognize(program, kb)
+    report = act.evaluate_coherence(instances, act.ProgramIndex(program), kb)
+    assert [(e.instances, e.description, e.evidence) for e in report.external] == [
+        (("Counter_Variable[@4]", "Echo_Loop[@4]"),
+         "parts run in the same loop; outputs [1, 2, 3, 99999]", "simulated")]
 
 def test_simulated_entries_name_their_inputs(corpus_sources, builtin):
     for src in corpus_sources.values():

@@ -3,6 +3,8 @@ import pytest
 from oracles import chunk_universe
 from plancog import analysis as an
 from plancog import frontend as fe
+from plancog import kb as kblib
+from plancog.errors import AnalysisError
 
 
 def _goal_names(tree):
@@ -106,7 +108,6 @@ rule T1 data: if update~"<v>:=<v>+2" then activate Tally_Variable
 
 @pytest.mark.parametrize("name, violations", [("Steps", 1), ("Tally", 0)])
 def test_user_schema_names_and_goal(builtin, name, violations):
-    from plancog import kb as kblib
     kb = kblib.load_kb(kblib.dump_kb(builtin) + TALLY_VARIABLE)
     program = fe.parse(
         f"PROGRAM P(input,output);\nVAR {name}: INTEGER;\nBEGIN\n"
@@ -122,7 +123,6 @@ def test_user_schema_names_and_goal(builtin, name, violations):
 
 def test_no_unused_plan_part_predicate():
     import dataclasses
-    from plancog import kb as kblib
     builtin = kblib.builtin_kb()
     kb = dataclasses.replace(builtin, discourse_rules=(
         *builtin.discourse_rules,
@@ -321,3 +321,105 @@ def test_fill_blank_builds_one_program_index(grey_src, builtin, monkeypatch):
     built = _count_indexes(monkeypatch)
     assert an.fill_blank(fe.blank_line(grey_src, 6), builtin, "plan")
     assert len(built) == 1
+
+
+# --- goal trees, fill-blank and chunks off the corpus shapes ---------------------
+
+def test_goal_tree_puts_plans_outside_the_average_under_the_root(grey_src, builtin):
+    program = fe.parse(grey_src.replace("    WRITELN(Average);\n",
+                                        "    WRITELN(Average);\n    WRITELN(Sum);\n"))
+    rec = an.recognize(program, builtin)
+    tree = an.goal_tree(rec.instances, builtin, rec.coherence)
+    assert [c.goal for c in tree.children] == \
+        ["enter-data", "compute-average", "output-average", "output-result"]
+    assert [leaf.plan.label for leaf in tree.children[-1].leaves()] == ["Output_Value[sum]"]
+
+
+@pytest.mark.parametrize("quotient, library", [
+    # the total over a value that no plan counts
+    ("Sum / Num", None),
+    # a library whose quotient divides by a constant
+    ("Sum / 2", ('"<v>:=<w>/<w>"', '"<v>:=<w>/<int>"')),
+])
+def test_goal_tree_averages_only_a_total_over_a_counter(grey_src, builtin, quotient, library):
+    kb = builtin
+    if library is not None:
+        kb = kblib.load_kb(kblib.dump_kb(builtin).replace(*library))
+    program = fe.parse(grey_src.replace("Sum / Count", quotient))
+    rec = an.recognize(program, kb)
+    assert any(i.schema == "Quotient_Variable" and i.complete for i in rec.instances)
+    tree = an.goal_tree(rec.instances, kb, rec.coherence)
+    assert tree.goal == "report-average"
+    assert "compute-average" not in [c.goal for c in tree.children]
+
+
+def test_unknown_strategy_and_chunk_mode_are_analysis_errors(grey, grey_src, builtin):
+    with pytest.raises(AnalysisError, match="unknown strategy 'guess'"):
+        an.fill_blank(fe.blank_line(grey_src, 6), builtin, "guess")
+    with pytest.raises(AnalysisError, match="unknown chunk mode 'lines'"):
+        an.chunk(grey, builtin, "lines")
+
+
+ECHO_VARIABLE = """schema Echo_Variable kind variable
+  desc "is doubled, read and written back"
+  slot update mandatory
+    filler "<v>:=<v>*2" proto
+  slot read mandatory
+    filler "readln(<v>)" proto
+  slot output mandatory
+    filler "writeln(<v>)" proto
+  slot type mandatory
+    filler "boolean"
+rule E1 data: if update~"<v>:=<v>*2" then activate Echo_Variable
+"""
+
+
+def test_fill_blank_renders_every_filler_form(builtin):
+    kb = kblib.load_kb(kblib.dump_kb(builtin) + ECHO_VARIABLE)
+    source = ("PROGRAM P(input,output);\nVAR X, Y: INTEGER;\nBEGIN\n"
+              "    Y := 1;\n    X := 1;\n    X := X * 2;\nEND.")
+    candidates = an.fill_blank(fe.blank_line(source, 4), kb, "plan")
+    assert [(c.rank, c.text) for c in candidates] == \
+        [(1, "WRITELN(X)"), (2, "READLN(X)"), (3, "boolean")]
+
+
+STEP_VARIABLE = """schema Step_Variable kind variable
+  desc "steps by one from zero"
+  slot initialization mandatory
+    filler "<v>:=0" proto
+  slot update mandatory
+    filler "<v>:=<v>+1" proto
+rule S1 data: if update~"<v>:=<v>+1" then activate Step_Variable
+"""
+
+
+def test_fill_blank_offers_a_filler_once(builtin):
+    kb = kblib.load_kb(kblib.dump_kb(builtin) + STEP_VARIABLE)
+    source = ("PROGRAM P(input,output);\nVAR X, Y: INTEGER;\nBEGIN\n    Y := 1;\n"
+              "    REPEAT\n        X := X + 1;\n    UNTIL X > 3;\nEND.")
+    # the counter and the step on X both lack `X := 0`
+    partial = sorted(i.schema for i in an.recognize(fe.parse(source), kb).instances
+                     if i.variable == "x" and not i.complete)
+    assert partial == ["Counter_Variable", "Step_Variable"]
+    candidates = an.fill_blank(fe.blank_line(source, 4), kb, "plan")
+    assert [c.text for c in candidates].count("X := 0") == 1
+
+
+TALLY_LOOP = """schema Tally_Loop kind control
+  desc "a loop that counts"
+  slot tally mandatory
+  uses Counter_Variable as tally
+rule U1 data: if schema=Counter_Variable, loop=while then activate Tally_Loop
+"""
+
+
+def test_a_complete_plan_without_part_lines_makes_no_chunk(search, builtin):
+    kb = kblib.load_kb(kblib.dump_kb(builtin) + TALLY_LOOP)
+    rec = an.recognize(search, kb)
+    tally = next(i for i in rec.instances if i.schema == "Tally_Loop")
+    assert tally.complete and not tally.bindings
+    assert tally.part_lines() == [] and tally.anchor_line == 0
+    assert rec.instances[0] is tally
+    chunks = an.chunk(search, kb, recognition=rec)
+    assert "Tally_Loop" not in [c.label for c in chunks]
+    assert chunks == an.chunk(search, builtin)

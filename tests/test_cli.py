@@ -14,6 +14,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_entry_exits_with_the_code_of_main(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["plancog", "parse", corpus_path("grey.mp")])
+    with pytest.raises(SystemExit) as done:
+        cli.entry()
+    assert done.value.code == 0
+    assert capsys.readouterr().out == dict(corpus())["grey.mp"]
+
+
 def test_fill_blank_grey(capsys):
     code, out, _ = run_cli(capsys, "fill-blank", corpus_path("grey.mp"),
                            "--line", "6", "--strategy", "plan")

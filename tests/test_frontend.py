@@ -298,6 +298,21 @@ def test_pretty_print_empty_body_two_lines():
     assert len(text.strip().splitlines()) == 2
 
 
+def test_empty_statements_are_skipped():
+    program = fe.parse("PROGRAM P(input,output);\nVAR X: INTEGER;\n"
+                       "BEGIN\n    ;X := 1;;\n    X := 2;\nEND.")
+    assert [(type(s), s.line) for s in program.body] == [(fe.Assign, 4), (fe.Assign, 5)]
+    assert fe.pretty_print(program) == ("PROGRAM P(input, output);\nVAR X: INTEGER;\n"
+                                        "BEGIN\n    X := 1;\n    X := 2;\nEND.\n")
+
+
+def test_pretty_print_renders_a_hole_as_a_comment(grey_src):
+    text = fe.pretty_print(fe.blank_line(grey_src, 6).context)
+    assert text.splitlines()[5] == "    { blank }"
+    assert text.splitlines()[:5] + text.splitlines()[6:] == \
+        grey_src.splitlines()[:5] + grey_src.splitlines()[6:]
+
+
 @pytest.mark.parametrize("literal, text", [
     ("10000000000000000.0", "10000000000000000.0"),
     ("0.00001", "0.00001"),

@@ -54,6 +54,13 @@ def test_builtin_for_loop_is_implementation_technique(builtin):
     assert ("For_Loop", "implementation") in impls
 
 
+def test_implementations_of_an_unknown_schema(builtin):
+    with pytest.raises(KbValidationError) as err:
+        kblib.implementations(builtin, "No_Such_Schema")
+    assert [(d.code, d.subject) for d in err.value.diagnostics] == \
+        [("unknown-schema", "No_Such_Schema")]
+
+
 def test_builtin_misc_schemas(builtin):
     assert builtin.schema("Linear_Search").kind == "algorithm"
     stock = builtin.schema("Stock_Management")

@@ -171,6 +171,11 @@ def test_query_bad_line(grey):
         rel.query_relation("control", grey, 999)
 
 
+def test_query_unknown_relation_kind(grey):
+    with pytest.raises(AnalysisError, match="unknown relation kind 'flow'"):
+        rel.query_relation("flow", grey, 8)
+
+
 def test_chains_match_brute_force_oracle(corpus_sources):
     for src in corpus_sources.values():
         program = fe.parse(src)
