@@ -17,22 +17,22 @@ compiles each shape once per process: programs that differ only in names,
 constants and line layout share it. No two arguments share a slot, not even
 equal constants, so that a chance equality makes no new shape.
 
-Each expression node is typed once, from the declarations, as its source
-is written. A well-typed node checks no operand type at run time. It keeps
-the checks for 64-bit and finite results, made inline through one
-temporary, and for division by zero; a positive constant divisor divides
-inline. Each simple statement and loop or IF test sits in a `try` that
-turns the KeyError of an unset variable into uninitialized-variable on its
-line. An ill-typed node passes its operands to `_type_error`, which fails
-with type-error once they are evaluated. The operand checks can go because
-every store keeps its variable's declared type: an assignment stores only
-a value whose static type fits its target (an INTEGER is converted for a
-REAL), and the full checks live in READLN's store; a READLN into an
-INTEGER stores an int input within 64 bits at once. The step count is a
-local of the function, read from the machine on entry and written back
-however it ends. The final store is kept in `ExecutionResult.values`. A
-trace event per assignment and READLN is written into the source only when
-`execute` is asked for one.
+Each expression node is typed once, from the declarations, as its source is
+written. A well-typed node checks no operand type at run time. It keeps the
+checks for 64-bit and finite results, made inline through one temporary, and
+for division by zero; a positive constant divisor divides inline. Each
+simple statement and test sits in a `try` turning the KeyError of an unset
+variable into uninitialized-variable on its line. An ill-typed node passes
+its operands to `_type_error`, which fails with type-error once they are
+evaluated. The operand checks can go because every store keeps its
+variable's declared type: an assignment stores only a value whose static
+type fits its target (an INTEGER is converted for a REAL), and the full
+checks live in READLN's store; a READLN into an INTEGER stores an
+int input within 64 bits at once. The step count is a local of the
+function, read from the machine on entry and written back however it ends.
+The final store is kept in `ExecutionResult.values`. A trace event per
+assignment and READLN is written into the source only when `execute` is
+asked for one.
 
 CPython limits how deeply one function's source nests: 20 blocks, 100
 indentation levels and 200 parentheses. A compound statement that would
