@@ -232,7 +232,6 @@ def test_expectation_resolution_is_conservative(corpus_sources, builtin):
                            for t in texts)
 
 
-
 def test_resolved_expectations_are_kept(flag, builtin):
     index = act.ProgramIndex(flag)
     _, expectations = _recognize(flag, builtin)
@@ -240,6 +239,7 @@ def test_resolved_expectations_are_kept(flag, builtin):
     assert (act.VIOLATED, 6) in first
     again = [(e.state, e.resolved_line) for e in act.verify_expectations(expectations, index)]
     assert again == first
+
 
 # --- coherence --------------------------------------------------------------------
 
@@ -280,7 +280,6 @@ def test_isolated_plan_has_no_external_entries(builtin):
     assert report.external == []
 
 
-
 def test_coherence_checks_no_binding_of_a_schema_the_library_lacks(grey, builtin):
     index = act.ProgramIndex(grey)
     instances, _ = _recognize(grey, builtin)
@@ -315,6 +314,7 @@ def test_a_simulated_pair_without_variables_reports_the_outputs(builtin):
     assert [(e.instances, e.description, e.evidence) for e in report.external] == [
         (("Counter_Variable[@4]", "Echo_Loop[@4]"),
          "parts run in the same loop; outputs [1, 2, 3, 99999]", "simulated")]
+
 
 def test_simulated_entries_name_their_inputs(corpus_sources, builtin):
     for src in corpus_sources.values():

@@ -307,10 +307,10 @@ def test_empty_statements_are_skipped():
 
 
 def test_pretty_print_renders_a_hole_as_a_comment(grey_src):
-    text = fe.pretty_print(fe.blank_line(grey_src, 6).context)
-    assert text.splitlines()[5] == "    { blank }"
-    assert text.splitlines()[:5] + text.splitlines()[6:] == \
-        grey_src.splitlines()[:5] + grey_src.splitlines()[6:]
+    lines = fe.pretty_print(fe.blank_line(grey_src, 6).context).splitlines()
+    expected = grey_src.splitlines()
+    expected[5] = "    { blank }"
+    assert lines == expected
 
 
 @pytest.mark.parametrize("literal, text", [
