@@ -9,28 +9,36 @@ A run compiles each top-level statement when it first reaches it, so a run
 that stops early compiles no more. The statement, its nested statements
 inline, is written as the Python source of one function and compiled with
 `compile`, so that a step runs as straight-line bytecode instead of a call
-per node. The source holds no text of the program: every variable key,
-constant, line and per-run object is an argument `a<n>` of the generated
+per node. The source holds no text of the program: every constant, line
+and per-run object is an argument `a<n>` of the generated
 `make(m, V, B, E, IN, OUT, a0, ...)`, which returns the statement's
-function. So the source depends on the statement's shape alone, and `_make`
-compiles each shape once per process: programs that differ only in names,
-constants and line layout share it. No two arguments share a slot, not even
-equal constants, so that a chance equality makes no new shape.
+function, and so is every variable's key, once per function. So the source
+depends on the statement's shape alone, and `_make` compiles each shape
+once per process: programs that differ only in names, constants and line
+layout share it. No two constants share a slot, even when they are equal,
+so that a chance equality makes no new shape.
+
+A function keeps each variable it mentions in a Python local `v<n>`,
+named by first occurrence. The store V is read and written only where a
+function starts and ends. On entry it loads each variable it reads that
+the store holds; an unset variable leaves its local unbound. However it
+ends, it writes back each variable it assigns that is bound, so
+`ExecutionResult.values` holds the final store after a halt too. The step
+count is a local too, read from the machine on entry and written back the
+same way.
 
 Each expression node is typed once, from the declarations, as its source is
 written. A well-typed node checks no operand type at run time. It keeps the
 checks for 64-bit and finite results, made inline through one temporary, and
 for division by zero; a positive constant divisor divides inline. Each
-simple statement and test sits in a `try` turning the KeyError of an unset
-variable into uninitialized-variable on its line. An ill-typed node passes
-its operands to `_type_error`, which fails with type-error once they are
-evaluated. The operand checks can go because every store keeps its
-variable's declared type: an assignment stores only a value whose static
-type fits its target (an INTEGER is converted for a REAL), and the full
-checks live in READLN's store; a READLN into an INTEGER stores an
-int input within 64 bits at once. The step count is a local of the
-function, read from the machine on entry and written back however it ends.
-The final store is kept in `ExecutionResult.values`. A trace event per
+simple statement and test sits in a `try` turning the NameError of an
+unbound local into uninitialized-variable on its line. An ill-typed node
+passes its operands to `_type_error`, which fails with type-error once they
+are evaluated. The operand checks can go because every variable keeps its
+declared type: an assignment stores only a value whose static type fits its
+target (an INTEGER is converted for a REAL), and the full checks live in
+READLN's checking store, which returns the value to assign; a READLN into
+an INTEGER assigns an int input within 64 bits at once. A trace event per
 assignment and READLN is written into the source only when `execute` is
 asked for one.
 
@@ -38,7 +46,10 @@ CPython limits how deeply one function's source nests: 20 blocks, 100
 indentation levels and 200 parentheses. A compound statement that would
 start deeper than `_MAX_INDENT` levels, or an expression node `_MAX_DEPTH`
 nodes down, is written as a unit of its own, compiled the same way and
-called in place.
+called in place. Its variables count as read by the function that calls
+it, which writes them to the store before the call. A statement unit
+loads them back into the caller's locals once the call ends, however it
+ends; an expression unit assigns none.
 """
 
 from __future__ import annotations
@@ -170,10 +181,7 @@ def _divide(left, right, line):
 # an expression returns its value. V is the store, B the step budget, E
 # appends a trace event (None when untraced), IN returns the next input and
 # OUT appends an output.
-_STATEMENT = ("def make(m, V, B, E, IN, OUT{}):\n    def run():\n        s = m.steps\n"
-              "        try:\n{}\n        finally:\n            m.steps = s\n    return run\n")
-_EXPRESSION = ("def make(m, V, B, E, IN, OUT{}):\n    def run():\n        return {}\n"
-               "    return run\n")
+_HEAD = "def make(m, V, B, E, IN, OUT{}):\n    def run():"
 _BASE = 3            # the indentation level of a statement unit's body
 # CPython's nesting limits, with room to spare: a loop is one block and one
 # level, and each checked operator two parentheses
@@ -191,15 +199,43 @@ def _make(source):
 
 class _Unit:
     """The source lines of one unit being written, and the values of its
-    arguments: `a<n>` is args[n]."""
+    arguments: `a<n>` is args[n]. Each variable is the local `v<n>`, named
+    by first occurrence, and its key is one argument."""
 
     def __init__(self):
         self.lines = []
         self.args = []
+        self.names = {}        # variable key -> (argument of the key, local)
+        self.reads = set()     # keys loaded from the store on entry
+        self.writes = set()    # keys written back to it on exit
+        self.flushes = set()   # keys that expression units of the next guard read
 
     def arg(self, value):
         self.args.append(value)
         return f"a{len(self.args) - 1}"
+
+    def var(self, key, keys):
+        """The local of variable `key`, noting `key` in `keys`."""
+        if key not in self.names:
+            self.names[key] = self.arg(key), f"v{len(self.names)}"
+        keys.add(key)
+        return self.names[key][1]
+
+    def adopt(self, sub):
+        """The keys of nested unit `sub`, each now a local this unit reads."""
+        for key in sub.names:
+            self.var(key, self.reads)
+        return set(sub.names)
+
+    def loads(self, keys, pad):
+        """Lines setting the local of each of `keys` that the store holds."""
+        return [f"{pad}if {a} in V: {v} = V[{a}]"
+                for key, (a, v) in self.names.items() if key in keys]
+
+    def stores(self, keys, pad):
+        """Lines writing the local of each of `keys` that is set to the store."""
+        return [line for key, (a, v) in self.names.items() if key in keys
+                for line in (f"{pad}try: V[{a}] = {v}", f"{pad}except NameError: pass")]
 
 
 class _Machine:
@@ -209,11 +245,10 @@ class _Machine:
         self.program = program
         self.steps = 0
         self.result = ExecutionResult()
-        self.values = self.result.values
         self.traced = trace
         self.types = {d.name.lower(): d.type for d in program.declarations}
         # what every unit's make takes after the machine
-        self.state = (self.values, step_budget, self.result.trace.append if trace else None,
+        self.state = (self.result.values, step_budget, self.result.trace.append if trace else None,
                       iter(list(inputs)).__next__, self.result.outputs.append)
 
     def run(self):
@@ -229,15 +264,19 @@ class _Machine:
         self.result.steps = self.steps
         return self.result
 
-    def statement(self, s):
-        """The function that runs statement `s`, one unit."""
-        unit = _Unit()
+    def statement(self, s, unit=None):
+        """The function that runs statement `s`, written into `unit`."""
+        unit = unit or _Unit()
         self.block(unit, s, _BASE)
-        return self.build(unit, _STATEMENT, "\n".join(unit.lines))
+        return self.build(unit, ["        s = m.steps", *unit.loads(unit.reads, "        "),
+                                 "        try:", *unit.lines, "        finally:",
+                                 "            m.steps = s", *unit.stores(unit.writes, " " * 12)])
 
-    def build(self, unit, template, body):
+    def build(self, unit, body):
+        """The function of `unit`, whose `run` has the lines `body`."""
         params = "".join([f", a{n}" for n in range(len(unit.args))])
-        return _make(template.format(params, body))(self, *self.state, *unit.args)
+        source = "\n".join([_HEAD.format(params), *body, "    return run\n"])
+        return _make(source)(self, *self.state, *unit.args)
 
     # -- statements -------------------------------------------------------------
 
@@ -258,10 +297,14 @@ class _Machine:
                 self.emit(unit, t, level)
             return
         if level > _MAX_INDENT and kind not in fe.SIMPLE_KINDS:
-            # a unit of its own, which takes the step count and hands it back
-            run = unit.arg(self.statement(s))
-            lines += (f"{pad}m.steps = s", f"{pad}try:", f"{pad}    {run}()",
-                      f"{pad}finally:", f"{pad}    s = m.steps")
+            # a unit of its own, which takes the step count and its variables
+            # from this unit and hands them back
+            child = _Unit()
+            run = unit.arg(self.statement(s, child))
+            keys = unit.adopt(child)
+            lines += (*unit.stores(keys, pad), f"{pad}m.steps = s", f"{pad}try:",
+                      f"{pad}    {run}()", f"{pad}finally:", f"{pad}    s = m.steps",
+                      *unit.loads(keys, pad + "    "))
             return
         if kind is fe.Repeat:
             lines.append(f"{pad}while True:")
@@ -278,27 +321,28 @@ class _Machine:
         lines.append(f"{pad}s += 1")
         if kind is fe.Assign:
             key = s.target.lower()
-            target = unit.arg(key)
+            target = unit.var(key, unit.writes)
             value, typed = self.expr(unit, s.expr, s.line, line, 0)
             declared = self.types[key]
             if typed == "integer" and declared == "real":
                 value = f"float({value})"
             elif typed != declared:
                 value = f"_type_error({line}, {value})"
-            self.guard(unit, pad, line, f"V[{target}] = {value}")
-            self.event(unit, pad, line, target, f"V[{target}]")
+            self.guard(unit, pad, line, f"{target} = {value}")
+            self.event(unit, pad, line, key)
         elif kind is fe.Readln:
             key = s.var.lower()
-            target = unit.arg(key)
+            target = unit.var(key, unit.writes)
             store = unit.arg(self.store(key, s.line))
             lines += (f"{pad}try:", f"{pad}    _v = IN()", f"{pad}except StopIteration:",
                       f"{pad}    raise _Halt('input-exhausted', {line}) from None")
             if self.types[key] == "integer":
                 lines += (f"{pad}if type(_v) is int and INT_MIN <= _v <= INT_MAX:",
-                          f"{pad}    V[{target}] = _v", f"{pad}else:", f"{pad}    {store}(_v)")
+                          f"{pad}    {target} = _v", f"{pad}else:",
+                          f"{pad}    {target} = {store}(_v)")
             else:
-                lines.append(f"{pad}{store}(_v)")
-            self.event(unit, pad, line, target, f"V[{target}]")
+                lines.append(f"{pad}{target} = {store}(_v)")
+            self.event(unit, pad, line, key)
         elif kind is fe.Writeln:
             value = self.expr(unit, s.expr, s.line, line, 0)[0]
             self.guard(unit, pad, line, f"OUT({value})")
@@ -325,7 +369,7 @@ class _Machine:
     def for_loop(self, unit, s, level, line):
         lines, pad = unit.lines, "    " * level
         key = s.var.lower()
-        target = unit.arg(key)
+        target = unit.var(key, unit.writes)
         start, first = self.expr(unit, s.start, s.line, line, 0)
         stop, last = self.expr(unit, s.stop, s.line, line, 0)
         if not self.types[key] == first == last == "integer":
@@ -335,8 +379,8 @@ class _Machine:
         # the counter and bound of each loop level have names of their own
         current, bound = f"_i{level}", f"_n{level}"
         self.guard(unit, pad, line, f"{current}, {bound} = {start}, {stop}")
-        lines += (f"{pad}while {current} <= {bound}:", f"{pad}    V[{target}] = {current}")
-        self.event(unit, pad + "    ", line, target, current)
+        lines += (f"{pad}while {current} <= {bound}:", f"{pad}    {target} = {current}")
+        self.event(unit, pad + "    ", line, key)
         self.emit(unit, s.body, level + 1)
         lines += (f"{pad}    if s >= B: raise _Halt('step-budget-exceeded', {line})",
                   f"{pad}    s += 1", f"{pad}    {current} += 1")
@@ -344,20 +388,24 @@ class _Machine:
     def guard(self, unit, pad, line, code):
         """`code` at `pad`, inside a try that reports an unset variable as
         uninitialized-variable on `line`. It never holds a nested
-        statement."""
-        unit.lines += (f"{pad}try:", f"{pad}    {code}", f"{pad}except KeyError:",
+        statement. The variables that its expression units read are written
+        to the store first."""
+        unit.lines += (*unit.stores(unit.flushes, pad), f"{pad}try:", f"{pad}    {code}",
+                       f"{pad}except NameError:",
                        f"{pad}    raise _Halt('uninitialized-variable', {line}) from None")
+        unit.flushes = set()
 
-    def event(self, unit, pad, line, target, value):
-        """In a traced run, the trace event of a store."""
+    def event(self, unit, pad, line, key):
+        """In a traced run, the trace event of a store to `key`."""
         if self.traced:
-            unit.lines.append(f"{pad}E(TraceEvent(s, {line}, {target}, {value}))")
+            a, v = unit.names[key]
+            unit.lines.append(f"{pad}E(TraceEvent(s, {line}, {a}, {v}))")
 
     def store(self, key, line):
         """READLN's store: the closure that checks an input against the
-        bounds of an arithmetic result and the declared type of `key`, then
-        stores it."""
-        declared, values = self.types[key], self.values
+        bounds of an arithmetic result and the declared type of `key`, and
+        returns the value to store."""
+        declared = self.types[key]
 
         def store(value):
             if isinstance(value, (int, float)):
@@ -376,7 +424,7 @@ class _Machine:
                 value = float(value)
             elif value is not True and value is not False:
                 raise _Halt("type-error", line)
-            values[key] = value
+            return value
         return store
 
     # -- expressions ------------------------------------------------------------
@@ -396,11 +444,14 @@ class _Machine:
             return unit.arg(e.value), _LITERALS[kind]
         if kind is fe.VarRef:
             key = e.name.lower()
-            return f"V[{unit.arg(key)}]", self.types[key]
+            return unit.var(key, unit.reads), self.types[key]
         if depth == _MAX_DEPTH:
+            # a unit of its own, which loads its variables from the store
             sub = _Unit()
             value, typed = self.expr(sub, e, at, sub.arg(at), 0)
-            return f"{unit.arg(self.build(sub, _EXPRESSION, value))}()", typed
+            run = self.build(sub, [*sub.loads(sub.reads, "        "), f"        return {value}"])
+            unit.flushes |= unit.adopt(sub)
+            return f"{unit.arg(run)}()", typed
         if kind is fe.Unary:
             operand, typed = self.expr(unit, e.operand, at, line, depth + 1)
             if e.op == "not" and typed == "boolean":

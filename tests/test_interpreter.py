@@ -442,6 +442,11 @@ def _assert_runs_like_tree_walk(program, inputs, step_budget=run.DEFAULT_STEP_BU
         assert _events(got) == (_events(want) if trace else [])
         for d in program.declarations:
             assert _typed(got.final_value(d.name)) == _typed(_last_traced(want, d.name))
+        assert _store(got) == _store(want)
+
+
+def _store(result):
+    return {key: _typed(value) for key, value in result.values.items()}
 
 
 class _Int(int):
@@ -584,6 +589,29 @@ def test_programs_at_the_nesting_bound_run_like_tree_walk(source, deeper):
     _assert_runs_like_tree_walk(fe.parse(source.replace("Y := 2", "I := I")), [])
     _assert_runs_like_tree_walk(fe.parse(source.replace("Y := 2", "Y := 9223372036854775800")),
                                 [])
+
+
+# state handed across unit boundaries: the outer unit sets X, which a nested
+# statement unit (the IF chain) or an expression unit (the long sum) reads;
+# in the last, the nested unit sets Y and then halts on its step budget
+_BOUNDARIES = {
+    "statement-unit": ("X := 5; " + "IF X > 0 THEN " * 14 + "Y := X + 1; WRITELN(Y)",
+                       run.OK, [6], {"x": 5, "y": 6}),
+    "expression-unit": ("X := 5; Y := X" + " + 1" * 40 + "; WRITELN(Y)",
+                        run.OK, [45], {"x": 5, "y": 45}),
+    "halt-in-unit": ("Y := 1; " + "IF Y > 0 THEN " * 14 + "BEGIN Y := 7; WHILE TRUE DO X := Y END",
+                     run.RUNTIME_ERROR, [], {"x": 7, "y": 7}),
+}
+
+
+@pytest.mark.parametrize("body, status, outputs, values", _BOUNDARIES.values(),
+                         ids=_BOUNDARIES)
+def test_state_crosses_unit_boundaries_like_tree_walk(body, status, outputs, values):
+    program = fe.parse("PROGRAM P(input, output);\nVAR X, Y: INTEGER;\nBEGIN\n"
+                       f"    IF TRUE THEN BEGIN {body}; END\nEND.\n")
+    want = tree_walk_execute(program, [], 60)
+    assert (want.status, want.outputs, want.values) == (status, outputs, values)
+    _assert_runs_like_tree_walk(program, [], 60)
 
 
 _SHAPE = ("PROGRAM P(input, output);\nVAR {a}, {b}: INTEGER; {r}: REAL;\nBEGIN\n"
