@@ -100,7 +100,8 @@ class PlanInstance:
     def anchor_line(self) -> int:
         if self._lines:
             return self._lines[0]
-        return min((b.line for b in self.bindings.values()), default=0)
+        return min([b.line for b in self.bindings.values()]
+                   + [child.anchor_line for _, child in self.children], default=0)
 
 
 @dataclass

@@ -668,7 +668,8 @@ class PerCallPlanInstance:
         lines = self.part_lines()
         if lines:
             return lines[0]
-        return min((b.line for b in self.bindings.values()), default=0)
+        return min([b.line for b in self.bindings.values()]
+                   + [child.anchor_line for _, child in self.children], default=0)
 
 
 def _accepts(slot, text, var=None):

@@ -418,8 +418,9 @@ def test_a_complete_plan_without_part_lines_makes_no_chunk(search, builtin):
     rec = an.recognize(search, kb)
     tally = next(i for i in rec.instances if i.schema == "Tally_Loop")
     assert tally.complete and not tally.bindings
-    assert tally.part_lines() == [] and tally.anchor_line == 0
-    assert rec.instances[0] is tally
+    # anchored at its counter's initialization, the first line of its child
+    assert tally.part_lines() == [] and tally.anchor_line == 6
+    assert tally.label == "Tally_Loop[@6]"
     chunks = an.chunk(search, kb, recognition=rec)
     assert "Tally_Loop" not in [c.label for c in chunks]
     assert chunks == an.chunk(search, builtin)
