@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="knowledge base file (default: built-in library)")
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="machine-readable output")
-    common.add_argument("--step-budget", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--step-budget", type=_parse_step_budget, default=argparse.SUPPRESS,
                         help="interpreter step budget")
 
     parser = argparse.ArgumentParser(prog="plancog", parents=[common],
@@ -296,6 +296,18 @@ def _cmd_simulate(args):
 # an optional sign and ASCII digits with at most one point; a REAL item may
 # carry an exponent
 _INPUT_ITEM = re.compile(r"[+-]?(?:[0-9]+|(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)")
+
+
+def _parse_step_budget(text):
+    """The `--step-budget` count; one that is not an integer, or is negative,
+    is a usage error."""
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"negative: {text!r}")
+    return budget
 
 
 def _parse_inputs(text):

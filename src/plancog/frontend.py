@@ -219,6 +219,10 @@ class Program:
     declarations: list[Decl]
     body: list
     comments: list[tuple[int, str]] = field(default_factory=list)
+    # the interpreter's compiled statements, per trace flag, made by the
+    # program's first run and reused by later ones, which would not see a
+    # change to the tree: a program is not changed once it has run
+    units: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -794,7 +798,7 @@ def structurally_equal(a, b) -> bool:
         return len(a) == len(b) and all(map(structurally_equal, a, b))
     if is_dataclass(a):
         return all(structurally_equal(getattr(a, f.name), getattr(b, f.name))
-                   for f in fields(a) if f.name not in _POSITIONS)
+                   for f in fields(a) if f.compare and f.name not in _POSITIONS)
     if isinstance(a, str):
         return a.lower() == b.lower()
     return a == b
@@ -813,7 +817,8 @@ def blank_line(source: str, line: int) -> BlankedProgram:
     target = statement_at(program, line)
     if not isinstance(target, (Assign, Readln, Writeln)):
         raise AnalysisError(f"line {line} is not a blankable statement")
-    # the tree was parsed for this call alone, so the hole goes in in place
+    # the tree was parsed for this call alone and has not run, so the hole
+    # goes in in place
     hole = Hole(line)
     for parent in (program, *walk_statements(program.body)):
         for name in ("body", "then", "otherwise"):

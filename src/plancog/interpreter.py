@@ -5,18 +5,23 @@ and inputs are 64-bit-checked and real results and inputs must stay finite,
 and a step budget turns non-termination into an explicit error status
 instead of a hang.
 
-A run compiles each top-level statement when it first reaches it, so a run
-that stops early compiles no more. The statement, its nested statements
-inline, is written as the Python source of one function and compiled with
-`compile`, so that a step runs as straight-line bytecode instead of a call
-per node. The source holds no text of the program: every constant, line
-and per-run object is an argument `a<n>` of the generated
-`make(m, V, B, E, IN, OUT, a0, ...)`, which returns the statement's
-function, and so is every variable's key, once per function. So the source
-depends on the statement's shape alone, and `_make` compiles each shape
-once per process: programs that differ only in names, constants and line
-layout share it. No two constants share a slot, even when they are equal,
-so that a chance equality makes no new shape.
+Each top-level statement is written and compiled once per parsed program
+and trace flag, when a run first reaches it, and every later run of that
+program calls the same function: a run that stops early compiles no more,
+and a later run that gets further compiles the rest. The functions are kept
+on the program (`Program.units`) and go with it, so a program is not
+changed once it has run. The statement, its nested statements inline, is
+written as the Python source of one function and compiled with `compile`,
+so that a step runs as straight-line bytecode instead of a call per node.
+The source holds no text of the program: every constant, line, READLN store
+and nested unit is an argument `a<n>` of the generated `make(a0, ...)`, and
+so is every variable's key, once per function. `make` returns the
+statement's function `run(m, V, B, E, IN, OUT)`, which takes the state of
+one run as arguments. So the source depends on the statement's shape alone,
+and `_make` compiles each shape once per process: programs that differ only
+in names, constants and line layout share it. No two constants share a
+slot, even when they are equal, so that a chance equality makes no new
+shape.
 
 A function keeps each variable it mentions in a Python local `v<n>`,
 named by first occurrence. The store V is read and written only where a
@@ -24,8 +29,8 @@ function starts and ends. On entry it loads each variable it reads that
 the store holds; an unset variable leaves its local unbound. However it
 ends, it writes back each variable it assigns that is bound, so
 `ExecutionResult.values` holds the final store after a halt too. The step
-count is a local too, read from the machine on entry and written back the
-same way.
+count is a local too, read from the run's result on entry and written back
+the same way.
 
 Each expression node is typed once, from the declarations, as its source is
 written. A well-typed node checks no operand type at run time. It keeps the
@@ -46,10 +51,10 @@ CPython limits how deeply one function's source nests: 20 blocks, 100
 indentation levels and 200 parentheses. A compound statement that would
 start deeper than `_MAX_INDENT` levels, or an expression node `_MAX_DEPTH`
 nodes down, is written as a unit of its own, compiled the same way and
-called in place. Its variables count as read by the function that calls
-it, which writes them to the store before the call. A statement unit
-loads them back into the caller's locals once the call ends, however it
-ends; an expression unit assigns none.
+called in place with the run's state. Its variables count as read by the
+function that calls it, which writes them to the store before the call. A
+statement unit loads them back into the caller's locals once the call
+ends, however it ends; an expression unit assigns none.
 """
 
 from __future__ import annotations
@@ -177,11 +182,14 @@ def _divide(left, right, line):
     return _number(left / right, line)
 
 
-# The function of a unit. A statement counts its steps in the local `s`;
-# an expression returns its value. V is the store, B the step budget, E
-# appends a trace event (None when untraced), IN returns the next input and
-# OUT appends an output.
-_HEAD = "def make(m, V, B, E, IN, OUT{}):\n    def run():"
+# The function of a unit. `make` takes the unit's arguments and returns
+# `run(m, V, B, E, IN, OUT)`, which takes the run's state: m is the run's
+# ExecutionResult, whose `steps` a statement reads into the local `s` on entry
+# and writes back on exit; V is the store, B the step budget, E appends a
+# trace event (None when untraced), IN returns the next input and OUT
+# appends an output. An expression returns its value.
+_HEAD = "def make({}):\n    def run(m, V, B, E, IN, OUT):"
+_STATE = "(m, V, B, E, IN, OUT)"
 _BASE = 3            # the indentation level of a statement unit's body
 # CPython's nesting limits, with room to spare: a loop is one block and one
 # level, and each checked operator two parentheses
@@ -238,31 +246,16 @@ class _Unit:
                 for line in (f"{pad}try: V[{a}] = {v}", f"{pad}except NameError: pass")]
 
 
-class _Machine:
-    """One run: the machine state and the units compiled over it."""
+class _Writer:
+    """The units of one program, traced or not: each top-level statement's
+    function, written and compiled when a run first reaches it and kept for
+    every later run. A unit holds no state of a run, which it takes as
+    arguments."""
 
-    def __init__(self, program, inputs, step_budget, trace):
-        self.program = program
-        self.steps = 0
-        self.result = ExecutionResult()
-        self.traced = trace
+    def __init__(self, program, traced):
+        self.traced = traced
         self.types = {d.name.lower(): d.type for d in program.declarations}
-        # what every unit's make takes after the machine
-        self.state = (self.result.values, step_budget, self.result.trace.append if trace else None,
-                      iter(list(inputs)).__next__, self.result.outputs.append)
-
-    def run(self):
-        try:
-            for s in self.program.body:
-                # compiled when reached: coherence's simulations mostly end
-                # with input-exhausted early in a long generated program
-                self.statement(s)()
-        except _Halt as halt:
-            self.result.status = RUNTIME_ERROR
-            self.result.error_kind = halt.kind
-            self.result.error_line = halt.line
-        self.result.steps = self.steps
-        return self.result
+        self.units = [None] * len(program.body)
 
     def statement(self, s, unit=None):
         """The function that runs statement `s`, written into `unit`."""
@@ -274,9 +267,9 @@ class _Machine:
 
     def build(self, unit, body):
         """The function of `unit`, whose `run` has the lines `body`."""
-        params = "".join([f", a{n}" for n in range(len(unit.args))])
+        params = ", ".join([f"a{n}" for n in range(len(unit.args))])
         source = "\n".join([_HEAD.format(params), *body, "    return run\n"])
-        return _make(source)(self, *self.state, *unit.args)
+        return _make(source)(*unit.args)
 
     # -- statements -------------------------------------------------------------
 
@@ -303,7 +296,7 @@ class _Machine:
             run = unit.arg(self.statement(s, child))
             keys = unit.adopt(child)
             lines += (*unit.stores(keys, pad), f"{pad}m.steps = s", f"{pad}try:",
-                      f"{pad}    {run}()", f"{pad}finally:", f"{pad}    s = m.steps",
+                      f"{pad}    {run}{_STATE}", f"{pad}finally:", f"{pad}    s = m.steps",
                       *unit.loads(keys, pad + "    "))
             return
         if kind is fe.Repeat:
@@ -451,7 +444,7 @@ class _Machine:
             value, typed = self.expr(sub, e, at, sub.arg(at), 0)
             run = self.build(sub, [*sub.loads(sub.reads, "        "), f"        return {value}"])
             unit.flushes |= unit.adopt(sub)
-            return f"{unit.arg(run)}()", typed
+            return f"{unit.arg(run)}{_STATE}", typed
         if kind is fe.Unary:
             operand, typed = self.expr(unit, e.operand, at, line, depth + 1)
             if e.op == "not" and typed == "boolean":
@@ -501,7 +494,28 @@ def execute(program: fe.Program, inputs, step_budget: int = DEFAULT_STEP_BUDGET,
             trace: bool = False) -> ExecutionResult:
     """Run the program against the supplied inputs; with `trace`, record a
     TraceEvent for every assignment and READLN."""
-    return _Machine(program, inputs, step_budget, trace).run()
+    writer = program.units.get(trace)
+    if writer is None:
+        writer = program.units[trace] = _Writer(program, trace)
+    result = ExecutionResult()
+    state = (result, result.values, step_budget, result.trace.append if trace else None,
+             iter(list(inputs)).__next__, result.outputs.append)
+    units = writer.units
+    try:
+        for n, s in enumerate(program.body):
+            run = units[n]
+            if run is None:
+                # written when first reached: coherence's simulations mostly
+                # end with input-exhausted early in a long generated program;
+                # two threads that race here write equal units, and either
+                # is kept
+                run = units[n] = writer.statement(s)
+            run(*state)
+    except _Halt as halt:
+        result.status = RUNTIME_ERROR
+        result.error_kind = halt.kind
+        result.error_line = halt.line
+    return result
 
 
 def trace_variable(program: fe.Program, inputs, var: str,

@@ -9,6 +9,7 @@ from oracles import all_pairs_interactions, per_variable_pattern_matches
 from plancog import activation as act
 from plancog import analysis as an
 from plancog import frontend as fe
+from plancog import interpreter as run
 from plancog import kb as kblib
 from plancog.cli import corpus
 from plancog.kb import Cue, dump_kb, load_kb, pattern_matches
@@ -453,10 +454,10 @@ def test_variable_plans_are_bound_only_where_a_code_slot_can_fill(grey, builtin,
 
 
 def _module_cache_sizes():
-    """Entries held by each module-level cache or container of kb and
-    activation."""
+    """Entries held by each module-level cache or container of kb,
+    activation and interpreter."""
     sizes = {}
-    for module in (kblib, act):
+    for module in (kblib, act, run):
         for name, value in vars(module).items():
             if hasattr(value, "cache_info"):
                 sizes[module.__name__, name] = value.cache_info().currsize

@@ -403,6 +403,26 @@ def test_step_budget_flag(capsys, tmp_path):
     assert doc["error"]["kind"] == "step-budget-exceeded"
 
 
+@pytest.mark.parametrize("budget, message", [("-5", "negative: '-5'"),
+                                             ("-1", "negative: '-1'"),
+                                             ("ten", "not an integer: 'ten'")])
+def test_step_budget_that_is_not_a_count_is_a_usage_error(capsys, budget, message):
+    # a negative budget used to run, reporting step-budget-exceeded at 0 steps
+    for mode in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "simulate", corpus_path("grey.mp"),
+                                 "--step-budget", budget, *mode)
+        assert (code, out) == (2, "")
+        assert f"argument --step-budget: {message}" in err
+
+
+def test_a_step_budget_of_zero_halts_on_the_first_statement(capsys):
+    code, out, _ = run_cli(capsys, "simulate", corpus_path("grey.mp"),
+                           "--step-budget", "0", "--json")
+    doc = json.loads(out)
+    assert (code, doc["steps"], doc["error"]) == (0, 0, {"kind": "step-budget-exceeded",
+                                                          "line": 5})
+
+
 def _unreadable_inputs(tmp_path):
     latin = tmp_path / "latin.mp"
     latin.write_bytes("PROGRAM P; { café } BEGIN END.".encode("latin-1"))

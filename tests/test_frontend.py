@@ -9,6 +9,7 @@ from plancog import analysis as an
 from plancog import frontend as fe
 from plancog import relations as rel
 from plancog.errors import AnalysisError, LexError, ParseError
+from plancog.interpreter import execute
 
 SPEC_KEYWORDS = {
     "PROGRAM", "VAR", "BEGIN", "END", "REPEAT", "UNTIL", "WHILE", "DO",
@@ -335,11 +336,15 @@ def test_pretty_print_orange_preserves_structure(orange, orange_src):
 
 
 def test_structural_equality_ignores_case_and_lines():
-    a = fe.parse("PROGRAM P(input,output);\nVAR X: INTEGER;\nBEGIN\nX := 1;\nEND.")
+    source = "PROGRAM P(input,output);\nVAR X: INTEGER;\nBEGIN\nX := 1;\nEND."
+    a = fe.parse(source)
     b = fe.parse("PROGRAM p(INPUT,OUTPUT); VAR x: integer; BEGIN x := 1; END.")
     assert fe.structurally_equal(a, b)
     c = fe.parse("PROGRAM p(input,output); VAR x: integer; BEGIN x := 2; END.")
     assert not fe.structurally_equal(a, c)
+    # a run leaves compiled units on the program, which are not its structure
+    execute(a, [])
+    assert fe.structurally_equal(a, b) and a == fe.parse(source)
 
 
 _EQ_HEAD = "PROGRAM P;\nVAR x: INTEGER; r: REAL; b: BOOLEAN;\nBEGIN\n"

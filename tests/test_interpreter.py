@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -214,12 +216,12 @@ def test_statements_after_a_halt_are_not_compiled(monkeypatch):
     program = fe.parse(_RUNTIME_HEAD + "    READLN(I);\n    WRITELN(I + 1);\n"
                        "    WHILE I > 0 DO I := I - 1\nEND.\n")
     compiled = []
-    statement = run._Machine.statement
+    statement = run._Writer.statement
 
-    def counting(machine, s):
+    def counting(writer, s):
         compiled.append(s)
-        return statement(machine, s)
-    monkeypatch.setattr(run._Machine, "statement", counting)
+        return statement(writer, s)
+    monkeypatch.setattr(run._Writer, "statement", counting)
     result = run.execute(program, [])
     assert (result.error_kind, result.error_line) == ("input-exhausted", 4)
     top_level = [s for s in compiled if any(s is t for t in program.body)]
@@ -435,6 +437,14 @@ def _last_traced(result, var):
 
 
 def _assert_runs_like_tree_walk(program, inputs, step_budget=run.DEFAULT_STEP_BUDGET):
+    _assert_run_like_tree_walk(program, inputs, step_budget)
+    # a second run reuses the units of the first, with the inputs reversed
+    # and half the step budget
+    _assert_run_like_tree_walk(program, inputs[::-1], step_budget // 2)
+
+
+def _assert_run_like_tree_walk(program, inputs, step_budget):
+    """An untraced and a traced run of `program` match the tree walker's."""
     want = tree_walk_execute(program, inputs, step_budget)
     for trace in (False, True):
         got = run.execute(program, inputs, step_budget, trace=trace)
@@ -645,3 +655,64 @@ def test_generated_source_holds_no_program_text(monkeypatch):
     text = "\n".join(sources).lower()
     for word in ("quux", "zorp", "frob", "4242", "4243", "31337", "271", "828"):
         assert word not in text
+
+
+# the first runs halt on READLN and compile only it; the next one runs the
+# rest, and the one after halts inside the loop on its step budget
+_LAZY = (_RUNTIME_HEAD + "    READLN(I);\n    Y := I * 2;\n"
+         "    WHILE I > 0 DO BEGIN Y := Y + I; I := I - 1 END;\n    WRITELN(Y)\nEND.\n")
+
+
+def test_a_later_run_compiles_what_an_earlier_one_did_not_reach():
+    program = fe.parse(_LAZY)
+    for trace in (False, True):
+        assert run.execute(program, [], trace=trace).error_kind == "input-exhausted"
+        assert [u is not None for u in program.units[trace].units] == [True, False, False, False]
+    for inputs, step_budget in (([4], 100), ([5], 6), ([], 100), ([3, 1], 0)):
+        _assert_run_like_tree_walk(program, inputs, step_budget)
+    for trace in (False, True):
+        assert None not in program.units[trace].units
+
+
+def _programs_with_nested_units():
+    """A program of every kind of unit: top-level statements, a nested
+    statement unit and an expression unit."""
+    head = "PROGRAM P(input, output);\nVAR X, Y: INTEGER;\nBEGIN\n    READLN(X);\n"
+    return [fe.parse(f"{head}    IF TRUE THEN BEGIN {body}; END\nEND.\n")
+            for body, *_ in _BOUNDARIES.values()]
+
+
+def test_a_second_run_writes_no_source(monkeypatch):
+    programs = _programs_with_nested_units()
+    firsts = [[run.execute(p, [5], 60, trace) for trace in (False, True)] for p in programs]
+    written = []
+    statement = run._Writer.statement
+    monkeypatch.setattr(run, "_make", lambda source: written.append(source))
+    monkeypatch.setattr(run._Writer, "statement",
+                        lambda *args: written.append(args) or statement(*args))
+    for program, first in zip(programs, firsts):
+        again = [run.execute(program, [5], 60, trace) for trace in (False, True)]
+        assert [(_observed(r), _events(r), _store(r)) for r in again] == \
+            [(_observed(r), _events(r), _store(r)) for r in first]
+    assert written == []
+
+
+@pytest.mark.parametrize("first", [False, True], ids=["untraced-first", "traced-first"])
+def test_a_run_program_runs_with_either_trace_flag(grey_src, first):
+    program = fe.parse(grey_src)
+    run.execute(program, [1, 99999], trace=first)
+    want = tree_walk_execute(program, [4, 6, 99999], run.DEFAULT_STEP_BUDGET)
+    for trace in (not first, first):
+        got = run.execute(program, [4, 6, 99999], trace=trace)
+        assert _observed(got) == _observed(want)
+        assert _events(got) == (_events(want) if trace else [])
+
+
+def test_a_run_program_is_freed_with_its_units():
+    program = _programs_with_nested_units()[0]
+    for trace in (False, True):
+        assert run.execute(program, [5], trace=trace).outputs == [6]
+    refs = [weakref.ref(program), weakref.ref(program.units[True].units[-1])]
+    del program
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
