@@ -771,30 +771,30 @@ def _instance_loops(inst, index):
     return loops
 
 
+def _descendants(inst, descendants):
+    """The ids of the instances below `inst`, kept in `descendants` by id."""
+    out = descendants.get(id(inst))
+    if out is None:
+        out = descendants[id(inst)] = set()
+        for _, child in inst.children:
+            out.add(id(child))
+            out |= _descendants(child, descendants)
+    return out
+
+
 def _interaction_pairs(instances, defuse, loops):
     """(left, right, how) for instance pairs, neither a descendant of the
     other, whose parts share a loop or are linked by a def-use chain, in
     instance order. Candidates come from indexes by loop and by part line,
     so unrelated pairs are never visited."""
     descendants = {}
-
-    def collect(inst):
-        if id(inst) in descendants:
-            return descendants[id(inst)]
-        out = set()
-        for _, child in inst.children:
-            out.add(id(child))
-            out |= collect(child)
-        descendants[id(inst)] = out
-        return out
-
     uses_of_def = {}                   # def line -> every line it reaches
     for (_, def_line), use_lines in defuse.chains.items():
         uses_of_def.setdefault(def_line, set()).update(use_lines)
     lines, reached = [], []
     by_loop, by_line = {}, {}          # loop id / part line -> instance positions
     for i, inst in enumerate(instances):
-        collect(inst)
+        _descendants(inst, descendants)
         lines.append(set(inst.part_lines()))
         reached.append(set().union(*(uses_of_def.get(l, ()) for l in lines[i])))
         for loop in loops[id(inst)]:

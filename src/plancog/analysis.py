@@ -33,6 +33,7 @@ def recognize(program: fe.Program, kb: KnowledgeBase | None = None, *,
               step_budget: int = run.DEFAULT_STEP_BUDGET) -> Recognition:
     """Full pipeline: beacons, activation, instantiation, verification and
     coherence evaluation."""
+    run.check_step_budget(step_budget)
     kb = kb or builtin_kb()
     index = ProgramIndex(program)
     cues = extract_beacons(index, kb)

@@ -17,11 +17,12 @@ The source holds no text of the program: every constant, line, READLN store
 and nested unit is an argument `a<n>` of the generated `make(a0, ...)`, and
 so is every variable's key, once per function. `make` returns the
 statement's function `run(m, V, B, E, IN, OUT)`, which takes the state of
-one run as arguments. So the source depends on the statement's shape alone,
-and `_make` compiles each shape once per process: programs that differ only
-in names, constants and line layout share it. No two constants share a
-slot, even when they are equal, so that a chance equality makes no new
-shape.
+one run as arguments. So the source depends on the statement's shape and
+on the checks its constants prove dead (below), and `_make` compiles each
+such source once per process: programs that differ only in names, constants
+and line layout share it when their constants prove the same checks dead.
+No two constants share a slot, even when they are equal, so that a chance
+equality makes no new shape.
 
 A function keeps each variable it mentions in a Python local `v<n>`,
 named by first occurrence. The store V is read and written only where a
@@ -47,6 +48,18 @@ an INTEGER assigns an int input within 64 bits at once. A trace event per
 assignment and READLN is written into the source only when `execute` is
 asked for one.
 
+An INTEGER node also gets an interval as it is typed, which its values
+never leave: a constant's is exact; a FOR control variable's runs from its
+start's lowest to its stop's highest value, inside a body that never
+assigns it (by assignment, READLN or an inner FOR); any other variable's is
+the 64 bits every stored INTEGER fits. A `+`, `-`, `*` or unary `-` whose
+interval fits 64 bits is written without its overflow check, and DIV or MOD
+by a positive constant of a dividend never below 0 is Python's `//` or `%`,
+without the sign correction. A FOR body is known to assign its variable
+only once it is written; one that does is written again without the
+variable's interval. A nested statement or expression unit (below) starts
+with no FOR intervals.
+
 CPython limits how deeply one function's source nests: 20 blocks, 100
 indentation levels and 200 parentheses. A compound statement that would
 start deeper than `_MAX_INDENT` levels, or an expression node `_MAX_DEPTH`
@@ -60,6 +73,7 @@ ends, however it ends; an expression unit assigns none.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -137,6 +151,29 @@ def _result_type(op, left, right):
     if not numeric:
         return None
     return "integer" if op in _ARITHMETIC and left == right == "integer" else "real"
+
+
+# The interval of an INTEGER node's values, (lowest, highest). Every INTEGER
+# value in the store fits 64 bits; a checked result is clipped to them. An
+# interval whose lowest exceeds its highest holds no value: its node never
+# yields one, so what is written for the nodes above it never runs.
+_INT64 = (INT_MIN, INT_MAX)
+
+
+def _span(op, left, right):
+    """The interval of `left op right` for + - * on operand intervals."""
+    (a, b), (c, d) = left, right
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - d, b - c
+    products = (a * c, a * d, b * c, b * d)
+    return min(products), max(products)
+
+
+def _truncated(left, right):
+    """`left DIV right` for a positive `right`: the quotient toward zero."""
+    return left // right if left >= 0 else -(-left // right)
 
 
 # Helpers the generated source calls. Each takes its operands as arguments,
@@ -217,6 +254,10 @@ class _Unit:
         self.reads = set()     # keys loaded from the store on entry
         self.writes = set()    # keys written back to it on exit
         self.flushes = set()   # keys that expression units of the next guard read
+        # the interval of each FOR control variable whose body, being
+        # written, is not known to assign it; a unit starts with none
+        self.ranges = {}
+        self.assigned = set()  # keys assigned since the innermost FOR body began
 
     def arg(self, value):
         self.args.append(value)
@@ -228,6 +269,11 @@ class _Unit:
             self.names[key] = self.arg(key), f"v{len(self.names)}"
         keys.add(key)
         return self.names[key][1]
+
+    def target(self, key):
+        """The local of `key`, which the statement being written assigns."""
+        self.assigned.add(key)
+        return self.var(key, self.writes)
 
     def adopt(self, sub):
         """The keys of nested unit `sub`, each now a local this unit reads."""
@@ -256,6 +302,7 @@ class _Writer:
         self.traced = traced
         self.types = {d.name.lower(): d.type for d in program.declarations}
         self.units = [None] * len(program.body)
+        self.unranged = set()  # ids of FOR statements whose body assigns their variable
 
     def statement(self, s, unit=None):
         """The function that runs statement `s`, written into `unit`."""
@@ -295,6 +342,7 @@ class _Writer:
             child = _Unit()
             run = unit.arg(self.statement(s, child))
             keys = unit.adopt(child)
+            unit.assigned |= child.assigned
             lines += (*unit.stores(keys, pad), f"{pad}m.steps = s", f"{pad}try:",
                       f"{pad}    {run}{_STATE}", f"{pad}finally:", f"{pad}    s = m.steps",
                       *unit.loads(keys, pad + "    "))
@@ -314,8 +362,8 @@ class _Writer:
         lines.append(f"{pad}s += 1")
         if kind is fe.Assign:
             key = s.target.lower()
-            target = unit.var(key, unit.writes)
-            value, typed = self.expr(unit, s.expr, s.line, line, 0)
+            target = unit.target(key)
+            value, typed, _ = self.expr(unit, s.expr, s.line, line, 0)
             declared = self.types[key]
             if typed == "integer" and declared == "real":
                 value = f"float({value})"
@@ -325,7 +373,7 @@ class _Writer:
             self.event(unit, pad, line, key)
         elif kind is fe.Readln:
             key = s.var.lower()
-            target = unit.var(key, unit.writes)
+            target = unit.target(key)
             store = unit.arg(self.store(key, s.line))
             lines += (f"{pad}try:", f"{pad}    _v = IN()", f"{pad}except StopIteration:",
                       f"{pad}    raise _Halt('input-exhausted', {line}) from None")
@@ -362,21 +410,48 @@ class _Writer:
     def for_loop(self, unit, s, level, line):
         lines, pad = unit.lines, "    " * level
         key = s.var.lower()
-        target = unit.var(key, unit.writes)
-        start, first = self.expr(unit, s.start, s.line, line, 0)
-        stop, last = self.expr(unit, s.stop, s.line, line, 0)
+        target = unit.target(key)
+        start, first, low = self.expr(unit, s.start, s.line, line, 0)
+        stop, last, high = self.expr(unit, s.stop, s.line, line, 0)
+        span = None
         if not self.types[key] == first == last == "integer":
             # an INTEGER control variable and INTEGER bounds, or a type-error
             # once both bounds are evaluated, before the first iteration
             stop = f"_type_error({line}, {stop})"
+        elif id(s) not in self.unranged:
+            # each iteration sets the variable to a value between the bounds
+            span = low[0], high[1]
         # the counter and bound of each loop level have names of their own
         current, bound = f"_i{level}", f"_n{level}"
         self.guard(unit, pad, line, f"{current}, {bound} = {start}, {stop}")
         lines += (f"{pad}while {current} <= {bound}:", f"{pad}    {target} = {current}")
         self.event(unit, pad + "    ", line, key)
-        self.emit(unit, s.body, level + 1)
+        self.loop_body(unit, s, key, span, level + 1)
         lines += (f"{pad}    if s >= B: raise _Halt('step-budget-exceeded', {line})",
                   f"{pad}    s += 1", f"{pad}    {current} += 1")
+
+    def loop_body(self, unit, s, key, span, level):
+        """The body of FOR statement `s` at `level`, written with its control
+        variable `key` in interval `span` (None: unknown). A body that turns
+        out to assign `key` is written again without it, and `s` is noted so
+        that a later writing of it, inside an outer FOR body written again,
+        does not try the interval a second time."""
+        ranges, assigned = unit.ranges, unit.assigned
+        if span is not None:
+            unit.ranges = {**ranges, key: span}
+        marks = len(unit.lines), len(unit.args), len(unit.names)
+        unit.assigned = set()
+        self.emit(unit, s.body, level)
+        if span is not None and key in unit.assigned:
+            self.unranged.add(id(s))
+            # the same statements read and assign the same keys, in the same
+            # order, once more
+            del unit.lines[marks[0]:], unit.args[marks[1]:]
+            unit.names = dict(itertools.islice(unit.names.items(), marks[2]))
+            unit.ranges, unit.assigned = ranges, set()
+            self.emit(unit, s.body, level)
+        assigned |= unit.assigned
+        unit.ranges, unit.assigned = ranges, assigned
 
     def guard(self, unit, pad, line, code):
         """`code` at `pad`, inside a try that reports an unset variable as
@@ -425,35 +500,43 @@ class _Writer:
     def condition(self, unit, e, at, line):
         """The source of the condition `e`: True or False, or a type-error
         when `e` is not BOOLEAN."""
-        cond, typed = self.expr(unit, e, at, line, 0)
+        cond, typed, _ = self.expr(unit, e, at, line, 0)
         return cond if typed == "boolean" else f"_type_error({line}, {cond})"
 
     def expr(self, unit, e, at, line, depth):
-        """(source of `e`, static type of `e`), `e` being `depth` nodes down
-        in a statement on line `at`, whose argument is `line`: every value of
-        `e` has that type; None when `e` always ends in a fault."""
+        """(source of `e`, static type of `e`, interval of `e`), `e` being
+        `depth` nodes down in a statement on line `at`, whose argument is
+        `line`: every value of `e` has that type, None when `e` always ends
+        in a fault, and an INTEGER value lies in that interval, None for
+        any other type."""
         kind = type(e)
         if kind in _LITERALS:
-            return unit.arg(e.value), _LITERALS[kind]
+            span = (e.value, e.value) if kind is fe.IntLit else None
+            return unit.arg(e.value), _LITERALS[kind], span
         if kind is fe.VarRef:
             key = e.name.lower()
-            return unit.var(key, unit.reads), self.types[key]
+            typed = self.types[key]
+            return (unit.var(key, unit.reads), typed,
+                    unit.ranges.get(key, _INT64) if typed == "integer" else None)
         if depth == _MAX_DEPTH:
             # a unit of its own, which loads its variables from the store
             sub = _Unit()
-            value, typed = self.expr(sub, e, at, sub.arg(at), 0)
+            value, typed, span = self.expr(sub, e, at, sub.arg(at), 0)
             run = self.build(sub, [*sub.loads(sub.reads, "        "), f"        return {value}"])
             unit.flushes |= unit.adopt(sub)
-            return f"{unit.arg(run)}{_STATE}", typed
+            return f"{unit.arg(run)}{_STATE}", typed, span
         if kind is fe.Unary:
-            operand, typed = self.expr(unit, e.operand, at, line, depth + 1)
+            operand, typed, span = self.expr(unit, e.operand, at, line, depth + 1)
             if e.op == "not" and typed == "boolean":
-                return f"(not {operand})", typed
+                return f"(not {operand})", typed, None
             if e.op == "-" and typed == "real":
-                return f"(-{operand})", typed
+                return f"(-{operand})", typed, None
             if e.op == "-" and typed == "integer":
-                return f"(_t if (_t := -{operand}) <= INT_MAX else _overflow({line}))", typed
-            return f"_type_error({line}, {operand})", None
+                if span[0] > INT_MIN:
+                    return f"(-{operand})", typed, (-span[1], -span[0])
+                return (f"(_t if (_t := -{operand}) <= INT_MAX else _overflow({line}))", typed,
+                        (-span[1], INT_MAX))
+            return f"_type_error({line}, {operand})", None, None
         if kind is fe.Binary:
             return self.binary(unit, e, at, line, depth)
         raise TypeError(f"cannot evaluate {e!r}")
@@ -463,37 +546,51 @@ class _Writer:
         # OR evaluate both, but fail on a left operand that is not BOOLEAN
         # before they evaluate the right one
         op = e.op
-        left, ltype = self.expr(unit, e.left, at, line, depth + 1)
-        right, rtype = self.expr(unit, e.right, at, line, depth + 1)
+        left, ltype, lspan = self.expr(unit, e.left, at, line, depth + 1)
+        right, rtype, rspan = self.expr(unit, e.right, at, line, depth + 1)
         typed = _result_type(op, ltype, rtype)
         if typed is None:
             if op in _LOGIC and ltype != "boolean":
-                return f"_type_error({line}, {left})", None
-            return f"_type_error({line}, {left}, {right})", None
+                return f"_type_error({line}, {left})", None, None
+            return f"_type_error({line}, {left}, {right})", None, None
         if op in _LOGIC:
-            return f"({left} {_LOGIC[op]} {right})", typed
+            return f"({left} {_LOGIC[op]} {right})", typed, None
         if op in _COMPARISONS:
-            return f"({left} {_COMPARISONS[op]} {right})", typed
+            return f"({left} {_COMPARISONS[op]} {right})", typed, None
         if op == "/":
-            return f"_divide({left}, {right}, {line})", typed
+            return f"_divide({left}, {right}, {line})", typed, None
         if typed == "real":
-            return f"_number({left} {op} {right}, {line})", typed
+            return f"_number({left} {op} {right}, {line})", typed, None
         if op in _ARITHMETIC:
+            lo, hi = span = _span(op, lspan, rspan)
+            if INT_MIN <= lo and hi <= INT_MAX:
+                return f"({left} {op} {right})", typed, span
             return (f"(_t if INT_MIN <= (_t := {left} {op} {right}) <= INT_MAX"
-                    f" else _overflow({line}))"), typed
+                    f" else _overflow({line}))"), typed, (max(lo, INT_MIN), min(hi, INT_MAX))
         python = "//" if op == "div" else "%"
         if type(e.right) is fe.IntLit and e.right.value > 0:
             # a positive constant divisor: no check for 0, and the quotient
-            # stays within 64 bits; a negative dividend divides by its magnitude
+            # stays within 64 bits; a dividend that may be negative divides
+            # by its magnitude
+            divisor = e.right.value
+            lo, hi = lspan
+            if op == "div":
+                span = _truncated(lo, divisor), _truncated(hi, divisor)
+            else:
+                span = 0 if lo >= 0 else 1 - divisor, divisor - 1
+            if lo >= 0:
+                return f"({left} {python} {right})", typed, span
             return (f"(_t {python} {right} if (_t := {left}) >= 0"
-                    f" else -(-_t {python} {right}))"), typed
-        return f"{'_quotient' if op == 'div' else '_remainder'}({left}, {right}, {line})", typed
+                    f" else -(-_t {python} {right}))"), typed, span
+        return (f"{'_quotient' if op == 'div' else '_remainder'}({left}, {right}, {line})",
+                typed, _INT64)
 
 
 def execute(program: fe.Program, inputs, step_budget: int = DEFAULT_STEP_BUDGET,
             trace: bool = False) -> ExecutionResult:
     """Run the program against the supplied inputs; with `trace`, record a
     TraceEvent for every assignment and READLN."""
+    check_step_budget(step_budget)
     writer = program.units.get(trace)
     if writer is None:
         writer = program.units[trace] = _Writer(program, trace)
@@ -516,6 +613,13 @@ def execute(program: fe.Program, inputs, step_budget: int = DEFAULT_STEP_BUDGET,
         result.error_kind = halt.kind
         result.error_line = halt.line
     return result
+
+
+def check_step_budget(step_budget):
+    """A step budget is a count of 0 or more: a budget of 0 halts on the
+    first statement, and a negative one is refused."""
+    if step_budget < 0:
+        raise AnalysisError(f"negative step budget: {step_budget}")
 
 
 def trace_variable(program: fe.Program, inputs, var: str,

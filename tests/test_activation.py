@@ -5,7 +5,7 @@ import weakref
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import all_pairs_interactions, per_variable_pattern_matches
+from oracles import all_pairs_interactions, benchmark_programs, per_variable_pattern_matches
 from plancog import activation as act
 from plancog import analysis as an
 from plancog import frontend as fe
@@ -528,3 +528,20 @@ def test_no_module_level_cache_grows_with_program_content(builtin):
     for program in programs[1:]:
         assert an.recognize(program, builtin).instances
     assert _module_cache_sizes() == sizes
+
+
+def test_a_dropped_recognition_leaves_no_cyclic_garbage(builtin):
+    # with the cycle collector off, reference counting alone frees all of it
+    pg = benchmark_programs()
+    programs = [fe.parse(pg.scale_program(random.Random(seed), 6, f"t{seed}").source)
+                for seed in (4, 5)]
+    an.recognize(programs[0], builtin)
+    gc.collect()
+    gc.disable()
+    try:
+        rec = an.recognize(programs[1], builtin)
+        assert rec.coherence.external
+        del rec
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -353,6 +353,13 @@ def test_goal_tree_averages_only_a_total_over_a_counter(grey_src, builtin, quoti
     assert "compute-average" not in [c.goal for c in tree.children]
 
 
+@pytest.mark.parametrize("step_budget", [-1, -5])
+def test_a_negative_step_budget_is_an_analysis_error(grey, builtin, step_budget):
+    with pytest.raises(AnalysisError, match=f"negative step budget: {step_budget}"):
+        an.recognize(grey, builtin, step_budget=step_budget)
+    assert an.recognize(grey, builtin, step_budget=0).instances
+
+
 def test_unknown_strategy_and_chunk_mode_are_analysis_errors(grey, grey_src, builtin):
     with pytest.raises(AnalysisError, match="unknown strategy 'guess'"):
         an.fill_blank(fe.blank_line(grey_src, 6), builtin, "guess")

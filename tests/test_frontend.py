@@ -434,11 +434,16 @@ _REAL = st.tuples(
 ).map(lambda t: f"{t[0]}.{t[1]}")
 
 
+# INTEGER literals at the 64-bit edges: the largest, its neighbour, and the
+# least values whose double or square leaves 64 bits
+_EDGES = ["9223372036854775807", "9223372036854775806", "4611686018427387904", "3037000500"]
+
+
 def _expr(depth, names=_NAMES):
     """Source text of an expression of any form, nested up to `depth`;
     operands are parenthesized or not, so precedence decides the tree."""
-    leaf = st.one_of(st.integers(0, 999).map(str), st.sampled_from(names),
-                     st.sampled_from(["TRUE", "FALSE"]), _REAL)
+    leaf = st.one_of(st.integers(0, 999).map(str), st.sampled_from(_EDGES),
+                     st.sampled_from(names), st.sampled_from(["TRUE", "FALSE"]), _REAL)
     if depth <= 0:
         return leaf
     sub = _expr(depth - 1, names)

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import weakref
 
 import pytest
@@ -129,6 +130,16 @@ def test_step_budget_stops_infinite_loop():
     result = run.execute(program, [], step_budget=250)
     assert result.error_kind == "step-budget-exceeded"
     assert result.steps <= 250
+
+
+def test_a_negative_step_budget_is_an_analysis_error(grey):
+    for call in (lambda: run.execute(grey, [1, 99999], -5),
+                 lambda: run.trace_variable(grey, [1, 99999], "Sum", -1),
+                 lambda: run.compare_behavior(grey, grey, [[1, 99999]], -1)):
+        with pytest.raises(AnalysisError, match="negative step budget"):
+            call()
+    result = run.execute(grey, [1, 99999], 0)
+    assert (result.error_kind, result.error_line, result.steps) == ("step-budget-exceeded", 5, 0)
 
 
 def test_uninitialized_read_is_an_error():
@@ -622,6 +633,123 @@ def test_state_crosses_unit_boundaries_like_tree_walk(body, status, outputs, val
     want = tree_walk_execute(program, [], 60)
     assert (want.status, want.outputs, want.values) == (status, outputs, values)
     _assert_runs_like_tree_walk(program, [], 60)
+
+
+# --- value ranges: checks that FOR bounds prove dead --------------------------
+# Each program's fault, if any, is the one a check that was wrongly left out
+# would miss. The bounds sit at the 64-bit edges; the control variable is
+# changed inside the body, in a nested unit, or read by a nested unit.
+
+_MAX, _MIN = "9223372036854775807", "-9223372036854775807 - 1"
+_DEEP = "IF TRUE THEN " * 14      # past _MAX_INDENT inside a FOR body
+_OVERFLOW = "integer-overflow"
+_RANGES = {
+    "plus-overflows-last": (f"FOR I := 9223372036854775806 TO {_MAX} DO Y := I + 1",
+                            [], _OVERFLOW),
+    "plus-fits-at-the-edge": ("FOR I := 9223372036854775805 TO 9223372036854775806 DO"
+                              " WRITELN(I + 1)", [], None),
+    "minus-overflows-first": (f"FOR I := {_MIN} TO 0 DO Y := I - 1", [], _OVERFLOW),
+    "minus-fits-at-the-edge": (f"FOR I := {_MIN} + 1 TO {_MIN} + 2 DO WRITELN(I - 1)",
+                               [], None),
+    "difference-overflows-last": (f"FOR I := 0 TO 1 DO FOR J := -{_MAX} TO -9223372036854775806"
+                                  " DO WRITELN(I - J)", [], _OVERFLOW),
+    "times-overflows-last": ("FOR I := 4611686018427387903 TO 4611686018427387904 DO"
+                             " Y := I * 2", [], _OVERFLOW),
+    "times-fits-at-the-edge": ("FOR I := -4611686018427387904 TO -4611686018427387903 DO"
+                               " WRITELN(I * 2)", [], None),
+    # J takes 0 and 2 ** 62, bounded by K, so the extremes of I * J mix signs
+    "product-overflows-last": ("FOR I := -3 TO -2 DO FOR K := 0 TO 1 DO"
+                               " FOR J := K * 4611686018427387904 TO K * 4611686018427387904"
+                               " DO WRITELN(I * J)", [], _OVERFLOW),
+    "square-overflows-last": ("FOR I := 3037000499 TO 3037000500 DO WRITELN(I * I)",
+                              [], _OVERFLOW),
+    "negation-overflows-first": (f"FOR I := {_MIN} TO 3 DO Y := -I", [], _OVERFLOW),
+    "negation-fits-at-the-edge": (f"FOR I := -{_MAX} TO -9223372036854775806 DO WRITELN(-I)",
+                                  [], None),
+    "assigned-in-the-body": (f"FOR I := 1 TO 3 DO BEGIN I := {_MAX}; Y := I + 1 END",
+                             [], _OVERFLOW),
+    "read-in-the-body": ("FOR I := 1 TO 3 DO BEGIN READLN(I); WRITELN(I * 2) END",
+                         [5, int(_MAX)], _OVERFLOW),
+    "inner-for-of-the-variable": (f"FOR I := 1 TO 2 DO BEGIN FOR I := 9223372036854775806"
+                                  f" TO {_MAX} DO WRITELN(I - 1); WRITELN(I + 1) END",
+                                  [], _OVERFLOW),
+    "assigned-after-in-a-loop": (f"FOR I := 1 TO 2 DO REPEAT WRITELN(I + 1); I := {_MAX}"
+                                 " UNTIL FALSE", [], _OVERFLOW),
+    "assigned-in-an-inner-loop": (f"FOR I := 1 TO 2 DO FOR J := 1 TO 2 DO BEGIN"
+                                  f" WRITELN(I * 2); I := 4611686018427387904 END",
+                                  [], _OVERFLOW),
+    "zero-trip": (f"I := {_MAX}; FOR I := {_MAX} TO 9223372036854775806 DO WRITELN(I + 1);"
+                  " WRITELN(I)", [], None),
+    "negative-dividend": ("FOR I := -7 TO 7 DO BEGIN WRITELN(I DIV 3); WRITELN(I MOD 3);"
+                          " WRITELN((I + 7) MOD 4 DIV 3); WRITELN((I - 1) MOD 5 DIV 2);"
+                          " WRITELN(I DIV 2 MOD 3) END",
+                          [], None),
+    "bounds-from-the-outer-variable": ("FOR I := 9223372036854775805 TO 9223372036854775807 DO"
+                                       " FOR J := I - 1 TO I DO WRITELN(J + 1)",
+                                       [], _OVERFLOW),
+    "signs-from-the-outer-variable": ("FOR I := -2 TO 2 DO FOR J := I TO I + 2 DO"
+                                      " WRITELN(J DIV 2 + J MOD 2)", [], None),
+    "read-past-max-indent": (f"FOR I := 9223372036854775806 TO {_MAX} DO {_DEEP}WRITELN(I + 1)",
+                             [], _OVERFLOW),
+    "assigned-past-max-indent": (f"FOR I := 1 TO 2 DO BEGIN {_DEEP}I := {_MAX};"
+                                 " WRITELN(I + 1) END", [], _OVERFLOW),
+    "for-past-max-indent": (f"{_DEEP}FOR I := 9223372036854775805 TO {_MAX} DO"
+                            " FOR J := 1 TO 2 DO WRITELN(I + J)", [], _OVERFLOW),
+    "read-past-max-depth": (f"FOR I := 9223372036854775806 TO {_MAX} DO WRITELN("
+                            + "0 + (" * 32 + "I + 1" + ")" * 32 + ")", [], _OVERFLOW),
+}
+
+
+@pytest.mark.parametrize("statements, inputs, fault", _RANGES.values(), ids=_RANGES)
+def test_checks_that_for_bounds_prove_dead_are_the_only_ones_left_out(statements, inputs,
+                                                                       fault):
+    program = fe.parse("PROGRAM P(input, output);\nVAR I, J, K, Y: INTEGER;\nBEGIN\n"
+                       f"    {statements}\nEND.\n")
+    assert tree_walk_execute(program, inputs).error_kind == fault
+    # a generous step budget, and one that stops inside the loop
+    for step_budget in (run.DEFAULT_STEP_BUDGET, 3):
+        _assert_runs_like_tree_walk(program, inputs, step_budget)
+
+
+def test_a_for_body_is_written_again_at_most_once_per_loop(monkeypatch):
+    # ten nested loops whose innermost body assigns every control variable:
+    # each loop writes its body a second time once, not once per writing
+    # of the loop around it
+    names = [f"I{n}" for n in range(10)]
+    body = "BEGIN " + "; ".join(f"{name} := 1" for name in names) + " END"
+    loops = "".join(f"FOR {name} := 1 TO 2 DO " for name in names)
+    program = fe.parse(f"PROGRAM P(input, output);\nVAR {', '.join(names)}: INTEGER;\n"
+                       f"BEGIN\n    {loops}{body}\nEND.\n")
+    written, emit = [], run._Writer.emit
+    monkeypatch.setattr(run._Writer, "emit",
+                        lambda writer, unit, s, level: written.append(s)
+                        or emit(writer, unit, s, level))
+    _assert_run_like_tree_walk(program, [], 300)
+    innermost = program.body[0]
+    for _ in names[1:]:
+        innermost = innermost.body
+    # per trace flag, the first writing and one more per loop
+    assert sum(s is innermost.body for s in written) == 2 * (len(names) + 1)
+
+
+def test_a_grid_keeps_only_the_running_totals_overflow_check(monkeypatch):
+    # perfbench's nested_block with a dividend that is never negative: its
+    # row and column are FOR variables, and only the total is unbounded
+    pg = benchmark_programs()
+    names = {"sum": "Total", "row": "Row", "col": "Col", "part": "Part"}
+    program = fe.parse(pg.render("Grid", [pg.nested_block(names, 120, 150, 23, 37, 3)]).source)
+    sources, make = [], run._make
+    monkeypatch.setattr(run, "_make", lambda source: sources.append(source) or make(source))
+    result = run.execute(program, [])
+    assert (result.status, result.outputs) == (_OK, [51383])
+    grid = sources[1]     # the statement after the total's first assignment
+    assert grid.count("while ") == 2
+    # one check, of an assignment that adds to the local it assigns
+    overflows = [line.strip() for line in grid.splitlines() if "_overflow" in line]
+    assert len(overflows) == 1
+    assert re.match(r"(v\d+) = \(_t if INT_MIN <= \(_t := \1 \+ v\d+\) <= INT_MAX", overflows[0])
+    # and no DIV or MOD of a dividend that may be negative
+    assert "-(-_t" not in grid and "_quotient" not in grid and "_remainder" not in grid
 
 
 _SHAPE = ("PROGRAM P(input, output);\nVAR {a}, {b}: INTEGER; {r}: REAL;\nBEGIN\n"
