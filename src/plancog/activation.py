@@ -19,7 +19,7 @@ from . import frontend as fe
 from . import interpreter as run
 from . import relations as rel
 from .kb import (CONCEPTUALLY_DRIVEN, CONTROL, DATA_DRIVEN, VARIABLE, Cue,
-                 KnowledgeBase, Slot, matches_normalized, normalize, pattern_matcher)
+                 KnowledgeBase, Slot, normalize, pattern_matcher)
 
 DEFAULT_SIMULATION_INPUTS = (1, 2, 3, 99999)
 
@@ -203,7 +203,7 @@ def _cue_satisfies(condition: Cue, text: str) -> bool:
         return condition.payload.lower() in text
     if condition.kind in ("type", "loop"):
         return condition.payload.lower() == text
-    return matches_normalized(condition.payload, text)
+    return pattern_matcher(condition.payload)(text)
 
 
 # --- activation -------------------------------------------------------------

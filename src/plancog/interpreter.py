@@ -51,14 +51,13 @@ asked for one.
 An INTEGER node also gets an interval as it is typed, which its values
 never leave: a constant's is exact; a FOR control variable's runs from its
 start's lowest to its stop's highest value, inside a body that never
-assigns it (by assignment, READLN or an inner FOR); any other variable's is
-the 64 bits every stored INTEGER fits. A `+`, `-`, `*` or unary `-` whose
-interval fits 64 bits is written without its overflow check, and DIV or MOD
-by a positive constant of a dividend never below 0 is Python's `//` or `%`,
-without the sign correction. A FOR body is known to assign its variable
-only once it is written; one that does is written again without the
-variable's interval. A nested statement or expression unit (below) starts
-with no FOR intervals.
+assigns it (by assignment, READLN or an inner FOR, as `fe.defined_names`
+tells before the body is written); any other variable's is the 64 bits
+every stored INTEGER fits. A `+`, `-`, `*` or unary `-` whose interval fits
+64 bits is written without its overflow check, and DIV or MOD by a positive
+constant of a dividend never below 0 is Python's `//` or `%`, without the
+sign correction. A nested statement or expression unit (below) starts with
+no FOR intervals.
 
 CPython limits how deeply one function's source nests: 20 blocks, 100
 indentation levels and 200 parentheses. A compound statement that would
@@ -73,7 +72,6 @@ ends, however it ends; an expression unit assigns none.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -255,9 +253,8 @@ class _Unit:
         self.writes = set()    # keys written back to it on exit
         self.flushes = set()   # keys that expression units of the next guard read
         # the interval of each FOR control variable whose body, being
-        # written, is not known to assign it; a unit starts with none
+        # written, never assigns it; a unit starts with none
         self.ranges = {}
-        self.assigned = set()  # keys assigned since the innermost FOR body began
 
     def arg(self, value):
         self.args.append(value)
@@ -269,11 +266,6 @@ class _Unit:
             self.names[key] = self.arg(key), f"v{len(self.names)}"
         keys.add(key)
         return self.names[key][1]
-
-    def target(self, key):
-        """The local of `key`, which the statement being written assigns."""
-        self.assigned.add(key)
-        return self.var(key, self.writes)
 
     def adopt(self, sub):
         """The keys of nested unit `sub`, each now a local this unit reads."""
@@ -302,7 +294,6 @@ class _Writer:
         self.traced = traced
         self.types = {d.name.lower(): d.type for d in program.declarations}
         self.units = [None] * len(program.body)
-        self.unranged = set()  # ids of FOR statements whose body assigns their variable
 
     def statement(self, s, unit=None):
         """The function that runs statement `s`, written into `unit`."""
@@ -342,7 +333,6 @@ class _Writer:
             child = _Unit()
             run = unit.arg(self.statement(s, child))
             keys = unit.adopt(child)
-            unit.assigned |= child.assigned
             lines += (*unit.stores(keys, pad), f"{pad}m.steps = s", f"{pad}try:",
                       f"{pad}    {run}{_STATE}", f"{pad}finally:", f"{pad}    s = m.steps",
                       *unit.loads(keys, pad + "    "))
@@ -362,7 +352,7 @@ class _Writer:
         lines.append(f"{pad}s += 1")
         if kind is fe.Assign:
             key = s.target.lower()
-            target = unit.target(key)
+            target = unit.var(key, unit.writes)
             value, typed, _ = self.expr(unit, s.expr, s.line, line, 0)
             declared = self.types[key]
             if typed == "integer" and declared == "real":
@@ -373,7 +363,7 @@ class _Writer:
             self.event(unit, pad, line, key)
         elif kind is fe.Readln:
             key = s.var.lower()
-            target = unit.target(key)
+            target = unit.var(key, unit.writes)
             store = unit.arg(self.store(key, s.line))
             lines += (f"{pad}try:", f"{pad}    _v = IN()", f"{pad}except StopIteration:",
                       f"{pad}    raise _Halt('input-exhausted', {line}) from None")
@@ -410,48 +400,28 @@ class _Writer:
     def for_loop(self, unit, s, level, line):
         lines, pad = unit.lines, "    " * level
         key = s.var.lower()
-        target = unit.target(key)
+        target = unit.var(key, unit.writes)
         start, first, low = self.expr(unit, s.start, s.line, line, 0)
         stop, last, high = self.expr(unit, s.stop, s.line, line, 0)
-        span = None
+        ranges = unit.ranges
         if not self.types[key] == first == last == "integer":
             # an INTEGER control variable and INTEGER bounds, or a type-error
             # once both bounds are evaluated, before the first iteration
             stop = f"_type_error({line}, {stop})"
-        elif id(s) not in self.unranged:
-            # each iteration sets the variable to a value between the bounds
-            span = low[0], high[1]
+        elif not any(name.lower() == key for t in fe.walk_statements([s.body])
+                     for name, _ in fe.defined_names(t)):
+            # each iteration sets the variable to a value between the bounds,
+            # which the body keeps
+            unit.ranges = {**ranges, key: (low[0], high[1])}
         # the counter and bound of each loop level have names of their own
         current, bound = f"_i{level}", f"_n{level}"
         self.guard(unit, pad, line, f"{current}, {bound} = {start}, {stop}")
         lines += (f"{pad}while {current} <= {bound}:", f"{pad}    {target} = {current}")
         self.event(unit, pad + "    ", line, key)
-        self.loop_body(unit, s, key, span, level + 1)
+        self.emit(unit, s.body, level + 1)
+        unit.ranges = ranges
         lines += (f"{pad}    if s >= B: raise _Halt('step-budget-exceeded', {line})",
                   f"{pad}    s += 1", f"{pad}    {current} += 1")
-
-    def loop_body(self, unit, s, key, span, level):
-        """The body of FOR statement `s` at `level`, written with its control
-        variable `key` in interval `span` (None: unknown). A body that turns
-        out to assign `key` is written again without it, and `s` is noted so
-        that a later writing of it, inside an outer FOR body written again,
-        does not try the interval a second time."""
-        ranges, assigned = unit.ranges, unit.assigned
-        if span is not None:
-            unit.ranges = {**ranges, key: span}
-        marks = len(unit.lines), len(unit.args), len(unit.names)
-        unit.assigned = set()
-        self.emit(unit, s.body, level)
-        if span is not None and key in unit.assigned:
-            self.unranged.add(id(s))
-            # the same statements read and assign the same keys, in the same
-            # order, once more
-            del unit.lines[marks[0]:], unit.args[marks[1]:]
-            unit.names = dict(itertools.islice(unit.names.items(), marks[2]))
-            unit.ranges, unit.assigned = ranges, set()
-            self.emit(unit, s.body, level)
-        assigned |= unit.assigned
-        unit.ranges, unit.assigned = ranges, assigned
 
     def guard(self, unit, pad, line, code):
         """`code` at `pad`, inside a try that reports an unset variable as

@@ -108,7 +108,7 @@ _WORD = re.compile(r"[a-z]*")
 
 @lru_cache(maxsize=1024)
 def pattern_matcher(pattern: str):
-    """`matches_normalized` for one pattern, as a function of the normalized
+    """`pattern_matches` for one pattern, as a function of the normalized
     text and the lowercased variable (or None), specialized to the pattern's
     form: a loop word reads the leading word, and a pattern without `<v>`
     ignores the variable."""
@@ -132,16 +132,10 @@ def pattern_matcher(pattern: str):
     return matches
 
 
-def matches_normalized(pattern: str, text: str, var: str | None = None) -> bool:
-    """`pattern_matches` for text already normalized and a variable already
-    lowercased (or None)."""
-    return pattern_matcher(pattern)(text, var)
-
-
 def pattern_matches(pattern: str, text: str, var: str | None = None) -> bool:
     """Whole-text match of a filler/cue pattern against statement text,
     normalized here. `<v>` must be `var` when one is given."""
-    return matches_normalized(pattern, normalize(text), var.lower() if var else None)
+    return pattern_matcher(pattern)(normalize(text), var.lower() if var else None)
 
 
 def instantiate_pattern(pattern: str, var: str) -> str | None:

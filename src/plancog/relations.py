@@ -93,10 +93,6 @@ class Cfg:
         """Every node on a line or standing for it, in creation order."""
         return list(self._at_line.get(line, ()))
 
-    def node_at(self, line):
-        nodes = self._at_line.get(line)
-        return nodes[0] if nodes else None
-
     def node_of(self, stmt) -> CfgNode:
         """The node of a statement other than a BEGIN/END block."""
         return self._of[id(stmt)]

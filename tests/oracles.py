@@ -31,7 +31,7 @@ from plancog.frontend import (COMMENT, IDENT, INT, INT_MAX, INT_MIN, KEYWORDS, K
                               REALLIT, Token)
 from plancog.interpreter import (DEFAULT_STEP_BUDGET, RUNTIME_ERROR, ExecutionResult,
                                  TraceEvent)
-from plancog.kb import CONTROL, LOOP_WORDS, VARIABLE, matches_normalized, normalize
+from plancog.kb import CONTROL, LOOP_WORDS, VARIABLE, normalize, pattern_matches
 from plancog.relations import LOOP_BACK, DefUse
 
 
@@ -674,8 +674,7 @@ class PerCallPlanInstance:
 
 def _accepts(slot, text, var=None):
     """True when some filler pattern of the slot matches the text."""
-    return any(matches_normalized(f.pattern, normalize(text), var.lower() if var else None)
-               for f in slot.fillers)
+    return any(pattern_matches(f.pattern, text, var) for f in slot.fillers)
 
 
 def _program_wide_slot_candidates(index, instance, slot_name):

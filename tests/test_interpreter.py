@@ -670,6 +670,10 @@ _RANGES = {
                              [], _OVERFLOW),
     "read-in-the-body": ("FOR I := 1 TO 3 DO BEGIN READLN(I); WRITELN(I * 2) END",
                          [5, int(_MAX)], _OVERFLOW),
+    "assigned-in-another-case": (f"FOR I := 1 TO 3 DO BEGIN i := {_MAX}; Y := i + 1 END",
+                                 [], _OVERFLOW),
+    "read-in-another-case": ("FOR I := 1 TO 3 DO BEGIN READLN(i); WRITELN(I * 2) END",
+                             [5, int(_MAX)], _OVERFLOW),
     "inner-for-of-the-variable": (f"FOR I := 1 TO 2 DO BEGIN FOR I := 9223372036854775806"
                                   f" TO {_MAX} DO WRITELN(I - 1); WRITELN(I + 1) END",
                                   [], _OVERFLOW),
@@ -711,10 +715,10 @@ def test_checks_that_for_bounds_prove_dead_are_the_only_ones_left_out(statements
         _assert_runs_like_tree_walk(program, inputs, step_budget)
 
 
-def test_a_for_body_is_written_again_at_most_once_per_loop(monkeypatch):
+def test_a_for_body_is_written_once(monkeypatch):
     # ten nested loops whose innermost body assigns every control variable:
-    # each loop writes its body a second time once, not once per writing
-    # of the loop around it
+    # whether a body assigns its loop's variable is known before it is
+    # written, so no loop writes its body a second time
     names = [f"I{n}" for n in range(10)]
     body = "BEGIN " + "; ".join(f"{name} := 1" for name in names) + " END"
     loops = "".join(f"FOR {name} := 1 TO 2 DO " for name in names)
@@ -728,8 +732,8 @@ def test_a_for_body_is_written_again_at_most_once_per_loop(monkeypatch):
     innermost = program.body[0]
     for _ in names[1:]:
         innermost = innermost.body
-    # per trace flag, the first writing and one more per loop
-    assert sum(s is innermost.body for s in written) == 2 * (len(names) + 1)
+    # once per trace flag
+    assert sum(s is innermost.body for s in written) == 2
 
 
 def test_a_grid_keeps_only_the_running_totals_overflow_check(monkeypatch):

@@ -30,8 +30,8 @@ def _reachable(cfg, start, forward=True):
 
 def test_grey_repeat_loop_back_edge(grey):
     cfg = rel.build_cfg(grey)
-    until = cfg.node_at(14)
-    readln = cfg.node_at(8)
+    until = cfg.nodes_at(14)[0]
+    readln = cfg.nodes_at(8)[0]
     assert until.kind == rel.COND
     assert (until.id, readln.id, rel.LOOP_BACK) in cfg.edges
 
@@ -312,7 +312,7 @@ EMPTY_REPEAT = ("PROGRAM P(input, output);\nVAR x: INTEGER;\nBEGIN\n"
 def test_empty_repeat_body_loops_on_its_condition(body):
     program = fe.parse(EMPTY_REPEAT.format(body=body))
     cfg = rel.build_cfg(program)
-    until = cfg.node_at(6)
+    until = cfg.nodes_at(6)[0]
     assert (until.id, until.id, rel.LOOP_BACK) in cfg.edges
     assert rel.def_use(program, cfg).chains == {("x", 4): {6}}
 
