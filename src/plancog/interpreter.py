@@ -48,16 +48,26 @@ an INTEGER assigns an int input within 64 bits at once. A trace event per
 assignment and READLN is written into the source only when `execute` is
 asked for one.
 
+A FOR loop evaluates its bounds once, into `_i<level>` and `_n<level>`, and
+runs as the Python loop `for <variable> in range(_i, _n + 1)`, which sets
+the variable only as an iteration starts: the body cannot change the trip
+count, a loop that makes no trip leaves the variable as it was, and after
+the loop the variable holds the value last assigned to it.
+
 An INTEGER node also gets an interval as it is typed, which its values
 never leave: a constant's is exact; a FOR control variable's runs from its
 start's lowest to its stop's highest value, inside a body that never
 assigns it (by assignment, READLN or an inner FOR, as `fe.defined_names`
-tells before the body is written); any other variable's is the 64 bits
-every stored INTEGER fits. A `+`, `-`, `*` or unary `-` whose interval fits
-64 bits is written without its overflow check, and DIV or MOD by a positive
-constant of a dividend never below 0 is Python's `//` or `%`, without the
-sign correction. A nested statement or expression unit (below) starts with
-no FOR intervals.
+tells before the body is written); a variable assigned earlier in the same
+unit keeps the interval of the value assigned, on the paths where no other
+assignment can have come between (not past a loop or branch that may assign
+it, nor into an iteration after one that may); any other variable's is the
+64 bits every stored INTEGER fits. A `+`, `-` or `*` whose interval fits 64
+bits is written without its overflow check, and one whose interval leaves
+64 bits on one side only checks that side, as unary `-` does. DIV or MOD by
+a positive constant of a dividend never below 0 is Python's `//` or `%`,
+without the sign correction. A nested statement or expression unit (below)
+starts with no intervals.
 
 CPython limits how deeply one function's source nests: 20 blocks, 100
 indentation levels and 200 parentheses. A compound statement that would
@@ -169,6 +179,12 @@ def _span(op, left, right):
     return min(products), max(products)
 
 
+def _assigned(stmts):
+    """The keys of the variables that `stmts` and the statements nested in
+    them assign."""
+    return {name.lower() for t in fe.walk_statements(stmts) for name, _ in fe.defined_names(t)}
+
+
 def _truncated(left, right):
     """`left DIV right` for a positive `right`: the quotient toward zero."""
     return left // right if left >= 0 else -(-left // right)
@@ -252,8 +268,8 @@ class _Unit:
         self.reads = set()     # keys loaded from the store on entry
         self.writes = set()    # keys written back to it on exit
         self.flushes = set()   # keys that expression units of the next guard read
-        # the interval of each FOR control variable whose body, being
-        # written, never assigns it; a unit starts with none
+        # the interval of each INTEGER variable that is known where the next
+        # line is written; a unit starts with none
         self.ranges = {}
 
     def arg(self, value):
@@ -266,6 +282,10 @@ class _Unit:
             self.names[key] = self.arg(key), f"v{len(self.names)}"
         keys.add(key)
         return self.names[key][1]
+
+    def forget(self, keys):
+        """Drop the interval of each of `keys`, which may now hold any value."""
+        self.ranges = {key: span for key, span in self.ranges.items() if key not in keys}
 
     def adopt(self, sub):
         """The keys of nested unit `sub`, each now a local this unit reads."""
@@ -336,7 +356,11 @@ class _Writer:
             lines += (*unit.stores(keys, pad), f"{pad}m.steps = s", f"{pad}try:",
                       f"{pad}    {run}{_STATE}", f"{pad}finally:", f"{pad}    s = m.steps",
                       *unit.loads(keys, pad + "    "))
+            unit.forget(keys)
             return
+        if kind in (fe.Repeat, fe.While) and unit.ranges:
+            # an iteration may start with the values an earlier one assigned
+            unit.forget(_assigned(s.body if kind is fe.Repeat else [s.body]))
         if kind is fe.Repeat:
             lines.append(f"{pad}while True:")
             for t in s.body:
@@ -353,7 +377,7 @@ class _Writer:
         if kind is fe.Assign:
             key = s.target.lower()
             target = unit.var(key, unit.writes)
-            value, typed, _ = self.expr(unit, s.expr, s.line, line, 0)
+            value, typed, span = self.expr(unit, s.expr, s.line, line, 0)
             declared = self.types[key]
             if typed == "integer" and declared == "real":
                 value = f"float({value})"
@@ -361,6 +385,8 @@ class _Writer:
                 value = f"_type_error({line}, {value})"
             self.guard(unit, pad, line, f"{target} = {value}")
             self.event(unit, pad, line, key)
+            # the value's interval, read only if `key` is an INTEGER
+            unit.ranges = {**unit.ranges, key: span or _INT64}
         elif kind is fe.Readln:
             key = s.var.lower()
             target = unit.var(key, unit.writes)
@@ -374,20 +400,29 @@ class _Writer:
             else:
                 lines.append(f"{pad}{target} = {store}(_v)")
             self.event(unit, pad, line, key)
+            unit.forget({key})
         elif kind is fe.Writeln:
             value = self.expr(unit, s.expr, s.line, line, 0)[0]
             self.guard(unit, pad, line, f"OUT({value})")
         elif kind is fe.If:
             self.guard(unit, pad, line, f"_c = {self.condition(unit, s.cond, s.line, line)}")
             lines.append(f"{pad}if _c:")
+            before = unit.ranges
             self.block(unit, s.then, level + 1)
+            then, unit.ranges = unit.ranges, before
             if s.otherwise is not None:
                 lines.append(f"{pad}else:")
                 self.block(unit, s.otherwise, level + 1)
+            # what holds after either branch
+            unit.ranges = {key: span for key, span in then.items()
+                           if unit.ranges.get(key) == span}
         elif kind is fe.While:
             self.guard(unit, pad, line, f"_c = {self.condition(unit, s.cond, s.line, line)}")
             lines += (f"{pad}if not _c:", f"{pad}    break")
+            # the loop ends where its test fails
+            test = unit.ranges
             self.emit(unit, s.body, level + 1)
+            unit.ranges = test
         elif kind is fe.Repeat:
             self.guard(unit, pad, line,
                        f"_c = {self.condition(unit, s.cond, s.until_line, line)}")
@@ -403,25 +438,30 @@ class _Writer:
         target = unit.var(key, unit.writes)
         start, first, low = self.expr(unit, s.start, s.line, line, 0)
         stop, last, high = self.expr(unit, s.stop, s.line, line, 0)
+        # what holds as each iteration starts and once the loop ends, which
+        # may be before the first iteration
+        assigned = _assigned([s.body])
+        unit.forget(assigned | {key})
         ranges = unit.ranges
         if not self.types[key] == first == last == "integer":
             # an INTEGER control variable and INTEGER bounds, or a type-error
             # once both bounds are evaluated, before the first iteration
             stop = f"_type_error({line}, {stop})"
-        elif not any(name.lower() == key for t in fe.walk_statements([s.body])
-                     for name, _ in fe.defined_names(t)):
+        elif key not in assigned:
             # each iteration sets the variable to a value between the bounds,
             # which the body keeps
             unit.ranges = {**ranges, key: (low[0], high[1])}
-        # the counter and bound of each loop level have names of their own
-        current, bound = f"_i{level}", f"_n{level}"
-        self.guard(unit, pad, line, f"{current}, {bound} = {start}, {stop}")
-        lines += (f"{pad}while {current} <= {bound}:", f"{pad}    {target} = {current}")
+        # the bounds, evaluated once, have names of their own at each loop
+        # level; `range` sets the variable as each iteration starts, so the
+        # body cannot change the trip count
+        lower, upper = f"_i{level}", f"_n{level}"
+        self.guard(unit, pad, line, f"{lower}, {upper} = {start}, {stop}")
+        lines.append(f"{pad}for {target} in range({lower}, {upper} + 1):")
         self.event(unit, pad + "    ", line, key)
         self.emit(unit, s.body, level + 1)
         unit.ranges = ranges
         lines += (f"{pad}    if s >= B: raise _Halt('step-budget-exceeded', {line})",
-                  f"{pad}    s += 1", f"{pad}    {current} += 1")
+                  f"{pad}    s += 1")
 
     def guard(self, unit, pad, line, code):
         """`code` at `pad`, inside a try that reports an unset variable as
@@ -533,10 +573,17 @@ class _Writer:
             return f"_number({left} {op} {right}, {line})", typed, None
         if op in _ARITHMETIC:
             lo, hi = span = _span(op, lspan, rspan)
-            if INT_MIN <= lo and hi <= INT_MAX:
+            below, above = lo < INT_MIN, hi > INT_MAX
+            if not (below or above):
                 return f"({left} {op} {right})", typed, span
-            return (f"(_t if INT_MIN <= (_t := {left} {op} {right}) <= INT_MAX"
-                    f" else _overflow({line}))"), typed, (max(lo, INT_MIN), min(hi, INT_MAX))
+            # a check on each side where the result can leave 64 bits
+            test = f"(_t := {left} {op} {right})"
+            if below:
+                test = f"INT_MIN <= {test}"
+            if above:
+                test += " <= INT_MAX"
+            return (f"(_t if {test} else _overflow({line}))", typed,
+                    (max(lo, INT_MIN), min(hi, INT_MAX)))
         python = "//" if op == "div" else "%"
         if type(e.right) is fe.IntLit and e.right.value > 0:
             # a positive constant divisor: no check for 0, and the quotient
@@ -661,9 +708,13 @@ def compare_behavior(p1: fe.Program, p2: fe.Program, input_sets,
 
 
 def _outputs_equal(a, b, tolerance):
+    """Equal outputs: a BOOLEAN equals only the same BOOLEAN, and an INTEGER
+    and a REAL are equal within `tolerance`."""
     if len(a) != len(b):
         return False
     for x, y in zip(a, b):
+        if isinstance(x, bool) is not isinstance(y, bool):
+            return False
         if isinstance(x, float) or isinstance(y, float):
             if abs(float(x) - float(y)) > tolerance:
                 return False

@@ -494,7 +494,9 @@ class _TreeWalker:
                     or isinstance(start, bool) or not isinstance(start, int)
                     or isinstance(stop, bool) or not isinstance(stop, int)):
                 raise _Halt("type-error", s.line)
-            current = start
+            # the variable takes the loop's own INTEGER values, not the
+            # start bound's object, which may be an int of a subclass
+            current = int(start)
             while current <= stop:
                 self.assign(s.var, current, s.line)
                 self.statement(s.body)

@@ -418,8 +418,11 @@ def _writes(*expressions):
     ("X DIV 0", ("X * 9223372036854775807 * 2",), [1], "differing-status",
      "division-by-zero vs integer-overflow"),
     ("X", ("X DIV 0",), [], "equal-by-error", "both input-exhausted"),
+    ("X = 1", ("X",), [1], "unequal", "[True] vs [1]"),
+    ("X = 1", ("X / 1",), [1], "unequal", "[True] vs [1.0]"),
 ], ids=["unequal", "more-outputs", "within-tolerance", "beyond-tolerance", "second-fails",
-        "first-fails", "different-errors", "same-error"])
+        "first-fails", "different-errors", "same-error", "boolean-and-integer",
+        "boolean-and-real"])
 def test_compare_behavior_verdicts(first, second, inputs, verdict, detail):
     report = run.compare_behavior(_writes(first), _writes(*second), [inputs])
     assert [(e.inputs, e.verdict, e.detail) for e in report.entries] == \
@@ -635,11 +638,17 @@ def test_state_crosses_unit_boundaries_like_tree_walk(body, status, outputs, val
     _assert_runs_like_tree_walk(program, [], 60)
 
 
-# --- value ranges: checks that FOR bounds prove dead --------------------------
+# --- value ranges: checks that FOR bounds and assignments prove dead ----------
 # Each program's fault, if any, is the one a check that was wrongly left out
 # would miss. The bounds sit at the 64-bit edges; the control variable is
-# changed inside the body, in a nested unit, or read by a nested unit.
+# changed inside the body, in a nested unit, or read by a nested unit. A
+# variable assigned a small value earlier in the same statement is assigned
+# a large one on a path the writer must not take for granted: in a branch,
+# later in a loop, in a loop that makes no trip, or in a nested unit. A
+# check that one side of 64 bits can never need is written for the other
+# side only.
 
+_LOOP_HEAD = "PROGRAM P(input, output);\nVAR I, J, K, Y: INTEGER;\nBEGIN\n"
 _MAX, _MIN = "9223372036854775807", "-9223372036854775807 - 1"
 _DEEP = "IF TRUE THEN " * 14      # past _MAX_INDENT inside a FOR body
 _OVERFLOW = "integer-overflow"
@@ -701,18 +710,68 @@ _RANGES = {
                             " FOR J := 1 TO 2 DO WRITELN(I + J)", [], _OVERFLOW),
     "read-past-max-depth": (f"FOR I := 9223372036854775806 TO {_MAX} DO WRITELN("
                             + "0 + (" * 32 + "I + 1" + ")" * 32 + ")", [], _OVERFLOW),
+    "increment-overflows-above": ("READLN(Y); Y := Y + 1", [fe.INT_MAX], _OVERFLOW),
+    "increment-fits-below": ("READLN(Y); Y := Y + 1", [fe.INT_MIN], None),
+    "decrement-overflows-below": ("READLN(Y); Y := Y - 1", [fe.INT_MIN], _OVERFLOW),
+    "decrement-fits-above": ("READLN(Y); Y := Y - 1", [fe.INT_MAX], None),
+    "minus-for-variable-overflows-below": ("READLN(Y); FOR I := 1 TO 5 DO WRITELN(Y - I)",
+                                           [fe.INT_MIN + 3], _OVERFLOW),
+    "times-for-variable-overflows-above": ("READLN(Y); FOR I := -1 TO 2 DO WRITELN(Y * I)",
+                                           [fe.INT_MIN], _OVERFLOW),
+    "times-for-variable-overflows-below": ("READLN(Y); FOR I := -1 TO 2 DO WRITELN(Y * I)",
+                                           [-4611686018427387905], _OVERFLOW),
+    "assigned-then-read": ("BEGIN Y := 4611686018427387903; WRITELN(Y * 2 + 1);"
+                           " Y := Y + 1; WRITELN(Y * 2) END", [], _OVERFLOW),
+    "assigned-in-a-branch": (f"BEGIN Y := 0; IF TRUE THEN Y := {_MAX}; WRITELN(Y + 1) END",
+                             [], _OVERFLOW),
+    "assigned-in-the-other-branch": (f"BEGIN Y := 0; IF FALSE THEN Y := 1 ELSE Y := {_MAX};"
+                                     " WRITELN(Y + 1) END", [], _OVERFLOW),
+    "assigned-later-in-a-repeat": ("BEGIN Y := 1; J := 0; REPEAT J := J + 1; WRITELN(Y * 2);"
+                                   " Y := 4611686018427387904 UNTIL J = 2 END", [], _OVERFLOW),
+    "assigned-later-in-a-while": ("BEGIN Y := 1; WHILE TRUE DO BEGIN WRITELN(Y * 2);"
+                                  " Y := 4611686018427387904 END END", [], _OVERFLOW),
+    "assigned-later-in-a-for": ("BEGIN Y := 1; FOR I := 1 TO 2 DO BEGIN WRITELN(Y * 2);"
+                                " Y := 4611686018427387904 END END", [], _OVERFLOW),
+    "assigned-in-a-for": (f"BEGIN Y := 0; FOR I := 1 TO 2 DO Y := {_MAX}; WRITELN(Y + 1) END",
+                          [], _OVERFLOW),
+    "while-without-a-trip": (f"BEGIN Y := {_MAX}; WHILE Y < 0 DO Y := 0; WRITELN(Y + 1) END",
+                             [], _OVERFLOW),
+    "assigned-by-readln": ("BEGIN Y := 0; READLN(Y); WRITELN(Y + 1) END", [fe.INT_MAX],
+                           _OVERFLOW),
+    "assigned-in-a-nested-unit": (f"BEGIN Y := 0; {_DEEP}Y := {_MAX}; WRITELN(Y + 1) END",
+                                  [], _OVERFLOW),
 }
 
 
 @pytest.mark.parametrize("statements, inputs, fault", _RANGES.values(), ids=_RANGES)
 def test_checks_that_for_bounds_prove_dead_are_the_only_ones_left_out(statements, inputs,
                                                                        fault):
-    program = fe.parse("PROGRAM P(input, output);\nVAR I, J, K, Y: INTEGER;\nBEGIN\n"
-                       f"    {statements}\nEND.\n")
+    program = fe.parse(f"{_LOOP_HEAD}    {statements}\nEND.\n")
     assert tree_walk_execute(program, inputs).error_kind == fault
     # a generous step budget, and one that stops inside the loop
     for step_budget in (run.DEFAULT_STEP_BUDGET, 3):
         _assert_runs_like_tree_walk(program, inputs, step_budget)
+
+
+@pytest.mark.parametrize("statements, inputs", [
+    ("Y := 0; FOR I := 1 TO 3 DO FOR J := 1 TO 4 DO IF (I + J) MOD 2 = 0 THEN Y := Y + I * J;"
+     " WRITELN(Y); WRITELN(I + J)", []),
+    ("FOR I := 1 TO 3 DO BEGIN END; WRITELN(I); I := 7; FOR I := 2 TO 1 DO BEGIN END;"
+     " WRITELN(I)", []),
+    ("FOR I := 1 TO 3 DO BEGIN WRITELN(I); I := I + 10; WRITELN(I) END; WRITELN(I)", []),
+    ("FOR I := 9223372036854775805 TO 9223372036854775807 DO WRITELN(I); WRITELN(I)", []),
+    # a start bound that READLN stored as an int of a subclass
+    ("READLN(K); FOR I := K TO K + 1 DO WRITELN(I)", [_Int(5)]),
+], ids=["grid-with-if", "empty-body", "assigns-its-variable", "at-the-64-bit-edge",
+        "start-of-an-int-subclass"])
+def test_a_for_loop_runs_like_tree_walk_at_every_step_budget(statements, inputs):
+    # each budget runs out on a different step: a header's, the first body
+    # statement's, or none
+    program = fe.parse(f"{_LOOP_HEAD}    {statements}\nEND.\n")
+    full = tree_walk_execute(program, inputs)
+    assert full.status == _OK
+    for step_budget in range(full.steps + 1):
+        _assert_run_like_tree_walk(program, inputs, step_budget)
 
 
 def test_a_for_body_is_written_once(monkeypatch):
@@ -738,7 +797,8 @@ def test_a_for_body_is_written_once(monkeypatch):
 
 def test_a_grid_keeps_only_the_running_totals_overflow_check(monkeypatch):
     # perfbench's nested_block with a dividend that is never negative: its
-    # row and column are FOR variables, and only the total is unbounded
+    # row and column are FOR variables, the part is assigned a value in
+    # [0, 12] earlier in the body, and only the total is unbounded
     pg = benchmark_programs()
     names = {"sum": "Total", "row": "Row", "col": "Col", "part": "Part"}
     program = fe.parse(pg.render("Grid", [pg.nested_block(names, 120, 150, 23, 37, 3)]).source)
@@ -747,11 +807,14 @@ def test_a_grid_keeps_only_the_running_totals_overflow_check(monkeypatch):
     result = run.execute(program, [])
     assert (result.status, result.outputs) == (_OK, [51383])
     grid = sources[1]     # the statement after the total's first assignment
-    assert grid.count("while ") == 2
-    # one check, of an assignment that adds to the local it assigns
+    assert "while " not in grid
+    assert len(re.findall(r"^ *for v\d+ in range\(", grid, re.M)) == 2
+    # one check, of an assignment that adds to the local it assigns, on the
+    # only side the sum can leave 64 bits
     overflows = [line.strip() for line in grid.splitlines() if "_overflow" in line]
     assert len(overflows) == 1
-    assert re.match(r"(v\d+) = \(_t if INT_MIN <= \(_t := \1 \+ v\d+\) <= INT_MAX", overflows[0])
+    assert re.match(r"(v\d+) = \(_t if \(_t := \1 \+ v\d+\) <= INT_MAX else", overflows[0])
+    assert "INT_MIN" not in overflows[0]
     # and no DIV or MOD of a dividend that may be negative
     assert "-(-_t" not in grid and "_quotient" not in grid and "_remainder" not in grid
 
