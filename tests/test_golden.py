@@ -1,9 +1,12 @@
 """Golden outputs: the output of every subcommand on the fixture corpus,
 compared byte for byte with tests/golden/<program>.json (--json mode) and
-tests/golden/<program>.text.json (text mode).
+tests/golden/<program>.text.json (text mode), and the Python sources that
+the interpreter writes for a set of runs, compared with
+tests/golden/units.txt.
 
 The files pin behaviour that refactorings must keep. After an intended
-change of output, regenerate them from the repository root with
+change of output or of the generated sources, regenerate them from the
+repository root with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -12,14 +15,19 @@ import contextlib
 import io
 import json
 import os
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from plancog import cli, frontend
+from oracles import benchmark_programs
+from plancog import cli, frontend, interpreter
+from plancog.activation import DEFAULT_SIMULATION_INPUTS
+from test_interpreter import _BOUNDARIES
 
 GOLDEN = Path(__file__).parent / "golden"
+UNITS = GOLDEN / "units.txt"
 SIMULATION_INPUT = "1,2,3,99999"
 
 
@@ -75,6 +83,53 @@ def check_golden(name, source, mode):
     assert differing == []
 
 
+def unit_runs():
+    """(label, source, inputs) of each program run for its generated sources:
+    the corpus, the benchmark's grid with a dividend that is never negative
+    and one that may be, one of its generated programs at scale, and the
+    programs nested past what one generated function may hold."""
+    pg = benchmark_programs()
+    runs = [(name, source, [1, 2, 3, 99999]) for name, source in cli.corpus()]
+    names = {"sum": "Total", "row": "Row", "col": "Col", "part": "Part"}
+    for offset in (5, -5):
+        block = pg.nested_block(names, 3, 4, offset, 7, 2)
+        runs.append((f"grid with offset {offset}", pg.render("Grid", [block]).source, []))
+    runs.append(("scale program", pg.scale_program(random.Random(11), 8, 11).source,
+                 list(DEFAULT_SIMULATION_INPUTS)))
+    for kind in ("statement-unit", "expression-unit"):
+        body = _BOUNDARIES[kind][0]
+        runs.append((kind, "PROGRAM P(input, output);\nVAR X, Y: INTEGER;\nBEGIN\n"
+                     f"    IF TRUE THEN BEGIN {body}; END\nEND.\n", []))
+    return runs
+
+
+def unit_sources():
+    """The distinct sources that `interpreter._make` receives over the unit
+    runs, untraced and traced, in first-written order, each headed by the
+    run that first wrote it."""
+    written, make = {}, interpreter._make
+    label = None
+
+    def spy(source):
+        written.setdefault(source, label)
+        return make(source)
+
+    interpreter._make = spy
+    try:
+        for name, source, inputs in unit_runs():
+            program = frontend.parse(source)
+            for trace in (False, True):
+                label = f"{name}, {'traced' if trace else 'untraced'}"
+                interpreter.execute(program, inputs, trace=trace)
+    finally:
+        interpreter._make = make
+    return "\n".join(f"### {label}\n{source}" for source, label in written.items())
+
+
+def test_generated_sources_match_golden():
+    assert unit_sources() == UNITS.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("name", cli.CORPUS_FILES)
 def test_outputs_match_golden(name, corpus_sources):
     check_golden(name, corpus_sources[name], "json")
@@ -91,4 +146,5 @@ if __name__ == "__main__":
         for mode in ("json", "text"):
             golden_path(file, mode).write_text(
                 json.dumps(capture(file, text, mode), indent=1) + "\n", encoding="utf-8")
+    UNITS.write_text(unit_sources(), encoding="utf-8")
     sys.exit(0)
