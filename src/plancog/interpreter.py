@@ -13,9 +13,9 @@ on the program (`Program.units`) and go with it, so a program is not
 changed once it has run. The statement, its nested statements inline, is
 written as the Python source of one function and compiled with `compile`,
 so that a step runs as straight-line bytecode instead of a call per node.
-The source holds no text of the program: every constant, line, READLN store
-and nested unit is an argument `a<n>` of the generated `make(a0, ...)`, and
-so is every variable's key, once per function. `make` returns the
+The source holds no text of the program: every constant, line and READLN
+store is an argument `a<n>` of the generated `make(a0, ...)`, and so is
+every variable's key, once per statement. `make` returns the
 statement's function `run(m, V, B, E, IN, OUT)`, which takes the state of
 one run as arguments. So the source depends on the statement's shape and
 on the checks its constants prove dead (below), and `_make` compiles each
@@ -66,17 +66,18 @@ it, nor into an iteration after one that may); any other variable's is the
 bits is written without its overflow check, and one whose interval leaves
 64 bits on one side only checks that side, as unary `-` does. DIV or MOD by
 a positive constant of a dividend never below 0 is Python's `//` or `%`,
-without the sign correction. A nested statement or expression unit (below)
-starts with no intervals.
+without the sign correction.
 
 CPython limits how deeply one function's source nests: 20 blocks, 100
 indentation levels and 200 parentheses. A compound statement that would
 start deeper than `_MAX_INDENT` levels, or an expression node `_MAX_DEPTH`
-nodes down, is written as a unit of its own, compiled the same way and
-called in place with the run's state. Its variables count as read by the
-function that calls it, which writes them to the store before the call. A
-statement unit loads them back into the caller's locals once the call
-ends, however it ends; an expression unit assigns none.
+nodes down, is written as a function of its own, defined where `run`
+starts, once the variables are loaded, and called in place; CPython counts
+its nesting apart. It shares the locals of `run` by closure. A statement's
+function declares `s` and each variable it assigns `nonlocal`, in the order
+of their locals, and `run` loads each of them, which binds the name there.
+It is written with the intervals known where it is called, as if it stood
+there.
 """
 
 from __future__ import annotations
@@ -235,13 +236,12 @@ def _divide(left, right, line):
 
 # The function of a unit. `make` takes the unit's arguments and returns
 # `run(m, V, B, E, IN, OUT)`, which takes the run's state: m is the run's
-# ExecutionResult, whose `steps` a statement reads into the local `s` on entry
-# and writes back on exit; V is the store, B the step budget, E appends a
-# trace event (None when untraced), IN returns the next input and OUT
-# appends an output. An expression returns its value.
+# ExecutionResult, whose `steps` the statement reads into the local `s` on
+# entry and writes back on exit; V is the store, B the step budget, E appends
+# a trace event (None when untraced), IN returns the next input and OUT
+# appends an output.
 _HEAD = "def make({}):\n    def run(m, V, B, E, IN, OUT):"
-_STATE = "(m, V, B, E, IN, OUT)"
-_BASE = 3            # the indentation level of a statement unit's body
+_BASE = 3            # the indentation level of the body of `run`'s try
 # CPython's nesting limits, with room to spare: a loop is one block and one
 # level, and each checked operator two parentheses
 _MAX_INDENT = 12
@@ -263,11 +263,11 @@ class _Unit:
 
     def __init__(self):
         self.lines = []
+        self.functions = []    # the lines of the nested functions
         self.args = []
         self.names = {}        # variable key -> (argument of the key, local)
         self.reads = set()     # keys loaded from the store on entry
         self.writes = set()    # keys written back to it on exit
-        self.flushes = set()   # keys that expression units of the next guard read
         # the interval of each INTEGER variable that is known where the next
         # line is written; a unit starts with none
         self.ranges = {}
@@ -287,11 +287,12 @@ class _Unit:
         """Drop the interval of each of `keys`, which may now hold any value."""
         self.ranges = {key: span for key, span in self.ranges.items() if key not in keys}
 
-    def adopt(self, sub):
-        """The keys of nested unit `sub`, each now a local this unit reads."""
-        for key in sub.names:
-            self.var(key, self.reads)
-        return set(sub.names)
+    def function(self, body):
+        """The name of a function with the lines `body`, defined where `run`
+        starts."""
+        name = f"f{len(self.functions)}"
+        self.functions.append([f"        def {name}():", *body])
+        return name
 
     def loads(self, keys, pad):
         """Lines setting the local of each of `keys` that the store holds."""
@@ -315,18 +316,17 @@ class _Writer:
         self.types = {d.name.lower(): d.type for d in program.declarations}
         self.units = [None] * len(program.body)
 
-    def statement(self, s, unit=None):
-        """The function that runs statement `s`, written into `unit`."""
-        unit = unit or _Unit()
+    def statement(self, s):
+        """The function that runs statement `s`."""
+        unit = _Unit()
         self.block(unit, s, _BASE)
-        return self.build(unit, ["        s = m.steps", *unit.loads(unit.reads, "        "),
-                                 "        try:", *unit.lines, "        finally:",
-                                 "            m.steps = s", *unit.stores(unit.writes, " " * 12)])
-
-    def build(self, unit, body):
-        """The function of `unit`, whose `run` has the lines `body`."""
         params = ", ".join([f"a{n}" for n in range(len(unit.args))])
-        source = "\n".join([_HEAD.format(params), *body, "    return run\n"])
+        source = "\n".join([_HEAD.format(params), "        s = m.steps",
+                            *unit.loads(unit.reads, "        "),
+                            *(line for lines in unit.functions for line in lines),
+                            "        try:", *unit.lines, "        finally:",
+                            "            m.steps = s", *unit.stores(unit.writes, " " * 12),
+                            "    return run\n"])
         return _make(source)(*unit.args)
 
     # -- statements -------------------------------------------------------------
@@ -348,15 +348,18 @@ class _Writer:
                 self.emit(unit, t, level)
             return
         if level > _MAX_INDENT and kind not in fe.SIMPLE_KINDS:
-            # a unit of its own, which takes the step count and its variables
-            # from this unit and hands them back
-            child = _Unit()
-            run = unit.arg(self.statement(s, child))
-            keys = unit.adopt(child)
-            lines += (*unit.stores(keys, pad), f"{pad}m.steps = s", f"{pad}try:",
-                      f"{pad}    {run}{_STATE}", f"{pad}finally:", f"{pad}    s = m.steps",
-                      *unit.loads(keys, pad + "    "))
-            unit.forget(keys)
+            # a function of its own, called here, which shares the locals of
+            # `run`: those it assigns are nonlocal, so `run` loads them to
+            # bind them
+            writes = unit.writes
+            unit.lines, unit.writes = [], set()
+            self.emit(unit, s, _BASE)
+            body, assigned = unit.lines, unit.writes
+            unit.lines, unit.writes = lines, writes | assigned
+            unit.reads |= assigned
+            shared = ", ".join(["s", *(v for key, (_, v) in unit.names.items()
+                                        if key in assigned)])
+            lines.append(f"{pad}{unit.function([f'            nonlocal {shared}', *body])}()")
             return
         if kind in (fe.Repeat, fe.While) and unit.ranges:
             # an iteration may start with the values an earlier one assigned
@@ -377,7 +380,7 @@ class _Writer:
         if kind is fe.Assign:
             key = s.target.lower()
             target = unit.var(key, unit.writes)
-            value, typed, span = self.expr(unit, s.expr, s.line, line, 0)
+            value, typed, span = self.expr(unit, s.expr, line, 0)
             declared = self.types[key]
             if typed == "integer" and declared == "real":
                 value = f"float({value})"
@@ -402,10 +405,10 @@ class _Writer:
             self.event(unit, pad, line, key)
             unit.forget({key})
         elif kind is fe.Writeln:
-            value = self.expr(unit, s.expr, s.line, line, 0)[0]
+            value = self.expr(unit, s.expr, line, 0)[0]
             self.guard(unit, pad, line, f"OUT({value})")
         elif kind is fe.If:
-            self.guard(unit, pad, line, f"_c = {self.condition(unit, s.cond, s.line, line)}")
+            self.guard(unit, pad, line, f"_c = {self.condition(unit, s.cond, line)}")
             lines.append(f"{pad}if _c:")
             before = unit.ranges
             self.block(unit, s.then, level + 1)
@@ -417,15 +420,14 @@ class _Writer:
             unit.ranges = {key: span for key, span in then.items()
                            if unit.ranges.get(key) == span}
         elif kind is fe.While:
-            self.guard(unit, pad, line, f"_c = {self.condition(unit, s.cond, s.line, line)}")
+            self.guard(unit, pad, line, f"_c = {self.condition(unit, s.cond, line)}")
             lines += (f"{pad}if not _c:", f"{pad}    break")
             # the loop ends where its test fails
             test = unit.ranges
             self.emit(unit, s.body, level + 1)
             unit.ranges = test
         elif kind is fe.Repeat:
-            self.guard(unit, pad, line,
-                       f"_c = {self.condition(unit, s.cond, s.until_line, line)}")
+            self.guard(unit, pad, line, f"_c = {self.condition(unit, s.cond, line)}")
             lines += (f"{pad}if _c:", f"{pad}    break")
         elif kind is fe.For:
             self.for_loop(unit, s, level, line)
@@ -436,8 +438,8 @@ class _Writer:
         lines, pad = unit.lines, "    " * level
         key = s.var.lower()
         target = unit.var(key, unit.writes)
-        start, first, low = self.expr(unit, s.start, s.line, line, 0)
-        stop, last, high = self.expr(unit, s.stop, s.line, line, 0)
+        start, first, low = self.expr(unit, s.start, line, 0)
+        stop, last, high = self.expr(unit, s.stop, line, 0)
         # what holds as each iteration starts and once the loop ends, which
         # may be before the first iteration
         assigned = _assigned([s.body])
@@ -466,12 +468,9 @@ class _Writer:
     def guard(self, unit, pad, line, code):
         """`code` at `pad`, inside a try that reports an unset variable as
         uninitialized-variable on `line`. It never holds a nested
-        statement. The variables that its expression units read are written
-        to the store first."""
-        unit.lines += (*unit.stores(unit.flushes, pad), f"{pad}try:", f"{pad}    {code}",
-                       f"{pad}except NameError:",
+        statement."""
+        unit.lines += (f"{pad}try:", f"{pad}    {code}", f"{pad}except NameError:",
                        f"{pad}    raise _Halt('uninitialized-variable', {line}) from None")
-        unit.flushes = set()
 
     def event(self, unit, pad, line, key):
         """In a traced run, the trace event of a store to `key`."""
@@ -507,18 +506,18 @@ class _Writer:
 
     # -- expressions ------------------------------------------------------------
 
-    def condition(self, unit, e, at, line):
+    def condition(self, unit, e, line):
         """The source of the condition `e`: True or False, or a type-error
         when `e` is not BOOLEAN."""
-        cond, typed, _ = self.expr(unit, e, at, line, 0)
+        cond, typed, _ = self.expr(unit, e, line, 0)
         return cond if typed == "boolean" else f"_type_error({line}, {cond})"
 
-    def expr(self, unit, e, at, line, depth):
+    def expr(self, unit, e, line, depth):
         """(source of `e`, static type of `e`, interval of `e`), `e` being
-        `depth` nodes down in a statement on line `at`, whose argument is
-        `line`: every value of `e` has that type, None when `e` always ends
-        in a fault, and an INTEGER value lies in that interval, None for
-        any other type."""
+        `depth` nodes down in a statement whose line is the argument `line`:
+        every value of `e` has that type, None when `e` always ends in a
+        fault, and an INTEGER value lies in that interval, None for any other
+        type."""
         kind = type(e)
         if kind in _LITERALS:
             span = (e.value, e.value) if kind is fe.IntLit else None
@@ -529,14 +528,12 @@ class _Writer:
             return (unit.var(key, unit.reads), typed,
                     unit.ranges.get(key, _INT64) if typed == "integer" else None)
         if depth == _MAX_DEPTH:
-            # a unit of its own, which loads its variables from the store
-            sub = _Unit()
-            value, typed, span = self.expr(sub, e, at, sub.arg(at), 0)
-            run = self.build(sub, [*sub.loads(sub.reads, "        "), f"        return {value}"])
-            unit.flushes |= unit.adopt(sub)
-            return f"{unit.arg(run)}{_STATE}", typed, span
+            # a function of its own, called here, which reads the locals of
+            # `run`
+            value, typed, span = self.expr(unit, e, line, 0)
+            return f"{unit.function([f'            return {value}'])}()", typed, span
         if kind is fe.Unary:
-            operand, typed, span = self.expr(unit, e.operand, at, line, depth + 1)
+            operand, typed, span = self.expr(unit, e.operand, line, depth + 1)
             if e.op == "not" and typed == "boolean":
                 return f"(not {operand})", typed, None
             if e.op == "-" and typed == "real":
@@ -548,16 +545,16 @@ class _Writer:
                         (-span[1], INT_MAX))
             return f"_type_error({line}, {operand})", None, None
         if kind is fe.Binary:
-            return self.binary(unit, e, at, line, depth)
+            return self.binary(unit, e, line, depth)
         raise TypeError(f"cannot evaluate {e!r}")
 
-    def binary(self, unit, e, at, line, depth):
+    def binary(self, unit, e, line, depth):
         # the left operand is evaluated first, then the right one; AND and
         # OR evaluate both, but fail on a left operand that is not BOOLEAN
         # before they evaluate the right one
         op = e.op
-        left, ltype, lspan = self.expr(unit, e.left, at, line, depth + 1)
-        right, rtype, rspan = self.expr(unit, e.right, at, line, depth + 1)
+        left, ltype, lspan = self.expr(unit, e.left, line, depth + 1)
+        right, rtype, rspan = self.expr(unit, e.right, line, depth + 1)
         typed = _result_type(op, ltype, rtype)
         if typed is None:
             if op in _LOGIC and ltype != "boolean":

@@ -603,7 +603,7 @@ def _nested_programs():
 @pytest.mark.parametrize("source, deeper", _nested_programs())
 def test_programs_at_the_nesting_bound_run_like_tree_walk(source, deeper):
     # nested deeper than one generated function may be, so deep statements
-    # and expressions run as units of their own
+    # and expressions run as functions nested in their statement's
     program = fe.parse(source)
     with pytest.raises(ParseError):
         fe.parse(deeper)
@@ -615,9 +615,10 @@ def test_programs_at_the_nesting_bound_run_like_tree_walk(source, deeper):
                                 [])
 
 
-# state handed across unit boundaries: the outer unit sets X, which a nested
-# statement unit (the IF chain) or an expression unit (the long sum) reads;
-# in the last, the nested unit sets Y and then halts on its step budget
+# state shared with a nested function (a unit, in the ids): the statement
+# sets X, which a deep statement's function (the IF chain) or a deep
+# expression's (the long sum) reads; in the last, the deep statement's
+# function sets Y and then halts on its step budget
 _BOUNDARIES = {
     "statement-unit": ("X := 5; " + "IF X > 0 THEN " * 14 + "Y := X + 1; WRITELN(Y)",
                        run.OK, [6], {"x": 5, "y": 6}),
@@ -641,10 +642,10 @@ def test_state_crosses_unit_boundaries_like_tree_walk(body, status, outputs, val
 # --- value ranges: checks that FOR bounds and assignments prove dead ----------
 # Each program's fault, if any, is the one a check that was wrongly left out
 # would miss. The bounds sit at the 64-bit edges; the control variable is
-# changed inside the body, in a nested unit, or read by a nested unit. A
+# changed inside the body, in a nested function, or read by one. A
 # variable assigned a small value earlier in the same statement is assigned
 # a large one on a path the writer must not take for granted: in a branch,
-# later in a loop, in a loop that makes no trip, or in a nested unit. A
+# later in a loop, in a loop that makes no trip, or in a nested function. A
 # check that one side of 64 bits can never need is written for the other
 # side only.
 
@@ -846,7 +847,8 @@ def test_generated_source_holds_no_program_text(monkeypatch):
                                       + "Zorp + 4243" + ")" * 41 + ")"))
     for trace in (False, True):
         assert run.execute(program, [10 ** 5], trace=trace).outputs == [-4243]
-    assert len(sources) == 2 * (len(program.body) + 1)    # and one expression unit each
+    # the deep expression is a function inside its statement's source
+    assert len(sources) == 2 * len(program.body)
     text = "\n".join(sources).lower()
     for word in ("quux", "zorp", "frob", "4242", "4243", "31337", "271", "828"):
         assert word not in text
@@ -870,8 +872,8 @@ def test_a_later_run_compiles_what_an_earlier_one_did_not_reach():
 
 
 def _programs_with_nested_units():
-    """A program of every kind of unit: top-level statements, a nested
-    statement unit and an expression unit."""
+    """Programs with a nested function each: a deep statement's, a deep
+    expression's, and a deep statement's that halts."""
     head = "PROGRAM P(input, output);\nVAR X, Y: INTEGER;\nBEGIN\n    READLN(X);\n"
     return [fe.parse(f"{head}    IF TRUE THEN BEGIN {body}; END\nEND.\n")
             for body, *_ in _BOUNDARIES.values()]
