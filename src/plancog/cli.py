@@ -50,9 +50,10 @@ def _library(args):
 
 
 def _read(path):
-    """The text of a UTF-8 file; a file that cannot be read is a PlancogError."""
+    """The text of a UTF-8 file, without a leading byte-order mark; a file
+    that cannot be read is a PlancogError."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as err:
         raise PlancogError(f"cannot read {path}: {err.strerror or err}") from None

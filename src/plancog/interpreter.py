@@ -91,6 +91,7 @@ from .errors import AnalysisError
 from .frontend import INT_MAX, INT_MIN
 
 DEFAULT_STEP_BUDGET = 100_000
+OUTPUT_TOLERANCE = 1e-9    # how far apart two outputs may be, one a REAL, and be equal
 
 OK = "ok"
 RUNTIME_ERROR = "runtime-error"
@@ -676,15 +677,14 @@ class ComparisonReport:
 
 
 def compare_behavior(p1: fe.Program, p2: fe.Program, input_sets,
-                     step_budget: int = DEFAULT_STEP_BUDGET,
-                     tolerance: float = 1e-9) -> ComparisonReport:
+                     step_budget: int = DEFAULT_STEP_BUDGET) -> ComparisonReport:
     """Compare observable behavior of two programs over each input set."""
     entries = []
     for inputs in input_sets:
         r1 = execute(p1, inputs, step_budget)
         r2 = execute(p2, inputs, step_budget)
         if r1.status == OK and r2.status == OK:
-            if _outputs_equal(r1.outputs, r2.outputs, tolerance):
+            if _outputs_equal(r1.outputs, r2.outputs):
                 entries.append(ComparisonEntry(list(inputs), "equal",
                                                f"outputs {r1.outputs!r}"))
             else:
@@ -704,16 +704,16 @@ def compare_behavior(p1: fe.Program, p2: fe.Program, input_sets,
     return ComparisonReport(entries)
 
 
-def _outputs_equal(a, b, tolerance):
+def _outputs_equal(a, b):
     """Equal outputs: a BOOLEAN equals only the same BOOLEAN, and an INTEGER
-    and a REAL are equal within `tolerance`."""
+    and a REAL are equal within OUTPUT_TOLERANCE."""
     if len(a) != len(b):
         return False
     for x, y in zip(a, b):
         if isinstance(x, bool) is not isinstance(y, bool):
             return False
         if isinstance(x, float) or isinstance(y, float):
-            if abs(float(x) - float(y)) > tolerance:
+            if abs(float(x) - float(y)) > OUTPUT_TOLERANCE:
                 return False
         elif x != y:
             return False

@@ -45,6 +45,7 @@ DATA_DRIVEN = "data-driven"
 CONCEPTUALLY_DRIVEN = "conceptually-driven"
 
 CUE_KINDS = ("name", "type", "init", "update", "loop", "loopform", "comment", "schema")
+_QUOTED_CUE_KINDS = ("name", "init", "update", "loopform", "comment")   # written kind~"..."
 LOOP_WORDS = ("iteration", "repeat", "while", "for")
 DISCOURSE_CHECKS = ("name-reflects-function", "no-double-duty", "no-unused-plan-part")
 
@@ -394,6 +395,20 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
         for _, pat in r.bindings:
             if not pattern_ok(pat):
                 out.append(Diagnostic("bad-pattern", r.id, f"unparseable pattern {pat!r}"))
+
+    # the file format writes these fields between quotes, without an escape,
+    # one line each
+    quoted = [(s.name, "desc", s.description) for s in kb.schemas]
+    quoted += [(f"{s.name}.{slot.name}", "filler", f.pattern)
+               for s in kb.schemas for slot in s.slots for f in slot.fillers]
+    quoted += [(r.id, "cue", c.payload)
+               for r in kb.rules for c in r.conditions if c.kind in _QUOTED_CUE_KINDS]
+    quoted += [(r.id, "bind pattern", pat) for r in kb.rules for _, pat in r.bindings]
+    quoted += [(d.id, "statement", d.statement) for d in kb.discourse_rules]
+    for subject, what, text in quoted:
+        if '"' in text or "".join(text.splitlines()) != text:
+            out.append(Diagnostic("unwritable-text", subject,
+                                  f"{what} {text!r} holds a quote or a line break"))
     return out
 
 
@@ -458,7 +473,7 @@ def dump_kb(kb: KnowledgeBase) -> str:
 
 
 _CUE_RX = re.compile(
-    r'(?P<kind>name|init|update|loopform|comment)~"(?P<pat>[^"]*)"'
+    rf'(?P<kind>{"|".join(_QUOTED_CUE_KINDS)})~"(?P<pat>[^"]*)"'
     r"|type=(?P<type>[a-z]+)"
     r"|loop=(?P<loop>while|repeat|for)"
     r"|schema=(?P<schema>[A-Za-z_][A-Za-z0-9_]*)")
@@ -487,9 +502,13 @@ _DISCOURSE_RX = re.compile(
     r'discourse\s+(?P<id>\S+)\s+check\s+(?P<check>\S+)\s+"(?P<stmt>[^"]*)"$')
 
 
+# a cue: text up to a comma outside quotes, as a cue pattern may hold commas;
+# a quote left open runs to the end
+_CUE_TEXT_RX = re.compile(r'(?:[^,"]|"[^"]*"?)+')
+
+
 def _split_cues(text):
-    # cue patterns never contain commas, so a plain split is safe
-    return [part for part in (p.strip() for p in text.split(",")) if part]
+    return [part for part in (p.strip() for p in _CUE_TEXT_RX.findall(text)) if part]
 
 
 def load_kb(text: str) -> KnowledgeBase:

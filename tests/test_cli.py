@@ -429,6 +429,15 @@ def _unreadable_inputs(tmp_path):
     return [str(tmp_path / "missing.mp"), str(tmp_path), str(latin)]
 
 
+def test_files_with_a_byte_order_mark_are_read(tmp_path, capsys, grey_src):
+    program, library = tmp_path / "grey.mp", tmp_path / "builtin.kb"
+    program.write_text("\ufeff" + grey_src, encoding="utf-8")
+    library.write_text("\ufeff" + kblib.dump_kb(kblib.builtin_kb()), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "parse", str(program), "--json")
+    assert (code, out) == run_cli(capsys, "parse", corpus_path("grey.mp"), "--json")[:2]
+    assert run_cli(capsys, "kb", "validate", str(library))[0] == 0
+
+
 def test_unreadable_program_file_is_an_error(tmp_path, capsys):
     for path in _unreadable_inputs(tmp_path):
         code, out, err = run_cli(capsys, "recognize", path)

@@ -150,7 +150,8 @@ def test_load_dump_identity_custom():
         '  names tmp temp swap\n'
         '  slot temp mandatory\n'
         '    filler "<v>:=<w>" proto\n'
-        'rule S1 data: if init~"<v>:=<w>" then activate Swap_Pair, bind temp="<v>:=<w>"\n'
+        'rule S1 data: if init~"<v>:=<w>", comment~"counter, index" then activate Swap_Pair,'
+        ' bind temp="<v>:=<w>"\n'
     )
     loaded = kblib.load_kb(text)
     assert loaded.schema("Swap_Pair").goal == "exchange-values"
@@ -214,7 +215,22 @@ _replace = dataclasses.replace
         *kb.rules[0].conditions, kblib.Cue("colour", "red"))),)), ("bad-cue", "R1")),
     (lambda kb: _replace(kb, links=(*kb.links, kblib.Link("uses", "A", "B"))),
      ("missing-slot", "A->B")),
-], ids=["bad-kind", "bad-cue", "missing-slot"])
+    # text that the file format, which has no escape, cannot write
+    (lambda kb: _replace(kb, schemas=(_replace(kb.schemas[0], description='an "a"'),
+                                      *kb.schemas[1:])), ("unwritable-text", "A")),
+    (lambda kb: _replace(kb, schemas=(_replace(kb.schemas[0], description="a\nb"),
+                                      *kb.schemas[1:])), ("unwritable-text", "A")),
+    (lambda kb: _replace(kb, schemas=(_replace(kb.schemas[0], slots=(kblib.Slot(
+        "name", True, (kblib.Filler('<v>:="x"'),)),)), *kb.schemas[1:])),
+     ("unwritable-text", "A.name")),
+    (lambda kb: _replace(kb, rules=(_replace(kb.rules[0], conditions=(
+        kblib.Cue("comment", 'a "b"'),)),)), ("unwritable-text", "R1")),
+    (lambda kb: _replace(kb, rules=(_replace(kb.rules[0], bindings=(
+        ("name", '<v>:="x"'),)),)), ("unwritable-text", "R1")),
+    (lambda kb: _replace(kb, discourse_rules=(kblib.DiscourseRule(
+        "D1", "no-double-duty", "one\r\ntwo"),)), ("unwritable-text", "D1")),
+], ids=["bad-kind", "bad-cue", "missing-slot", "quote-in-desc", "line-break-in-desc",
+        "quote-in-filler", "quote-in-cue", "quote-in-bind", "line-break-in-statement"])
 def test_diagnostics_load_kb_cannot_produce(fault, expected):
     # the file format rejects these before validation, so they are made in
     # memory, as a new library built from a loaded one
@@ -222,6 +238,13 @@ def test_diagnostics_load_kb_cannot_produce(fault, expected):
                              'schema B kind variable\n  desc "b"\n  slot name mandatory\n'
                              'rule R1 data: if name~"<v>" then activate A\n'))
     assert [(d.code, d.subject) for d in kblib.validate_kb(kb)] == [expected]
+    if expected[0] == "unwritable-text":
+        # its dump does not load, or loads as another library
+        try:
+            reloaded = kblib.load_kb(kblib.dump_kb(kb))
+        except KbFormatError:
+            reloaded = None
+        assert reloaded != kb
 
 
 def test_double_prototypical_diagnostic():
