@@ -352,11 +352,10 @@ class _Writer:
             # a function of its own, called here, which shares the locals of
             # `run`: those it assigns are nonlocal, so `run` loads them to
             # bind them
-            writes = unit.writes
-            unit.lines, unit.writes = [], set()
+            unit.lines = []
             self.emit(unit, s, _BASE)
-            body, assigned = unit.lines, unit.writes
-            unit.lines, unit.writes = lines, writes | assigned
+            body, unit.lines = unit.lines, lines
+            assigned = _assigned([s])
             unit.reads |= assigned
             shared = ", ".join(["s", *(v for key, (_, v) in unit.names.items()
                                         if key in assigned)])

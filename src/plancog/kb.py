@@ -313,6 +313,8 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
         names[s.name] = s
         if s.kind not in SCHEMA_KINDS:
             out.append(Diagnostic("bad-kind", s.name, f"unknown kind {s.kind!r}"))
+        if _UNWRITABLE.search(s.description):
+            out.append(_unwritable(s.name, "desc", s.description))
         seen_slots = set()
         for slot in s.slots:
             if slot.name in seen_slots:
@@ -327,6 +329,8 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
                 if not pattern_ok(f.pattern):
                     out.append(Diagnostic("bad-pattern", f"{s.name}.{slot.name}",
                                           f"unparseable pattern {f.pattern!r}"))
+                if _UNWRITABLE.search(f.pattern):
+                    out.append(_unwritable(f"{s.name}.{slot.name}", "filler", f.pattern))
         if s.controlled_by is not None and s.slot(s.controlled_by) is None:
             out.append(Diagnostic("unknown-slot", f"{s.name}.{s.controlled_by}",
                                   "controlled-by names a slot the schema lacks"))
@@ -369,6 +373,8 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
     for d in kb.discourse_rules:
         if d.check not in DISCOURSE_CHECKS:
             out.append(Diagnostic("bad-check", d.id, f"unknown predicate {d.check!r}"))
+        if _UNWRITABLE.search(d.statement):
+            out.append(_unwritable(d.id, "statement", d.statement))
 
     seen_rules = set()
     for r in kb.rules:
@@ -392,24 +398,23 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
             elif c.kind in ("init", "update", "loopform") and not pattern_ok(c.payload):
                 out.append(Diagnostic("bad-pattern", r.id,
                                       f"unparseable pattern {c.payload!r}"))
+            if c.kind in _QUOTED_CUE_KINDS and _UNWRITABLE.search(c.payload):
+                out.append(_unwritable(r.id, "cue", c.payload))
         for _, pat in r.bindings:
             if not pattern_ok(pat):
                 out.append(Diagnostic("bad-pattern", r.id, f"unparseable pattern {pat!r}"))
-
-    # the file format writes these fields between quotes, without an escape,
-    # one line each
-    quoted = [(s.name, "desc", s.description) for s in kb.schemas]
-    quoted += [(f"{s.name}.{slot.name}", "filler", f.pattern)
-               for s in kb.schemas for slot in s.slots for f in slot.fillers]
-    quoted += [(r.id, "cue", c.payload)
-               for r in kb.rules for c in r.conditions if c.kind in _QUOTED_CUE_KINDS]
-    quoted += [(r.id, "bind pattern", pat) for r in kb.rules for _, pat in r.bindings]
-    quoted += [(d.id, "statement", d.statement) for d in kb.discourse_rules]
-    for subject, what, text in quoted:
-        if '"' in text or "".join(text.splitlines()) != text:
-            out.append(Diagnostic("unwritable-text", subject,
-                                  f"{what} {text!r} holds a quote or a line break"))
+            if _UNWRITABLE.search(pat):
+                out.append(_unwritable(r.id, "bind pattern", pat))
     return out
+
+
+# what a quoted field of the file format cannot hold, as the format has no
+# escape: a quote, or a character at which `str.splitlines` ends a line
+_UNWRITABLE = re.compile('["\n\r\v\f\x1c-\x1e\x85\u2028\u2029]')
+
+
+def _unwritable(subject, what, text):
+    return Diagnostic("unwritable-text", subject, f"{what} {text!r} holds a quote or a line break")
 
 
 # --- link queries ----------------------------------------------------------
