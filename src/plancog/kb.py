@@ -507,13 +507,16 @@ _DISCOURSE_RX = re.compile(
     r'discourse\s+(?P<id>\S+)\s+check\s+(?P<check>\S+)\s+"(?P<stmt>[^"]*)"$')
 
 
-# a cue: text up to a comma outside quotes, as a cue pattern may hold commas;
-# a quote left open runs to the end
-_CUE_TEXT_RX = re.compile(r'(?:[^,"]|"[^"]*"?)+')
-
-
 def _split_cues(text):
-    return [part for part in (p.strip() for p in _CUE_TEXT_RX.findall(text)) if part]
+    """The cues of a rule's conditions: `text` split at each comma outside
+    quotes, as a cue pattern may hold commas."""
+    cues = []
+    for part in text.split(","):
+        if cues and cues[-1].count('"') % 2:
+            cues[-1] += "," + part      # a quote is open: the comma is in a pattern
+        else:
+            cues.append(part)
+    return [cue for cue in map(str.strip, cues) if cue]
 
 
 def load_kb(text: str) -> KnowledgeBase:

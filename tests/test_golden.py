@@ -88,14 +88,13 @@ def unit_runs():
     the corpus, the benchmark's grid with a dividend that is never negative
     and one that may be, one of its generated programs at scale, and the
     programs nested past what one generated function may hold."""
-    pg = benchmark_programs()
-    runs = [(name, source, [1, 2, 3, 99999]) for name, source in cli.corpus()]
+    pg, inputs = benchmark_programs(), list(DEFAULT_SIMULATION_INPUTS)
+    runs = [(name, source, inputs) for name, source in cli.corpus()]
     names = {"sum": "Total", "row": "Row", "col": "Col", "part": "Part"}
     for offset in (5, -5):
         block = pg.nested_block(names, 3, 4, offset, 7, 2)
         runs.append((f"grid with offset {offset}", pg.render("Grid", [block]).source, []))
-    runs.append(("scale program", pg.scale_program(random.Random(11), 8, 11).source,
-                 list(DEFAULT_SIMULATION_INPUTS)))
+    runs.append(("scale program", pg.scale_program(random.Random(11), 8, 11).source, inputs))
     for kind in ("statement-unit", "expression-unit"):
         body = _BOUNDARIES[kind][0]
         runs.append((kind, "PROGRAM P(input, output);\nVAR X, Y: INTEGER;\nBEGIN\n"
