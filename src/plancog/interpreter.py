@@ -242,7 +242,7 @@ def _divide(left, right, line):
 # a trace event (None when untraced), IN returns the next input and OUT
 # appends an output.
 _HEAD = "def make({}):\n    def run(m, V, B, E, IN, OUT):"
-_BASE = 3            # the indentation level of the body of `run`'s try
+_BASE = 3            # the indentation level of `run`'s try body and a nested function's
 # CPython's nesting limits, with room to spare: a loop is one block and one
 # level, and each checked operator two parentheses
 _MAX_INDENT = 12
