@@ -104,7 +104,7 @@ def _compile(pattern: str) -> re.Pattern:
 
 
 _IDENT = re.compile(_IDENT_RX + r"\Z")
-_WORD = re.compile(r"[a-z]*")
+_LEADING_WORD = re.compile(r"[a-z]*")
 
 
 @lru_cache(maxsize=1024)
@@ -115,7 +115,7 @@ def pattern_matcher(pattern: str):
     ignores the variable."""
     if pattern in LOOP_WORDS:
         words = ("repeat", "while", "for") if pattern == "iteration" else (pattern,)
-        return lambda text, var=None: _WORD.match(text).group() in words
+        return lambda text, var=None: _LEADING_WORD.match(text).group() in words
     rx = _compile(pattern)
     match = rx.match
     if "v" not in rx.groupindex:
@@ -304,7 +304,14 @@ def builtin_kb() -> KnowledgeBase:
 # --- validation -----------------------------------------------------------
 
 def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
-    """Empty list iff every structural invariant holds."""
+    """Empty list iff every structural invariant holds and every name and text
+    fits its line of the file format, so that the library loads from its dump."""
+    return _check_structure(kb) + [
+        Diagnostic("unwritable-text", subject, f"{what} {text!r} cannot be written in a KB line")
+        for subject, what, text, fits in _fields(kb) if not fits(text)]
+
+
+def _check_structure(kb):
     out = []
     names = {}
     for s in kb.schemas:
@@ -313,8 +320,6 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
         names[s.name] = s
         if s.kind not in SCHEMA_KINDS:
             out.append(Diagnostic("bad-kind", s.name, f"unknown kind {s.kind!r}"))
-        if _UNWRITABLE.search(s.description):
-            out.append(_unwritable(s.name, "desc", s.description))
         seen_slots = set()
         for slot in s.slots:
             if slot.name in seen_slots:
@@ -329,8 +334,6 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
                 if not pattern_ok(f.pattern):
                     out.append(Diagnostic("bad-pattern", f"{s.name}.{slot.name}",
                                           f"unparseable pattern {f.pattern!r}"))
-                if _UNWRITABLE.search(f.pattern):
-                    out.append(_unwritable(f"{s.name}.{slot.name}", "filler", f.pattern))
         if s.controlled_by is not None and s.slot(s.controlled_by) is None:
             out.append(Diagnostic("unknown-slot", f"{s.name}.{s.controlled_by}",
                                   "controlled-by names a slot the schema lacks"))
@@ -373,8 +376,6 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
     for d in kb.discourse_rules:
         if d.check not in DISCOURSE_CHECKS:
             out.append(Diagnostic("bad-check", d.id, f"unknown predicate {d.check!r}"))
-        if _UNWRITABLE.search(d.statement):
-            out.append(_unwritable(d.id, "statement", d.statement))
 
     seen_rules = set()
     for r in kb.rules:
@@ -398,23 +399,38 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
             elif c.kind in ("init", "update", "loopform") and not pattern_ok(c.payload):
                 out.append(Diagnostic("bad-pattern", r.id,
                                       f"unparseable pattern {c.payload!r}"))
-            if c.kind in _QUOTED_CUE_KINDS and _UNWRITABLE.search(c.payload):
-                out.append(_unwritable(r.id, "cue", c.payload))
         for _, pat in r.bindings:
             if not pattern_ok(pat):
                 out.append(Diagnostic("bad-pattern", r.id, f"unparseable pattern {pat!r}"))
-            if _UNWRITABLE.search(pat):
-                out.append(_unwritable(r.id, "bind pattern", pat))
     return out
 
 
-# what a quoted field of the file format cannot hold, as the format has no
-# escape: a quote, or a character at which `str.splitlines` ends a line
-_UNWRITABLE = re.compile('["\n\r\v\f\x1c-\x1e\x85\u2028\u2029]')
-
-
-def _unwritable(subject, what, text):
-    return Diagnostic("unwritable-text", subject, f"{what} {text!r} holds a quote or a line break")
+def _fields(kb):
+    """(subject, what, text, fits) for each name and text of a library, where
+    `fits` tells whether its line can hold the text; `load_kb` reads no other."""
+    for s in kb.schemas:
+        yield s.name, "schema name", s.name, _is_word
+        yield s.name, "desc", s.description, _is_text
+        if s.goal is not None:
+            yield s.name, "goal", s.goal, _is_word
+        for stem in s.names:        # stems are read lowercased
+            yield s.name, "stem", stem, lambda x: x == x.lower() and _is_word(x)
+        for slot in s.slots:
+            yield f"{s.name}.{slot.name}", "slot name", slot.name, _is_word
+            for f in slot.fillers:
+                yield f"{s.name}.{slot.name}", "filler", f.pattern, _is_text
+    for d in kb.discourse_rules:
+        yield d.id, "discourse id", d.id, _is_word
+        yield d.id, "statement", d.statement, _is_text
+    for r in kb.rules:
+        yield r.id, "rule id", r.id, _is_word
+        yield r.id, "activated schema", r.activates, _is_name
+        for c in r.conditions:
+            if c.kind in CUE_KINDS:         # another kind is a bad-cue
+                yield r.id, "cue", str(c), _CUE_RX.fullmatch
+        for slot, pat in r.bindings:
+            yield r.id, "bound slot", slot, _is_slot
+            yield r.id, "bind pattern", pat, _is_text
 
 
 # --- link queries ----------------------------------------------------------
@@ -443,6 +459,16 @@ def implementations(kb: KnowledgeBase, schema: str) -> list[tuple[str, str]]:
 
 # --- file format ------------------------------------------------------------
 
+# What a line can hold, as the format has no escape: the line patterns are
+# built from these. A word line's names are `str.split` words, `\S+` runs.
+_TEXT = '[^"\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*'   # quoted: no quote, nothing ends a line
+_WORD = r"\S+"
+_NAME = "[A-Za-z_][A-Za-z0-9_]*"     # a schema in a rule line
+_SLOT = "[A-Za-z_][A-Za-z0-9_-]*"    # a slot in a rule line's binding
+_is_text, _is_word, _is_name, _is_slot = (re.compile(f).fullmatch
+                                          for f in (_TEXT, _WORD, _NAME, _SLOT))
+
+
 def dump_kb(kb: KnowledgeBase) -> str:
     """Canonical serialization; load_kb(dump_kb(kb)) == kb."""
     lines = []
@@ -470,53 +496,32 @@ def dump_kb(kb: KnowledgeBase) -> str:
     for r in kb.rules:
         direction = "data" if r.direction == DATA_DRIVEN else "concept"
         cues = ", ".join(str(c) for c in r.conditions)
-        text = f"rule {r.id} {direction}: if {cues} then activate {r.activates}"
-        for slot, pat in r.bindings:
-            text += f', bind {slot}="{pat}"'
-        lines.append(text)
+        binds = "".join(f', bind {slot}="{pat}"' for slot, pat in r.bindings)
+        lines.append(f"rule {r.id} {direction}: if {cues} then activate {r.activates}{binds}")
     return "\n".join(lines) + "\n"
 
 
-_CUE_RX = re.compile(
-    rf'(?P<kind>{"|".join(_QUOTED_CUE_KINDS)})~"(?P<pat>[^"]*)"'
-    r"|type=(?P<type>[a-z]+)"
-    r"|loop=(?P<loop>while|repeat|for)"
-    r"|schema=(?P<schema>[A-Za-z_][A-Za-z0-9_]*)")
+# a cue's payload is the group named after its kind
+_CUE_RX = re.compile("|".join([f'{kind}~"(?P<{kind}>{_TEXT})"' for kind in _QUOTED_CUE_KINDS] + [
+    "type=(?P<type>[a-z]+)", "loop=(?P<loop>while|repeat|for)", f"schema=(?P<schema>{_NAME})"]))
+# the conditions end at the `then activate` outside quotes that the line's rest follows
+_RULE_RX = re.compile(
+    rf'rule\s+(?P<id>{_WORD})\s+(?P<dir>data|concept):\s*if\s+'
+    rf'(?P<cues>(?:[^"]*"{_TEXT}")*?[^"]*?)\s+then\s+activate\s+(?P<schema>{_NAME})'
+    rf'(?P<binds>(?:\s*,\s*bind\s+{_SLOT}="{_TEXT}")*)')
+# a condition: from a non-blank to the next comma outside quotes, less trailing blanks
+_CONDITION_RX = re.compile(r'(?=[^,\s])[^,"]*(?:"[^"]*"[^,"]*)*(?<!\s)')
+_BIND_RX = re.compile(rf'bind\s+({_SLOT})="({_TEXT})"')
+_DESC_RX = re.compile(rf'desc\s+"(?P<d>{_TEXT})"')
+_FILLER_RX = re.compile(rf'filler\s+"(?P<p>{_TEXT})"(?P<proto>\s+proto)?')
+_DISCOURSE_RX = re.compile(rf'discourse\s+({_WORD})\s+check\s+({_WORD})\s+"({_TEXT})"')
 
 
 def _parse_cue(text, lineno):
-    m = _CUE_RX.fullmatch(text.strip())
+    m = _CUE_RX.fullmatch(text)
     if not m:
-        raise KbFormatError(f"bad cue {text.strip()!r}", lineno)
-    if m.group("kind"):
-        return Cue(m.group("kind"), m.group("pat"))
-    if m.group("type"):
-        return Cue("type", m.group("type"))
-    if m.group("loop"):
-        return Cue("loop", m.group("loop"))
-    return Cue("schema", m.group("schema"))
-
-
-_RULE_RX = re.compile(
-    r"rule\s+(?P<id>\S+)\s+(?P<dir>data|concept):\s*if\s+(?P<cues>.*?)"
-    r"\s+then\s+activate\s+(?P<schema>[A-Za-z_][A-Za-z0-9_]*)(?P<binds>.*)$")
-_BIND_RX = re.compile(r'bind\s+(?P<slot>[A-Za-z_][A-Za-z0-9_-]*)="(?P<pat>[^"]*)"')
-_DESC_RX = re.compile(r'desc\s+"(?P<d>[^"]*)"')
-_FILLER_RX = re.compile(r'filler\s+"(?P<p>[^"]*)"(?P<proto>\s+proto)?')
-_DISCOURSE_RX = re.compile(
-    r'discourse\s+(?P<id>\S+)\s+check\s+(?P<check>\S+)\s+"(?P<stmt>[^"]*)"$')
-
-
-def _split_cues(text):
-    """The cues of a rule's conditions: `text` split at each comma outside
-    quotes, as a cue pattern may hold commas."""
-    cues = []
-    for part in text.split(","):
-        if cues and cues[-1].count('"') % 2:
-            cues[-1] += "," + part      # a quote is open: the comma is in a pattern
-        else:
-            cues.append(part)
-    return [cue for cue in map(str.strip, cues) if cue]
+        raise KbFormatError(f"bad cue {text!r}", lineno)
+    return Cue(m.lastgroup, m[m.lastgroup])
 
 
 def load_kb(text: str) -> KnowledgeBase:
@@ -555,12 +560,9 @@ def load_kb(text: str) -> KnowledgeBase:
         elif head == "slot":
             if schema is None:
                 raise KbFormatError("slot outside a schema", lineno)
-            if len(words) == 3 and words[2] == "mandatory":
-                slot = [words[1], True, []]
-            elif len(words) == 2:
-                slot = [words[1], False, []]
-            else:
+            if len(words) == 1 or words[2:] not in ([], ["mandatory"]):
                 raise KbFormatError("expected: slot <name> [mandatory]", lineno)
+            slot = [words[1], len(words) == 3, []]
             slots.append(slot)
         elif head == "filler":
             m = _FILLER_RX.fullmatch(stripped)
@@ -579,19 +581,16 @@ def load_kb(text: str) -> KnowledgeBase:
             m = _DISCOURSE_RX.fullmatch(stripped)
             if not m:
                 raise KbFormatError("malformed discourse rule", lineno)
-            discourse_rules.append(DiscourseRule(m.group("id"), m.group("check"),
-                                                 m.group("stmt")))
+            discourse_rules.append(DiscourseRule(*m.groups()))
             schema = slot = None
         elif head == "rule":
             m = _RULE_RX.fullmatch(stripped)
             if not m:
                 raise KbFormatError("malformed production rule", lineno)
-            direction = DATA_DRIVEN if m.group("dir") == "data" else CONCEPTUALLY_DRIVEN
-            conditions = tuple([_parse_cue(c, lineno) for c in _split_cues(m.group("cues"))])
-            bindings = tuple([(b.group("slot"), b.group("pat"))
-                              for b in _BIND_RX.finditer(m.group("binds"))])
-            rules.append(ProductionRule(m.group("id"), direction, conditions,
-                                        m.group("schema"), bindings))
+            direction = DATA_DRIVEN if m["dir"] == "data" else CONCEPTUALLY_DRIVEN
+            conditions = tuple([_parse_cue(c, lineno) for c in _CONDITION_RX.findall(m["cues"])])
+            rules.append(ProductionRule(m["id"], direction, conditions, m["schema"],
+                                        tuple(_BIND_RX.findall(m["binds"]))))
             schema = slot = None
         else:
             raise KbFormatError(f"unrecognized directive {head!r}", lineno)
@@ -599,7 +598,7 @@ def load_kb(text: str) -> KnowledgeBase:
                                                    for name, mandatory, fillers in slots]))
                      for fields, slots in specs])
     kb = KnowledgeBase(schemas, tuple(links), tuple(discourse_rules), tuple(rules))
-    diagnostics = validate_kb(kb)
+    diagnostics = _check_structure(kb)     # every name and text was read by its line
     if diagnostics:
         raise KbValidationError(diagnostics)
     return kb

@@ -201,6 +201,11 @@ def test_kb_validate_documents(tmp_path, capsys):
     (_KB + "  uses A for name\n", "kb line 9: expected: uses <ChildName> as <slotname>"),
     (_KB + "discourse D1 check\n", "kb line 9: malformed discourse rule"),
     (_KB + "rule R1 data: activate A\n", "kb line 9: malformed production rule"),
+    (_KB + f'{_RULE}, bind name="<v>" junk\n', "kb line 9: malformed production rule"),
+    (_KB + 'rule R1 data: if name~"<v>" then activate A-B\n',
+     "kb line 9: malformed production rule"),
+    (_KB + f'{_RULE} bind name="<v>"\n', "kb line 9: malformed production rule"),
+    (_KB + f'{_RULE}, bind a.b="<v>"\n', "kb line 9: malformed production rule"),
     (_KB + 'rule R1 data: if colour~"red" then activate A\n',
      "kb line 9: bad cue 'colour~\"red\"'"),
     (_KB + "frobnicate\n", "kb line 9: unrecognized directive 'frobnicate'"),
@@ -211,7 +216,8 @@ def test_kb_validate_documents(tmp_path, capsys):
         "bad-cue-pattern", "bad-binding-pattern", "two-diagnostics", "schema-line",
         "schema-kind", "desc-outside", "goal-line", "names-outside", "slot-outside",
         "slot-line", "filler-outside", "kindof-line", "uses-line", "discourse-line",
-        "rule-line", "cue-kind", "directive"])
+        "rule-line", "text-after-bindings", "activated-schema-dash", "bind-without-comma",
+        "bound-slot-dot", "cue-kind", "directive"])
 def test_kb_validate_json_reports_each_fault(tmp_path, capsys, text, expected):
     # a diagnostic list, or the error document of a format error
     path = tmp_path / "lib.kb"

@@ -150,8 +150,8 @@ def test_load_dump_identity_custom():
         '  names tmp temp swap\n'
         '  slot temp mandatory\n'
         '    filler "<v>:=<w>" proto\n'
-        'rule S1 data: if init~"<v>:=<w>", comment~"counter, index" then activate Swap_Pair,'
-        ' bind temp="<v>:=<w>"\n'
+        'rule S1 data: if init~"<v>:=<w>", comment~"counter, index",'
+        ' comment~"x then activate A" then activate Swap_Pair, bind temp="<v>:=<w>"\n'
     )
     loaded = kblib.load_kb(text)
     assert loaded.schema("Swap_Pair").goal == "exchange-values"
@@ -229,8 +229,35 @@ _replace = dataclasses.replace
         ("name", '<v>:="x"'),)),)), ("unwritable-text", "R1")),
     (lambda kb: _replace(kb, discourse_rules=(kblib.DiscourseRule(
         "D1", "no-double-duty", "one\r\ntwo"),)), ("unwritable-text", "D1")),
+    # names and cue payloads that a rule line cannot spell
+    (lambda kb: _replace(kb, rules=(_replace(kb.rules[0], conditions=(
+        kblib.Cue("type", "Integer"),)),)), ("unwritable-text", "R1")),
+    (lambda kb: _replace(kb, rules=(_replace(kb.rules[0], conditions=(
+        kblib.Cue("loop", "until"),)),)), ("unwritable-text", "R1")),
+    (lambda kb: _replace(kb, rules=(_replace(kb.rules[0], id="R 1"),)),
+     ("unwritable-text", "R 1")),
+    (lambda kb: _replace(kb, schemas=(_replace(kb.schemas[0], name="A-B"), *kb.schemas[1:]),
+                         rules=(_replace(kb.rules[0], activates="A-B"),)),
+     ("unwritable-text", "R1")),
+    (lambda kb: _replace(kb, schemas=(_replace(kb.schemas[0], slots=(
+        *kb.schemas[0].slots, kblib.Slot("a.b"))), *kb.schemas[1:]),
+                         rules=(_replace(kb.rules[0], bindings=(("a.b", "<v>"),)),)),
+     ("unwritable-text", "R1")),
+    # names that a word line cannot write back
+    (lambda kb: _replace(kb, schemas=(_replace(kb.schemas[0], names=("Sum",)),
+                                      *kb.schemas[1:])), ("unwritable-text", "A")),
+    (lambda kb: _replace(kb, schemas=(_replace(kb.schemas[0], slots=(
+        *kb.schemas[0].slots, kblib.Slot("a b"))), *kb.schemas[1:])),
+     ("unwritable-text", "A.a b")),
+    (lambda kb: _replace(kb, schemas=(_replace(kb.schemas[0], goal="x y"), *kb.schemas[1:])),
+     ("unwritable-text", "A")),
+    (lambda kb: _replace(kb, discourse_rules=(kblib.DiscourseRule(
+        "D 1", "no-double-duty", "x"),)), ("unwritable-text", "D 1")),
 ], ids=["bad-kind", "bad-cue", "missing-slot", "quote-in-desc", "line-break-in-desc",
-        "quote-in-filler", "quote-in-cue", "quote-in-bind", "line-break-in-statement"])
+        "quote-in-filler", "quote-in-cue", "quote-in-bind", "line-break-in-statement",
+        "type-cue-capitals", "loop-cue-until", "rule-id-blank", "activated-schema-dash",
+        "bound-slot-dot", "stem-capitals", "slot-name-blank", "goal-blank",
+        "discourse-id-blank"])
 def test_diagnostics_load_kb_cannot_produce(fault, expected):
     # the file format rejects these before validation, so they are made in
     # memory, as a new library built from a loaded one
@@ -245,6 +272,69 @@ def test_diagnostics_load_kb_cannot_produce(fault, expected):
         except KbFormatError:
             reloaded = None
         assert reloaded != kb
+
+
+# what names and texts are made of: characters and words that a KB line reads
+_PIECES = ["a", "B", "c_d", "<v>", " ", '"', ",", "-", ".", "\n", "=", "then activate", "bind"]
+_IDENTIFIERS = ["a", "B", "c_d"]
+
+
+def _strings(pieces, min_size):
+    return st.lists(st.sampled_from(pieces), min_size=min_size, max_size=3).map("".join)
+
+
+@st.composite
+def _libraries(draw):
+    """A small library. Its names are made of a few pieces drawn for it or
+    of identifiers, which a rule line can spell, and its texts of a few
+    other pieces drawn for it; so either all its names, or texts, fit where
+    they are written, or many do not. Each schema's first slot is mandatory
+    and its kind-of links go to earlier schemas, so that few libraries fail
+    on structure alone. Its links are in the order that its dump lists
+    them: each schema's kind-of links, then its uses links."""
+    some_pieces = st.lists(st.sampled_from(_PIECES), min_size=1, max_size=3)
+    words = _strings(draw(some_pieces | st.just(_IDENTIFIERS)), 1)
+    texts = _strings(draw(some_pieces), 0)
+    names = draw(st.lists(words, min_size=1, max_size=2, unique=True))
+    schemas, links = [], []
+    for i, name in enumerate(names):
+        slots = tuple(kblib.Slot(slot, j == 0 or draw(st.booleans()),
+                                 tuple(kblib.Filler(pattern, draw(st.booleans()))
+                                       for pattern in draw(st.lists(texts, max_size=1))))
+                      for j, slot in enumerate(draw(st.lists(words, min_size=1, max_size=2,
+                                                             unique=True))))
+        slot_names = [slot.name for slot in slots]
+        schemas.append(kblib.Schema(
+            name, draw(st.sampled_from(kblib.SCHEMA_KINDS)), draw(texts), slots,
+            goal=draw(st.none() | words), names=tuple(draw(st.lists(words, max_size=2))),
+            controlled_by=draw(st.none() | st.sampled_from(slot_names))))
+        links += [kblib.Link("kind-of", name, target)
+                  for target in names[:i][:draw(st.integers(0, 1))]]
+        links += [kblib.Link("uses", name, target, draw(st.sampled_from(slot_names)))
+                  for target in draw(st.lists(st.sampled_from(names), max_size=1))]
+    discourse_rules = draw(st.lists(st.builds(kblib.DiscourseRule, words, st.sampled_from(
+        kblib.DISCOURSE_CHECKS), texts), max_size=1))
+    rules = []
+    for _ in range(draw(st.integers(0, 2))):
+        schema = draw(st.sampled_from(schemas))
+        conditions = tuple(kblib.Cue(kind, draw(st.sampled_from([*names, "integer", "while"])
+                                                | texts))
+                           for kind in draw(st.lists(st.sampled_from(kblib.CUE_KINDS),
+                                                     max_size=2)))
+        bindings = tuple((draw(st.sampled_from(schema.slots)).name, draw(texts))
+                         for _ in range(draw(st.integers(0, 1))))
+        rules.append(kblib.ProductionRule(
+            draw(words), draw(st.sampled_from([kblib.DATA_DRIVEN, kblib.CONCEPTUALLY_DRIVEN])),
+            conditions, schema.name, bindings))
+    return kblib.KnowledgeBase(tuple(schemas), tuple(links), tuple(discourse_rules),
+                               tuple(rules))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_libraries())
+def test_a_library_that_validates_loads_back_from_its_dump(kb):
+    if kblib.validate_kb(kb) == []:
+        assert kblib.load_kb(kblib.dump_kb(kb)) == kb
 
 
 def test_double_prototypical_diagnostic():
