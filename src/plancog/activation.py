@@ -293,7 +293,8 @@ def activate_with_trace(kb: KnowledgeBase, cues):
             continue
         for name in frontier:
             expanded.add(name)
-            for nxt in kb.children(name) + [target for target, _ in kb.uses(name)]:
+            schema = kb.schema(name)       # None for a name a rule activates and no schema has
+            for nxt in kb.children(name) + [t for t, _ in (schema.uses if schema else ())]:
                 if nxt not in active:
                     record(nxt, None, CONCEPTUALLY_DRIVEN, [])
                     firings.append(Firing("-", nxt, []))
@@ -489,7 +490,7 @@ def instantiate(kb: KnowledgeBase, index: ProgramIndex, activations):
                      for slot, match in binder.code_slots}
             for var in sorted(set().union(*first.values())):
                 instances.append(_bind_variable_plan(schema, var, index, first))
-        elif schema.kind != VARIABLE and not kb.parents(schema.name):
+        elif schema.kind != VARIABLE and not schema.kind_of:
             roots.append(schema)
 
     instances = _drop_shadowed(instances)
@@ -596,7 +597,7 @@ def _loop_plans(kb, index, roots, var_instances):
         mandatory = binder.mandatory
         # (slot, acceptable child schemas) per uses link to a variable plan
         uses = [(slot, [target] + kb.children(target))
-                for target, slot in kb.uses(root.name)
+                for target, slot in root.uses
                 if kb.schema(target).kind == VARIABLE]
         uses.sort(key=lambda u: u[0] not in mandatory)
         takes_variable = any("<v>" in f.pattern for s in root.slots for f in s.fillers)

@@ -231,7 +231,9 @@ def _cmd_recognize(args):
 
 def _cmd_planliness(args):
     program = frontend.parse(_read(args.file))
-    report = analysis.planliness(program, _library(args))
+    kb = _library(args)
+    report = analysis.planliness(program, kb, recognition=analysis.recognize(
+        program, kb, step_budget=args.step_budget))
     if not args.json:
         print(f"score: {report.score:.4f}\ncoverage: {report.coverage:.4f}")
         if not report.violations:
@@ -261,7 +263,10 @@ def _cmd_fill_blank(args):
 
 def _cmd_chunk(args):
     program = frontend.parse(_read(args.file))
-    chunks = analysis.chunk(program, _library(args), args.mode)
+    kb = _library(args)
+    rec = (analysis.recognize(program, kb, step_budget=args.step_budget)
+           if args.mode == "plan" else None)
+    chunks = analysis.chunk(program, kb, args.mode, recognition=rec)
     if not args.json:
         for c in chunks:
             print(f"{c.label}: lines {', '.join(map(str, c.lines))}")

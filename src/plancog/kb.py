@@ -1,5 +1,5 @@
-"""Frame-based plan knowledge: schemas with slots and fillers, specialization
-and implementation links, discourse rules and production rules.
+"""Frame-based plan knowledge: schemas with slots, fillers and their
+specialization and implementation links, discourse rules and production rules.
 
 Filler and cue patterns are a small pattern language over normalized
 statement text (lowercased, whitespace removed):
@@ -173,6 +173,8 @@ class Schema:
     goal: str | None = None            # goal-tree node name; default derived from name
     names: tuple[str, ...] = ()        # name stems that reflect the plan's function
     controlled_by: str | None = None   # slot whose child variable the exit test reads
+    kind_of: tuple[str, ...] = ()      # schemas this one specializes
+    uses: tuple[tuple[str, str], ...] = ()     # (schema, slot): a schema filling a slot
 
     def slot(self, name) -> Slot | None:
         return next((s for s in self.slots if s.name == name), None)
@@ -183,14 +185,6 @@ class Schema:
         by the first recognition that needs it and kept with the schema."""
         from .activation import _Binder     # activation imports this module
         return _Binder(self)
-
-
-@dataclass(frozen=True)
-class Link:
-    relation: str          # kind-of | uses
-    source: str
-    target: str
-    as_slot: str | None = None
 
 
 @dataclass(frozen=True)
@@ -231,27 +225,21 @@ class KnowledgeBase:
     Building a library validates nothing: `load_kb` validates, and
     `validate_kb` reports on any library."""
     schemas: tuple[Schema, ...] = ()
-    links: tuple[Link, ...] = ()
     discourse_rules: tuple[DiscourseRule, ...] = ()
     rules: tuple[ProductionRule, ...] = ()
 
     @cached_property
     def _index(self):
-        """("schema", name) and ("rule", id) -> the first of that name; in link
-        order, ("children", name) -> sources of kind-of links to a schema,
-        ("parents", name) -> their targets from it, ("uses", name) -> (target,
-        slot) pairs of its uses links."""
+        """("schema", name) and ("rule", id) -> the first of that name;
+        ("children", name) -> the schemas that are a kind of it, in schema order."""
         out = {}
         for s in reversed(self.schemas):
             out["schema", s.name] = s
         for r in reversed(self.rules):
             out["rule", r.id] = r
-        for l in self.links:
-            if l.relation == "kind-of":
-                out.setdefault(("children", l.target), []).append(l.source)
-                out.setdefault(("parents", l.source), []).append(l.target)
-            elif l.relation == "uses":
-                out.setdefault(("uses", l.source), []).append((l.target, l.as_slot))
+        for s in self.schemas:
+            for parent in s.kind_of:
+                out.setdefault(("children", parent), []).append(s.name)
         return out
 
     @cached_property
@@ -267,16 +255,8 @@ class KnowledgeBase:
         return self._index.get(("rule", rule_id))
 
     def children(self, name) -> list[str]:
-        """Direct kind-of specializations of a schema, in link order."""
+        """Direct kind-of specializations of a schema, in schema order."""
         return list(self._index.get(("children", name), ()))
-
-    def parents(self, name) -> list[str]:
-        """Schemas a schema is a kind of, in link order."""
-        return list(self._index.get(("parents", name), ()))
-
-    def uses(self, name) -> list[tuple[str, str]]:
-        """Direct uses links of a schema as (target, slot) pairs, in link order."""
-        return list(self._index.get(("uses", name), ()))
 
 
 @dataclass
@@ -341,17 +321,17 @@ def _check_structure(kb):
             out.append(Diagnostic("no-mandatory-slot", s.name,
                                   "variable/control/algorithm plans need a mandatory slot"))
 
-    for link in kb.links:
-        if link.source not in names or link.target not in names:
-            out.append(Diagnostic("dangling-link", f"{link.source}->{link.target}",
-                                  "link endpoint does not exist"))
-            continue
-        if link.relation == "uses":
-            if not link.as_slot:
-                out.append(Diagnostic("missing-slot", f"{link.source}->{link.target}",
+    for s in kb.schemas:
+        for target in (*s.kind_of, *(target for target, _ in s.uses)):
+            if target not in names:
+                out.append(Diagnostic("dangling-link", f"{s.name}->{target}",
+                                      "link endpoint does not exist"))
+        for target, slot in s.uses:
+            if target in names and not slot:
+                out.append(Diagnostic("missing-slot", f"{s.name}->{target}",
                                       "uses link without a slot"))
-            elif names[link.source].slot(link.as_slot) is None:
-                out.append(Diagnostic("unknown-slot", f"{link.source}.{link.as_slot}",
+            elif target in names and s.slot(slot) is None:
+                out.append(Diagnostic("unknown-slot", f"{s.name}.{slot}",
                                       "uses link names a slot the schema lacks"))
 
     # a schema lies on a kind-of cycle when it is its own ancestor; one
@@ -360,7 +340,7 @@ def _check_structure(kb):
     for node in names:
         seen, frontier = set(), [node]
         while frontier:
-            for parent in kb.parents(frontier.pop()):
+            for parent in names[frontier.pop()].kind_of:
                 if parent in names and parent not in seen:
                     seen.add(parent)
                     frontier.append(parent)
@@ -382,6 +362,9 @@ def _check_structure(kb):
         if r.id in seen_rules:
             out.append(Diagnostic("duplicate-rule", r.id, "rule id declared twice"))
         seen_rules.add(r.id)
+        if r.direction not in (DATA_DRIVEN, CONCEPTUALLY_DRIVEN):
+            out.append(Diagnostic("bad-direction", r.id,
+                                  f"unknown direction {r.direction!r}"))
         if r.activates not in names:
             out.append(Diagnostic("unknown-schema", r.id,
                                   f"rule activates unknown schema {r.activates!r}"))
@@ -391,6 +374,9 @@ def _check_structure(kb):
                     out.append(Diagnostic("unknown-slot", f"{r.id}.{slot}",
                                           "rule binds a slot the schema lacks"))
         for c in r.conditions:
+            if (c.line, c.node) != (0, None):
+                out.append(Diagnostic("placed-cue", r.id,
+                                      f"condition {c} holds a program line or node"))
             if c.kind not in CUE_KINDS:
                 out.append(Diagnostic("bad-cue", r.id, f"unknown cue kind {c.kind!r}"))
             elif c.kind == "schema" and c.payload not in names:
@@ -454,7 +440,7 @@ def implementations(kb: KnowledgeBase, schema: str) -> list[tuple[str, str]]:
     """Direct uses links as (target schema, slot) pairs."""
     if kb.schema(schema) is None:
         raise KbValidationError([Diagnostic("unknown-schema", schema, "no such schema")])
-    return kb.uses(schema)
+    return list(kb.schema(schema).uses)
 
 
 # --- file format ------------------------------------------------------------
@@ -485,11 +471,11 @@ def dump_kb(kb: KnowledgeBase) -> str:
             for f in slot.fillers:
                 lines.append(f'    filler "{f.pattern}" proto' if f.prototypical
                              else f'    filler "{f.pattern}"')
-        for parent in kb.parents(s.name):
+        for parent in s.kind_of:
             lines.append(f"  kindof {parent}")
         if s.controlled_by is not None:
             lines.append(f"  controlled-by {s.controlled_by}")
-        for target, as_slot in kb.uses(s.name):
+        for target, as_slot in s.uses:
             lines.append(f"  uses {target} as {as_slot}")
     for d in kb.discourse_rules:
         lines.append(f'discourse {d.id} check {d.check} "{d.statement}"')
@@ -528,7 +514,7 @@ def load_kb(text: str) -> KnowledgeBase:
     """Parse the line-oriented KB format and validate the result."""
     # per schema, its fields and its slots as [name, mandatory, fillers] as
     # they are read; the records are made once the text is read
-    specs, links, discourse_rules, rules = [], [], [], []
+    specs, discourse_rules, rules = [], [], []
     schema = slots = slot = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -541,7 +527,8 @@ def load_kb(text: str) -> KnowledgeBase:
                 raise KbFormatError("expected: schema <Name> kind <kind>", lineno)
             if words[3] not in SCHEMA_KINDS:
                 raise KbFormatError(f"unknown schema kind {words[3]!r}", lineno)
-            schema, slots, slot = {"name": words[1], "kind": words[3]}, [], None
+            schema = {"name": words[1], "kind": words[3], "kind_of": (), "uses": ()}
+            slots, slot = [], None
             specs.append((schema, slots))
         elif head == "desc":
             m = _DESC_RX.fullmatch(stripped)
@@ -572,11 +559,11 @@ def load_kb(text: str) -> KnowledgeBase:
         elif head == "kindof":
             if len(words) != 2 or schema is None:
                 raise KbFormatError("expected: kindof <ParentName>", lineno)
-            links.append(Link("kind-of", schema["name"], words[1]))
+            schema["kind_of"] += (words[1],)
         elif head == "uses":
             if len(words) != 4 or words[2] != "as" or schema is None:
                 raise KbFormatError("expected: uses <ChildName> as <slotname>", lineno)
-            links.append(Link("uses", schema["name"], words[1], words[3]))
+            schema["uses"] += ((words[1], words[3]),)
         elif head == "discourse":
             m = _DISCOURSE_RX.fullmatch(stripped)
             if not m:
@@ -597,7 +584,7 @@ def load_kb(text: str) -> KnowledgeBase:
     schemas = tuple([Schema(**fields, slots=tuple([Slot(name, mandatory, tuple(fillers))
                                                    for name, mandatory, fillers in slots]))
                      for fields, slots in specs])
-    kb = KnowledgeBase(schemas, tuple(links), tuple(discourse_rules), tuple(rules))
+    kb = KnowledgeBase(schemas, tuple(discourse_rules), tuple(rules))
     diagnostics = _check_structure(kb)     # every name and text was read by its line
     if diagnostics:
         raise KbValidationError(diagnostics)

@@ -724,7 +724,7 @@ def per_plan_instantiate(kb, index, activations):
                 inst = _bind_variable_plan(kb, schema, var, index)
                 if inst is not None:
                     instances.append(inst)
-        elif schema.kind != VARIABLE and not kb.parents(schema.name):
+        elif schema.kind != VARIABLE and not schema.kind_of:
             roots.append(schema)
 
     instances = _drop_shadowed(instances)
@@ -808,7 +808,7 @@ def _loop_plans(kb, index, roots, var_instances):
     for root in roots:
         mandatory = tuple(s.name for s in root.slots if s.mandatory)
         uses = [(slot, [target] + kb.children(target))
-                for target, slot in kb.uses(root.name)
+                for target, slot in root.uses
                 if kb.schema(target).kind == VARIABLE]
         uses.sort(key=lambda u: u[0] not in mandatory)
         takes_variable = any("<v>" in f.pattern for s in root.slots for f in s.fillers)

@@ -106,8 +106,8 @@ def test_criterion_6_activation_determinism_and_monotonicity(corpus_sources, bui
             rng.shuffle(shuffled)
             rules = list(builtin.rules)
             rng.shuffle(rules)
-            permuted_kb = kblib.KnowledgeBase(builtin.schemas, builtin.links,
-                                              builtin.discourse_rules, tuple(rules))
+            permuted_kb = kblib.KnowledgeBase(builtin.schemas, builtin.discourse_rules,
+                                              tuple(rules))
             result = {a.schema for a in act.activate(permuted_kb, shuffled)}
             assert result == baseline
         extended = cues + [Cue("comment", "counter", 1)]

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import re
@@ -114,8 +115,7 @@ def test_activation_order_independence(corpus_sources, builtin):
             rng.shuffle(shuffled)
             rules = list(builtin.rules)
             rng.shuffle(rules)
-            kb2 = type(builtin)(builtin.schemas, builtin.links,
-                                builtin.discourse_rules, tuple(rules))
+            kb2 = type(builtin)(builtin.schemas, builtin.discourse_rules, tuple(rules))
             assert {a.schema for a in act.activate(kb2, shuffled)} == baseline
 
 
@@ -288,6 +288,18 @@ def test_coherence_checks_no_binding_of_a_schema_the_library_lacks(grey, builtin
     report = act.evaluate_coherence(instances, index, other)
     assert report.internal == []
     assert report.external == act.evaluate_coherence(instances, index, builtin).external
+
+
+def test_a_rule_that_activates_no_schema_leaves_recognition_as_it_was(grey, builtin):
+    # an unvalidated library: R12 activates a name that no schema has, which
+    # expansion passes by
+    kb = dataclasses.replace(builtin, rules=tuple(
+        dataclasses.replace(r, activates="Missing") if r.id == "R12" else r
+        for r in builtin.rules))
+    instances, _ = _recognize(grey, kb)
+    assert [(i.schema, i.variable) for i in instances] == [
+        (i.schema, i.variable) for i in _recognize(grey, builtin)[0]]
+    assert len(instances) == 6
 
 
 # a library whose Counter_Variable is a loop plan: a simulated pair of two

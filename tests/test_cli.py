@@ -177,6 +177,7 @@ def test_kb_validate_documents(tmp_path, capsys):
     (_KB + "  controlled-by nope\n", [("unknown-slot", "B.nope")]),
     (_KB + "schema C kind control\n  slot body\n", [("no-mandatory-slot", "C")]),
     (_KB + "  kindof Missing\n", [("dangling-link", "B->Missing")]),
+    (_KB + "  uses Missing as name\n", [("dangling-link", "B->Missing")]),
     (_KB + "  uses A as nope\n", [("unknown-slot", "B.nope")]),
     (_KB + "schema C kind problem\n  kindof D\nschema D kind problem\n  kindof C\n",
      [("cycle", "C -> D")]),
@@ -211,7 +212,7 @@ def test_kb_validate_documents(tmp_path, capsys):
     (_KB + "frobnicate\n", "kb line 9: unrecognized directive 'frobnicate'"),
 ], ids=["duplicate-schema", "duplicate-slot", "double-prototypical", "bad-filler",
         "controlled-by-unknown-slot", "no-mandatory-slot", "dangling-link",
-        "uses-unknown-slot", "cycle", "bad-check", "duplicate-rule",
+        "uses-dangling-link", "uses-unknown-slot", "cycle", "bad-check", "duplicate-rule",
         "rule-unknown-schema", "binding-unknown-slot", "cue-unknown-schema",
         "bad-cue-pattern", "bad-binding-pattern", "two-diagnostics", "schema-line",
         "schema-kind", "desc-outside", "goal-line", "names-outside", "slot-outside",
@@ -483,6 +484,22 @@ def test_simulate_trace_executes_once(capsys, monkeypatch):
                              "--input", "5,99999", "--trace", "Count", *mode)
         assert code == 0
         assert len(runs) == 1
+
+
+@pytest.mark.parametrize("command", [["recognize"], ["planliness"], ["chunk", "--mode", "plan"]])
+def test_recognition_simulates_within_the_step_budget(capsys, monkeypatch, command):
+    from plancog import interpreter
+    budgets = []
+    execute = interpreter.execute
+
+    def spied(program, inputs, step_budget, **kwargs):
+        budgets.append(step_budget)
+        return execute(program, inputs, step_budget, **kwargs)
+
+    monkeypatch.setattr(interpreter, "execute", spied)
+    code, _, _ = run_cli(capsys, command[0], corpus_path("grey.mp"), *command[1:],
+                         "--step-budget", "10", "--json")
+    assert (code, budgets) == (0, [10])
 
 
 def test_fill_blank_lexes_its_program_once(capsys, monkeypatch):

@@ -123,8 +123,8 @@ def test_library_and_its_records_are_frozen(builtin):
     schema = builtin.schema("Counter_Variable")
     slot = schema.slot("update")
     rule = builtin.rule("R3")
-    for record in (builtin, schema, slot, slot.fillers[0], builtin.links[0],
-                   builtin.discourse_rules[0], rule, rule.conditions[0]):
+    for record in (builtin, schema, slot, slot.fillers[0], builtin.discourse_rules[0],
+                   rule, rule.conditions[0]):
         for f in dataclasses.fields(record):
             value = getattr(record, f.name)
             assert not isinstance(value, (list, dict, set))
@@ -198,9 +198,8 @@ def test_cycle_diagnostic_is_single():
     ({"A": "B", "C": "B"}, []),
 ])
 def test_cycle_diagnostic_names_only_schemas_on_the_cycle(links, cycles):
-    kb = kblib.KnowledgeBase(
-        schemas=[kblib.Schema(name, "problem") for name in "ABCD"],
-        links=[kblib.Link("kind-of", child, parent) for child, parent in links.items()])
+    kb = kblib.KnowledgeBase(schemas=[kblib.Schema(name, "problem", kind_of=(
+        (links[name],) if name in links else ())) for name in "ABCD"])
     assert [(d.code, d.subject) for d in kblib.validate_kb(kb)] == [
         ("cycle", cycle) for cycle in cycles]
 
@@ -213,8 +212,14 @@ _replace = dataclasses.replace
      ("bad-kind", "A")),
     (lambda kb: _replace(kb, rules=(_replace(kb.rules[0], conditions=(
         *kb.rules[0].conditions, kblib.Cue("colour", "red"))),)), ("bad-cue", "R1")),
-    (lambda kb: _replace(kb, links=(*kb.links, kblib.Link("uses", "A", "B"))),
-     ("missing-slot", "A->B")),
+    (lambda kb: _replace(kb, schemas=(_replace(kb.schemas[0], uses=(("B", ""),)),
+                                      *kb.schemas[1:])), ("missing-slot", "A->B")),
+    (lambda kb: _replace(kb, rules=(_replace(kb.rules[0], direction="weird"),)),
+     ("bad-direction", "R1")),
+    (lambda kb: _replace(kb, rules=(_replace(kb.rules[0], conditions=(
+        kblib.Cue("name", "<v>", line=5),)),)), ("placed-cue", "R1")),
+    (lambda kb: _replace(kb, rules=(_replace(kb.rules[0], conditions=(
+        kblib.Cue("name", "<v>", node=object()),)),)), ("placed-cue", "R1")),
     # text that the file format, which has no escape, cannot write
     (lambda kb: _replace(kb, schemas=(_replace(kb.schemas[0], description='an "a"'),
                                       *kb.schemas[1:])), ("unwritable-text", "A")),
@@ -253,11 +258,11 @@ _replace = dataclasses.replace
      ("unwritable-text", "A")),
     (lambda kb: _replace(kb, discourse_rules=(kblib.DiscourseRule(
         "D 1", "no-double-duty", "x"),)), ("unwritable-text", "D 1")),
-], ids=["bad-kind", "bad-cue", "missing-slot", "quote-in-desc", "line-break-in-desc",
-        "quote-in-filler", "quote-in-cue", "quote-in-bind", "line-break-in-statement",
-        "type-cue-capitals", "loop-cue-until", "rule-id-blank", "activated-schema-dash",
-        "bound-slot-dot", "stem-capitals", "slot-name-blank", "goal-blank",
-        "discourse-id-blank"])
+], ids=["bad-kind", "bad-cue", "missing-slot", "bad-direction", "cue-line", "cue-node",
+        "quote-in-desc", "line-break-in-desc", "quote-in-filler", "quote-in-cue",
+        "quote-in-bind", "line-break-in-statement", "type-cue-capitals", "loop-cue-until",
+        "rule-id-blank", "activated-schema-dash", "bound-slot-dot", "stem-capitals",
+        "slot-name-blank", "goal-blank", "discourse-id-blank"])
 def test_diagnostics_load_kb_cannot_produce(fault, expected):
     # the file format rejects these before validation, so they are made in
     # memory, as a new library built from a loaded one
@@ -265,7 +270,7 @@ def test_diagnostics_load_kb_cannot_produce(fault, expected):
                              'schema B kind variable\n  desc "b"\n  slot name mandatory\n'
                              'rule R1 data: if name~"<v>" then activate A\n'))
     assert [(d.code, d.subject) for d in kblib.validate_kb(kb)] == [expected]
-    if expected[0] == "unwritable-text":
+    if expected[0] in ("unwritable-text", "bad-direction", "placed-cue"):
         # its dump does not load, or loads as another library
         try:
             reloaded = kblib.load_kb(kblib.dump_kb(kb))
@@ -290,13 +295,13 @@ def _libraries(draw):
     other pieces drawn for it; so either all its names, or texts, fit where
     they are written, or many do not. Each schema's first slot is mandatory
     and its kind-of links go to earlier schemas, so that few libraries fail
-    on structure alone. Its links are in the order that its dump lists
-    them: each schema's kind-of links, then its uses links."""
+    on structure alone. A rule may have a direction that is neither, and a
+    condition a line."""
     some_pieces = st.lists(st.sampled_from(_PIECES), min_size=1, max_size=3)
     words = _strings(draw(some_pieces | st.just(_IDENTIFIERS)), 1)
     texts = _strings(draw(some_pieces), 0)
     names = draw(st.lists(words, min_size=1, max_size=2, unique=True))
-    schemas, links = [], []
+    schemas = []
     for i, name in enumerate(names):
         slots = tuple(kblib.Slot(slot, j == 0 or draw(st.booleans()),
                                  tuple(kblib.Filler(pattern, draw(st.booleans()))
@@ -307,27 +312,26 @@ def _libraries(draw):
         schemas.append(kblib.Schema(
             name, draw(st.sampled_from(kblib.SCHEMA_KINDS)), draw(texts), slots,
             goal=draw(st.none() | words), names=tuple(draw(st.lists(words, max_size=2))),
-            controlled_by=draw(st.none() | st.sampled_from(slot_names))))
-        links += [kblib.Link("kind-of", name, target)
-                  for target in names[:i][:draw(st.integers(0, 1))]]
-        links += [kblib.Link("uses", name, target, draw(st.sampled_from(slot_names)))
-                  for target in draw(st.lists(st.sampled_from(names), max_size=1))]
+            controlled_by=draw(st.none() | st.sampled_from(slot_names)),
+            kind_of=tuple(draw(st.lists(st.sampled_from(names[:i]), max_size=2)) if i else ()),
+            uses=tuple(draw(st.lists(st.tuples(st.sampled_from(names),
+                                               st.sampled_from(slot_names)), max_size=2)))))
     discourse_rules = draw(st.lists(st.builds(kblib.DiscourseRule, words, st.sampled_from(
         kblib.DISCOURSE_CHECKS), texts), max_size=1))
     rules = []
     for _ in range(draw(st.integers(0, 2))):
         schema = draw(st.sampled_from(schemas))
         conditions = tuple(kblib.Cue(kind, draw(st.sampled_from([*names, "integer", "while"])
-                                                | texts))
+                                                | texts), draw(st.sampled_from([0, 3])))
                            for kind in draw(st.lists(st.sampled_from(kblib.CUE_KINDS),
                                                      max_size=2)))
         bindings = tuple((draw(st.sampled_from(schema.slots)).name, draw(texts))
                          for _ in range(draw(st.integers(0, 1))))
         rules.append(kblib.ProductionRule(
-            draw(words), draw(st.sampled_from([kblib.DATA_DRIVEN, kblib.CONCEPTUALLY_DRIVEN])),
+            draw(words), draw(st.sampled_from([kblib.DATA_DRIVEN, kblib.CONCEPTUALLY_DRIVEN,
+                                               "sideways"])),
             conditions, schema.name, bindings))
-    return kblib.KnowledgeBase(tuple(schemas), tuple(links), tuple(discourse_rules),
-                               tuple(rules))
+    return kblib.KnowledgeBase(tuple(schemas), tuple(discourse_rules), tuple(rules))
 
 
 @settings(max_examples=300, deadline=None)
@@ -392,22 +396,22 @@ def test_comments_and_blank_lines_ignored(builtin):
     assert kblib.load_kb(text) == builtin
 
 
-def test_link_queries_follow_link_order(builtin):
+def test_a_schema_holds_its_links_and_children_follow_schema_order(builtin):
     assert builtin.children("New_Value_Variable") == ["Read_Variable", "Counter_Variable"]
     assert builtin.children("Running_Total_Loop") == [
         "Total_Controlled_Running_Total_Loop",
         "Counter_Controlled_Running_Total_Loop",
         "New_Value_Controlled_Running_Total_Loop",
     ]
-    assert builtin.parents("Counter_Variable") == ["New_Value_Variable"]
-    assert builtin.parents("Running_Total_Loop") == []
-    assert builtin.uses("Counter_Controlled_Running_Total_Loop") == [
+    assert builtin.schema("Counter_Variable").kind_of == ("New_Value_Variable",)
+    assert builtin.schema("Running_Total_Loop").kind_of == ()
+    assert builtin.schema("Counter_Controlled_Running_Total_Loop").uses == (
         ("Counter_Variable", "Counter"),
         ("Running_Total_Variable", "Running_total"),
         ("New_Value_Variable", "New_Value"),
         ("For_Loop", "implementation"),
-    ]
-    assert builtin.uses("Counter_Variable") == []
+    )
+    assert builtin.schema("Counter_Variable").uses == ()
 
 
 # --- pattern matching -------------------------------------------------------------
