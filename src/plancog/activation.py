@@ -4,11 +4,14 @@ The pipeline mirrors how an expert reader is modeled: surface beacons are
 extracted from the code, data-driven production rules fire to a fixpoint
 (newly active schemas can satisfy schema= conditions of further rules),
 conceptually-driven expansion then walks kind-of and uses links downward,
-and finally active schemas are instantiated by binding their slots to AST
-nodes. Values a rule merely infers become Expectations that are verified
-against the code afterwards; coherence evaluation rechecks every binding
-and probes plan interactions, concretely simulating whenever a counter
-works inside a loop.
+and finally active schemas are instantiated by binding their slots to the
+code. An activation names the rules that activated its schema; the cues
+that support it are held by those rules' firings. A statement binding holds
+the statement's record (its CFG node, see `relations`), a declaration
+binding the declaration, and a loop binding the loop statement. Values a
+rule merely infers become Expectations that are verified against the code
+afterwards; coherence evaluation rechecks every binding and probes plan
+interactions, concretely simulating whenever a counter works inside a loop.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ class Activation:
     schema: str
     rule_ids: list[str]
     direction: str
-    cues: list[Cue]
 
 
 @dataclass
@@ -141,7 +143,7 @@ class CoherenceReport:
 
 # --- beacons ---------------------------------------------------------------
 
-def extract_beacons(index: ProgramIndex, kb: KnowledgeBase) -> list[Cue]:
+def extract_beacons(index: ProgramIndex) -> list[Cue]:
     """Surface cues: declared names and types, initialization and update
     forms, loop forms, comments. A statement's cue holds its record (its
     CFG node), a declaration's the declaration."""
@@ -246,21 +248,9 @@ def activate(kb: KnowledgeBase, cues) -> list[Activation]:
 
 def activate_with_trace(kb: KnowledgeBase, cues):
     table = _cue_table(cues)
-    active: dict[str, Activation] = {}
+    active: dict[str, set[str]] = {}   # schema -> ids of the rules that activated it
+    data_driven = set()                # schemas a data-driven rule activated
     firings: list[Firing] = []
-
-    def record(schema, rule_id, direction, support):
-        entry = active.get(schema)
-        if entry is None:
-            active[schema] = Activation(schema, [rule_id] if rule_id else [],
-                                        direction, list(support))
-        else:
-            if rule_id and rule_id not in entry.rule_ids:
-                entry.rule_ids.append(rule_id)
-            if direction == DATA_DRIVEN:
-                entry.direction = DATA_DRIVEN
-            known = {id(c) for c in entry.cues}
-            entry.cues.extend(c for c in support if id(c) not in known)
 
     def run_rules(direction):
         fired = {f.rule_id for f in firings}
@@ -275,7 +265,9 @@ def activate_with_trace(kb: KnowledgeBase, cues):
                     continue
                 fired.add(rule.id)
                 firings.append(Firing(rule.id, rule.activates, support))
-                record(rule.activates, rule.id, direction, support)
+                active.setdefault(rule.activates, set()).add(rule.id)
+                if direction == DATA_DRIVEN:
+                    data_driven.add(rule.activates)
                 progressed = True
 
     run_rules(DATA_DRIVEN)
@@ -296,14 +288,12 @@ def activate_with_trace(kb: KnowledgeBase, cues):
             schema = kb.schema(name)       # None for a name a rule activates and no schema has
             for nxt in kb.children(name) + [t for t, _ in (schema.uses if schema else ())]:
                 if nxt not in active:
-                    record(nxt, None, CONCEPTUALLY_DRIVEN, [])
+                    active[nxt] = set()
                     firings.append(Firing("-", nxt, []))
 
-    out = sorted(active.values(), key=lambda a: a.schema)
-    for a in out:
-        a.rule_ids.sort()
-        a.cues.sort(key=lambda c: (c.line, c.kind, c.payload))
-    return out, firings
+    return [Activation(schema, sorted(active[schema]),
+                       DATA_DRIVEN if schema in data_driven else CONCEPTUALLY_DRIVEN)
+            for schema in sorted(active)], firings
 
 
 # --- program index -----------------------------------------------------------
@@ -336,16 +326,12 @@ class ProgramIndex:
         self.loop_candidates = self._loop_candidates()
         self.normal = _Normalized()
 
-    def loop_of(self, stmt):
-        """The innermost loop around a statement, or None."""
-        loops = self.cfg.node_of(stmt).loops
-        return loops[-1] if loops else None
-
     def _variable_candidates(self, writes):
-        """{slot category: {var: [(node, line, text, category)] by line}}.
-        A variable's first assignment, and any outside a loop, may
-        initialize it; a later one, and any inside a loop, may update it; a
-        WRITELN outputs the variable when it reads that one alone."""
+        """{slot category: {var: [(node, line, text, category)] by line}},
+        the node a statement's record or a declaration. A variable's first
+        assignment, and any outside a loop, may initialize it; a later one,
+        and any inside a loop, may update it; a WRITELN outputs the variable
+        when it reads that one alone."""
         out = {name: {} for name in ("name", "type", "initialization", "update",
                                      "read", "result", "output")}
         for var, d in self.decls.items():
@@ -353,7 +339,7 @@ class ProgramIndex:
             out["type"][var] = [(d, d.line, d.type, "decl")]
         for var, defs in self.defs.items():
             for i, node in enumerate(defs):
-                cand = (node.stmt, node.line, node.text, "stmt")
+                cand = (node, node.line, node.text, "stmt")
                 if isinstance(node.stmt, fe.Readln):
                     out["read"].setdefault(var, []).append(cand)
                     continue
@@ -365,7 +351,7 @@ class ProgramIndex:
         for node in writes:
             if len(node.uses) == 1:
                 out["output"].setdefault(node.uses[0], []).append(
-                    (node.stmt, node.line, node.text, "stmt"))
+                    (node, node.line, node.text, "stmt"))
         for by_var in out.values():
             for cands in by_var.values():
                 cands.sort(key=_line)
@@ -398,21 +384,25 @@ def _line(candidate):
     return candidate[1]
 
 
+def _innermost_loops(records):
+    """The innermost loop around each statement record inside one, each
+    loop once, in the order first met."""
+    loops = []
+    for node in records:
+        if node.loops and node.loops[-1] not in loops:
+            loops.append(node.loops[-1])
+    return loops
+
+
 def _slot_candidates(index: ProgramIndex, instance: PlanInstance, slot_name: str):
     """Candidate (node, line, text, category) tuples a slot may bind to, by
     line."""
     var = instance.variable
     if slot_name == "context":
-        loops = []
-        for b in instance.bindings.values():
-            if b.category == "stmt":
-                loop = index.loop_of(b.node)
-                if loop is not None and loop not in loops:
-                    loops.append(loop)
+        loops = _innermost_loops(b.node for b in instance.bindings.values()
+                                 if b.category == "stmt")
         if not loops and var:
-            for node in index.defs.get(var, []):
-                if node.loops and node.loops[-1] not in loops:
-                    loops.append(node.loops[-1])
+            loops = _innermost_loops(index.defs.get(var, ()))
         return sorted(((l, l.line, fe.loop_keyword(l), "loop") for l in loops), key=_line)
     if slot_name in _LOOP_SLOTS:
         # the instance's own loop once a loop slot holds it, or else the
@@ -534,7 +524,7 @@ def _bind_variable_plan(schema, var, index, first):
             bound = Binding(*candidates[pos], slot)
             update = inst.bindings.get("update")
             if (slot.name == "initialization" and update is not None
-                    and index.cfg.node_of(update.node).reads_own):
+                    and update.node.reads_own):
                 # when the update reads the variable, the initializing def
                 # must reach it along some def-clear path
                 chains = index.defuse.chains
@@ -587,7 +577,7 @@ def _loop_plans(kb, index, roots, var_instances):
     for inst in var_instances:
         for slot, b in inst.bindings.items():
             if b.category == "stmt" and slot != "initialization":
-                for loop in index.cfg.node_of(b.node).loops:
+                for loop in b.node.loops:
                     working.setdefault(id(loop), {})[id(inst)] = inst
     loop_candidates = {name: {id(c[0]): [c] for c in index.loop_candidates[name]}
                        for name in _LOOP_SLOTS}
@@ -595,10 +585,11 @@ def _loop_plans(kb, index, roots, var_instances):
     for root in roots:
         binder = root.binder
         mandatory = binder.mandatory
-        # (slot, acceptable child schemas) per uses link to a variable plan
+        # (slot, acceptable child schemas) per uses link to a variable plan;
+        # a library that is not validated may use a schema it lacks
         uses = [(slot, [target] + kb.children(target))
                 for target, slot in root.uses
-                if kb.schema(target).kind == VARIABLE]
+                if (used := kb.schema(target)) is not None and used.kind == VARIABLE]
         uses.sort(key=lambda u: u[0] not in mandatory)
         takes_variable = any("<v>" in f.pattern for s in root.slots for f in s.fillers)
         controllers = {}               # slot -> first kind-of child controlled by it
@@ -722,7 +713,7 @@ def evaluate_coherence(instances, index: ProgramIndex, kb: KnowledgeBase,
         if "initialization" in inst.bindings and "update" in inst.bindings:
             update = inst.bindings["update"]
             # only meaningful when the update reads the variable
-            if index.cfg.node_of(update.node).reads_own:
+            if update.node.reads_own:
                 chain = index.defuse.chains.get((inst.variable,
                                                  inst.bindings["initialization"].line),
                                                 set())
@@ -741,7 +732,7 @@ def evaluate_coherence(instances, index: ProgramIndex, kb: KnowledgeBase,
                         False, line))
 
     simulation = None
-    loops = {id(inst): _instance_loops(inst, index) for inst in instances}
+    loops = {id(inst): _instance_loops(inst) for inst in instances}
     for left, right, how in _interaction_pairs(instances, index.defuse, loops):
         counter_in_loop = any(
             inst.schema == "Counter_Variable" and loops[id(inst)]
@@ -760,27 +751,14 @@ def evaluate_coherence(instances, index: ProgramIndex, kb: KnowledgeBase,
     return report
 
 
-def _instance_loops(inst, index):
+def _instance_loops(inst):
     loops = set()
     for b in inst.bindings.values():
         if b.category == "loop":
             loops.add(id(b.node))
-        elif b.category == "stmt":
-            loop = index.loop_of(b.node)
-            if loop is not None:
-                loops.add(id(loop))
+        elif b.category == "stmt" and b.node.loops:
+            loops.add(id(b.node.loops[-1]))
     return loops
-
-
-def _descendants(inst, descendants):
-    """The ids of the instances below `inst`, kept in `descendants` by id."""
-    out = descendants.get(id(inst))
-    if out is None:
-        out = descendants[id(inst)] = set()
-        for _, child in inst.children:
-            out.add(id(child))
-            out |= _descendants(child, descendants)
-    return out
 
 
 def _interaction_pairs(instances, defuse, loops):
@@ -788,14 +766,12 @@ def _interaction_pairs(instances, defuse, loops):
     other, whose parts share a loop or are linked by a def-use chain, in
     instance order. Candidates come from indexes by loop and by part line,
     so unrelated pairs are never visited."""
-    descendants = {}
     uses_of_def = {}                   # def line -> every line it reaches
     for (_, def_line), use_lines in defuse.chains.items():
         uses_of_def.setdefault(def_line, set()).update(use_lines)
     lines, reached = [], []
     by_loop, by_line = {}, {}          # loop id / part line -> instance positions
     for i, inst in enumerate(instances):
-        _descendants(inst, descendants)
         lines.append(set(inst.part_lines()))
         reached.append(set().union(*(uses_of_def.get(l, ()) for l in lines[i])))
         for loop in loops[id(inst)]:
@@ -812,7 +788,10 @@ def _interaction_pairs(instances, defuse, loops):
     related = []
     for i, j in sorted(candidates):
         left, right = instances[i], instances[j]
-        if id(right) in descendants[id(left)] or id(left) in descendants[id(right)]:
+        # a plan's children are plans bound per variable, which have no
+        # children of their own (see `_loop_plans`): a descendant is a child
+        if (any(c is right for _, c in left.children)
+                or any(c is left for _, c in right.children)):
             continue
         if loops[id(left)] & loops[id(right)]:
             related.append((left, right, "parts run in the same loop"))

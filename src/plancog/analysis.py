@@ -36,7 +36,7 @@ def recognize(program: fe.Program, kb: KnowledgeBase | None = None, *,
     run.check_step_budget(step_budget)
     kb = kb or builtin_kb()
     index = ProgramIndex(program)
-    cues = extract_beacons(index, kb)
+    cues = extract_beacons(index)
     activations, firings = activate_with_trace(kb, cues)
     instances, expectations = instantiate(kb, index, activations)
     expectations = verify_expectations(expectations, index)
@@ -128,7 +128,7 @@ def _average_shape(instances):
         if i.variable and i.kind == VARIABLE:
             by_var.setdefault(i.variable, {})[i.schema] = i
     for q in quotients:
-        expr = q.bindings["result"].node.expr
+        expr = q.bindings["result"].node.stmt.expr
         if not (isinstance(expr, fe.Binary) and expr.op == "/"
                 and isinstance(expr.left, fe.VarRef) and isinstance(expr.right, fe.VarRef)):
             continue
@@ -161,8 +161,8 @@ class PlanlinessReport:
 def planliness(program: fe.Program, kb: KnowledgeBase | None = None,
                recognition: Recognition | None = None) -> PlanlinessReport:
     """Coverage by complete plan instances, discounted per discourse-rule
-    violation: score = coverage * (1 - 0.25 * min(4, violations))."""
-    kb = kb or builtin_kb()
+    violation: score = coverage * (1 - 0.25 * min(4, violations)). The
+    discourse rules are those of the recognition's library."""
     rec = recognition or recognize(program, kb)
     simple_lines = {node.line for node in rec.index.cfg.nodes
                     if node.kind == rel.STMT and not isinstance(node.stmt, fe.Hole)}
@@ -172,7 +172,7 @@ def planliness(program: fe.Program, kb: KnowledgeBase | None = None,
             covered |= set(inst.part_lines())
     coverage = len(covered & simple_lines) / len(simple_lines) if simple_lines else 1.0
     violations = []
-    for rule in kb.discourse_rules:
+    for rule in rec.kb.discourse_rules:
         found = _DISCOURSE_PREDICATES[rule.check](rec)
         for lines, explanation in found:
             violations.append(Violation(rule.id, sorted(lines), explanation))
@@ -203,7 +203,7 @@ def _check_no_double_duty(rec: Recognition):
     in a loop."""
     looped = {inst.label: inst.variable for inst in rec.instances
               if "update" in inst.bindings
-              and rec.index.loop_of(inst.bindings["update"].node) is not None}
+              and inst.bindings["update"].node.loops}
     lines = set()
     culprits = set()
     for entry in rec.coherence.internal:
@@ -275,7 +275,7 @@ def fill_blank(blanked: fe.BlankedProgram, kb: KnowledgeBase | None = None,
     if strategy != "plan":
         raise AnalysisError(f"unknown strategy {strategy!r}")
 
-    cues = extract_beacons(index, kb)
+    cues = extract_beacons(index)
     activations, _ = activate_with_trace(kb, cues)
     instances, _ = instantiate(kb, index, activations)
     undefined = {var for var, _ in index.defuse.possibly_uninitialized}
@@ -358,7 +358,6 @@ def chunk(program: fe.Program, kb: KnowledgeBase | None = None,
         return chunks
     if mode != "plan":
         raise AnalysisError(f"unknown chunk mode {mode!r}")
-    kb = kb or builtin_kb()
     rec = recognition or recognize(program, kb)
     chunks = []
     covered = set()

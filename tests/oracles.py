@@ -684,15 +684,21 @@ def _program_wide_slot_candidates(index, instance, slot_name):
     line; a loop slot's candidates are those of every loop in the program."""
     var = instance.variable
     if slot_name == "context":
+        enclosing = enclosing_loops(index.program)
+
+        def innermost(stmt):
+            around = enclosing[id(stmt)]
+            return around[-1] if around else None
+
         loops = []
         for b in instance.bindings.values():
             if b.category == "stmt":
-                loop = index.loop_of(b.node)
+                loop = innermost(b.node.stmt)
                 if loop is not None and loop not in loops:
                     loops.append(loop)
         if not loops and var:
             for node in index.defs.get(var, []):
-                loop = index.loop_of(node.stmt)
+                loop = innermost(node.stmt)
                 if loop is not None and loop not in loops:
                     loops.append(loop)
         return sorted(((l, l.line, fe.loop_keyword(l), "loop") for l in loops),
@@ -762,7 +768,7 @@ def _bind_variable_plan(kb, schema, var, index):
         candidates = _program_wide_slot_candidates(index, inst, slot.name)
         update = inst.bindings.get("update")
         if (slot.name == "initialization" and update is not None
-                and self_referential(update.node)):
+                and self_referential(update.node.stmt)):
             candidates = [c for c in candidates
                           if update.line in index.defuse.chains.get((var, c[1]), set())]
         bound = _first_filling(slot, candidates, var)
@@ -800,7 +806,7 @@ def _loop_plans(kb, index, roots, var_instances):
     for inst in var_instances:
         for slot, b in inst.bindings.items():
             if b.category == "stmt" and slot != "initialization":
-                for loop in enclosing[id(b.node)]:
+                for loop in enclosing[id(b.node.stmt)]:
                     working.setdefault(id(loop), {})[id(inst)] = inst
     loop_candidates = {name: {id(c[0]): [c] for c in index.loop_candidates[name]}
                        for name in _LOOP_SLOTS}
@@ -809,7 +815,7 @@ def _loop_plans(kb, index, roots, var_instances):
         mandatory = tuple(s.name for s in root.slots if s.mandatory)
         uses = [(slot, [target] + kb.children(target))
                 for target, slot in root.uses
-                if kb.schema(target).kind == VARIABLE]
+                if kb.schema(target) is not None and kb.schema(target).kind == VARIABLE]
         uses.sort(key=lambda u: u[0] not in mandatory)
         takes_variable = any("<v>" in f.pattern for s in root.slots for f in s.fillers)
         controllers = {}

@@ -99,7 +99,7 @@ def test_criterion_6_activation_determinism_and_monotonicity(corpus_sources, bui
     rng = random.Random(0)
     for src in corpus_sources.values():
         program = fe.parse(src)
-        cues = act.extract_beacons(act.ProgramIndex(program), builtin)
+        cues = act.extract_beacons(act.ProgramIndex(program))
         baseline = {a.schema for a in act.activate(builtin, cues)}
         for _ in range(20):
             shuffled = cues[:]

@@ -18,7 +18,7 @@ from plancog.kb import Cue, dump_kb, load_kb, pattern_matches
 
 def _recognize(program, kb):
     index = act.ProgramIndex(program)
-    activations = act.activate(kb, act.extract_beacons(index, kb))
+    activations = act.activate(kb, act.extract_beacons(index))
     return act.instantiate(kb, index, activations)
 
 
@@ -31,8 +31,8 @@ def _instance(instances, schema, variable=None):
 
 # --- beacons -----------------------------------------------------------------
 
-def test_grey_beacons(grey, builtin):
-    cues = act.extract_beacons(act.ProgramIndex(grey), builtin)
+def test_grey_beacons(grey):
+    cues = act.extract_beacons(act.ProgramIndex(grey))
     assert any(c.kind == "init" and c.payload == "Count:=0" and c.line == 6
                for c in cues)
     assert any(c.kind == "loop" and c.payload == "repeat" for c in cues)
@@ -40,25 +40,25 @@ def test_grey_beacons(grey, builtin):
                for c in cues)
 
 
-def test_declaration_beacons(builtin):
+def test_declaration_beacons():
     program = fe.parse("PROGRAM P(input,output); VAR I: INTEGER; BEGIN I := 1; END.")
-    cues = act.extract_beacons(act.ProgramIndex(program), builtin)
+    cues = act.extract_beacons(act.ProgramIndex(program))
     assert any(c.kind == "name" and c.payload == "I" for c in cues)
     assert any(c.kind == "type" and c.payload == "integer" for c in cues)
 
 
-def test_comment_beacon(builtin):
+def test_comment_beacon():
     program = fe.parse("PROGRAM P(input,output); VAR S: INTEGER;"
                        " BEGIN {running total} S := 0; END.")
-    cues = act.extract_beacons(act.ProgramIndex(program), builtin)
+    cues = act.extract_beacons(act.ProgramIndex(program))
     assert any(c.kind == "comment" and c.payload == "running total" for c in cues)
 
 
-def test_beacon_sources_exist(corpus_sources, builtin):
+def test_beacon_sources_exist(corpus_sources):
     for src in corpus_sources.values():
         program = fe.parse(src)
         lines = {t.line for t in fe.tokenize(src)}
-        for cue in act.extract_beacons(act.ProgramIndex(program), builtin):
+        for cue in act.extract_beacons(act.ProgramIndex(program)):
             assert cue.line in lines
 
 
@@ -66,15 +66,14 @@ def test_beacon_sources_exist(corpus_sources, builtin):
 
 def test_r1_counter_from_name_and_type(builtin):
     program = fe.parse("PROGRAM P(input,output); VAR I: INTEGER; BEGIN I := 1; END.")
-    activations = act.activate(builtin, act.extract_beacons(act.ProgramIndex(program), builtin))
+    activations = act.activate(builtin, act.extract_beacons(act.ProgramIndex(program)))
     counter = next(a for a in activations if a.schema == "Counter_Variable")
     assert "R1" in counter.rule_ids
     assert counter.direction == "data-driven"
-    assert counter.cues
 
 
 def test_r3_linear_search_needs_counter_and_while(search, builtin):
-    activations = act.activate(builtin, act.extract_beacons(act.ProgramIndex(search), builtin))
+    activations = act.activate(builtin, act.extract_beacons(act.ProgramIndex(search)))
     names = {a.schema for a in activations}
     assert "Linear_Search" in names
     search_act = next(a for a in activations if a.schema == "Linear_Search")
@@ -85,7 +84,7 @@ def test_r1_requires_same_variable(builtin):
     # integer type on one variable, counter-ish name on another: R1 must not fire
     program = fe.parse("PROGRAM P(input,output);\nVAR I: REAL;\n    Sum: INTEGER;\n"
                        "BEGIN\n    Sum := 0;\nEND.")
-    activations = act.activate(builtin, act.extract_beacons(act.ProgramIndex(program), builtin))
+    activations = act.activate(builtin, act.extract_beacons(act.ProgramIndex(program)))
     for a in activations:
         assert "R1" not in a.rule_ids
 
@@ -95,7 +94,7 @@ def test_empty_cues_no_activations(builtin):
 
 
 def test_fixpoint_escalates_to_superstructures(grey, builtin):
-    activations = act.activate(builtin, act.extract_beacons(act.ProgramIndex(grey), builtin))
+    activations = act.activate(builtin, act.extract_beacons(act.ProgramIndex(grey)))
     names = {a.schema for a in activations}
     assert "Running_Total_Loop" in names                       # via schema= cue
     assert "New_Value_Controlled_Running_Total_Loop" in names  # downward expansion
@@ -108,7 +107,7 @@ def test_activation_order_independence(corpus_sources, builtin):
     rng = random.Random(7)
     for src in corpus_sources.values():
         program = fe.parse(src)
-        cues = act.extract_beacons(act.ProgramIndex(program), builtin)
+        cues = act.extract_beacons(act.ProgramIndex(program))
         baseline = {a.schema for a in act.activate(builtin, cues)}
         for _ in range(5):
             shuffled = cues[:]
@@ -120,16 +119,21 @@ def test_activation_order_independence(corpus_sources, builtin):
 
 
 def test_data_driven_activations_carry_cues(corpus_sources, builtin):
+    # the supporting cues live on the firings of the rules that activated
+    # a schema, not on its activation
     for src in corpus_sources.values():
         program = fe.parse(src)
-        for a in act.activate(builtin, act.extract_beacons(act.ProgramIndex(program), builtin)):
+        activations, firings = act.activate_with_trace(
+            builtin, act.extract_beacons(act.ProgramIndex(program)))
+        for a in activations:
+            fired = [f for f in firings if f.schema == a.schema and f.rule_id != "-"]
+            assert a.rule_ids == sorted(f.rule_id for f in fired)
             if a.direction == "data-driven":
-                assert a.cues
-                assert a.rule_ids
+                assert any(f.cues for f in fired)
 
 
 def test_activation_monotonicity(grey, builtin):
-    cues = act.extract_beacons(act.ProgramIndex(grey), builtin)
+    cues = act.extract_beacons(act.ProgramIndex(grey))
     small = {a.schema for a in act.activate(builtin, cues[: len(cues) // 2])}
     full = {a.schema for a in act.activate(builtin, cues)}
     assert small <= full
@@ -302,6 +306,22 @@ def test_a_rule_that_activates_no_schema_leaves_recognition_as_it_was(grey, buil
     assert len(instances) == 6
 
 
+def test_a_root_that_uses_a_missing_schema_binds_as_it_was(grey, orange, builtin):
+    # an unvalidated library: Running_Total_Loop uses a schema it lacks,
+    # which its loop plans pass by
+    kb = dataclasses.replace(builtin, schemas=tuple(
+        dataclasses.replace(s, uses=(*s.uses, ("Missing", "body")))
+        if s.name == "Running_Total_Loop" else s
+        for s in builtin.schemas))
+
+    def facts(instances):
+        return [(i.label, i.status, i.part_lines(),
+                 [(slot, child.label) for slot, child in i.children]) for i in instances]
+
+    for program in (grey, orange):
+        assert facts(_recognize(program, kb)[0]) == facts(_recognize(program, builtin)[0])
+
+
 # a library whose Counter_Variable is a loop plan: a simulated pair of two
 # plans without a variable reports the outputs
 LOOP_COUNTER = """schema Counter_Variable kind control
@@ -365,7 +385,7 @@ def test_user_loop_plan_binds_its_uses_slot(search, builtin):
 
 def _pairs_and_reference(program, kb):
     rec = an.recognize(program, kb)
-    loops = {id(inst): act._instance_loops(inst, rec.index) for inst in rec.instances}
+    loops = {id(inst): act._instance_loops(inst) for inst in rec.instances}
     return (act._interaction_pairs(rec.instances, rec.index.defuse, loops),
             all_pairs_interactions(rec.instances, rec.index.defuse, loops))
 

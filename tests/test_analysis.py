@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from oracles import chunk_universe
@@ -122,7 +124,6 @@ def test_user_schema_names_and_goal(builtin, name, violations):
 
 
 def test_no_unused_plan_part_predicate():
-    import dataclasses
     builtin = kblib.builtin_kb()
     kb = dataclasses.replace(builtin, discourse_rules=(
         *builtin.discourse_rules,
@@ -294,6 +295,12 @@ def test_no_double_duty_needs_the_update_in_a_loop(builtin):
                   if e.constraint == "initialization-filler") == [5, 6]
     report = an.planliness(program, builtin, recognition=rec)
     assert [v for v in report.violations if v.rule_id == "D2"] == []
+
+
+def test_planliness_reads_the_discourse_rules_of_the_recognition(orange, builtin):
+    assert [v.rule_id for v in an.planliness(orange, builtin).violations] == ["D2"]
+    rec = an.recognize(orange, dataclasses.replace(builtin, discourse_rules=()))
+    assert an.planliness(orange, recognition=rec).violations == []
 
 
 def _count_indexes(monkeypatch):

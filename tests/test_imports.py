@@ -1,5 +1,6 @@
-"""Every module-level import of a `src/plancog` module is one the module reads:
-an import left behind by a change that stopped using it fails here."""
+"""Every module-level import of a `src/plancog` module is one the module reads,
+and every parameter of a function is one its body reads: an import or a
+parameter left behind by a change that stopped using it fails here."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,35 @@ def test_an_unread_import_is_found():
     assert _unread("from __future__ import annotations\nimport itertools\nimport os.path\n"
                    "from re import match as m, sub\nos.sep\nsub = 1\n") == [
         ("itertools", 2), ("m", 4), ("sub", 4)]
+
+
+def _unread_parameters(source):
+    """(function, parameter, line) of each parameter of a `def` in `source`
+    whose body never reads it. A method's `self` and a `*` or `**` parameter
+    are not asked for: `interpreter._type_error` takes its operands as `*`
+    arguments only so that they are evaluated first. Lambdas are not
+    checked either, since `kb.pattern_matcher`'s lambdas share one
+    signature whether or not they read the variable."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            read = {n.id for statement in node.body for n in ast.walk(statement)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [(node.name, a.arg, node.lineno)
+                       for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+                       if a.arg != "self" and a.arg not in read]
+    return unread
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert _unread_parameters(path.read_text()) == []
+
+
+def test_an_unread_parameter_is_found():
+    assert _unread_parameters(
+        "def f(a, b, *rest, c=1, **more):\n    return a\n"
+        "class K:\n    def m(self, x, /, y):\n        def g(z):\n            return x\n"
+        "        return g\n"
+        "h = lambda u, v: u\n") == [("f", "b", 1), ("f", "c", 1), ("m", "y", 4), ("g", "z", 5)]

@@ -140,7 +140,7 @@ def _facts(instantiate, program, kb):
     """Instances, expectations before verification, and the coherence
     report of one recognition bound by `instantiate`."""
     index = act.ProgramIndex(program)
-    activations = act.activate(kb, act.extract_beacons(index, kb))
+    activations = act.activate(kb, act.extract_beacons(index))
     instances, expectations = instantiate(kb, index, activations)
     return ([_instance_facts(i) for i in instances],
             [(e.instance.label, e.slot, e.pattern, e.state, e.resolved_line)
