@@ -168,13 +168,6 @@ def test_controlled_by_unknown_slot_diagnostic():
     assert [(d.code, d.subject) for d in err.value.diagnostics] == [("unknown-slot", "B.nope")]
 
 
-@pytest.mark.parametrize("line", ["goal", "goal a b", "names", "controlled-by"])
-def test_malformed_schema_line(line):
-    with pytest.raises(KbFormatError) as err:
-        kblib.load_kb(f'schema A kind problem\n  desc "a"\n  {line}\n')
-    assert err.value.line == 3
-
-
 def test_dangling_link_diagnostic():
     with pytest.raises(KbValidationError) as err:
         kblib.load_kb('schema A kind problem\n  desc "a"\n  kindof Missing\n')
@@ -369,10 +362,45 @@ def test_missing_mandatory_slot_diagnostic():
     assert "no-mandatory-slot" in [d.code for d in kblib.validate_kb(kb)]
 
 
-def test_malformed_kb_line_reports_position():
+# lines that load_kb skips: blank, whitespace-only and indented comments;
+# `\v` and `\f` end a line as str.splitlines does, so these are nine lines
+_SKIPPED = "\n   \n\t\n \v\f \n  # a comment\n\t# another\n#\n"
+# the lines before the malformed one
+_CONTEXTS = {"top": "", "schema": 'schema A kind problem\n  desc "a"\n',
+             "slot": 'schema A kind problem\n  desc "a"\n  slot s\n',
+             "discourse": 'schema A kind problem\n  desc "a"\ndiscourse D1 check c "t"\n'}
+
+
+@pytest.mark.parametrize("context, line, message", [
+    ("top", "slot s", "slot outside a schema"),
+    ("schema", "slot", "expected: slot <name> [mandatory]"),
+    ("schema", "slot a b", "expected: slot <name> [mandatory]"),
+    ("schema", "slot a mandatory x", "expected: slot <name> [mandatory]"),
+    ("schema", 'filler "<v>:=0"', "filler outside a slot or malformed"),
+    ("slot", "filler x", "filler outside a slot or malformed"),
+    ("top", 'desc "a"', "desc outside a schema or malformed"),
+    ("schema", "desc x", "desc outside a schema or malformed"),
+    ("top", "schema A", "expected: schema <Name> kind <kind>"),
+    ("top", "schema A kind nope", "unknown schema kind 'nope'"),
+    ("schema", "goal", "expected: goal <name> inside a schema"),
+    ("schema", "goal a b", "expected: goal <name> inside a schema"),
+    ("schema", "controlled-by", "expected: controlled-by <name> inside a schema"),
+    ("schema", "controlled-by a b", "expected: controlled-by <name> inside a schema"),
+    ("schema", "names", "expected: names <stem>... inside a schema"),
+    ("schema", "kindof", "expected: kindof <ParentName>"),
+    ("schema", "uses A of b", "expected: uses <ChildName> as <slotname>"),
+    ("schema", 'rule R1 data: if name~"x" activate A', "malformed production rule"),
+    ("schema", "rule R1 data: if name~x then activate A", "bad cue 'name~x'"),
+    ("schema", "discourse D1 check nope", "malformed discourse rule"),
+    ("discourse", "slot s", "slot outside a schema"),
+    ("schema", "wibble", "unrecognized directive 'wibble'"),
+])
+def test_format_errors_name_their_line(context, line, message):
+    text = _CONTEXTS[context] + _SKIPPED + "  " + line + "\n" + _SKIPPED
+    lineno = _CONTEXTS[context].count("\n") + 10
     with pytest.raises(KbFormatError) as err:
-        kblib.load_kb("schema A kind problem\n  desc \"a\"\nwibble\n")
-    assert err.value.line == 3
+        kblib.load_kb(text)
+    assert (str(err.value), err.value.line) == (f"kb line {lineno}: {message}", lineno)
 
 
 def test_specializations(builtin):
