@@ -15,6 +15,7 @@ import json
 import re
 import sys
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import analysis, frontend, interpreter, kb as kblib, relations
 from .errors import KbValidationError, PlancogError
@@ -133,8 +134,65 @@ def main(argv=None) -> int:
             print(f"error: {err}", file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(doc, indent=2 if args.command in _INDENTED else None))
+        print(_indented(doc) if args.command in _INDENTED else json.dumps(doc))
     return code
+
+
+def _indented(value, pad="\n"):
+    """The text of `json.dumps(value, indent=2)`, with each line break
+    followed by `pad`'s indent. Given an indent, `json` encodes in pure
+    Python; here each string goes through `json`'s C string encoder and each
+    exact int through `int.__repr__`, as `json` does. Any other value (a
+    float, a subclass, a dict with a key that is not a str) is left to
+    `json.dumps` and indented to fit, which is exact as JSON text holds no
+    raw line break. Leaves are encoded in their container's own loop, which
+    is what makes the writer fast."""
+    inner = pad + "  "
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = []
+        for key, v in value.items():
+            if type(key) is not str:
+                break           # the whole dict is left to json.dumps
+            kind = type(v)
+            if kind is str:
+                v = _json_str(v)
+            elif kind is int:
+                v = int.__repr__(v)
+            elif v is None:
+                v = "null"
+            elif v is True:
+                v = "true"
+            elif v is False:
+                v = "false"
+            else:
+                v = _indented(v, inner)
+            items.append(_json_str(key) + ": " + v)
+        else:
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+    elif kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = []
+        for v in value:
+            kind = type(v)
+            if kind is str:
+                v = _json_str(v)
+            elif kind is int:
+                v = int.__repr__(v)
+            elif v is None:
+                v = "null"
+            elif v is True:
+                v = "true"
+            elif v is False:
+                v = "false"
+            else:
+                v = _indented(v, inner)
+            items.append(v)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(value, indent=2).replace("\n", pad)
 
 
 def entry():

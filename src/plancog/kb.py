@@ -517,12 +517,27 @@ def load_kb(text: str) -> KnowledgeBase:
     specs, discourse_rules, rules = [], [], []
     schema = slots = slot = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        # a blank line has no words, and a comment's first word starts with
+        # `#`; the directives are tested in the order of how often the
+        # built-in library uses them
+        words = raw.split()
+        if not words or words[0][0] == "#":
             continue
-        words = stripped.split()
         head = words[0]
-        if head == "schema":
+        if head == "slot":
+            if schema is None:
+                raise KbFormatError("slot outside a schema", lineno)
+            arity = len(words)
+            if arity != 2 and (arity != 3 or words[2] != "mandatory"):
+                raise KbFormatError("expected: slot <name> [mandatory]", lineno)
+            slot = [words[1], arity == 3, []]
+            slots.append(slot)
+        elif head == "filler":
+            m = _FILLER_RX.fullmatch(raw.strip())
+            if not m or slot is None:
+                raise KbFormatError("filler outside a slot or malformed", lineno)
+            slot[2].append(Filler(m.group("p"), bool(m.group("proto"))))
+        elif head == "schema":
             if len(words) != 4 or words[2] != "kind":
                 raise KbFormatError("expected: schema <Name> kind <kind>", lineno)
             if words[3] not in SCHEMA_KINDS:
@@ -531,10 +546,23 @@ def load_kb(text: str) -> KnowledgeBase:
             slots, slot = [], None
             specs.append((schema, slots))
         elif head == "desc":
-            m = _DESC_RX.fullmatch(stripped)
+            m = _DESC_RX.fullmatch(raw.strip())
             if not m or schema is None:
                 raise KbFormatError("desc outside a schema or malformed", lineno)
             schema["description"] = m.group("d")
+        elif head == "uses":
+            if len(words) != 4 or words[2] != "as" or schema is None:
+                raise KbFormatError("expected: uses <ChildName> as <slotname>", lineno)
+            schema["uses"] += ((words[1], words[3]),)
+        elif head == "rule":
+            m = _RULE_RX.fullmatch(raw.strip())
+            if not m:
+                raise KbFormatError("malformed production rule", lineno)
+            direction = DATA_DRIVEN if m["dir"] == "data" else CONCEPTUALLY_DRIVEN
+            conditions = tuple([_parse_cue(c, lineno) for c in _CONDITION_RX.findall(m["cues"])])
+            rules.append(ProductionRule(m["id"], direction, conditions, m["schema"],
+                                        tuple(_BIND_RX.findall(m["binds"]))))
+            schema = slot = None
         elif head in ("goal", "controlled-by"):
             if len(words) != 2 or schema is None:
                 raise KbFormatError(f"expected: {head} <name> inside a schema", lineno)
@@ -544,40 +572,15 @@ def load_kb(text: str) -> KnowledgeBase:
                 raise KbFormatError("expected: names <stem>... inside a schema", lineno)
             # stems are matched against lowercased variable names
             schema["names"] = tuple(w.lower() for w in words[1:])
-        elif head == "slot":
-            if schema is None:
-                raise KbFormatError("slot outside a schema", lineno)
-            if len(words) == 1 or words[2:] not in ([], ["mandatory"]):
-                raise KbFormatError("expected: slot <name> [mandatory]", lineno)
-            slot = [words[1], len(words) == 3, []]
-            slots.append(slot)
-        elif head == "filler":
-            m = _FILLER_RX.fullmatch(stripped)
-            if not m or slot is None:
-                raise KbFormatError("filler outside a slot or malformed", lineno)
-            slot[2].append(Filler(m.group("p"), bool(m.group("proto"))))
         elif head == "kindof":
             if len(words) != 2 or schema is None:
                 raise KbFormatError("expected: kindof <ParentName>", lineno)
             schema["kind_of"] += (words[1],)
-        elif head == "uses":
-            if len(words) != 4 or words[2] != "as" or schema is None:
-                raise KbFormatError("expected: uses <ChildName> as <slotname>", lineno)
-            schema["uses"] += ((words[1], words[3]),)
         elif head == "discourse":
-            m = _DISCOURSE_RX.fullmatch(stripped)
+            m = _DISCOURSE_RX.fullmatch(raw.strip())
             if not m:
                 raise KbFormatError("malformed discourse rule", lineno)
             discourse_rules.append(DiscourseRule(*m.groups()))
-            schema = slot = None
-        elif head == "rule":
-            m = _RULE_RX.fullmatch(stripped)
-            if not m:
-                raise KbFormatError("malformed production rule", lineno)
-            direction = DATA_DRIVEN if m["dir"] == "data" else CONCEPTUALLY_DRIVEN
-            conditions = tuple([_parse_cue(c, lineno) for c in _CONDITION_RX.findall(m["cues"])])
-            rules.append(ProductionRule(m["id"], direction, conditions, m["schema"],
-                                        tuple(_BIND_RX.findall(m["binds"]))))
             schema = slot = None
         else:
             raise KbFormatError(f"unrecognized directive {head!r}", lineno)

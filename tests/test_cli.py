@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from plancog import cli, kb as kblib
 from plancog.frontend import MAX_DEPTH
 from plancog.cli import corpus, corpus_path, main
+from test_frontend import _TYPED_NAMES, _program, _stmt
 
 
 def run_cli(capsys, *argv):
@@ -646,3 +650,54 @@ def test_simulate_inputs_keep_arithmetic_bounds(tmp_path, capsys, inputs, error)
     else:
         assert doc["status"] == "runtime-error"
         assert doc["error"] == {"kind": error[0], "line": error[1]}
+
+
+# --- the indented-JSON writer ------------------------------------------------------
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u2028é€😀')),
+                max_size=8)
+_LEAVES = st.one_of(
+    _TEXT, _TEXT.map(_Str),
+    st.integers(), st.integers(-2 ** 200, 2 ** 200), st.integers().map(_Int),
+    st.booleans(), st.none(),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]))
+_KEYS = st.one_of(st.integers(), st.floats(), st.booleans(), st.none())
+_VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_TEXT, inner, max_size=4),
+    st.dictionaries(st.one_of(_TEXT, _KEYS), inner, max_size=4)), max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_VALUES)
+@example({"a": [1, "s", None, True, False, 0.5, {}, [], ()], "b": {"c": (2, {3: 4})}, 5: 6})
+@example([None, True, False, {"k": [[], {}]}, 2 ** 70, _Int(3), _Str("x")])
+def test_indented_writer_is_json_dumps_with_indent(value):
+    assert cli._indented(value) == json.dumps(value, indent=2)
+
+
+def _comment(text):
+    return st.text(st.characters(blacklist_characters="{}", blacklist_categories=("Cs",)),
+                   max_size=12).map(lambda c: f"{text} {{{c}}}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_stmt(2, _TYPED_NAMES).flatmap(
+    lambda s: st.one_of(st.just(s), _comment(s))), min_size=1, max_size=6))
+def test_indented_documents_of_generated_programs(tmp_path_factory, stmts):
+    # a statement may carry a comment of any text, non-ASCII included
+    path = tmp_path_factory.mktemp("program") / "p.mp"
+    path.write_text(_program(stmts), encoding="utf-8")
+    for argv in (["parse", str(path)], ["recognize", str(path), "--trace"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, "--json"]) == 0
+        assert out.getvalue() == json.dumps(json.loads(out.getvalue()), indent=2) + "\n"

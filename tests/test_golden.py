@@ -49,16 +49,17 @@ def requests(name, source):
     return out
 
 
-def capture(name, source, mode="json"):
-    """{argv text: outcome} for every request on one program in output mode
-    `mode`: the exit code and stdout, plus stderr in "text" mode. Run from the
-    corpus directory so that outputs naming the file are portable."""
+def capture(name, argvs, mode="json"):
+    """{argv text: outcome} for each request of `argvs` on one program in
+    output mode `mode`: the exit code and stdout, plus stderr in "text" mode.
+    Run from the corpus directory so that outputs naming the file are
+    portable."""
     flags = ["--json"] if mode == "json" else []
     results = {}
     cwd = os.getcwd()
     os.chdir(Path(cli.corpus_path(name)).parent)
     try:
-        for argv in requests(name, source):
+        for argv in argvs:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main([*argv, *flags])
@@ -77,7 +78,7 @@ def golden_path(name, mode="json"):
 
 def check_golden(name, source, mode):
     expected = json.loads(golden_path(name, mode).read_text(encoding="utf-8"))
-    actual = capture(name, source, mode)
+    actual = capture(name, requests(name, source), mode)
     assert list(actual) == list(expected)
     differing = [request for request in expected if actual[request] != expected[request]]
     assert differing == []
@@ -139,11 +140,27 @@ def test_text_outputs_match_golden(name, corpus_sources):
     check_golden(name, corpus_sources[name], "text")
 
 
+def test_indented_documents_need_no_pure_python_encoder(monkeypatch, corpus_sources):
+    # json encodes in pure Python only when asked for an indent, through
+    # _make_iterencode; the CLI's writer must not fall back to it
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    for name in cli.CORPUS_FILES:
+        indented = [argv for argv in requests(name, corpus_sources[name])
+                    if argv[0] in ("parse", "recognize")]
+        expected = json.loads(golden_path(name).read_text(encoding="utf-8"))
+        actual = capture(name, indented)
+        assert actual == {request: expected[request] for request in actual}
+        assert len(actual) == 2
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for file, text in cli.corpus():
         for mode in ("json", "text"):
             golden_path(file, mode).write_text(
-                json.dumps(capture(file, text, mode), indent=1) + "\n", encoding="utf-8")
+                json.dumps(capture(file, requests(file, text), mode), indent=1) + "\n", encoding="utf-8")
     UNITS.write_text(unit_sources(), encoding="utf-8")
     sys.exit(0)
