@@ -33,6 +33,23 @@ ends, it writes back each variable it assigns that is bound, so
 count is a local too, read from the run's result on entry and written back
 the same way.
 
+A step is checked against the budget before it is taken and counted as it
+is. A traced unit checks and counts each statement's step where it is taken,
+since each trace event records the count. An untraced unit counts a run of
+steps at once: the consecutive statements at one level that always execute
+together, which are the simple statements, the IF or UNTIL test or FOR
+header that ends them, and a FOR's per-iteration step, which joins the run
+that ends its body. Where a run of n steps starts, one check `s >= _b<n>`
+halts on the budget unless all n fit, and one `s += n` counts them; the
+bound `_b<n> = B - n + 1` is set once per call of the unit, so that a check
+makes no new int. Each statement's line is an argument that holds its site,
+its own even when it shares its line: the line, and `ahead`, the steps of
+its run counted but not yet reached, which a halt there other than the
+budget's takes off the count. A budget halt where the count equals the
+budget is the one the run's first step makes. Any other is not yet known
+exactly, since a statement of the run may halt first: `execute` runs the
+program again from the start through the traced units, keeping no trace.
+
 Each expression node is typed once, from the declarations, as its source is
 written. A well-typed node checks no operand type at run time. It keeps the
 checks for 64-bit and finite results, made inline through one temporary, and
@@ -120,19 +137,32 @@ class ExecutionResult:
 
 
 class _Halt(Exception):
-    def __init__(self, kind, line):
+    def __init__(self, kind, site):
         self.kind = kind
+        self.site = site
+
+
+class _Site:
+    """Where a statement of a unit halts: its `line`, and `ahead`, the steps
+    of its run that were counted where the run starts but lie after the
+    statement, which a halt there gives back. Each statement has its own,
+    even when two share a line."""
+
+    __slots__ = ("line", "ahead")
+
+    def __init__(self, line):
         self.line = line
+        self.ahead = 0
 
 
-def _number(value, line):
+def _number(value, site):
     """An arithmetic result: integers must fit 64 bits, reals must be
     finite (an infinite or NaN REAL is an overflow, not a value)."""
     if isinstance(value, int):
         if not INT_MIN <= value <= INT_MAX:
-            raise _Halt("integer-overflow", line)
+            raise _Halt("integer-overflow", site)
     elif not math.isfinite(value):
-        raise _Halt("real-overflow", line)
+        raise _Halt("real-overflow", site)
     return value
 
 
@@ -195,44 +225,44 @@ def _truncated(left, right):
 # Helpers the generated source calls. Each takes its operands as arguments,
 # so they are evaluated in order before it runs.
 
-def _type_error(line, *operands):
+def _type_error(site, *operands):
     """A node whose operand types never fit: a fault inside an operand comes
     first, then this one."""
-    raise _Halt("type-error", line)
+    raise _Halt("type-error", site)
 
 
-def _overflow(line):
-    raise _Halt("integer-overflow", line)
+def _overflow(site):
+    raise _Halt("integer-overflow", site)
 
 
 # Pascal DIV truncates toward zero and MOD takes the sign of the dividend;
 # Python's // and % floor, so a result with operands of opposite signs is
 # moved one step back. Only INT_MIN DIV -1 leaves 64 bits.
 
-def _quotient(left, right, line):
+def _quotient(left, right, site):
     if right == 0:
-        raise _Halt("division-by-zero", line)
+        raise _Halt("division-by-zero", site)
     value = left // right
     if value < 0 and value * right != left:
         value += 1
     if value > INT_MAX:
-        raise _Halt("integer-overflow", line)
+        raise _Halt("integer-overflow", site)
     return value
 
 
-def _remainder(left, right, line):
+def _remainder(left, right, site):
     if right == 0:
-        raise _Halt("division-by-zero", line)
+        raise _Halt("division-by-zero", site)
     value = left % right
     if value and (left < 0) is not (right < 0):
         value -= right
     return value
 
 
-def _divide(left, right, line):
+def _divide(left, right, site):
     if right == 0:
-        raise _Halt("division-by-zero", line)
-    return _number(left / right, line)
+        raise _Halt("division-by-zero", site)
+    return _number(left / right, site)
 
 
 # The function of a unit. `make` takes the unit's arguments and returns
@@ -240,13 +270,16 @@ def _divide(left, right, line):
 # ExecutionResult, whose `steps` the statement reads into the local `s` on
 # entry and writes back on exit; V is the store, B the step budget, E appends
 # a trace event (None when untraced), IN returns the next input and OUT
-# appends an output.
+# appends an output. Next to `s`, `run` sets the bound `_b<n> = B - n + 1` of
+# each length n of run of statements it counts together (below), once per
+# call, so that a check makes no new int.
 _HEAD = "def make({}):\n    def run(m, V, B, E, IN, OUT):"
 _BASE = 3            # the indentation level of `run`'s try body and a nested function's
 # CPython's nesting limits, with room to spare: a loop is one block and one
 # level, and each checked operator two parentheses
 _MAX_INDENT = 12
 _MAX_DEPTH = 30
+_BUDGET = "step-budget-exceeded"
 
 
 @functools.lru_cache(maxsize=1024)
@@ -272,6 +305,11 @@ class _Unit:
         # the interval of each INTEGER variable that is known where the next
         # line is written; a unit starts with none
         self.ranges = {}
+        # the run being written: (index of the line its check goes before,
+        # its indentation, the argument of its first site, the site of each
+        # of its steps); None between runs
+        self.run = None
+        self.bounds = set()    # the lengths of its runs of more than one step
 
     def arg(self, value):
         self.args.append(value)
@@ -323,12 +361,55 @@ class _Writer:
         self.block(unit, s, _BASE)
         params = ", ".join([f"a{n}" for n in range(len(unit.args))])
         source = "\n".join([_HEAD.format(params), "        s = m.steps",
+                            *(f"        _b{n} = B - {n - 1}" for n in sorted(unit.bounds)),
                             *unit.loads(unit.reads, "        "),
                             *(line for lines in unit.functions for line in lines),
                             "        try:", *unit.lines, "        finally:",
                             "            m.steps = s", *unit.stores(unit.writes, " " * 12),
                             "    return run\n"])
         return _make(source)(*unit.args)
+
+    # -- steps ------------------------------------------------------------------
+
+    def site(self, unit, line):
+        """(the argument of a new statement's site on `line`, the value it
+        holds). A traced unit counts each step as a run of its own, so its
+        site is the line itself."""
+        held = line if self.traced else _Site(line)
+        return unit.arg(held), held
+
+    def step(self, unit, pad, name, held):
+        """Count a step at `pad` whose site is the argument `name`, holding
+        `held`; None for a FOR's per-iteration step, which halts on nothing
+        but the budget. A traced unit checks and counts each step where it
+        is taken, since its trace events record the count; an untraced one
+        adds the step to the open run, or opens one here."""
+        if self.traced:
+            unit.lines += (f"{pad}if s >= B: raise _Halt('{_BUDGET}', {name})",
+                           f"{pad}s += 1")
+        else:
+            if unit.run is None:
+                unit.run = len(unit.lines), pad, name, []
+            unit.run[3].append(held)
+
+    def end_run(self, unit):
+        """Close the open run, if any: its one check and count go where it
+        starts, and each of its sites learns how many of the run's steps lie
+        after it. What follows starts a run of its own."""
+        if unit.run is None:
+            return
+        at, pad, name, sites = unit.run
+        unit.run = None
+        n = len(sites)
+        for ahead, site in enumerate(reversed(sites)):
+            if site is not None:
+                site.ahead = ahead
+        bound = "B"
+        if n > 1:
+            bound = f"_b{n}"
+            unit.bounds.add(n)
+        unit.lines[at:at] = (f"{pad}if s >= {bound}: raise _Halt('{_BUDGET}', {name})",
+                             f"{pad}s += {n}")
 
     # -- statements -------------------------------------------------------------
 
@@ -337,11 +418,14 @@ class _Writer:
         nothing: a BEGIN/END block may be empty."""
         start = len(unit.lines)
         self.emit(unit, s, level)
+        self.end_run(unit)
         if len(unit.lines) == start:
             unit.lines.append("    " * level + "pass")
 
     def emit(self, unit, s, level):
-        """Write statement `s` at indentation `level`."""
+        """Write statement `s` at indentation `level`. A simple statement
+        leaves its run open; a compound one ends the run of its test or
+        header, and every run inside it."""
         lines, pad = unit.lines, "    " * level
         kind = type(s)
         if kind is fe.Compound:
@@ -352,6 +436,7 @@ class _Writer:
             # a function of its own, called here, which shares the locals of
             # `run`: those it assigns are nonlocal, so `run` loads them to
             # bind them
+            self.end_run(unit)
             unit.lines = []
             self.emit(unit, s, _BASE)
             body, unit.lines = unit.lines, lines
@@ -361,54 +446,56 @@ class _Writer:
                                         if key in assigned)])
             lines.append(f"{pad}{unit.function([f'            nonlocal {shared}', *body])}()")
             return
-        if kind in (fe.Repeat, fe.While) and unit.ranges:
-            # an iteration may start with the values an earlier one assigned
-            unit.forget(_assigned(s.body if kind is fe.Repeat else [s.body]))
+        if kind in (fe.Repeat, fe.While):
+            # each iteration starts a run
+            self.end_run(unit)
+            if unit.ranges:
+                # an iteration may start with the values an earlier one assigned
+                unit.forget(_assigned(s.body if kind is fe.Repeat else [s.body]))
         if kind is fe.Repeat:
             lines.append(f"{pad}while True:")
             for t in s.body:
                 self.emit(unit, t, level + 1)
             pad += "    "
-            line = unit.arg(s.until_line)
+            site, held = self.site(unit, s.until_line)
         else:
             if kind is fe.While:
                 lines.append(f"{pad}while True:")
                 pad += "    "
-            line = unit.arg(s.line)
-        lines.append(f"{pad}if s >= B: raise _Halt('step-budget-exceeded', {line})")
-        lines.append(f"{pad}s += 1")
+            site, held = self.site(unit, s.line)
+        self.step(unit, pad, site, held)
         if kind is fe.Assign:
             key = s.target.lower()
             target = unit.var(key, unit.writes)
-            value, typed, span = self.expr(unit, s.expr, line, 0)
+            value, typed, span = self.expr(unit, s.expr, site, 0)
             declared = self.types[key]
             if typed == "integer" and declared == "real":
                 value = f"float({value})"
             elif typed != declared:
-                value = f"_type_error({line}, {value})"
-            self.guard(unit, pad, line, f"{target} = {value}")
-            self.event(unit, pad, line, key)
+                value = f"_type_error({site}, {value})"
+            self.guard(unit, pad, site, f"{target} = {value}")
+            self.event(unit, pad, site, key)
             # the value's interval, read only if `key` is an INTEGER
             unit.ranges = {**unit.ranges, key: span or _INT64}
         elif kind is fe.Readln:
             key = s.var.lower()
             target = unit.var(key, unit.writes)
-            store = unit.arg(self.store(key, s.line))
+            store = unit.arg(self.store(key, held))
             lines += (f"{pad}try:", f"{pad}    _v = IN()", f"{pad}except StopIteration:",
-                      f"{pad}    raise _Halt('input-exhausted', {line}) from None")
+                      f"{pad}    raise _Halt('input-exhausted', {site}) from None")
             if self.types[key] == "integer":
                 lines += (f"{pad}if type(_v) is int and INT_MIN <= _v <= INT_MAX:",
                           f"{pad}    {target} = _v", f"{pad}else:",
                           f"{pad}    {target} = {store}(_v)")
             else:
                 lines.append(f"{pad}{target} = {store}(_v)")
-            self.event(unit, pad, line, key)
+            self.event(unit, pad, site, key)
             unit.forget({key})
         elif kind is fe.Writeln:
-            value = self.expr(unit, s.expr, line, 0)[0]
-            self.guard(unit, pad, line, f"OUT({value})")
+            value = self.expr(unit, s.expr, site, 0)[0]
+            self.guard(unit, pad, site, f"OUT({value})")
         elif kind is fe.If:
-            self.guard(unit, pad, line, f"_c = {self.condition(unit, s.cond, line)}")
+            self.test(unit, pad, site, s.cond)
             lines.append(f"{pad}if _c:")
             before = unit.ranges
             self.block(unit, s.then, level + 1)
@@ -420,26 +507,27 @@ class _Writer:
             unit.ranges = {key: span for key, span in then.items()
                            if unit.ranges.get(key) == span}
         elif kind is fe.While:
-            self.guard(unit, pad, line, f"_c = {self.condition(unit, s.cond, line)}")
+            self.test(unit, pad, site, s.cond)
             lines += (f"{pad}if not _c:", f"{pad}    break")
             # the loop ends where its test fails
             test = unit.ranges
             self.emit(unit, s.body, level + 1)
+            self.end_run(unit)
             unit.ranges = test
         elif kind is fe.Repeat:
-            self.guard(unit, pad, line, f"_c = {self.condition(unit, s.cond, line)}")
+            self.test(unit, pad, site, s.cond)
             lines += (f"{pad}if _c:", f"{pad}    break")
         elif kind is fe.For:
-            self.for_loop(unit, s, level, line)
+            self.for_loop(unit, s, level, site)
         elif kind is not fe.Hole:
             raise TypeError(f"cannot execute {s!r}")
 
-    def for_loop(self, unit, s, level, line):
+    def for_loop(self, unit, s, level, site):
         lines, pad = unit.lines, "    " * level
         key = s.var.lower()
         target = unit.var(key, unit.writes)
-        start, first, low = self.expr(unit, s.start, line, 0)
-        stop, last, high = self.expr(unit, s.stop, line, 0)
+        start, first, low = self.expr(unit, s.start, site, 0)
+        stop, last, high = self.expr(unit, s.stop, site, 0)
         # what holds as each iteration starts and once the loop ends, which
         # may be before the first iteration
         assigned = _assigned([s.body])
@@ -448,7 +536,7 @@ class _Writer:
         if not self.types[key] == first == last == "integer":
             # an INTEGER control variable and INTEGER bounds, or a type-error
             # once both bounds are evaluated, before the first iteration
-            stop = f"_type_error({line}, {stop})"
+            stop = f"_type_error({site}, {stop})"
         elif key not in assigned:
             # each iteration sets the variable to a value between the bounds,
             # which the body keeps
@@ -457,64 +545,74 @@ class _Writer:
         # level; `range` sets the variable as each iteration starts, so the
         # body cannot change the trip count
         lower, upper = f"_i{level}", f"_n{level}"
-        self.guard(unit, pad, line, f"{lower}, {upper} = {start}, {stop}")
+        self.guard(unit, pad, site, f"{lower}, {upper} = {start}, {stop}")
+        # the header ends its run, and each iteration's step ends the body's
+        # last run
+        self.end_run(unit)
         lines.append(f"{pad}for {target} in range({lower}, {upper} + 1):")
-        self.event(unit, pad + "    ", line, key)
+        self.event(unit, pad + "    ", site, key)
         self.emit(unit, s.body, level + 1)
         unit.ranges = ranges
-        lines += (f"{pad}    if s >= B: raise _Halt('step-budget-exceeded', {line})",
-                  f"{pad}    s += 1")
+        self.step(unit, pad + "    ", site, None)
+        self.end_run(unit)
 
-    def guard(self, unit, pad, line, code):
+    def test(self, unit, pad, site, cond):
+        """The test `cond` into `_c`, which ends its run: what follows
+        branches on it."""
+        self.guard(unit, pad, site, f"_c = {self.condition(unit, cond, site)}")
+        self.end_run(unit)
+
+    def guard(self, unit, pad, site, code):
         """`code` at `pad`, inside a try that reports an unset variable as
-        uninitialized-variable on `line`. It never holds a nested
+        uninitialized-variable at `site`. It never holds a nested
         statement."""
         unit.lines += (f"{pad}try:", f"{pad}    {code}", f"{pad}except NameError:",
-                       f"{pad}    raise _Halt('uninitialized-variable', {line}) from None")
+                       f"{pad}    raise _Halt('uninitialized-variable', {site}) from None")
 
-    def event(self, unit, pad, line, key):
+    def event(self, unit, pad, site, key):
         """In a traced run, the trace event of a store to `key`."""
         if self.traced:
             a, v = unit.names[key]
-            unit.lines.append(f"{pad}E(TraceEvent(s, {line}, {a}, {v}))")
+            unit.lines.append(f"{pad}E(TraceEvent(s, {site}, {a}, {v}))")
 
-    def store(self, key, line):
+    def store(self, key, site):
         """READLN's store: the closure that checks an input against the
         bounds of an arithmetic result and the declared type of `key`, and
-        returns the value to store."""
+        returns the value to store; it halts at `site`, the value of the
+        READLN's site argument."""
         declared = self.types[key]
 
         def store(value):
             if isinstance(value, (int, float)):
                 # an input keeps the bounds of an arithmetic result
-                value = _number(value, line)
+                value = _number(value, site)
                 if declared == "integer" and isinstance(value, float):
                     if not value.is_integer():
-                        raise _Halt("type-error", line)
-                    value = _number(int(value), line)
+                        raise _Halt("type-error", site)
+                    value = _number(int(value), site)
             if declared == "integer":
                 if isinstance(value, bool) or not isinstance(value, int):
-                    raise _Halt("type-error", line)
+                    raise _Halt("type-error", site)
             elif declared == "real":
                 if not _is_number(value):
-                    raise _Halt("type-error", line)
+                    raise _Halt("type-error", site)
                 value = float(value)
             elif value is not True and value is not False:
-                raise _Halt("type-error", line)
+                raise _Halt("type-error", site)
             return value
         return store
 
     # -- expressions ------------------------------------------------------------
 
-    def condition(self, unit, e, line):
+    def condition(self, unit, e, site):
         """The source of the condition `e`: True or False, or a type-error
         when `e` is not BOOLEAN."""
-        cond, typed, _ = self.expr(unit, e, line, 0)
-        return cond if typed == "boolean" else f"_type_error({line}, {cond})"
+        cond, typed, _ = self.expr(unit, e, site, 0)
+        return cond if typed == "boolean" else f"_type_error({site}, {cond})"
 
-    def expr(self, unit, e, line, depth):
+    def expr(self, unit, e, site, depth):
         """(source of `e`, static type of `e`, interval of `e`), `e` being
-        `depth` nodes down in a statement whose line is the argument `line`:
+        `depth` nodes down in a statement whose site is the argument `site`:
         every value of `e` has that type, None when `e` always ends in a
         fault, and an INTEGER value lies in that interval, None for any other
         type."""
@@ -530,10 +628,10 @@ class _Writer:
         if depth == _MAX_DEPTH:
             # a function of its own, called here, which reads the locals of
             # `run`
-            value, typed, span = self.expr(unit, e, line, 0)
+            value, typed, span = self.expr(unit, e, site, 0)
             return f"{unit.function([f'            return {value}'])}()", typed, span
         if kind is fe.Unary:
-            operand, typed, span = self.expr(unit, e.operand, line, depth + 1)
+            operand, typed, span = self.expr(unit, e.operand, site, depth + 1)
             if e.op == "not" and typed == "boolean":
                 return f"(not {operand})", typed, None
             if e.op == "-" and typed == "real":
@@ -541,33 +639,33 @@ class _Writer:
             if e.op == "-" and typed == "integer":
                 if span[0] > INT_MIN:
                     return f"(-{operand})", typed, (-span[1], -span[0])
-                return (f"(_t if (_t := -{operand}) <= INT_MAX else _overflow({line}))", typed,
+                return (f"(_t if (_t := -{operand}) <= INT_MAX else _overflow({site}))", typed,
                         (-span[1], INT_MAX))
-            return f"_type_error({line}, {operand})", None, None
+            return f"_type_error({site}, {operand})", None, None
         if kind is fe.Binary:
-            return self.binary(unit, e, line, depth)
+            return self.binary(unit, e, site, depth)
         raise TypeError(f"cannot evaluate {e!r}")
 
-    def binary(self, unit, e, line, depth):
+    def binary(self, unit, e, site, depth):
         # the left operand is evaluated first, then the right one; AND and
         # OR evaluate both, but fail on a left operand that is not BOOLEAN
         # before they evaluate the right one
         op = e.op
-        left, ltype, lspan = self.expr(unit, e.left, line, depth + 1)
-        right, rtype, rspan = self.expr(unit, e.right, line, depth + 1)
+        left, ltype, lspan = self.expr(unit, e.left, site, depth + 1)
+        right, rtype, rspan = self.expr(unit, e.right, site, depth + 1)
         typed = _result_type(op, ltype, rtype)
         if typed is None:
             if op in _LOGIC and ltype != "boolean":
-                return f"_type_error({line}, {left})", None, None
-            return f"_type_error({line}, {left}, {right})", None, None
+                return f"_type_error({site}, {left})", None, None
+            return f"_type_error({site}, {left}, {right})", None, None
         if op in _LOGIC:
             return f"({left} {_LOGIC[op]} {right})", typed, None
         if op in _COMPARISONS:
             return f"({left} {_COMPARISONS[op]} {right})", typed, None
         if op == "/":
-            return f"_divide({left}, {right}, {line})", typed, None
+            return f"_divide({left}, {right}, {site})", typed, None
         if typed == "real":
-            return f"_number({left} {op} {right}, {line})", typed, None
+            return f"_number({left} {op} {right}, {site})", typed, None
         if op in _ARITHMETIC:
             lo, hi = span = _span(op, lspan, rspan)
             below, above = lo < INT_MIN, hi > INT_MAX
@@ -579,7 +677,7 @@ class _Writer:
                 test = f"INT_MIN <= {test}"
             if above:
                 test += " <= INT_MAX"
-            return (f"(_t if {test} else _overflow({line}))", typed,
+            return (f"(_t if {test} else _overflow({site}))", typed,
                     (max(lo, INT_MIN), min(hi, INT_MAX)))
         python = "//" if op == "div" else "%"
         if type(e.right) is fe.IntLit and e.right.value > 0:
@@ -596,7 +694,7 @@ class _Writer:
                 return f"({left} {python} {right})", typed, span
             return (f"(_t {python} {right} if (_t := {left}) >= 0"
                     f" else -(-_t {python} {right}))"), typed, span
-        return (f"{'_quotient' if op == 'div' else '_remainder'}({left}, {right}, {line})",
+        return (f"{'_quotient' if op == 'div' else '_remainder'}({left}, {right}, {site})",
                 typed, _INT64)
 
 
@@ -605,12 +703,21 @@ def execute(program: fe.Program, inputs, step_budget: int = DEFAULT_STEP_BUDGET,
     """Run the program against the supplied inputs; with `trace`, record a
     TraceEvent for every assignment and READLN."""
     check_step_budget(step_budget)
-    writer = program.units.get(trace)
+    return _run(program, list(inputs), step_budget, trace, trace)
+
+
+def _run(program, inputs, step_budget, traced, keep_trace):
+    """Run the program through its traced or untraced units; a traced run
+    whose trace is not kept records none."""
+    writer = program.units.get(traced)
     if writer is None:
-        writer = program.units[trace] = _Writer(program, trace)
+        writer = program.units[traced] = _Writer(program, traced)
     result = ExecutionResult()
-    state = (result, result.values, step_budget, result.trace.append if trace else None,
-             iter(list(inputs)).__next__, result.outputs.append)
+    events = None
+    if traced:
+        events = result.trace.append if keep_trace else lambda event: None
+    state = (result, result.values, step_budget, events, iter(inputs).__next__,
+             result.outputs.append)
     units = writer.units
     try:
         for n, s in enumerate(program.body):
@@ -623,9 +730,24 @@ def execute(program: fe.Program, inputs, step_budget: int = DEFAULT_STEP_BUDGET,
                 run = units[n] = writer.statement(s)
             run(*state)
     except _Halt as halt:
+        site = halt.site
+        if traced:
+            # a traced unit's site is its line: each of its steps is a run
+            line, ahead = site, 0
+        elif halt.kind != _BUDGET:
+            line, ahead = site.line, site.ahead
+        elif result.steps == step_budget:
+            # the run's first step would have found the budget spent
+            line, ahead = site.line, 0
+        else:
+            # a run's check found fewer steps left than the run counts, but
+            # whether a statement of it halts first, and how, shows only
+            # statement by statement, as the traced units count them
+            return _run(program, inputs, step_budget, True, False)
         result.status = RUNTIME_ERROR
         result.error_kind = halt.kind
-        result.error_line = halt.line
+        result.error_line = line
+        result.steps -= ahead
     return result
 
 

@@ -67,6 +67,15 @@ def test_simulate_input_forms(capsys):
     assert json.loads(out)["error"] == {"kind": "input-exhausted", "line": 8}
     code, out, _ = run_cli(capsys, "simulate", corpus_path("grey.mp"), "--json")
     assert json.loads(out)["error"] == {"kind": "input-exhausted", "line": 8}
+    # a blank item is skipped: `1,,3` reads 1 then 3, and a trailing comma
+    # adds nothing
+    code, out, _ = run_cli(capsys, "simulate", corpus_path("grey.mp"),
+                           "--input=1,,3, ,99999,", "--trace", "Num", "--json")
+    doc = json.loads(out)
+    assert (code, doc["status"], doc["outputs"]) == (0, "ok", ["2.0"])
+    assert [event["value"] for event in doc["trace"]] == ["1", "3", "99999"]
+    code, out, _ = run_cli(capsys, "simulate", corpus_path("grey.mp"), "--input=,", "--json")
+    assert json.loads(out)["error"] == {"kind": "input-exhausted", "line": 8}
 
 
 @pytest.mark.parametrize("step, line", [

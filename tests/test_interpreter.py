@@ -607,8 +607,8 @@ def test_programs_at_the_nesting_bound_run_like_tree_walk(source, deeper):
     program = fe.parse(source)
     with pytest.raises(ParseError):
         fe.parse(deeper)
-    for step_budget in (3000, 40):
-        _assert_runs_like_tree_walk(program, [], step_budget)
+    _assert_runs_like_tree_walk(program, [], 3000)
+    _assert_runs_like_tree_walk_at_every_step_budget(program, [], most=40)
     # Y unset, and Y close to overflowing
     _assert_runs_like_tree_walk(fe.parse(source.replace("Y := 2", "I := I")), [])
     _assert_runs_like_tree_walk(fe.parse(source.replace("Y := 2", "Y := 9223372036854775800")),
@@ -771,8 +771,116 @@ def test_a_for_loop_runs_like_tree_walk_at_every_step_budget(statements, inputs)
     program = fe.parse(f"{_LOOP_HEAD}    {statements}\nEND.\n")
     full = tree_walk_execute(program, inputs)
     assert full.status == _OK
+    _assert_runs_like_tree_walk_at_every_step_budget(program, inputs)
+
+
+def _assert_runs_like_tree_walk_at_every_step_budget(program, inputs,
+                                                     most=run.DEFAULT_STEP_BUDGET):
+    """Untraced and traced runs match the tree walker's at every step budget
+    from 0 to the steps of the whole run, or to `most`."""
+    full = tree_walk_execute(program, inputs, most)
     for step_budget in range(full.steps + 1):
         _assert_run_like_tree_walk(program, inputs, step_budget)
+
+
+def test_corpus_runs_like_tree_walk_at_every_step_budget(corpus_sources):
+    # the inputs of the golden `simulate` requests
+    for source in corpus_sources.values():
+        _assert_runs_like_tree_walk_at_every_step_budget(fe.parse(source), [1, 2, 3, 99999])
+
+
+# Simple statements over X, Y and U (INTEGER) and R (REAL), which the prelude
+# sets but for U; each may halt, on its input or its type, an overflow, a
+# division by zero or U unset. Runs of three or more of them end in an IF or
+# UNTIL test, or in a FOR's per-iteration step.
+_RUN_HEAD = ("PROGRAM P(input, output);\nVAR I, X, Y, U: INTEGER; R: REAL;\nBEGIN\n"
+             f"    X := 1;\n    Y := 2;\n    R := 1{'0' * 100}.0;\n")
+_IN_A_RUN = st.sampled_from([
+    "X := X + 1", "Y := Y - X", "WRITELN(X)", "READLN(Y)", "READLN(X)", "Y := Y DIV X",
+    "X := X * Y", "R := R * R", "WRITELN(R / X)", "U := Y MOD X", "WRITELN(U)"])
+_RUN_TEST = st.sampled_from(["X < 2", "Y > X", "X = 0"])
+
+
+def _runs(depth):
+    """Statements whose straight-line runs are 3 to 5 statements long, with
+    compound statements nested up to `depth` deep."""
+    simple = st.lists(_IN_A_RUN, min_size=3, max_size=5).map("; ".join)
+    if depth == 0:
+        return simple
+    inner = _runs(depth - 1)
+    return st.one_of(
+        simple,
+        st.tuples(simple, _RUN_TEST, inner, inner).map(
+            lambda t: f"{t[0]}; IF {t[1]} THEN BEGIN {t[2]} END ELSE BEGIN {t[3]} END"),
+        st.tuples(inner, simple, _RUN_TEST).map(lambda t: f"REPEAT {t[0]}; {t[1]} UNTIL {t[2]}"),
+        st.tuples(st.sampled_from(["0", "X", "-1"]), inner, simple).map(
+            lambda t: f"FOR I := 1 TO {t[0]} + 2 DO BEGIN {t[1]}; {t[2]} END"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_runs(2), min_size=1, max_size=2),
+       st.lists(st.sampled_from([0, 1, -2, 3, 2.5, fe.INT_MAX, 4611686018427387904]),
+                max_size=6))
+def test_generated_runs_match_tree_walk_at_every_step_budget(statements, inputs):
+    program = fe.parse(_RUN_HEAD + "".join(f"    BEGIN {s} END;\n" for s in statements)
+                       + "END.\n")
+    _assert_runs_like_tree_walk_at_every_step_budget(program, inputs, most=120)
+
+
+# one run of four statements, from line 5 on, that halts at its second or
+# third: the run's steps are counted where it starts, and the halt gives
+# back those it did not reach
+@pytest.mark.parametrize("statements, inputs, kind, line, steps", [
+    ("I := 1;\n    WRITELN(I);\n    Y := Y + I", [], "uninitialized-variable", 7, 3),
+    ("I := 0;\n    Y := 5 DIV I;\n    WRITELN(Y)", [], "division-by-zero", 6, 2),
+    ("READLN(Y);\n    I := Y + 1;\n    WRITELN(I)", [fe.INT_MAX], "integer-overflow", 6, 2),
+    (f"R := 1{'0' * 200}.0;\n    R := R * R;\n    WRITELN(R)", [], "real-overflow", 6, 2),
+    ("WRITELN(1);\n    READLN(I);\n    WRITELN(I)", [2.5], "type-error", 6, 2),
+    ("READLN(I);\n    READLN(Y);\n    WRITELN(I + Y)", [1], "input-exhausted", 6, 2),
+    # the second of two statements on one line has a site of its own
+    ("I := 0; Y := 5 DIV I;\n    WRITELN(Y)", [], "division-by-zero", 5, 2),
+], ids=["uninitialized-variable", "division-by-zero", "integer-overflow", "real-overflow",
+        "type-error", "input-exhausted", "two-on-one-line"])
+def test_a_halt_inside_a_run_counts_the_steps_it_reached(monkeypatch, statements, inputs,
+                                                           kind, line, steps):
+    program = fe.parse(f"{_RUNTIME_HEAD}    BEGIN\n    {statements};\n    WRITELN(0)\n    END\n"
+                       "END.\n")
+    sources, make = [], run._make
+    monkeypatch.setattr(run, "_make", lambda source: sources.append(source) or make(source))
+    result = run.execute(program, inputs)
+    assert (result.status, result.error_kind, result.error_line, result.steps) == \
+        (_FAIL, kind, line, steps)
+    assert [re.findall(r"s \+= \d+", source) for source in sources] == [["s += 4"]]
+    # a halt other than the budget's needs no second run
+    assert list(program.units) == [False]
+    _assert_runs_like_tree_walk(program, inputs)
+
+
+_SPENT = (f"{_RUNTIME_HEAD}    BEGIN\n    I := 1;\n    Y := I + 1;\n    WRITELN(Y)\n    END\n"
+          "END.\n")
+
+
+def test_a_budget_spent_inside_a_run_runs_again_step_by_step():
+    # the run's check finds 2 steps left of the 3 it counts; the statements
+    # run again one step at a time through the traced units, whose trace is
+    # not kept
+    program = fe.parse(_SPENT)
+    untraced = run.execute(program, [], 2)
+    assert list(program.units) == [False, True]
+    assert (untraced.status, untraced.error_kind, untraced.error_line, untraced.steps,
+            untraced.trace) == (_FAIL, "step-budget-exceeded", 7, 2, [])
+    traced = run.execute(program, [], 2, trace=True)
+    assert [(e.line, e.variable) for e in traced.trace] == [(5, "i"), (6, "y")]
+    traced.trace = []
+    assert untraced == traced
+    # a budget spent where a run starts is exact at once, and a run that
+    # just fits its budget runs once
+    program = fe.parse(_SPENT)
+    result = run.execute(program, [], 0)
+    assert (result.error_kind, result.error_line, result.steps) == ("step-budget-exceeded", 5, 0)
+    result = run.execute(program, [], 3)
+    assert (result.status, result.steps, result.outputs) == (_OK, 3, [2])
+    assert list(program.units) == [False]
 
 
 def test_a_for_body_is_written_once(monkeypatch):
