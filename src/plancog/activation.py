@@ -562,6 +562,37 @@ def _drop_shadowed(instances):
     return keep
 
 
+class _LoopRoot:
+    """A root schema compiled against its library for `_loop_plans`
+    (`KnowledgeBase.loop_roots`): its uses slots that a variable plan fills,
+    mandatory ones first, each with the schemas whose instance may fill it
+    (the target, then its kind-of children); whether some filler mentions
+    <v>; the first kind-of child controlled by each slot; and its slots in
+    schema order, each with its matcher and the mandatory names whose last
+    slot it is. It holds no reference to the library."""
+
+    def __init__(self, kb, root):
+        binder = root.binder
+        self.name, self.kind, self.mandatory = root.name, root.kind, binder.mandatory
+        # a library that is not validated may use a schema it lacks
+        self.uses = sorted(((slot, (target, *kb.children(target)))
+                            for target, slot in root.uses
+                            if (used := kb.schema(target)) is not None
+                            and used.kind == VARIABLE),
+                           key=lambda u: u[0] not in self.mandatory)
+        self.takes_variable = any("<v>" in f.pattern for s in root.slots for f in s.fillers)
+        self.controllers = {}
+        for name in kb.children(root.name):
+            child = kb.schema(name)
+            self.controllers.setdefault(child.controlled_by, child)
+        last = {slot.name: i for i, (slot, _) in enumerate(binder.slots)}
+        settled = [()] * len(binder.slots)
+        for name in dict.fromkeys(self.mandatory):
+            settled[last[name]] += (name,)
+        self.slots = [(slot, match, names)
+                      for (slot, match), names in zip(binder.slots, settled)]
+
+
 def _loop_plans(kb, index, roots, var_instances):
     """One instance per loop and root schema. Loop slots bind to the loop;
     a uses slot targeting a variable plan takes the first instance of the
@@ -581,55 +612,62 @@ def _loop_plans(kb, index, roots, var_instances):
                     working.setdefault(id(loop), {})[id(inst)] = inst
     loop_candidates = {name: {id(c[0]): [c] for c in index.loop_candidates[name]}
                        for name in _LOOP_SLOTS}
+    compiled = kb.loop_roots
     out = []
     for root in roots:
-        binder = root.binder
-        mandatory = binder.mandatory
-        # (slot, acceptable child schemas) per uses link to a variable plan;
-        # a library that is not validated may use a schema it lacks
-        uses = [(slot, [target] + kb.children(target))
-                for target, slot in root.uses
-                if (used := kb.schema(target)) is not None and used.kind == VARIABLE]
-        uses.sort(key=lambda u: u[0] not in mandatory)
-        takes_variable = any("<v>" in f.pattern for s in root.slots for f in s.fillers)
-        controllers = {}               # slot -> first kind-of child controlled by it
-        for name in kb.children(root.name):
-            child = kb.schema(name)
-            controllers.setdefault(child.controlled_by, child)
+        plan = compiled.get(id(root))
+        if plan is None:
+            plan = compiled[id(root)] = _LoopRoot(kb, root)
         for loop in index.loops:
-            inst = PlanInstance(root.name, root.kind, mandatory=mandatory)
-            group = working.get(id(loop), {}).values()
-            for slot_name, names in uses:
-                child = next((i for name in names for i in group if i.schema == name), None)
-                if child is not None and all(child is not c for _, c in inst.children):
-                    inst.children.append((slot_name, child))
-            if takes_variable and inst.children:
-                inst.variable = inst.children[0][1].variable
-            for slot, match in binder.slots:
-                candidates = (loop_candidates[slot.name].get(id(loop), [])
-                              if slot.name in _LOOP_SLOTS
-                              else _slot_candidates(index, inst, slot.name))
-                bound = _first_filling(index, slot, match, candidates, inst.variable)
-                if bound is not None:
-                    inst.bindings[slot.name] = bound
-            inst.close()
-            if not (inst.bindings or inst.children) or not inst.complete:
-                continue
-            # a FOR loop tests its control variable, the others their condition
-            test_vars = ({loop.var.lower()} if isinstance(loop, fe.For)
-                         else index.cfg.node_of(loop).uses)
-            children = dict(inst.children)
-            for slot in root.slots:
-                child = children.get(slot.name)
-                if (slot.name in controllers and child is not None
-                        and child.variable in test_vars):
-                    chosen = controllers[slot.name]
-                    inst.schema, inst.kind = chosen.name, chosen.kind
-                    inst.mandatory = chosen.binder.mandatory
-                    inst.close()
-                    break
-            out.append(inst)
+            inst = _bind_loop_plan(plan, index, loop, working.get(id(loop), {}).values(),
+                                   loop_candidates)
+            if inst is not None:
+                out.append(inst)
     return out
+
+
+def _bind_loop_plan(plan, index, loop, group, loop_candidates):
+    """The complete plan of `plan` on `loop`, whose working variable plans
+    are `group`, or None. Binding stops at the first mandatory name that its
+    last slot leaves unfilled, since the plan cannot then be complete."""
+    inst = PlanInstance(plan.name, plan.kind, mandatory=plan.mandatory)
+    for slot_name, names in plan.uses:
+        child = next((i for name in names for i in group if i.schema == name), None)
+        if child is not None and all(child is not c for _, c in inst.children):
+            inst.children.append((slot_name, child))
+    if plan.takes_variable and inst.children:
+        inst.variable = inst.children[0][1].variable
+    bindings = inst.bindings
+    by_child = {slot for slot, _ in inst.children}
+    for slot, match, settled in plan.slots:
+        candidates = (loop_candidates[slot.name].get(id(loop), [])
+                      if slot.name in _LOOP_SLOTS
+                      else _slot_candidates(index, inst, slot.name))
+        bound = _first_filling(index, slot, match, candidates, inst.variable)
+        if bound is not None:
+            bindings[slot.name] = bound
+        for name in settled:
+            if name not in bindings and name not in by_child:
+                return None
+    # every mandatory name is filled, so the plan is complete
+    if not (bindings or inst.children):
+        return None
+    inst.close()
+    if plan.controllers:
+        # a FOR loop tests its control variable, the others their condition
+        test_vars = ({loop.var.lower()} if isinstance(loop, fe.For)
+                     else index.cfg.node_of(loop).uses)
+        children = dict(inst.children)
+        for slot, _, _ in plan.slots:
+            child = children.get(slot.name)
+            if (slot.name in plan.controllers and child is not None
+                    and child.variable in test_vars):
+                chosen = plan.controllers[slot.name]
+                inst.schema, inst.kind = chosen.name, chosen.kind
+                inst.mandatory = chosen.binder.mandatory
+                inst.close()
+                break
+    return inst
 
 
 def _expectations(kb, active, instances):

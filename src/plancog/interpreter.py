@@ -61,9 +61,10 @@ are evaluated. The operand checks can go because every variable keeps its
 declared type: an assignment stores only a value whose static type fits its
 target (an INTEGER is converted for a REAL), and the full checks live in
 READLN's checking store, which returns the value to assign; a READLN into
-an INTEGER assigns an int input within 64 bits at once. A trace event per
-assignment and READLN is written into the source only when `execute` is
-asked for one.
+an INTEGER assigns an int input within 64 bits at once. Only a traced unit
+writes a trace event per assignment and READLN into its source, and it
+makes the event only in a run that keeps its trace, which the re-run after
+a budget check does not.
 
 A FOR loop evaluates its bounds once, into `_i<level>` and `_n<level>`, and
 runs as the Python loop `for <variable> in range(_i, _n + 1)`, which sets
@@ -269,7 +270,7 @@ def _divide(left, right, site):
 # `run(m, V, B, E, IN, OUT)`, which takes the run's state: m is the run's
 # ExecutionResult, whose `steps` the statement reads into the local `s` on
 # entry and writes back on exit; V is the store, B the step budget, E appends
-# a trace event (None when untraced), IN returns the next input and OUT
+# a trace event (None when no trace is kept), IN returns the next input and OUT
 # appends an output. Next to `s`, `run` sets the bound `_b<n> = B - n + 1` of
 # each length n of run of statements it counts together (below), once per
 # call, so that a check makes no new int.
@@ -570,10 +571,11 @@ class _Writer:
                        f"{pad}    raise _Halt('uninitialized-variable', {site}) from None")
 
     def event(self, unit, pad, site, key):
-        """In a traced run, the trace event of a store to `key`."""
+        """In a traced unit, the trace event of a store to `key`, made only
+        when the run keeps its trace."""
         if self.traced:
             a, v = unit.names[key]
-            unit.lines.append(f"{pad}E(TraceEvent(s, {site}, {a}, {v}))")
+            unit.lines.append(f"{pad}if E is not None: E(TraceEvent(s, {site}, {a}, {v}))")
 
     def store(self, key, site):
         """READLN's store: the closure that checks an input against the
@@ -708,14 +710,12 @@ def execute(program: fe.Program, inputs, step_budget: int = DEFAULT_STEP_BUDGET,
 
 def _run(program, inputs, step_budget, traced, keep_trace):
     """Run the program through its traced or untraced units; a traced run
-    whose trace is not kept records none."""
+    whose trace is not kept makes no trace event."""
     writer = program.units.get(traced)
     if writer is None:
         writer = program.units[traced] = _Writer(program, traced)
     result = ExecutionResult()
-    events = None
-    if traced:
-        events = result.trace.append if keep_trace else lambda event: None
+    events = result.trace.append if keep_trace else None
     state = (result, result.values, step_budget, events, iter(inputs).__next__,
              result.outputs.append)
     units = writer.units

@@ -248,6 +248,13 @@ class KnowledgeBase:
         return {d: tuple(r for r in self.rules if r.direction == d)
                 for d in (DATA_DRIVEN, CONCEPTUALLY_DRIVEN)}
 
+    @cached_property
+    def loop_roots(self) -> dict:
+        """id(schema) -> a schema bound per loop, compiled against this
+        library (`activation._LoopRoot`), filled in by the first
+        recognition that binds it."""
+        return {}
+
     def schema(self, name) -> Schema | None:
         return self._index.get(("schema", name))
 

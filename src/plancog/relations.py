@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import frontend as fe
 from .errors import AnalysisError
@@ -47,16 +48,15 @@ class CfgNode:
 @dataclass
 class Cfg:
     """Nodes are indexed by id; `edges` lists (src, dst, label) in creation
-    order, mirrored in per-node successor and predecessor lists."""
+    order. The per-node successor and predecessor lists and the map from
+    lines to nodes, which only queries read, are built on their first read,
+    once the graph is built."""
     nodes: list[CfgNode] = field(default_factory=list)
     edges: list[tuple[int, int, str]] = field(default_factory=list)
     entry: int = 0
     exit: int = 0
     # loop statements in preorder; a repeat's node is made after its body's
     loops: list = field(default_factory=list)
-    _succs: list[list] = field(default_factory=list, init=False, repr=False)
-    _preds: list[list] = field(default_factory=list, init=False, repr=False)
-    _at_line: dict = field(default_factory=dict, init=False, repr=False)
     _of: dict = field(default_factory=dict, init=False, repr=False)   # id(stmt) -> node
 
     def add_node(self, kind, line, stmt=None, loops=()) -> CfgNode:
@@ -64,30 +64,41 @@ class Cfg:
             node = CfgNode(len(self.nodes), kind, line)
         else:
             defs = tuple([name.lower() for name, _ in fe.defined_names(stmt)])
-            uses = tuple(sorted({name.lower() for name, _ in fe.used_names(stmt)}))
+            uses = stmt.reads
+            if uses is None:               # not made by the parser
+                uses = tuple(sorted({name.lower() for name, _ in fe.used_names(stmt)}))
             node = CfgNode(len(self.nodes), kind, line, stmt, defs, uses, loops,
                            fe.node_text(stmt) if kind == STMT else None,
                            not set(defs).isdisjoint(uses))
             self._of[id(stmt)] = node
         self.nodes.append(node)
-        self._succs.append([])
-        self._preds.append([])
-        # a repeat's condition node sits on the UNTIL line and also stands
-        # for the REPEAT keyword's line, which has no node of its own
-        for at in {line, getattr(stmt, "line", line)}:
-            self._at_line.setdefault(at, []).append(node)
         return node
 
-    def add_edge(self, src, dst, lbl):
-        self.edges.append((src, dst, lbl))
-        self._succs[src].append((dst, lbl))
-        self._preds[dst].append((src, lbl))
+    @cached_property
+    def _adjacency(self):
+        """(successor lists, predecessor lists) of (node, label) pairs."""
+        succs, preds = [[] for _ in self.nodes], [[] for _ in self.nodes]
+        for src, dst, lbl in self.edges:
+            succs[src].append((dst, lbl))
+            preds[dst].append((src, lbl))
+        return succs, preds
+
+    @cached_property
+    def _at_line(self):
+        """line -> the nodes on it or standing for it, in creation order: a
+        repeat's condition node sits on the UNTIL line and also stands for
+        the REPEAT keyword's line, which has no node of its own."""
+        out = {}
+        for node in self.nodes:
+            for at in {node.line, getattr(node.stmt, "line", node.line)}:
+                out.setdefault(at, []).append(node)
+        return out
 
     def succs(self, nid):
-        return list(self._succs[nid])
+        return list(self._adjacency[0][nid])
 
     def preds(self, nid):
-        return list(self._preds[nid])
+        return list(self._adjacency[1][nid])
 
     def nodes_at(self, line) -> list[CfgNode]:
         """Every node on a line or standing for it, in creation order."""
@@ -99,7 +110,8 @@ class Cfg:
 
     def lines(self) -> set[int]:
         """Every line a statement's node sits on or stands for."""
-        return {line for line in self._at_line if line is not None}
+        return {at for node in self.nodes if node.stmt is not None
+                for at in (node.line, node.stmt.line)}
 
 
 def build_cfg(program: fe.Program) -> Cfg:
@@ -114,8 +126,7 @@ def build_cfg(program: fe.Program) -> Cfg:
 
 
 def _connect(cfg, pending, nid):
-    for src, lbl in pending:
-        cfg.add_edge(src, nid, lbl)
+    cfg.edges.extend([(src, nid, lbl) for src, lbl in pending])
 
 
 def _chain(cfg, stmts, pending, loops):
@@ -153,7 +164,7 @@ def _statement(cfg, s, pending, loops):
         body_out = _chain(cfg, s.body, pending, inner)
         cond = cfg.add_node(COND, s.until_line, s, loops)
         _connect(cfg, body_out, cond.id)
-        cfg.add_edge(cond.id, first, LOOP_BACK)
+        cfg.edges.append((cond.id, first, LOOP_BACK))
         return [(cond.id, TRUE)]
     head = cfg.add_node(COND, s.line, s, loops)
     _connect(cfg, pending, head.id)

@@ -132,6 +132,30 @@ def test_step_budget_stops_infinite_loop():
     assert result.steps <= 250
 
 
+def test_a_budget_re_run_makes_no_trace_event(monkeypatch):
+    # the untraced run's check trips part-way through the loop body, so the
+    # program runs again through the traced units, keeping no trace
+    program = fe.parse("PROGRAM P(input,output); VAR X, Y: INTEGER; BEGIN X := 0;"
+                       " WHILE X = 0 DO BEGIN X := 0; Y := 1; Y := 2 END END.")
+    kept = run.execute(program, [], trace=True)
+    assert len(kept.trace) > 1000
+    made = []
+
+    class Counted(run.TraceEvent):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(run, "TraceEvent", Counted)
+    rerun = run.execute(program, [])
+    assert made == []
+    assert rerun.trace == []
+    assert ((rerun.status, rerun.error_kind, rerun.error_line, rerun.steps, rerun.values)
+            == (kept.status, kept.error_kind, kept.error_line, kept.steps, kept.values)
+            == (run.RUNTIME_ERROR, "step-budget-exceeded", 1, run.DEFAULT_STEP_BUDGET,
+                {"x": 0, "y": 1}))
+
+
 def test_a_negative_step_budget_is_an_analysis_error(grey):
     for call in (lambda: run.execute(grey, [1, 99999], -5),
                  lambda: run.trace_variable(grey, [1, 99999], "Sum", -1),

@@ -6,6 +6,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 from oracles import (benchmark_programs, brute_force_def_use, chunk_universe,
                      dynamic_def_use, enclosing_loops, round_robin_def_use,
                      self_referential, simple_statements)
+from plancog import analysis as an
 from plancog import frontend as fe
 from plancog import relations as rel
 from plancog.errors import AnalysisError
@@ -412,3 +413,59 @@ def test_statement_records_match_walks_on_benchmark_programs(seed):
     pg = benchmark_programs()
     _assert_records_match_walks(
         fe.parse(pg.scale_program(random.Random(seed), 12, f"t{seed}").source))
+
+
+def test_statement_records_of_statements_built_by_hand(corpus_sources):
+    # a statement the parser did not make notes no read names, so its
+    # record walks its expressions
+    for src in corpus_sources.values():
+        program = fe.parse(src)
+        for s in fe.walk_statements(program.body):
+            if not isinstance(s, (fe.Readln, fe.Compound)):
+                s.reads = None
+        _assert_records_match_walks(program)
+
+
+def _instance_facts(rec):
+    return [(i.label, i.status, i.part_lines(),
+             [(slot, b.line, b.text) for slot, b in i.bindings.items()])
+            for i in rec.instances]
+
+
+def test_recognition_reads_the_names_the_parser_noted(monkeypatch, corpus_sources, builtin):
+    def refuse(*args):
+        raise AssertionError("walked a statement's expressions")
+
+    pg = benchmark_programs()
+    sources = [*corpus_sources.values(),
+               *(pg.scale_program(random.Random(seed), 8, f"t{seed}").source for seed in (1, 2))]
+    expected = [_instance_facts(an.recognize(fe.parse(src), builtin)) for src in sources]
+    monkeypatch.setattr(fe, "used_names", refuse)
+    assert [_instance_facts(an.recognize(fe.parse(src), builtin)) for src in sources] == expected
+
+
+def _assert_queries_match_scans(program):
+    """`succs`, `preds` and `nodes_at`, read from lists built on first use,
+    say what a scan of the graph's edges and nodes says."""
+    cfg = rel.build_cfg(program)
+    for node in cfg.nodes:
+        assert cfg.succs(node.id) == [(dst, lbl) for src, dst, lbl in cfg.edges if src == node.id]
+        assert cfg.preds(node.id) == [(src, lbl) for src, dst, lbl in cfg.edges if dst == node.id]
+    last = max([n.line for n in cfg.nodes if n.line is not None], default=0)
+    for line in range(last + 2):
+        assert cfg.nodes_at(line) == [n for n in cfg.nodes
+                                      if line in (n.line, getattr(n.stmt, "line", None))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_stmt(3), min_size=1, max_size=6))
+def test_cfg_queries_match_scans_on_generated_programs(stmts):
+    _assert_queries_match_scans(fe.parse(_program(stmts)))
+
+
+def test_cfg_queries_match_scans_on_corpus_and_benchmark_programs(corpus_sources):
+    pg = benchmark_programs()
+    for src in [*corpus_sources.values(),
+                *(pg.scale_program(random.Random(seed), 12, f"t{seed}").source
+                  for seed in (1, 2, 3))]:
+        _assert_queries_match_scans(fe.parse(src))
