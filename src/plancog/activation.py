@@ -564,7 +564,7 @@ def _drop_shadowed(instances):
 
 class _LoopRoot:
     """A root schema compiled against its library for `_loop_plans`
-    (`KnowledgeBase.loop_roots`): its uses slots that a variable plan fills,
+    (`KnowledgeBase.loop_root`): its uses slots that a variable plan fills,
     mandatory ones first, each with the schemas whose instance may fill it
     (the target, then its kind-of children); whether some filler mentions
     <v>; the first kind-of child controlled by each slot; and its slots in
@@ -612,12 +612,9 @@ def _loop_plans(kb, index, roots, var_instances):
                     working.setdefault(id(loop), {})[id(inst)] = inst
     loop_candidates = {name: {id(c[0]): [c] for c in index.loop_candidates[name]}
                        for name in _LOOP_SLOTS}
-    compiled = kb.loop_roots
     out = []
     for root in roots:
-        plan = compiled.get(id(root))
-        if plan is None:
-            plan = compiled[id(root)] = _LoopRoot(kb, root)
+        plan = kb.loop_root(root)
         for loop in index.loops:
             inst = _bind_loop_plan(plan, index, loop, working.get(id(loop), {}).values(),
                                    loop_candidates)

@@ -103,13 +103,6 @@ def tokenize(source: str) -> list[Token]:
 
 # --- AST ---------------------------------------------------------------
 
-def _reads():
-    """A statement's `reads`: the names its own expressions read, lower-cased,
-    sorted and each once, as the parser noted them; None in a statement built
-    by hand. Equality, repr and `structurally_equal` ignore it."""
-    return field(default=None, compare=False, repr=False)
-
-
 @dataclass
 class IntLit:
     value: int
@@ -154,21 +147,18 @@ class Assign:
     target: str
     expr: object
     line: int
-    reads: tuple[str, ...] | None = _reads()
 
 
 @dataclass
 class Readln:
     var: str
     line: int
-    reads = ()            # it evaluates no expression
 
 
 @dataclass
 class Writeln:
     expr: object
     line: int
-    reads: tuple[str, ...] | None = _reads()
 
 
 @dataclass
@@ -177,7 +167,6 @@ class Repeat:
     cond: object
     line: int
     until_line: int
-    reads: tuple[str, ...] | None = _reads()
 
 
 @dataclass
@@ -185,7 +174,6 @@ class While:
     cond: object
     body: object
     line: int
-    reads: tuple[str, ...] | None = _reads()
 
 
 @dataclass
@@ -195,7 +183,6 @@ class For:
     stop: object
     body: object
     line: int
-    reads: tuple[str, ...] | None = _reads()
 
 
 @dataclass
@@ -204,7 +191,6 @@ class If:
     then: object
     otherwise: object
     line: int
-    reads: tuple[str, ...] | None = _reads()
 
 
 @dataclass
@@ -217,7 +203,6 @@ class Compound:
 class Hole:
     """Placeholder left by blank_line; never produced by parse()."""
     line: int
-    reads = ()            # it evaluates no expression
 
 
 @dataclass
@@ -297,10 +282,6 @@ class _Parser:
         self.statements = 0       # statements begun, so each one's preorder number
         self.current = 0          # preorder number of the statement whose names are read
         self.undeclared = None    # (preorder number, name, line) first in walk order
-        # lower-cased names read since a statement last took them: each one
-        # takes them after its last expression, so before any statement
-        # nested after it, and a REPEAT's body takes its own before UNTIL
-        self.read = []
 
     def enter(self):
         self.depth += 1
@@ -310,20 +291,10 @@ class _Parser:
     def check_declared(self, text, line):
         """Note a name the current statement defines or reads if it is
         undeclared and comes first in walk order: statements in preorder, each
-        one's defined name before the names its expressions read. Return the
-        name lower-cased."""
-        key = text.lower()
-        if key not in self.declared and (
+        one's defined name before the names its expressions read."""
+        if text.lower() not in self.declared and (
                 self.undeclared is None or self.current < self.undeclared[0]):
             self.undeclared = (self.current, text, line)
-        return key
-
-    def taken(self):
-        """A statement's `reads`: the names read since the last statement
-        took them, sorted, each once."""
-        names = tuple(sorted(set(self.read)))
-        self.read = []
-        return names
 
     def fail(self, message, expected=()):
         raise ParseError(message, self.tok.line, expected)
@@ -428,7 +399,7 @@ class _Parser:
             self.advance()
             self.expect(OP, ":=")
             self.check_declared(tok.text, tok.line)
-            return Assign(tok.text, self.expression(), tok.line, self.taken())
+            return Assign(tok.text, self.expression(), tok.line)
         if tok.kind != KW:
             self.fail(f"unexpected {tok.text!r}", {"statement"})
         word = tok.text.upper()
@@ -444,7 +415,7 @@ class _Parser:
             self.expect(PUNCT, "(")
             expr = self.expression()
             self.expect(PUNCT, ")")
-            return Writeln(expr, tok.line, self.taken())
+            return Writeln(expr, tok.line)
         if word == "REPEAT":
             self.advance()
             number = self.current
@@ -453,13 +424,12 @@ class _Parser:
             # the condition's names come before the body's in walk order
             self.current = number
             cond = self.expression()
-            return Repeat(body, cond, tok.line, until.line, self.taken())
+            return Repeat(body, cond, tok.line, until.line)
         if word == "WHILE":
             self.advance()
             cond = self.expression()
-            reads = self.taken()
             self.expect_keyword("DO")
-            return While(cond, self.statement(), tok.line, reads)
+            return While(cond, self.statement(), tok.line)
         if word == "FOR":
             self.advance()
             var = self.expect(IDENT)
@@ -468,20 +438,18 @@ class _Parser:
             start = self.expression()
             self.expect_keyword("TO")
             stop = self.expression()
-            reads = self.taken()
             self.expect_keyword("DO")
-            return For(var.text, start, stop, self.statement(), tok.line, reads)
+            return For(var.text, start, stop, self.statement(), tok.line)
         if word == "IF":
             self.advance()
             cond = self.expression()
-            reads = self.taken()
             self.expect_keyword("THEN")
             then = self.statement()
             otherwise = None
             if self.at_keyword("ELSE"):
                 self.advance()
                 otherwise = self.statement()
-            return If(cond, then, otherwise, tok.line, reads)
+            return If(cond, then, otherwise, tok.line)
         if word == "BEGIN":
             self.advance()
             body = self.statement_list({"END"})
@@ -520,7 +488,7 @@ class _Parser:
             self.fail("expected an expression")
         if tok.kind == IDENT:
             self.advance()
-            self.read.append(self.check_declared(tok.text, tok.line))
+            self.check_declared(tok.text, tok.line)
             return VarRef(tok.text, tok.line), 1
         if (tok.kind == OP and tok.text == "-") or self.at_keyword("NOT"):
             self.advance()

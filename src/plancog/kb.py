@@ -249,11 +249,18 @@ class KnowledgeBase:
                 for d in (DATA_DRIVEN, CONCEPTUALLY_DRIVEN)}
 
     @cached_property
-    def loop_roots(self) -> dict:
-        """id(schema) -> a schema bound per loop, compiled against this
-        library (`activation._LoopRoot`), filled in by the first
-        recognition that binds it."""
-        return {}
+    def _loop_roots(self) -> dict:
+        return {}                         # id(schema) -> `loop_root(schema)`
+
+    def loop_root(self, schema):
+        """`schema`, a plan bound per loop, compiled against this library
+        (`activation._LoopRoot`) when a recognition first binds it, so that
+        a library loaded for one request compiles only the roots it binds."""
+        plan = self._loop_roots.get(id(schema))
+        if plan is None:
+            from .activation import _LoopRoot   # activation imports this module
+            plan = self._loop_roots[id(schema)] = _LoopRoot(self, schema)
+        return plan
 
     def schema(self, name) -> Schema | None:
         return self._index.get(("schema", name))

@@ -64,9 +64,7 @@ class Cfg:
             node = CfgNode(len(self.nodes), kind, line)
         else:
             defs = tuple([name.lower() for name, _ in fe.defined_names(stmt)])
-            uses = stmt.reads
-            if uses is None:               # not made by the parser
-                uses = tuple(sorted({name.lower() for name, _ in fe.used_names(stmt)}))
+            uses = tuple(sorted({name.lower() for name, _ in fe.used_names(stmt)}))
             node = CfgNode(len(self.nodes), kind, line, stmt, defs, uses, loops,
                            fe.node_text(stmt) if kind == STMT else None,
                            not set(defs).isdisjoint(uses))

@@ -6,7 +6,6 @@ from hypothesis import example, given, seed, settings, strategies as st
 from oracles import (benchmark_programs, brute_force_def_use, chunk_universe,
                      dynamic_def_use, enclosing_loops, round_robin_def_use,
                      self_referential, simple_statements)
-from plancog import analysis as an
 from plancog import frontend as fe
 from plancog import relations as rel
 from plancog.errors import AnalysisError
@@ -413,35 +412,6 @@ def test_statement_records_match_walks_on_benchmark_programs(seed):
     pg = benchmark_programs()
     _assert_records_match_walks(
         fe.parse(pg.scale_program(random.Random(seed), 12, f"t{seed}").source))
-
-
-def test_statement_records_of_statements_built_by_hand(corpus_sources):
-    # a statement the parser did not make notes no read names, so its
-    # record walks its expressions
-    for src in corpus_sources.values():
-        program = fe.parse(src)
-        for s in fe.walk_statements(program.body):
-            if not isinstance(s, (fe.Readln, fe.Compound)):
-                s.reads = None
-        _assert_records_match_walks(program)
-
-
-def _instance_facts(rec):
-    return [(i.label, i.status, i.part_lines(),
-             [(slot, b.line, b.text) for slot, b in i.bindings.items()])
-            for i in rec.instances]
-
-
-def test_recognition_reads_the_names_the_parser_noted(monkeypatch, corpus_sources, builtin):
-    def refuse(*args):
-        raise AssertionError("walked a statement's expressions")
-
-    pg = benchmark_programs()
-    sources = [*corpus_sources.values(),
-               *(pg.scale_program(random.Random(seed), 8, f"t{seed}").source for seed in (1, 2))]
-    expected = [_instance_facts(an.recognize(fe.parse(src), builtin)) for src in sources]
-    monkeypatch.setattr(fe, "used_names", refuse)
-    assert [_instance_facts(an.recognize(fe.parse(src), builtin)) for src in sources] == expected
 
 
 def _assert_queries_match_scans(program):
