@@ -34,21 +34,21 @@ count is a local too, read from the run's result on entry and written back
 the same way.
 
 A step is checked against the budget before it is taken and counted as it
-is. A traced unit checks and counts each statement's step where it is taken,
-since each trace event records the count. An untraced unit counts a run of
-steps at once: the consecutive statements at one level that always execute
-together, which are the simple statements, the IF or UNTIL test or FOR
-header that ends them, and a FOR's per-iteration step, which joins the run
-that ends its body. Where a run of n steps starts, one check `s >= _b<n>`
-halts on the budget unless all n fit, and one `s += n` counts them; the
-bound `_b<n> = B - n + 1` is set once per call of the unit, so that a check
-makes no new int. Each statement's line is an argument that holds its site,
-its own even when it shares its line: the line, and `ahead`, the steps of
-its run counted but not yet reached, which a halt there other than the
-budget's takes off the count. A budget halt where the count equals the
-budget is the one the run's first step makes. Any other is not yet known
-exactly, since a statement of the run may halt first: `execute` runs the
-program again from the start through the traced units, keeping no trace.
+is, a run of steps at once: the consecutive statements at one level that
+always execute together, which are the simple statements, the IF or UNTIL
+test or FOR header that ends them, and a FOR's per-iteration step, which
+joins the run that ends its body. A traced unit's runs are one step long,
+since each trace event records the count. Where a run of n steps starts,
+one check `s >= _b<n>` halts on the budget unless all n fit, and one
+`s += n` counts them; the bound `_b<n> = B - n + 1` is set once per call of
+the unit, so that a check makes no new int. Each statement's line is an
+argument that holds its site, its own even when it shares its line: the
+line, and `ahead`, the steps of its run counted but not yet reached, which a
+halt there other than the budget's takes off the count. A budget halt where
+the count equals the budget is the one the run's first step makes, as every
+budget halt of a traced unit is. Any other is not yet known exactly, since a
+statement of the run may halt first: `execute` runs the program again from
+the start through the traced units, keeping no trace.
 
 Each expression node is typed once, from the declarations, as its source is
 written. A well-typed node checks no operand type at run time. It keeps the
@@ -373,25 +373,21 @@ class _Writer:
     # -- steps ------------------------------------------------------------------
 
     def site(self, unit, line):
-        """(the argument of a new statement's site on `line`, the value it
-        holds). A traced unit counts each step as a run of its own, so its
-        site is the line itself."""
-        held = line if self.traced else _Site(line)
+        """(the argument of a new statement's site on `line`, the site)."""
+        held = _Site(line)
         return unit.arg(held), held
 
     def step(self, unit, pad, name, held):
         """Count a step at `pad` whose site is the argument `name`, holding
         `held`; None for a FOR's per-iteration step, which halts on nothing
-        but the budget. A traced unit checks and counts each step where it
-        is taken, since its trace events record the count; an untraced one
-        adds the step to the open run, or opens one here."""
+        but the budget. The step joins the open run, or opens one here; a
+        traced unit closes it at once, since its trace events record the
+        count."""
+        if unit.run is None:
+            unit.run = len(unit.lines), pad, name, []
+        unit.run[3].append(held)
         if self.traced:
-            unit.lines += (f"{pad}if s >= B: raise _Halt('{_BUDGET}', {name})",
-                           f"{pad}s += 1")
-        else:
-            if unit.run is None:
-                unit.run = len(unit.lines), pad, name, []
-            unit.run[3].append(held)
+            self.end_run(unit)
 
     def end_run(self, unit):
         """Close the open run, if any: its one check and count go where it
@@ -575,7 +571,7 @@ class _Writer:
         when the run keeps its trace."""
         if self.traced:
             a, v = unit.names[key]
-            unit.lines.append(f"{pad}if E is not None: E(TraceEvent(s, {site}, {a}, {v}))")
+            unit.lines.append(f"{pad}if E is not None: E(TraceEvent(s, {site}.line, {a}, {v}))")
 
     def store(self, key, site):
         """READLN's store: the closure that checks an input against the
@@ -730,24 +726,17 @@ def _run(program, inputs, step_budget, traced, keep_trace):
                 run = units[n] = writer.statement(s)
             run(*state)
     except _Halt as halt:
-        site = halt.site
-        if traced:
-            # a traced unit's site is its line: each of its steps is a run
-            line, ahead = site, 0
-        elif halt.kind != _BUDGET:
-            line, ahead = site.line, site.ahead
-        elif result.steps == step_budget:
-            # the run's first step would have found the budget spent
-            line, ahead = site.line, 0
-        else:
+        budget = halt.kind == _BUDGET
+        if budget and result.steps < step_budget:
             # a run's check found fewer steps left than the run counts, but
             # whether a statement of it halts first, and how, shows only
             # statement by statement, as the traced units count them
             return _run(program, inputs, step_budget, True, False)
         result.status = RUNTIME_ERROR
         result.error_kind = halt.kind
-        result.error_line = line
-        result.steps -= ahead
+        result.error_line = halt.site.line
+        # a budget halt is the run's first step finding the budget spent
+        result.steps -= 0 if budget else halt.site.ahead
     return result
 
 
