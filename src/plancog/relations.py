@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from . import frontend as fe
 from .errors import AnalysisError
@@ -48,9 +47,7 @@ class CfgNode:
 @dataclass
 class Cfg:
     """Nodes are indexed by id; `edges` lists (src, dst, label) in creation
-    order. The per-node successor and predecessor lists and the map from
-    lines to nodes, which only queries read, are built on their first read,
-    once the graph is built."""
+    order."""
     nodes: list[CfgNode] = field(default_factory=list)
     edges: list[tuple[int, int, str]] = field(default_factory=list)
     entry: int = 0
@@ -71,36 +68,6 @@ class Cfg:
             self._of[id(stmt)] = node
         self.nodes.append(node)
         return node
-
-    @cached_property
-    def _adjacency(self):
-        """(successor lists, predecessor lists) of (node, label) pairs."""
-        succs, preds = [[] for _ in self.nodes], [[] for _ in self.nodes]
-        for src, dst, lbl in self.edges:
-            succs[src].append((dst, lbl))
-            preds[dst].append((src, lbl))
-        return succs, preds
-
-    @cached_property
-    def _at_line(self):
-        """line -> the nodes on it or standing for it, in creation order: a
-        repeat's condition node sits on the UNTIL line and also stands for
-        the REPEAT keyword's line, which has no node of its own."""
-        out = {}
-        for node in self.nodes:
-            for at in {node.line, getattr(node.stmt, "line", node.line)}:
-                out.setdefault(at, []).append(node)
-        return out
-
-    def succs(self, nid):
-        return list(self._adjacency[0][nid])
-
-    def preds(self, nid):
-        return list(self._adjacency[1][nid])
-
-    def nodes_at(self, line) -> list[CfgNode]:
-        """Every node on a line or standing for it, in creation order."""
-        return list(self._at_line.get(line, ()))
 
     def node_of(self, stmt) -> CfgNode:
         """The node of a statement other than a BEGIN/END block."""
@@ -342,15 +309,19 @@ def query_relation(kind: str, program: fe.Program, line: int) -> set[int]:
     if kind not in ("control", "data"):
         raise AnalysisError(f"unknown relation kind {kind!r}")
     cfg = build_cfg(program)
-    nodes = cfg.nodes_at(line)
+    # a repeat's condition node sits on the UNTIL line and also stands for
+    # the REPEAT keyword's line, which has no node of its own
+    nodes = {n.id for n in cfg.nodes if n.stmt is not None and line in (n.line, n.stmt.line)}
     if not nodes:
         raise AnalysisError(f"no statement at line {line}")
-    own = {line} | {n.line for n in nodes}
+    own = {line} | {cfg.nodes[nid].line for nid in nodes}
     related = set()
     if kind == "control":
-        for node in nodes:
-            for nid, _ in cfg.succs(node.id) + cfg.preds(node.id):
-                related.add(cfg.nodes[nid].line)
+        for src, dst, _ in cfg.edges:
+            if src in nodes:
+                related.add(cfg.nodes[dst].line)
+            if dst in nodes:
+                related.add(cfg.nodes[src].line)
         related.discard(None)
     else:
         for (_, def_line), use_lines in def_use(program, cfg).chains.items():

@@ -120,12 +120,15 @@ def round_robin_def_use(program, cfg):
     reach_in = {n.id: set() for n in cfg.nodes}
     reach_out = {n.id: set() for n in cfg.nodes}
     reach_out[cfg.entry] = {(d.name.lower(), None) for d in program.declarations}
+    preds = {n.id: [] for n in cfg.nodes}
+    for src, dst, _ in cfg.edges:
+        preds[dst].append(src)
     changed = True
     while changed:
         changed = False
         for n in cfg.nodes:
             new_in = set()
-            for p, _ in cfg.preds(n.id):
+            for p in preds[n.id]:
                 new_in |= reach_in[p] if _skips_body(cfg, p, n.id) else reach_out[p]
             gen = {(v, n.id) for v in node_def[n.id]}
             killed = set(node_def[n.id])

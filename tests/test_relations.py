@@ -28,10 +28,16 @@ def _reachable(cfg, start, forward=True):
     return seen
 
 
+def _nodes_at(cfg, line):
+    """Every node on `line` or standing for it, in creation order: a
+    repeat's condition node also stands for the REPEAT keyword's line."""
+    return [n for n in cfg.nodes if line in (n.line, getattr(n.stmt, "line", None))]
+
+
 def test_grey_repeat_loop_back_edge(grey):
     cfg = rel.build_cfg(grey)
-    until = cfg.nodes_at(14)[0]
-    readln = cfg.nodes_at(8)[0]
+    until = _nodes_at(cfg, 14)[0]
+    readln = _nodes_at(cfg, 8)[0]
     assert until.kind == rel.COND
     assert (until.id, readln.id, rel.LOOP_BACK) in cfg.edges
 
@@ -60,7 +66,7 @@ def test_if_nodes_have_true_and_false_edges(grey):
     cfg = rel.build_cfg(grey)
     for node in cfg.nodes:
         if node.kind == rel.COND and isinstance(node.stmt, fe.If):
-            labels = sorted(label for _, label in cfg.succs(node.id))
+            labels = sorted(label for src, _, label in cfg.edges if src == node.id)
             assert labels == ["false", "true"]
 
 
@@ -312,7 +318,7 @@ EMPTY_REPEAT = ("PROGRAM P(input, output);\nVAR x: INTEGER;\nBEGIN\n"
 def test_empty_repeat_body_loops_on_its_condition(body):
     program = fe.parse(EMPTY_REPEAT.format(body=body))
     cfg = rel.build_cfg(program)
-    until = cfg.nodes_at(6)[0]
+    until = _nodes_at(cfg, 6)[0]
     assert (until.id, until.id, rel.LOOP_BACK) in cfg.edges
     assert rel.def_use(program, cfg).chains == {("x", 4): {6}}
 
@@ -330,7 +336,7 @@ END.
 def test_line_with_several_nodes_relates_through_all_of_them():
     # line 5 holds the assignment and the UNTIL condition
     program = fe.parse(ONE_LINE_REPEAT)
-    assert len(rel.build_cfg(program).nodes_at(5)) == 2
+    assert len(_nodes_at(rel.build_cfg(program), 5)) == 2
     assert rel.query_relation("control", program, 5) == {4, 6}
     assert rel.query_relation("data", program, 5) == {4, 6}
 
@@ -414,28 +420,71 @@ def test_statement_records_match_walks_on_benchmark_programs(seed):
         fe.parse(pg.scale_program(random.Random(seed), 12, f"t{seed}").source))
 
 
-def _assert_queries_match_scans(program):
-    """`succs`, `preds` and `nodes_at`, read from lists built on first use,
-    say what a scan of the graph's edges and nodes says."""
+def _assert_queries_match_references(program):
+    """`query_relation` on every line: `control` relates the lines of the
+    edge neighbours of the line's nodes, and `data` the lines the
+    round-robin chains link to the line's, each less the line's own; a line
+    with no node raises."""
     cfg = rel.build_cfg(program)
-    for node in cfg.nodes:
-        assert cfg.succs(node.id) == [(dst, lbl) for src, dst, lbl in cfg.edges if src == node.id]
-        assert cfg.preds(node.id) == [(src, lbl) for src, dst, lbl in cfg.edges if dst == node.id]
+    chains = round_robin_def_use(program, cfg).chains
     last = max([n.line for n in cfg.nodes if n.line is not None], default=0)
     for line in range(last + 2):
-        assert cfg.nodes_at(line) == [n for n in cfg.nodes
-                                      if line in (n.line, getattr(n.stmt, "line", None))]
+        nodes = _nodes_at(cfg, line)
+        if not nodes:
+            for kind in ("control", "data"):
+                with pytest.raises(AnalysisError, match=f"no statement at line {line}$"):
+                    rel.query_relation(kind, program, line)
+            continue
+        ids = {n.id for n in nodes}
+        own = {line, *(n.line for n in nodes)}
+        control = {cfg.nodes[b if a in ids else a].line
+                   for a, b, _ in cfg.edges if a in ids or b in ids}
+        assert rel.query_relation("control", program, line) == control - own - {None}
+        data = set()
+        for (_, def_line), use_lines in chains.items():
+            if def_line in own:
+                data |= use_lines
+            if own & use_lines:
+                data.add(def_line)
+        assert rel.query_relation("data", program, line) == data - own
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_stmt(3), min_size=1, max_size=6))
-def test_cfg_queries_match_scans_on_generated_programs(stmts):
-    _assert_queries_match_scans(fe.parse(_program(stmts)))
+def test_relation_queries_match_references_on_generated_programs(stmts):
+    _assert_queries_match_references(fe.parse(_program(stmts)))
 
 
-def test_cfg_queries_match_scans_on_corpus_and_benchmark_programs(corpus_sources):
+def _corpus_and_scale_sources(corpus_sources):
     pg = benchmark_programs()
-    for src in [*corpus_sources.values(),
-                *(pg.scale_program(random.Random(seed), 12, f"t{seed}").source
-                  for seed in (1, 2, 3))]:
-        _assert_queries_match_scans(fe.parse(src))
+    return [*corpus_sources.values(),
+            *(pg.scale_program(random.Random(seed), 12, f"t{seed}").source
+              for seed in (1, 2, 3))]
+
+
+def test_relation_queries_match_references_on_corpus_and_benchmark_programs(corpus_sources):
+    for src in _corpus_and_scale_sources(corpus_sources):
+        _assert_queries_match_references(fe.parse(src))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_relation_queries_shift_with_blank_lines_before_the_program(corpus_sources, k):
+    # k blank lines before PROGRAM move every statement k lines down, and so
+    # every related line and every line with no statement
+    for src in _corpus_and_scale_sources(corpus_sources):
+        program, shifted = fe.parse(src), fe.parse("\n" * k + src)
+        for line in range(1, k + 1):
+            with pytest.raises(AnalysisError, match=f"no statement at line {line}$"):
+                rel.query_relation("control", shifted, line)
+        for line in range(1, src.count("\n") + 2):
+            for kind in ("control", "data"):
+                try:
+                    related = rel.query_relation(kind, program, line)
+                except AnalysisError as error:
+                    assert str(error) == f"no statement at line {line}"
+                    with pytest.raises(AnalysisError,
+                                       match=f"no statement at line {line + k}$"):
+                        rel.query_relation(kind, shifted, line + k)
+                else:
+                    assert rel.query_relation(kind, shifted, line + k) == \
+                        {related_line + k for related_line in related}
