@@ -96,17 +96,12 @@ def _regex(pattern: str, var: str | None) -> str:
     return "".join(out) + r"\Z"
 
 
-# keyed by pattern alone, so it holds one entry per library pattern whatever
-# the programs matched against them
-@lru_cache(maxsize=1024)
-def _compile(pattern: str) -> re.Pattern:
-    return re.compile(_regex(normalize(pattern), None))
-
-
 _IDENT = re.compile(_IDENT_RX + r"\Z")
 _LEADING_WORD = re.compile(r"[a-z]*")
 
 
+# keyed by pattern alone, so it holds one entry per library pattern whatever
+# the programs matched against them
 @lru_cache(maxsize=1024)
 def pattern_matcher(pattern: str):
     """`pattern_matches` for one pattern, as a function of the normalized
@@ -116,7 +111,7 @@ def pattern_matcher(pattern: str):
     if pattern in LOOP_WORDS:
         words = ("repeat", "while", "for") if pattern == "iteration" else (pattern,)
         return lambda text, var=None: _LEADING_WORD.match(text).group() in words
-    rx = _compile(pattern)
+    rx = re.compile(_regex(normalize(pattern), None))
     match = rx.match
     if "v" not in rx.groupindex:
         return lambda text, var=None: match(text) is not None

@@ -556,7 +556,7 @@ def test_no_module_level_cache_grows_with_program_content(builtin):
                 for k in range(21)]
     an.recognize(programs[0], builtin)
     sizes = _module_cache_sizes()
-    assert any(name == "_compile" for _, name in sizes)
+    assert any(name == "pattern_matcher" for _, name in sizes)
     for program in programs[1:]:
         assert an.recognize(program, builtin).instances
     assert _module_cache_sizes() == sizes

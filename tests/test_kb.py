@@ -541,7 +541,7 @@ def test_ambiguous_variable_splits(pattern, text, var, expected):
 
 def test_patterns_compile_once_whatever_the_variable():
     kblib.pattern_matches("<v>:=<v>+<w>", "n:=n+k")
-    before = kblib._compile.cache_info().currsize
+    before = kblib.pattern_matcher.cache_info().currsize
     for i in range(50):
         assert kblib.pattern_matches("<v>:=<v>+<w>", f"v{i}:=v{i}+k", f"v{i}")
-    assert kblib._compile.cache_info().currsize == before
+    assert kblib.pattern_matcher.cache_info().currsize == before
