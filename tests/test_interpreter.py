@@ -778,9 +778,12 @@ def test_checks_that_for_bounds_prove_dead_are_the_only_ones_left_out(statements
         _assert_runs_like_tree_walk(program, inputs, step_budget)
 
 
+_FOR_GRID = ("Y := 0; FOR I := 1 TO 3 DO FOR J := 1 TO 4 DO IF (I + J) MOD 2 = 0 THEN"
+             " Y := Y + I * J; WRITELN(Y); WRITELN(I + J)")
+
+
 @pytest.mark.parametrize("statements, inputs", [
-    ("Y := 0; FOR I := 1 TO 3 DO FOR J := 1 TO 4 DO IF (I + J) MOD 2 = 0 THEN Y := Y + I * J;"
-     " WRITELN(Y); WRITELN(I + J)", []),
+    (_FOR_GRID, []),
     ("FOR I := 1 TO 3 DO BEGIN END; WRITELN(I); I := 7; FOR I := 2 TO 1 DO BEGIN END;"
      " WRITELN(I)", []),
     ("FOR I := 1 TO 3 DO BEGIN WRITELN(I); I := I + 10; WRITELN(I) END; WRITELN(I)", []),
@@ -905,6 +908,26 @@ def test_a_budget_spent_inside_a_run_runs_again_step_by_step():
     result = run.execute(program, [], 3)
     assert (result.status, result.steps, result.outputs) == (_OK, 3, [2])
     assert list(program.units) == [False]
+
+
+def test_a_traced_run_never_runs_again(monkeypatch, corpus_sources):
+    # each step of a traced unit is a run of its own, so its budget halts
+    # are exact at once; `_run` calls itself by its global name, so the spy
+    # sees a second run too
+    calls, first = [], run._run
+    monkeypatch.setattr(run, "_run", lambda *args: calls.append(args) or first(*args))
+    programs = [(fe.parse(source), [1, 2, 3, 99999]) for source in corpus_sources.values()]
+    programs.append((fe.parse(f"{_LOOP_HEAD}    {_FOR_GRID}\nEND.\n"), []))
+    for program, inputs in programs:
+        for step_budget in range(run.execute(program, inputs, trace=True).steps + 1):
+            calls.clear()
+            run.execute(program, inputs, step_budget, trace=True)
+            assert len(calls) == 1, step_budget
+    # an untraced run whose budget runs out inside a run of statements runs
+    # again
+    calls.clear()
+    run.execute(fe.parse(_SPENT), [], 2)
+    assert len(calls) == 2
 
 
 def test_a_for_body_is_written_once(monkeypatch):
