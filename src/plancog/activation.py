@@ -160,8 +160,8 @@ def extract_beacons(index: ProgramIndex) -> list[Cue]:
             cues.append(Cue("update" if node.reads_own else "init", node.text, node.line, node))
         elif isinstance(s, (fe.Readln, fe.Writeln)):
             cues.append(Cue("update", node.text, node.line, node))
-    for loop in index.loops:
-        node = cfg.node_of(loop)
+    for node in cfg.loops:
+        loop = node.stmt
         cues.append(Cue("loop", fe.loop_keyword(loop), loop.line, node))
         cues.append(Cue("loopform", fe.loop_form(loop), loop.line, node))
     for line, text in program.comments:
@@ -253,11 +253,12 @@ def activate_with_trace(kb: KnowledgeBase, cues):
     firings: list[Firing] = []
 
     def run_rules(direction):
+        rules = [r for r in kb.rules if r.direction == direction]
         fired = {f.rule_id for f in firings}
         progressed = True
         while progressed:
             progressed = False
-            for rule in kb.rules_by_direction[direction]:
+            for rule in rules:
                 if rule.id in fired:
                     continue
                 support = _rule_fires(rule, table, active)
@@ -313,7 +314,6 @@ class ProgramIndex:
         self.cfg = rel.build_cfg(program)
         self.defuse = rel.def_use(program, self.cfg)
         self.decls = {d.name.lower(): d for d in program.declarations}
-        self.loops = self.cfg.loops   # loop statements in preorder
         self.defs = {}        # var -> records of its defining simple statements
         writes = []
         for node in self.cfg.nodes:
@@ -359,7 +359,7 @@ class ProgramIndex:
 
     def _loop_candidates(self):
         """{loop slot: [(loop, line, text, category)] by line}."""
-        loops = self.loops
+        loops = [node.stmt for node in self.cfg.loops]
         out = {
             "body": [(l, l.line, fe.loop_keyword(l), "loop") for l in loops],
             "loop": [(l, l.line, fe.loop_form(l), "loop") for l in loops],
@@ -442,24 +442,57 @@ _BIND_ORDER = ("update", "read", "result", "initialization", "output",
                "context", "name", "type")
 
 
-def _bind_order(pair):
-    name = pair[0].name
+def _bind_order(entry):
+    name = entry[0].name
     return _BIND_ORDER.index(name) if name in _BIND_ORDER else len(_BIND_ORDER)
 
 
-class _Binder:
-    """A schema compiled for recognition (`Schema.binder`): its mandatory
-    slots, and its slots, in schema order, in bind order and by name, each
-    with its matcher. It holds no reference to the schema, which holds it,
-    so that a library is freed without the cycle collector."""
+class _CompiledSchema:
+    """A schema compiled against its library for recognition, built when a
+    recognition first binds it and kept in the library's `compiled` (see
+    `_compiled`): its name, kind and mandatory slots; its slots in schema
+    order, each as (slot, matcher, the mandatory names whose last slot it
+    is), and so in bind order and by name; and, for a plan bound per loop,
+    its uses slots that a variable plan fills, mandatory ones first, each
+    with the schemas whose instance may fill it (the target, then its
+    kind-of children), whether some filler mentions <v>, and the first
+    kind-of child controlled by each slot as (name, kind, mandatory slots).
+    It holds no reference to the library, which holds it, so that a library
+    is freed without the cycle collector."""
 
-    def __init__(self, schema):
+    def __init__(self, kb, schema):
+        self.name, self.kind = schema.name, schema.kind
         self.mandatory = tuple(s.name for s in schema.slots if s.mandatory)
-        self.slots = [(s, _slot_matcher(s)) for s in schema.slots]
+        last = {slot.name: i for i, slot in enumerate(schema.slots)}
+        settled = [()] * len(schema.slots)
+        for name in dict.fromkeys(self.mandatory):
+            settled[last[name]] += (name,)
+        self.slots = [(slot, _slot_matcher(slot), names)
+                      for slot, names in zip(schema.slots, settled)]
         self.order = sorted(self.slots, key=_bind_order)
-        self.code_slots = [pair for pair in self.order if pair[0].name in _CODE_SLOTS]
+        self.code_slots = [entry for entry in self.order if entry[0].name in _CODE_SLOTS]
         # reversed, so that the first of two slots with one name wins
-        self.by_name = {pair[0].name: pair for pair in reversed(self.slots)}
+        self.by_name = {entry[0].name: entry for entry in reversed(self.slots)}
+        # a library that is not validated may use a schema it lacks
+        self.uses = sorted(((slot, (target, *kb.children(target)))
+                            for target, slot in schema.uses
+                            if (used := kb.schema(target)) is not None
+                            and used.kind == VARIABLE),
+                           key=lambda u: u[0] not in self.mandatory)
+        self.takes_variable = any("<v>" in f.pattern for s in schema.slots for f in s.fillers)
+        self.controllers = {}
+        for name in kb.children(schema.name):
+            child = kb.schema(name)
+            self.controllers.setdefault(child.controlled_by, (
+                child.name, child.kind, tuple(s.name for s in child.slots if s.mandatory)))
+
+
+def _compiled(kb, schema) -> _CompiledSchema:
+    """`schema` compiled against `kb`, on the first call for the pair."""
+    plan = kb.compiled.get(id(schema))
+    if plan is None:
+        plan = kb.compiled[id(schema)] = _CompiledSchema(kb, schema)
+    return plan
 
 
 def instantiate(kb: KnowledgeBase, index: ProgramIndex, activations):
@@ -474,17 +507,17 @@ def instantiate(kb: KnowledgeBase, index: ProgramIndex, activations):
     for schema in kb.schemas:
         if schema.name not in active:
             continue
-        binder = schema.binder
-        if schema.kind in (VARIABLE, CONTROL) and binder.code_slots:
+        plan = _compiled(kb, schema)
+        if schema.kind in (VARIABLE, CONTROL) and plan.code_slots:
             first = {id(slot): _first_fillings(index, slot, match)
-                     for slot, match in binder.code_slots}
+                     for slot, match, _ in plan.code_slots}
             for var in sorted(set().union(*first.values())):
-                instances.append(_bind_variable_plan(schema, var, index, first))
+                instances.append(_bind_variable_plan(plan, var, index, first))
         elif schema.kind != VARIABLE and not schema.kind_of:
-            roots.append(schema)
+            roots.append(plan)
 
     instances = _drop_shadowed(instances)
-    instances.extend(_loop_plans(kb, index, roots, instances))
+    instances.extend(_loop_plans(index, roots, instances))
     instances.sort(key=lambda i: (i.anchor_line, i.schema, i.variable or ""))
 
     expectations = _expectations(kb, active, instances)
@@ -506,13 +539,13 @@ def _first_fillings(index, slot, match):
     return out
 
 
-def _bind_variable_plan(schema, var, index, first):
-    """The plan of `schema` on `var`, whose code slots' first fillings are
-    in `first` (see `_first_fillings`). Some code slot fills `var`, and code
-    slots bind first, so every other slot joins a code binding."""
-    binder = schema.binder
-    inst = PlanInstance(schema.name, schema.kind, var, mandatory=binder.mandatory)
-    for slot, match in binder.order:
+def _bind_variable_plan(plan, var, index, first):
+    """The instance of the compiled `plan` on `var`, whose code slots' first
+    fillings are in `first` (see `_first_fillings`). Some code slot fills
+    `var`, and code slots bind first, so every other slot joins a code
+    binding."""
+    inst = PlanInstance(plan.name, plan.kind, var, mandatory=plan.mandatory)
+    for slot, match, _ in plan.order:
         if slot.name not in _CODE_SLOTS:
             bound = _first_filling(index, slot, match,
                                    _slot_candidates(index, inst, slot.name), var)
@@ -562,46 +595,15 @@ def _drop_shadowed(instances):
     return keep
 
 
-class _LoopRoot:
-    """A root schema compiled against its library for `_loop_plans`
-    (`KnowledgeBase.loop_root`): its uses slots that a variable plan fills,
-    mandatory ones first, each with the schemas whose instance may fill it
-    (the target, then its kind-of children); whether some filler mentions
-    <v>; the first kind-of child controlled by each slot; and its slots in
-    schema order, each with its matcher and the mandatory names whose last
-    slot it is. It holds no reference to the library."""
-
-    def __init__(self, kb, root):
-        binder = root.binder
-        self.name, self.kind, self.mandatory = root.name, root.kind, binder.mandatory
-        # a library that is not validated may use a schema it lacks
-        self.uses = sorted(((slot, (target, *kb.children(target)))
-                            for target, slot in root.uses
-                            if (used := kb.schema(target)) is not None
-                            and used.kind == VARIABLE),
-                           key=lambda u: u[0] not in self.mandatory)
-        self.takes_variable = any("<v>" in f.pattern for s in root.slots for f in s.fillers)
-        self.controllers = {}
-        for name in kb.children(root.name):
-            child = kb.schema(name)
-            self.controllers.setdefault(child.controlled_by, child)
-        last = {slot.name: i for i, (slot, _) in enumerate(binder.slots)}
-        settled = [()] * len(binder.slots)
-        for name in dict.fromkeys(self.mandatory):
-            settled[last[name]] += (name,)
-        self.slots = [(slot, match, names)
-                      for (slot, match), names in zip(binder.slots, settled)]
-
-
-def _loop_plans(kb, index, roots, var_instances):
-    """One instance per loop and root schema. Loop slots bind to the loop;
-    a uses slot targeting a variable plan takes the first instance of the
-    target, or of one of its kind-of children, with a statement binding
-    other than its initialization inside the loop. Mandatory uses slots
-    fill first, a child fills at most one slot, and a plan whose fillers
-    mention <v> takes its first child's variable. The kind-of child whose
-    controlled-by slot holds a variable the exit test reads replaces the
-    root, ties broken by the root's slot order."""
+def _loop_plans(index, roots, var_instances):
+    """One instance per loop and compiled root schema. Loop slots bind to
+    the loop; a uses slot targeting a variable plan takes the first instance
+    of the target, or of one of its kind-of children, with a statement
+    binding other than its initialization inside the loop. Mandatory uses
+    slots fill first, a child fills at most one slot, and a plan whose
+    fillers mention <v> takes its first child's variable. The kind-of child
+    whose controlled-by slot holds a variable the exit test reads replaces
+    the root, ties broken by the root's slot order."""
     if not roots:
         return []
     working = {}                       # id(loop) -> {id(instance): instance}
@@ -613,20 +615,20 @@ def _loop_plans(kb, index, roots, var_instances):
     loop_candidates = {name: {id(c[0]): [c] for c in index.loop_candidates[name]}
                        for name in _LOOP_SLOTS}
     out = []
-    for root in roots:
-        plan = kb.loop_root(root)
-        for loop in index.loops:
-            inst = _bind_loop_plan(plan, index, loop, working.get(id(loop), {}).values(),
-                                   loop_candidates)
+    for plan in roots:
+        for node in index.cfg.loops:
+            inst = _bind_loop_plan(plan, index, node,
+                                   working.get(id(node.stmt), {}).values(), loop_candidates)
             if inst is not None:
                 out.append(inst)
     return out
 
 
-def _bind_loop_plan(plan, index, loop, group, loop_candidates):
-    """The complete plan of `plan` on `loop`, whose working variable plans
-    are `group`, or None. Binding stops at the first mandatory name that its
-    last slot leaves unfilled, since the plan cannot then be complete."""
+def _bind_loop_plan(plan, index, node, group, loop_candidates):
+    """The complete instance of the compiled `plan` on the loop whose CFG
+    node is `node`, whose working variable plans are `group`, or None.
+    Binding stops at the first mandatory name that its last slot leaves
+    unfilled, since the plan cannot then be complete."""
     inst = PlanInstance(plan.name, plan.kind, mandatory=plan.mandatory)
     for slot_name, names in plan.uses:
         child = next((i for name in names for i in group if i.schema == name), None)
@@ -637,7 +639,7 @@ def _bind_loop_plan(plan, index, loop, group, loop_candidates):
     bindings = inst.bindings
     by_child = {slot for slot, _ in inst.children}
     for slot, match, settled in plan.slots:
-        candidates = (loop_candidates[slot.name].get(id(loop), [])
+        candidates = (loop_candidates[slot.name].get(id(node.stmt), [])
                       if slot.name in _LOOP_SLOTS
                       else _slot_candidates(index, inst, slot.name))
         bound = _first_filling(index, slot, match, candidates, inst.variable)
@@ -651,17 +653,15 @@ def _bind_loop_plan(plan, index, loop, group, loop_candidates):
         return None
     inst.close()
     if plan.controllers:
-        # a FOR loop tests its control variable, the others their condition
-        test_vars = ({loop.var.lower()} if isinstance(loop, fe.For)
-                     else index.cfg.node_of(loop).uses)
+        # a FOR header defines its control variable, which it tests; a WHILE
+        # or UNTIL test defines nothing and reads its condition
+        test_vars = node.defs or node.uses
         children = dict(inst.children)
         for slot, _, _ in plan.slots:
             child = children.get(slot.name)
             if (slot.name in plan.controllers and child is not None
                     and child.variable in test_vars):
-                chosen = plan.controllers[slot.name]
-                inst.schema, inst.kind = chosen.name, chosen.kind
-                inst.mandatory = chosen.binder.mandatory
+                inst.schema, inst.kind, inst.mandatory = plan.controllers[slot.name]
                 inst.close()
                 break
     return inst
@@ -737,10 +737,10 @@ def evaluate_coherence(instances, index: ProgramIndex, kb: KnowledgeBase,
         schema = kb.schema(inst.schema)
         if schema is None:
             continue
-        binder = schema.binder
+        plan = _compiled(kb, schema)
         label = inst.label
         for slot_name, binding in sorted(inst.bindings.items()):
-            slot, match = binder.by_name.get(slot_name, (None, None))
+            slot, match, _ = plan.by_name.get(slot_name, (None, None, None))
             ok = slot is not None and (slot is binding.slot
                                        or match(normal[binding.text], inst.variable))
             report.internal.append(InternalEntry(label, slot_name,
@@ -758,7 +758,7 @@ def evaluate_coherence(instances, index: ProgramIndex, kb: KnowledgeBase,
                     inst.bindings["initialization"].line))
         if (inst.kind == VARIABLE and "initialization" in inst.mandatory
                 and "initialization" not in inst.bindings and inst.variable):
-            _, match = binder.by_name["initialization"]
+            _, match, _ = plan.by_name["initialization"]
             for _, line, text, _ in index.candidates["initialization"].get(
                     inst.variable, ()):
                 if not match(normal[text], inst.variable):

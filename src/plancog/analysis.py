@@ -20,7 +20,6 @@ from .kb import VARIABLE, KnowledgeBase, builtin_kb, instantiate_pattern
 @dataclass
 class Recognition:
     kb: KnowledgeBase
-    cues: list
     activations: list
     firings: list
     instances: list[PlanInstance]
@@ -36,13 +35,11 @@ def recognize(program: fe.Program, kb: KnowledgeBase | None = None, *,
     run.check_step_budget(step_budget)
     kb = kb or builtin_kb()
     index = ProgramIndex(program)
-    cues = extract_beacons(index)
-    activations, firings = activate_with_trace(kb, cues)
+    activations, firings = activate_with_trace(kb, extract_beacons(index))
     instances, expectations = instantiate(kb, index, activations)
     expectations = verify_expectations(expectations, index)
     coherence = evaluate_coherence(instances, index, kb, step_budget=step_budget)
-    return Recognition(kb, cues, activations, firings, instances, expectations,
-                       coherence, index)
+    return Recognition(kb, activations, firings, instances, expectations, coherence, index)
 
 
 # --- goal tree ----------------------------------------------------------------

@@ -174,13 +174,6 @@ class Schema:
     def slot(self, name) -> Slot | None:
         return next((s for s in self.slots if s.name == name), None)
 
-    @cached_property
-    def binder(self):
-        """The schema compiled for recognition (`activation._Binder`), built
-        by the first recognition that needs it and kept with the schema."""
-        from .activation import _Binder     # activation imports this module
-        return _Binder(self)
-
 
 @dataclass(frozen=True)
 class DiscourseRule:
@@ -215,8 +208,8 @@ class ProductionRule:
 class KnowledgeBase:
     """A plan library. It and every record it holds are frozen dataclasses
     whose sequences are tuples, so one library can be shared by all its
-    callers. Lookups read one map, and the rules by direction and each
-    schema's binder are compiled for recognition, each built on first use.
+    callers. Lookups read one map, and `compiled` keeps each schema as
+    recognition compiles it against this library.
     Building a library validates nothing: `load_kb` validates, and
     `validate_kb` reports on any library."""
     schemas: tuple[Schema, ...] = ()
@@ -238,24 +231,11 @@ class KnowledgeBase:
         return out
 
     @cached_property
-    def rules_by_direction(self) -> dict[str, tuple[ProductionRule, ...]]:
-        """The production rules of each direction, in library order."""
-        return {d: tuple(r for r in self.rules if r.direction == d)
-                for d in (DATA_DRIVEN, CONCEPTUALLY_DRIVEN)}
-
-    @cached_property
-    def _loop_roots(self) -> dict:
-        return {}                         # id(schema) -> `loop_root(schema)`
-
-    def loop_root(self, schema):
-        """`schema`, a plan bound per loop, compiled against this library
-        (`activation._LoopRoot`) when a recognition first binds it, so that
-        a library loaded for one request compiles only the roots it binds."""
-        plan = self._loop_roots.get(id(schema))
-        if plan is None:
-            from .activation import _LoopRoot   # activation imports this module
-            plan = self._loop_roots[id(schema)] = _LoopRoot(self, schema)
-        return plan
+    def compiled(self) -> dict:
+        """id(schema) -> the schema compiled for recognition, which
+        `activation` adds when a recognition first binds the schema, so that
+        a library loaded for one request compiles only the schemas it binds."""
+        return {}
 
     def schema(self, name) -> Schema | None:
         return self._index.get(("schema", name))

@@ -52,9 +52,8 @@ class Cfg:
     edges: list[tuple[int, int, str]] = field(default_factory=list)
     entry: int = 0
     exit: int = 0
-    # loop statements in preorder; a repeat's node is made after its body's
-    loops: list = field(default_factory=list)
-    _of: dict = field(default_factory=dict, init=False, repr=False)   # id(stmt) -> node
+    # the loops' nodes in preorder, though a repeat's is made after its body's
+    loops: list[CfgNode] = field(default_factory=list)
 
     def add_node(self, kind, line, stmt=None, loops=()) -> CfgNode:
         if stmt is None:
@@ -65,13 +64,8 @@ class Cfg:
             node = CfgNode(len(self.nodes), kind, line, stmt, defs, uses, loops,
                            fe.node_text(stmt) if kind == STMT else None,
                            not set(defs).isdisjoint(uses))
-            self._of[id(stmt)] = node
         self.nodes.append(node)
         return node
-
-    def node_of(self, stmt) -> CfgNode:
-        """The node of a statement other than a BEGIN/END block."""
-        return self._of[id(stmt)]
 
     def lines(self) -> set[int]:
         """Every line a statement's node sits on or stands for."""
@@ -120,18 +114,21 @@ def _statement(cfg, s, pending, loops):
         return out
     if not isinstance(s, fe.LOOP_KINDS):
         raise TypeError(f"unexpected statement {s!r}")
-    cfg.loops.append(s)
     inner = (*loops, s)
     if isinstance(s, fe.Repeat):
-        # the loop-back edge enters the first node the body creates, or the
+        # the loop keeps its preorder place in `loops`, though its node is
+        # made after its body's, so that only loop-back edges run to a lower
+        # id; that edge enters the first node the body creates, or the
         # condition itself when the body creates none
-        first = len(cfg.nodes)
+        place, first = len(cfg.loops), len(cfg.nodes)
+        cfg.loops.append(None)
         body_out = _chain(cfg, s.body, pending, inner)
-        cond = cfg.add_node(COND, s.until_line, s, loops)
+        cond = cfg.loops[place] = cfg.add_node(COND, s.until_line, s, loops)
         _connect(cfg, body_out, cond.id)
         cfg.edges.append((cond.id, first, LOOP_BACK))
         return [(cond.id, TRUE)]
     head = cfg.add_node(COND, s.line, s, loops)
+    cfg.loops.append(head)
     _connect(cfg, pending, head.id)
     body_out = _statement(cfg, s.body, [(head.id, TRUE)], inner)
     _connect(cfg, [(src, LOOP_BACK) for src, _ in body_out], head.id)

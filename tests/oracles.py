@@ -599,12 +599,13 @@ class _DefUseWalker(_TreeWalker):
 
     def __init__(self, program, inputs, cfg, step_budget):
         super().__init__(program, inputs, step_budget)
-        self.cfg, self.node, self.defined, self.pairs = cfg, None, {}, set()
+        self.node, self.defined, self.pairs = None, {}, set()
+        self.node_of = {id(n.stmt): n.id for n in cfg.nodes if n.stmt is not None}
 
     def statement(self, s):
         outer = self.node
         if not isinstance(s, fe.Compound):
-            self.node = self.cfg.node_of(s).id
+            self.node = self.node_of[id(s)]
         super().statement(s)
         self.node = outer
 
@@ -825,7 +826,8 @@ def _loop_plans(kb, index, roots, var_instances):
         for name in kb.children(root.name):
             child = kb.schema(name)
             controllers.setdefault(child.controlled_by, child)
-        for loop in index.loops:
+        for loop in (s for s in fe.walk_statements(index.program.body)
+                     if isinstance(s, fe.LOOP_KINDS)):
             inst = PerCallPlanInstance(root.name, root.kind, mandatory=mandatory)
             group = working.get(id(loop), {}).values()
             for slot_name, names in uses:

@@ -499,27 +499,48 @@ def _module_cache_sizes():
 
 
 def test_a_library_is_compiled_once(monkeypatch, grey):
-    made = {"binders": 0, "matchers": 0}
+    made = {"plans": [], "matchers": 0}
     slot_matcher = act._slot_matcher
 
-    class Counted(act._Binder):
-        def __init__(self, schema):
-            made["binders"] += 1
-            super().__init__(schema)
+    class Counted(act._CompiledSchema):
+        def __init__(self, kb, schema):
+            made["plans"].append(schema.name)
+            super().__init__(kb, schema)
 
     def counted(slot):
         made["matchers"] += 1
         return slot_matcher(slot)
 
-    monkeypatch.setattr(act, "_Binder", Counted)
+    monkeypatch.setattr(act, "_CompiledSchema", Counted)
     monkeypatch.setattr(act, "_slot_matcher", counted)
     kb = load_kb(dump_kb(kblib.builtin_kb()))    # a library no recognition has compiled
     an.recognize(grey, kb)
-    first = dict(made)
-    assert first["binders"] and first["matchers"]
+    first = {"plans": list(made["plans"]), "matchers": made["matchers"]}
+    # variable plans and the plans bound per loop are compiled alike, each once
+    assert {"Running_Total_Variable", "Running_Total_Loop"} <= set(first["plans"])
+    assert len(set(first["plans"])) == len(first["plans"]) and first["matchers"]
     rec = an.recognize(grey, kb)
     act.evaluate_coherence(rec.instances, rec.index, kb)
     assert made == first
+
+
+def test_compiled_plans_never_cross_libraries(builtin, grey):
+    # a second library shares the built-in Running_Total_Loop schema, but
+    # adds a kind-of child of it, listed first, that the same exit test
+    # controls: each library compiles the shared schema against itself
+    shipped = "New_Value_Controlled_Running_Total_Loop"
+
+    def loop_plans(kb):
+        return [i.schema for i in an.recognize(grey, kb).instances
+                if i.schema.endswith("Running_Total_Loop")]
+
+    assert loop_plans(builtin) == [shipped]
+    child = dataclasses.replace(builtin.schema(shipped), name="Sentinel_Running_Total_Loop")
+    assert child.kind_of == ("Running_Total_Loop",) and child.controlled_by == "New_Value"
+    own = dataclasses.replace(builtin, schemas=(child, *builtin.schemas))
+    assert own.schema("Running_Total_Loop") is builtin.schema("Running_Total_Loop")
+    assert loop_plans(own) == [child.name]
+    assert loop_plans(builtin) == [shipped]
 
 
 def test_no_module_level_cache_grows_with_libraries(grey):

@@ -382,19 +382,20 @@ def _assert_records_match_walks(program):
     enclosing = enclosing_loops(program)
     statements = [s for s in fe.walk_statements(program.body)
                   if not isinstance(s, fe.Compound)]
-    assert sorted(cfg.node_of(s).id for s in statements) == \
+    node_of = {id(n.stmt): n for n in cfg.nodes if n.stmt is not None}
+    assert sorted(node_of[id(s)].id for s in statements) == \
         [n.id for n in cfg.nodes if n.stmt is not None]
     for s in statements:
-        node = cfg.node_of(s)
+        node = node_of[id(s)]
         assert node.stmt is s
         assert node.defs == tuple(name.lower() for name, _ in fe.defined_names(s))
         assert node.uses == tuple(sorted({name.lower() for name, _ in fe.used_names(s)}))
         assert [id(loop) for loop in node.loops] == [id(loop) for loop in enclosing[id(s)]]
         assert node.text == (fe.node_text(s) if isinstance(s, fe.SIMPLE_KINDS) else None)
         assert node.reads_own == self_referential(s)
-    # loops in preorder, though a REPEAT's node is made after its body's
-    assert [id(loop) for loop in cfg.loops] == \
-        [id(s) for s in statements if isinstance(s, fe.LOOP_KINDS)]
+    # the loops' nodes in preorder, though a REPEAT's is made after its body's
+    assert [id(node) for node in cfg.loops] == \
+        [id(node_of[id(s)]) for s in statements if isinstance(s, fe.LOOP_KINDS)]
     assert cfg.lines() == chunk_universe(program)
 
 
