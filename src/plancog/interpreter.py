@@ -50,6 +50,19 @@ budget halt of a traced unit is. Any other is not yet known exactly, since a
 statement of the run may halt first: `execute` runs the program again from
 the start through the traced units, keeping no trace.
 
+An untraced FOR whose body holds no WHILE, REPEAT or FOR checks the budget
+once per loop instead. As the body is written, the writer counts the steps
+each iteration always takes, `fixed` (the body's own runs, its IF tests
+and the per-iteration step among them), and `most`, `fixed` and the steps of
+the longest path through its IF branches. Once the bounds give `_k` trips,
+one check refuses the loop unless `s + _k * most` fits the budget, and
+`s += _k * fixed` counts the fixed steps; the body checks nothing, and a run
+in an IF branch adds its `s += n` when taken. So the count runs ahead of the
+steps inside the loop, whose sites, like the refusal's, have no `ahead`: a
+halt at any of them, or the refusal, runs the program again through the
+traced units, as a budget halt part-way through a run does. Only outside
+such a loop does a halt other than the budget's need no second run.
+
 Each expression node is typed once, from the declarations, as its source is
 written. A well-typed node checks no operand type at run time. It keeps the
 checks for 64-bit and finite results, made inline through one temporary, and
@@ -63,8 +76,8 @@ target (an INTEGER is converted for a REAL), and the full checks live in
 READLN's checking store, which returns the value to assign; a READLN into
 an INTEGER assigns an int input within 64 bits at once. Only a traced unit
 writes a trace event per assignment and READLN into its source, and it
-makes the event only in a run that keeps its trace, which the re-run after
-a budget check does not.
+makes the event only in a run that keeps its trace, which a second run
+does not.
 
 A FOR loop evaluates its bounds once, into `_i<level>` and `_n<level>`, and
 runs as the Python loop `for <variable> in range(_i, _n + 1)`, which sets
@@ -146,14 +159,21 @@ class _Halt(Exception):
 class _Site:
     """Where a statement of a unit halts: its `line`, and `ahead`, the steps
     of its run that were counted where the run starts but lie after the
-    statement, which a halt there gives back. Each statement has its own,
-    even when two share a line."""
+    statement, which a halt there gives back; None inside a check-free FOR
+    loop, which counts its steps before it runs them. Each statement has its
+    own, even when two share a line."""
 
     __slots__ = ("line", "ahead")
 
-    def __init__(self, line):
+    def __init__(self, line, ahead=0):
         self.line = line
-        self.ahead = 0
+        self.ahead = ahead
+
+
+# Where a check-free FOR loop refuses to run. Like every site inside such a
+# loop it has no `ahead`: a halt there runs the program again through the
+# traced units.
+_AGAIN = _Site(None, None)
 
 
 def _number(value, site):
@@ -311,6 +331,11 @@ class _Unit:
         # of its steps); None between runs
         self.run = None
         self.bounds = set()    # the lengths of its runs of more than one step
+        # in the body of a check-free FOR loop, the number of IF branches
+        # around what is written, and the steps an iteration always counts
+        # and counts on its longest path so far; None elsewhere
+        self.free = None
+        self.fixed = self.most = 0
 
     def arg(self, value):
         self.args.append(value)
@@ -398,9 +423,19 @@ class _Writer:
         at, pad, name, sites = unit.run
         unit.run = None
         n = len(sites)
+        free = unit.free is not None
         for ahead, site in enumerate(reversed(sites)):
             if site is not None:
-                site.ahead = ahead
+                site.ahead = None if free else ahead
+        if free:
+            # inside a check-free loop, a run that every iteration makes is
+            # counted before the loop, and one in an IF branch unchecked
+            unit.most += n
+            if unit.free:
+                unit.lines.insert(at, f"{pad}s += {n}")
+            else:
+                unit.fixed += n
+            return
         bound = "B"
         if n > 1:
             bound = f"_b{n}"
@@ -412,10 +447,16 @@ class _Writer:
 
     def block(self, unit, s, level):
         """Statement `s` at indentation `level`, or `pass` if it writes
-        nothing: a BEGIN/END block may be empty."""
+        nothing: a BEGIN/END block may be empty. Inside a check-free FOR
+        loop, it is an IF branch."""
         start = len(unit.lines)
+        free = unit.free is not None
+        if free:
+            unit.free += 1
         self.emit(unit, s, level)
         self.end_run(unit)
+        if free:
+            unit.free -= 1
         if len(unit.lines) == start:
             unit.lines.append("    " * level + "pass")
 
@@ -494,15 +535,17 @@ class _Writer:
         elif kind is fe.If:
             self.test(unit, pad, site, s.cond)
             lines.append(f"{pad}if _c:")
-            before = unit.ranges
+            before, most = unit.ranges, unit.most
             self.block(unit, s.then, level + 1)
             then, unit.ranges = unit.ranges, before
+            most, unit.most = unit.most, most
             if s.otherwise is not None:
                 lines.append(f"{pad}else:")
                 self.block(unit, s.otherwise, level + 1)
-            # what holds after either branch
+            # what holds after either branch, and the longer of them
             unit.ranges = {key: span for key, span in then.items()
                            if unit.ranges.get(key) == span}
+            unit.most = max(unit.most, most)
         elif kind is fe.While:
             self.test(unit, pad, site, s.cond)
             lines += (f"{pad}if not _c:", f"{pad}    break")
@@ -546,12 +589,26 @@ class _Writer:
         # the header ends its run, and each iteration's step ends the body's
         # last run
         self.end_run(unit)
+        # an untraced loop whose body holds no loop checks its budget once,
+        # for the most steps all its iterations can take
+        free = not self.traced and not any(isinstance(t, fe.LOOP_KINDS)
+                                           for t in fe.walk_statements([s.body]))
+        if free:
+            unit.free, unit.fixed, unit.most = 0, 0, 0
+        at = len(lines)
         lines.append(f"{pad}for {target} in range({lower}, {upper} + 1):")
         self.event(unit, pad + "    ", site, key)
         self.emit(unit, s.body, level + 1)
         unit.ranges = ranges
         self.step(unit, pad + "    ", site, None)
         self.end_run(unit)
+        if free:
+            unit.free = None
+            if len(lines) == at + 1:
+                lines.append(f"{pad}    pass")
+            lines[at:at] = (f"{pad}_k = {upper} - {lower} + 1 if {upper} >= {lower} else 0",
+                            f"{pad}if s + _k * {unit.most} > B: raise _Halt('{_BUDGET}', _AGAIN)",
+                            f"{pad}s += _k * {unit.fixed}")
 
     def test(self, unit, pad, site, cond):
         """The test `cond` into `_c`, which ends its run: what follows
@@ -727,10 +784,11 @@ def _run(program, inputs, step_budget, traced, keep_trace):
             run(*state)
     except _Halt as halt:
         budget = halt.kind == _BUDGET
-        if budget and result.steps < step_budget:
-            # a run's check found fewer steps left than the run counts, but
-            # whether a statement of it halts first, and how, shows only
-            # statement by statement, as the traced units count them
+        if halt.site.ahead is None or budget and result.steps < step_budget:
+            # a check-free loop counted its steps before it ran them, or
+            # refused to run; or a run's check found fewer steps left than
+            # the run counts. Whether a statement halts first, and how, shows
+            # only statement by statement, as the traced units count them
             return _run(program, inputs, step_budget, True, False)
         result.status = RUNTIME_ERROR
         result.error_kind = halt.kind

@@ -87,8 +87,9 @@ def check_golden(name, source, mode):
 def unit_runs():
     """(label, source, inputs) of each program run for its generated sources:
     the corpus, the benchmark's grid with a dividend that is never negative
-    and one that may be, one of its generated programs at scale, and the
-    programs nested past what one generated function may hold."""
+    and one that may be, one of its generated programs at scale, an innermost
+    FOR whose IF branches differ in length, and the programs nested past what
+    one generated function may hold."""
     pg, inputs = benchmark_programs(), list(DEFAULT_SIMULATION_INPUTS)
     runs = [(name, source, inputs) for name, source in cli.corpus()]
     names = {"sum": "Total", "row": "Row", "col": "Col", "part": "Part"}
@@ -96,6 +97,10 @@ def unit_runs():
         block = pg.nested_block(names, 3, 4, offset, 7, 2)
         runs.append((f"grid with offset {offset}", pg.render("Grid", [block]).source, []))
     runs.append(("scale program", pg.scale_program(random.Random(11), 8, 11).source, inputs))
+    runs.append(("for with unequal branches", "PROGRAM P(input, output);\nVAR I, Y: INTEGER;\n"
+                 "BEGIN\n    Y := 0;\n    FOR I := 1 TO 5 DO\n        IF I MOD 2 = 0 THEN\n"
+                 "            Y := Y + I\n        ELSE\n        BEGIN\n            Y := Y - 1;\n"
+                 "            WRITELN(Y)\n        END\nEND.\n", []))
     for kind in ("statement-unit", "expression-unit"):
         body = _BOUNDARIES[kind][0]
         runs.append((kind, "PROGRAM P(input, output);\nVAR X, Y: INTEGER;\nBEGIN\n"

@@ -790,8 +790,12 @@ _FOR_GRID = ("Y := 0; FOR I := 1 TO 3 DO FOR J := 1 TO 4 DO IF (I + J) MOD 2 = 0
     ("FOR I := 9223372036854775805 TO 9223372036854775807 DO WRITELN(I); WRITELN(I)", []),
     # a start bound that READLN stored as an int of a subclass
     ("READLN(K); FOR I := K TO K + 1 DO WRITELN(I)", [_Int(5)]),
+    # a branch taken on one iteration of six: the loop's 14 steps fit
+    # budgets that its 6 longest iterations (24 steps) do not
+    ("Y := 0; FOR I := 1 TO 6 DO IF I = 4 THEN BEGIN Y := Y + I; WRITELN(Y) END; WRITELN(Y)",
+     []),
 ], ids=["grid-with-if", "empty-body", "assigns-its-variable", "at-the-64-bit-edge",
-        "start-of-an-int-subclass"])
+        "start-of-an-int-subclass", "branch-on-one-iteration"])
 def test_a_for_loop_runs_like_tree_walk_at_every_step_budget(statements, inputs):
     # each budget runs out on a different step: a header's, the first body
     # statement's, or none
@@ -799,6 +803,10 @@ def test_a_for_loop_runs_like_tree_walk_at_every_step_budget(statements, inputs)
     full = tree_walk_execute(program, inputs)
     assert full.status == _OK
     _assert_runs_like_tree_walk_at_every_step_budget(program, inputs)
+    # and budgets that the whole run fits, but an untraced loop may refuse
+    # for the most steps its iterations could take
+    for step_budget in range(full.steps + 1, full.steps + 10):
+        _assert_run_like_tree_walk(program, inputs, step_budget)
 
 
 def _assert_runs_like_tree_walk_at_every_step_budget(program, inputs,
@@ -878,8 +886,37 @@ def test_a_halt_inside_a_run_counts_the_steps_it_reached(monkeypatch, statements
     assert (result.status, result.error_kind, result.error_line, result.steps) == \
         (_FAIL, kind, line, steps)
     assert [re.findall(r"s \+= \d+", source) for source in sources] == [["s += 4"]]
-    # a halt other than the budget's needs no second run
+    # a halt other than the budget's outside a check-free loop needs no
+    # second run
     assert list(program.units) == [False]
+    _assert_runs_like_tree_walk(program, inputs)
+
+
+# an innermost FOR on line 4 whose body halts: Y unset, I MOD K with K = 0
+# in the branch taken on the third iteration, Y past 64 bits on the fourth,
+# and READLN on the third, given a REAL or nothing; or the loop ends normally
+_READ_LOOP = "FOR I := 1 TO 5 DO BEGIN READLN(Y); WRITELN(Y * I) END"
+_FREE_HALTS = {
+    "uninitialized-variable": ("FOR I := 1 TO 5 DO BEGIN WRITELN(I); Y := Y + I END", []),
+    "division-by-zero": ("K := 0; FOR I := 1 TO 5 DO IF I = 3 THEN WRITELN(I MOD K)"
+                         " ELSE WRITELN(I)", []),
+    "integer-overflow": ("Y := 9223372036854775800; FOR I := 1 TO 5 DO BEGIN Y := Y + I;"
+                         " WRITELN(Y) END", []),
+    "type-error": (_READ_LOOP, [4, 5, 2.5]),
+    "input-exhausted": (_READ_LOOP, [4, 5]),
+    None: (_READ_LOOP, [4, 5, 6, 7, 8]),
+}
+
+
+@pytest.mark.parametrize("kind", _FREE_HALTS, ids=lambda kind: kind or "ends-normally")
+def test_a_halt_inside_a_check_free_loop_runs_again_step_by_step(kind):
+    # the untraced loop counted its steps before it ran them, so a halt
+    # inside it runs the program again through the traced units
+    statements, inputs = _FREE_HALTS[kind]
+    program = fe.parse(f"{_LOOP_HEAD}    {statements}\nEND.\n")
+    result = run.execute(program, inputs)
+    assert (result.error_kind, result.error_line) == (kind, kind and 4)
+    assert list(program.units) == ([False, True] if kind else [False])
     _assert_runs_like_tree_walk(program, inputs)
 
 
@@ -973,6 +1010,21 @@ def test_a_grid_keeps_only_the_running_totals_overflow_check(monkeypatch):
     assert "INT_MIN" not in overflows[0]
     # and no DIV or MOD of a dividend that may be negative
     assert "-(-_t" not in grid and "_quotient" not in grid and "_remainder" not in grid
+    # the inner loop checks its budget once, for 4 steps an iteration, and
+    # counts the 3 each iteration makes before it runs: the part, the IF test
+    # and the per-iteration step. Only its branch counts, and checks nothing.
+    # The outer loop holds a loop, so it checks as each iteration starts
+    outer, inner = re.findall(r"^( *)for v\d+ in range\(", grid, re.M)
+    head, body = re.split(rf"^{inner}for v\d+ in range\(.*\n", grid, flags=re.M)
+    body = re.match(rf"(?:{inner} .*\n)*", body)[0]
+    assert head.splitlines()[-3:] == [
+        f"{inner}_k = _n4 - _i4 + 1 if _n4 >= _i4 else 0",
+        f"{inner}if s + _k * 4 > B: raise _Halt('step-budget-exceeded', _AGAIN)",
+        f"{inner}s += _k * 3"]
+    assert "step-budget-exceeded" not in body
+    assert re.findall(r"s \+= .*", body) == ["s += 1"]
+    assert re.search(rf"^{outer}    if s >= B: raise _Halt\('step-budget-exceeded', a\d+\)\n"
+                     rf"{outer}    s \+= 1\n", head, re.M)
 
 
 _SHAPE = ("PROGRAM P(input, output);\nVAR {a}, {b}: INTEGER; {r}: REAL;\nBEGIN\n"
